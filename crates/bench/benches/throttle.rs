@@ -7,7 +7,7 @@
 //! baseline every non-alarmed period pays, and must stay near zero.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use syndog::{Detection, SynDogConfig};
+use syndog::SynDogConfig;
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
 use syndog_router::{MitigationEngine, MitigationPolicy, TokenBucket};
 use syndog_sim::SimTime;
@@ -30,27 +30,11 @@ fn syn(src: &str, mac: MacAddr) -> TraceRecord {
     .with_mac(mac)
 }
 
-/// An engine pushed over the engagement gate (x̃ = 0.5 per period crosses
-/// N = 1.05 at the third), with the attacker's MAC already crowned so the
-/// sticky per-MAC key is installed.
+/// An engine pushed over the engagement gate (see
+/// [`syndog_bench::quickbench::engaged_engine`]), with the attacker's MAC
+/// already crowned so the sticky per-MAC key is installed.
 fn engaged_engine(attacker: MacAddr) -> MitigationEngine {
-    let mut engine = MitigationEngine::new(
-        stub(),
-        &SynDogConfig::paper_default(),
-        MitigationPolicy::paper_default(),
-    );
-    let detection = |period| Detection {
-        period,
-        delta: 85.0,
-        k_average: 100.0,
-        x: 0.85,
-        statistic: 0.0,
-        alarm: false,
-    };
-    for p in 0..3 {
-        engine.on_detection(&detection(p), p);
-    }
-    assert!(engine.is_engaged());
+    let mut engine = syndog_bench::quickbench::engaged_engine(stub());
     engine.process(&syn("10.9.9.9:6000", attacker));
     engine
 }

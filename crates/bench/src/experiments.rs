@@ -23,8 +23,7 @@ use syndog::{
 use syndog_attack::{FloodPattern, SpoofStrategy, SynFlood};
 use syndog_net::{MacAddr, SegmentKind};
 use syndog_router::{
-    CollectorConfig, Fleet, KeyMode, MitigationEngine, MitigationPolicy, Scenario, SourceLocator,
-    SynDogAgent,
+    CollectorConfig, Fleet, KeyMode, MitigationPolicy, Scenario, SourceLocator, SynDogAgent,
 };
 use syndog_sim::par::{run_indexed, Parallelism};
 use syndog_sim::stats::TimeSeries;
@@ -934,22 +933,8 @@ pub fn mitigation(seed: u64) -> ExperimentOutput {
     // agents held; built standalone because the fleet consumes its
     // agents.)
     let engine_bytes = {
-        let mut engine = MitigationEngine::new(
-            "128.1.0.0/16".parse().expect("static prefix"),
-            &config,
-            MitigationPolicy::paper_default(),
-        );
-        let detection = |period| Detection {
-            period,
-            delta: 85.0,
-            k_average: 100.0,
-            x: 0.85,
-            statistic: 0.0,
-            alarm: false,
-        };
-        for p in 0..3 {
-            engine.on_detection(&detection(p), p);
-        }
+        let mut engine =
+            crate::quickbench::engaged_engine("128.1.0.0/16".parse().expect("static prefix"));
         engine.process(
             &TraceRecord::new(
                 SimTime::from_secs(600),

@@ -15,10 +15,12 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use syndog::{Detection, DetectorKind, PeriodSignals, SynDogConfig};
+use syndog::{DetectorKind, PeriodSignals, SynDogConfig};
 use syndog_net::packet::PacketBuilder;
 use syndog_net::{classify, classify_batch, FrameBatch, Ipv4Net, MacAddr, SegmentKind, TcpFlags};
-use syndog_router::{ConcurrentSynDog, MitigationEngine, MitigationPolicy, OverflowPolicy};
+use syndog_router::{
+    ConcurrentSynDog, MitigationEngine, MitigationPolicy, OverflowPolicy, SynDogAgent,
+};
 use syndog_sim::SimTime;
 use syndog_traffic::trace::{Direction, TraceRecord};
 
@@ -276,30 +278,29 @@ pub fn bench_concurrent_submit(iterations: u64) -> BenchReport {
     }
 }
 
+/// An armed mitigation engine for `stub`, pushed over the engagement gate
+/// the way a flooded stub gets there: through a [`SynDogAgent`] closing
+/// three periods of 85 unanswered SYNs over `K̄ = 100` (x = 0.85, so the
+/// gate climbs x − a = 0.5 per period and crosses N = 1.05 at the third).
+pub fn engaged_engine(stub: Ipv4Net) -> MitigationEngine {
+    let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default())
+        .with_mitigation(MitigationPolicy::paper_default());
+    for _ in 0..3 {
+        agent.observe_period(PeriodSignals {
+            syn: 185,
+            synack: 100,
+            fin: 0,
+            rst: 0,
+        });
+    }
+    let engine = agent.mitigation().cloned().expect("mitigation armed");
+    assert!(engine.is_engaged());
+    engine
+}
+
 /// The mitigation throttle's per-SYN admit/deny decision while engaged.
 pub fn bench_throttle(ops: u64) -> BenchReport {
-    let stub: Ipv4Net = "128.1.0.0/16".parse().unwrap();
-    let mut engine = MitigationEngine::new(
-        stub,
-        &SynDogConfig::paper_default(),
-        MitigationPolicy::paper_default(),
-    );
-    // Push the engine over the engagement gate (x̃ = 0.85 per period
-    // crosses N = 1.05 at the third detection).
-    for period in 0..3 {
-        engine.on_detection(
-            &Detection {
-                period,
-                delta: 85.0,
-                k_average: 100.0,
-                x: 0.85,
-                statistic: 0.0,
-                alarm: false,
-            },
-            period,
-        );
-    }
-    assert!(engine.is_engaged());
+    let mut engine = engaged_engine("128.1.0.0/16".parse().unwrap());
     let syn = TraceRecord::new(
         SimTime::from_secs(60),
         Direction::Outbound,

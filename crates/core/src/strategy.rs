@@ -16,8 +16,7 @@
 //! and returns the same [`Detection`] record, so agents, telemetry and the
 //! bake-off harness treat them interchangeably. [`AnyDetector`] is the
 //! value-level strategy choice: a serializable tagged union that the
-//! checkpoint envelope carries (with read-compat for v2 checkpoints, which
-//! stored the paper detector bare).
+//! checkpoint envelope carries.
 
 use std::fmt;
 use std::str::FromStr;
@@ -346,9 +345,7 @@ impl EwmaDetector {
 /// and checkpoints stay `Clone + PartialEq + Serialize`.
 ///
 /// Serialized form is externally tagged by the strategy's canonical name
-/// (`{"syndog": {...}}`); deserialization also accepts a bare
-/// [`SynDogDetector`] map, which is how version-2 checkpoints stored the
-/// detector.
+/// (`{"syndog": {...}}`), and deserialization accepts only that form.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnyDetector {
     /// The paper's SYN − SYN/ACK CUSUM.
@@ -524,19 +521,17 @@ impl Serialize for AnyDetector {
 
 impl Deserialize for AnyDetector {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        if let Some((tag, payload)) = value.as_tagged() {
-            match tag {
-                "syndog" => return Deserialize::from_value(payload).map(AnyDetector::Syndog),
-                "syn-cusum" => return Deserialize::from_value(payload).map(AnyDetector::SynCusum),
-                "ewma" => return Deserialize::from_value(payload).map(AnyDetector::Ewma),
-                "fin-pair" => return Deserialize::from_value(payload).map(AnyDetector::FinPair),
-                _ => {}
+        match value.as_tagged() {
+            Some(("syndog", payload)) => Deserialize::from_value(payload).map(AnyDetector::Syndog),
+            Some(("syn-cusum", payload)) => {
+                Deserialize::from_value(payload).map(AnyDetector::SynCusum)
             }
+            Some(("ewma", payload)) => Deserialize::from_value(payload).map(AnyDetector::Ewma),
+            Some(("fin-pair", payload)) => {
+                Deserialize::from_value(payload).map(AnyDetector::FinPair)
+            }
+            _ => Err(serde::Error::custom("unrecognized detector state")),
         }
-        // Version-2 checkpoints carried the paper detector untagged.
-        SynDogDetector::from_value(value)
-            .map(AnyDetector::Syndog)
-            .map_err(|_| serde::Error::custom("unrecognized detector state"))
     }
 }
 
@@ -661,14 +656,13 @@ mod tests {
     }
 
     #[test]
-    fn bare_syndog_state_deserializes_as_the_paper_strategy() {
+    fn untagged_detector_state_is_rejected() {
         let mut bare = SynDogDetector::new(SynDogConfig::paper_default());
         bare.observe(PeriodCounts {
             syn: 700,
             synack: 650,
         });
-        let restored = AnyDetector::from_value(&bare.to_value()).unwrap();
-        assert_eq!(restored, AnyDetector::Syndog(bare));
+        assert!(AnyDetector::from_value(&bare.to_value()).is_err());
         assert!(AnyDetector::from_value(&Value::Str("junk".into())).is_err());
     }
 

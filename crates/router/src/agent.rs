@@ -140,10 +140,11 @@ impl SynDogAgent {
     /// Arms source-end mitigation: the agent gains a
     /// [`MitigationEngine`] that engages keyed SYN throttles when the
     /// detector's statistic crosses the threshold and releases them by
-    /// hysteresis (see [`crate::mitigate`]). Only the record-level paths
-    /// ([`SynDogAgent::filter_record`]) actually drop traffic; the
-    /// count-level [`SynDogAgent::observe_period`] still tracks
-    /// engage/release posture.
+    /// hysteresis (see [`crate::mitigate`]). The record-level paths
+    /// ([`SynDogAgent::filter_record`]) drop traffic per keyed bucket;
+    /// [`SynDogAgent::close_count_period`] sheds aggregate SYN excess; and
+    /// [`SynDogAgent::observe_period`] alone only tracks engage/release
+    /// posture.
     pub fn set_mitigation(&mut self, policy: MitigationPolicy) {
         self.mitigation = Some(MitigationEngine::new(
             self.router.stub(),
@@ -163,12 +164,6 @@ impl SynDogAgent {
     /// The mitigation engine, if one is armed.
     pub fn mitigation(&self) -> Option<&MitigationEngine> {
         self.mitigation.as_ref()
-    }
-
-    /// Mutable access to the mitigation engine, for count-level drivers
-    /// that apply [`MitigationEngine::count_throttle`] themselves.
-    pub fn mitigation_mut(&mut self) -> Option<&mut MitigationEngine> {
-        self.mitigation.as_mut()
     }
 
     /// (Re)registers the `syndog_mitigation_*` series whenever both a hub
@@ -191,6 +186,12 @@ impl SynDogAgent {
     /// The underlying router.
     pub fn router(&self) -> &LeafRouter {
         &self.router
+    }
+
+    /// Mutable router access for callers that tally counts themselves
+    /// (the concurrent coordinator) before closing the period.
+    pub(crate) fn router_mut(&mut self) -> &mut LeafRouter {
+        &mut self.router
     }
 
     /// The underlying detector.
@@ -262,6 +263,23 @@ impl SynDogAgent {
             );
         }
         detection
+    }
+
+    /// Closes one period for a count-level caller, which has per-period
+    /// counts but no records for keyed buckets to judge:
+    /// [`SynDogAgent::observe_period`], then, with mitigation armed,
+    /// [`MitigationEngine::count_throttle`] sheds the period's SYN excess
+    /// over `K̄ + allowance`. Returns the detection and the SYNs shed.
+    pub fn close_count_period(&mut self, sample: PeriodSignals) -> (Detection, u64) {
+        let detection = self.observe_period(sample);
+        let Some(engine) = &mut self.mitigation else {
+            return (detection, 0);
+        };
+        let shed = engine.count_throttle(&detection, sample.syn);
+        if let Some(mitigation_telemetry) = &mut self.mitigation_telemetry {
+            mitigation_telemetry.sync(engine);
+        }
+        (detection, shed)
     }
 
     /// Runs any [`FrameSource`] through router and detector — the one

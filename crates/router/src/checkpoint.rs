@@ -25,17 +25,16 @@
 //! A checkpoint file is a JSON envelope:
 //!
 //! ```json
-//! {"magic":"syndog-checkpoint","version":3,"crc32":3735928559,"payload":"{…}"}
+//! {"magic":"syndog-checkpoint","version":4,"crc32":3735928559,"payload":"{…}"}
 //! ```
 //!
 //! The `payload` string is the serialized [`Checkpoint`]; `crc32` is the
 //! IEEE CRC-32 of the payload's UTF-8 bytes. Rules, in validation order:
 //!
 //! 1. `magic` must be exactly `syndog-checkpoint` ([`CheckpointError::BadMagic`]),
-//! 2. `version` must be one this build understands —
-//!    [`MIN_CHECKPOINT_VERSION`] through [`CHECKPOINT_VERSION`]
+//! 2. `version` must be exactly [`CHECKPOINT_VERSION`]
 //!    ([`CheckpointError::UnsupportedVersion`]); any payload-schema change
-//!    bumps the version,
+//!    bumps the version, and older files are rejected rather than migrated,
 //! 3. `crc32` must match the payload bytes ([`CheckpointError::CrcMismatch`]) —
 //!    a truncated or hand-edited file fails closed rather than restoring
 //!    half a detector.
@@ -56,7 +55,8 @@ use crate::mitigate::{MitigationEngine, MitigationState};
 use crate::router::LeafRouter;
 use crate::sniffer::Sniffer;
 
-/// The checkpoint payload schema version this build writes.
+/// The checkpoint payload schema version this build writes, and the only
+/// one it reads.
 ///
 /// Version history: 1 — detector/router/sniffer state only; 2 — adds the
 /// optional `mitigation` payload field (throttle buckets, hysteresis
@@ -67,13 +67,6 @@ use crate::sniffer::Sniffer;
 /// the locator's attack-fingerprint tallies, the flash-crowd exoneration
 /// window and tally, and the policy's key-mode/exoneration knobs).
 pub const CHECKPOINT_VERSION: u32 = 4;
-
-/// The oldest payload schema version this build still reads. Version-2
-/// and version-3 files restore losslessly: a bare detector map is taken
-/// as the paper strategy, absent `fin`/`rst` counts as zero, and absent
-/// fingerprint state as empty tables under MAC keying — exactly what
-/// those builds maintained.
-pub const MIN_CHECKPOINT_VERSION: u32 = 2;
 
 /// The envelope magic string.
 const MAGIC: &str = "syndog-checkpoint";
@@ -121,8 +114,8 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::UnsupportedVersion(version) => write!(
                 f,
-                "unsupported checkpoint version {version} (this build reads \
-                 {MIN_CHECKPOINT_VERSION} through {CHECKPOINT_VERSION})"
+                "unsupported checkpoint version {version} (this build reads only \
+                 version {CHECKPOINT_VERSION})"
             ),
             CheckpointError::CrcMismatch { expected, actual } => write!(
                 f,
@@ -136,7 +129,7 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// One sniffer's counters, captured for restore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnifferState {
     /// Pending SYN count (since the last period close).
     pub syn: u64,
@@ -154,28 +147,6 @@ pub struct SnifferState {
     /// order. A `Vec` on the wire so the arity is validated on restore
     /// rather than assumed.
     pub kinds: Vec<u64>,
-}
-
-// Hand-written so version-2 payloads (no `fin`/`rst` fields) still parse:
-// absent close-side counts restore as zero, which is exactly what a
-// version-2 sniffer had accumulated.
-impl Deserialize for SnifferState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = serde::MapAccess::new(value, "SnifferState")?;
-        let pending_or_zero = |name: &str| match map.field(name) {
-            Ok(v) => Deserialize::from_value(v),
-            Err(_) => Ok(0),
-        };
-        Ok(SnifferState {
-            syn: Deserialize::from_value(map.field("syn")?)?,
-            synack: Deserialize::from_value(map.field("synack")?)?,
-            fin: pending_or_zero("fin")?,
-            rst: pending_or_zero("rst")?,
-            frames_seen: Deserialize::from_value(map.field("frames_seen")?)?,
-            malformed: Deserialize::from_value(map.field("malformed")?)?,
-            kinds: Deserialize::from_value(map.field("kinds")?)?,
-        })
-    }
 }
 
 impl SnifferState {
@@ -266,17 +237,14 @@ pub struct Checkpoint {
     pub inbound: SnifferState,
     /// The detector: strategy tag, config, learned baseline, decision
     /// statistic, period count. Serialized externally tagged
-    /// (`{"syndog": {...}}`); version-2 payloads carried the paper
-    /// detector bare, which [`AnyDetector`]'s deserializer still accepts.
+    /// (`{"syndog": {...}}`).
     pub detector: AnyDetector,
     /// The per-period detection series recorded so far.
     pub detections: Vec<Detection>,
     /// The alarms raised so far.
     pub alarms: Vec<AlarmState>,
     /// The mitigation engine's state — `None` for agents without a
-    /// [`MitigationEngine`]. Adding this field is the version 1 → 2
-    /// payload schema change; version-1 files are rejected at the
-    /// envelope's version check, never half-read.
+    /// [`MitigationEngine`].
     pub mitigation: Option<MitigationState>,
 }
 
@@ -381,7 +349,7 @@ impl Checkpoint {
         if envelope.magic != MAGIC {
             return Err(CheckpointError::BadMagic(envelope.magic));
         }
-        if !(MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION).contains(&envelope.version) {
+        if envelope.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(envelope.version));
         }
         let actual = crc32(envelope.payload.as_bytes());
@@ -556,120 +524,32 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_are_rejected() {
+    fn versions_before_4_are_rejected() {
+        // Older builds' files are refused at the envelope, never migrated
+        // or half-read, even when the payload itself would parse.
         let payload = serde_json::to_string(&sample_checkpoint()).unwrap();
         let crc = crc32(payload.as_bytes());
-        let ancient = serde_json::to_string(&Envelope {
-            magic: MAGIC.to_string(),
-            version: 1,
-            crc32: crc,
-            payload,
-        })
-        .unwrap();
-        assert_eq!(
-            Checkpoint::from_json(&ancient),
-            Err(CheckpointError::UnsupportedVersion(1))
-        );
+        for version in 1..CHECKPOINT_VERSION {
+            let old = serde_json::to_string(&Envelope {
+                magic: MAGIC.to_string(),
+                version,
+                crc32: crc,
+                payload: payload.clone(),
+            })
+            .unwrap();
+            assert_eq!(
+                Checkpoint::from_json(&old),
+                Err(CheckpointError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]
-    fn version_2_checkpoint_restores_with_the_default_detector() {
-        // A frozen version-2 payload, exactly as the previous release
-        // wrote it: bare (untagged) SynDogDetector, sniffers without
-        // pending fin/rst counts. It must restore losslessly: the paper
-        // strategy, zero pending closes.
-        let payload = concat!(
-            r#"{"stub":"10.1.0.0/16","period_micros":20000000,"current_period":5,"#,
-            r#""period_base":0,"#,
-            r#""outbound":{"syn":2,"synack":0,"frames_seen":12,"malformed":1,"#,
-            r#""kinds":[2,0,1,1,3,4,0]},"#,
-            r#""inbound":{"syn":0,"synack":3,"frames_seen":7,"malformed":0,"#,
-            r#""kinds":[0,3,1,0,2,1,0]},"#,
-            r#""detector":{"config":{"observation_period_secs":20.0,"alpha":0.9,"#,
-            r#""offset":0.35,"min_attack_mean":0.7,"threshold":1.05},"#,
-            r#""estimator":{"alpha":0.9,"average":98.5},"#,
-            r#""cusum":{"a":0.35,"threshold":1.05,"y":0.25,"n":5,"first_alarm":null}},"#,
-            r#""detections":[],"alarms":[],"mitigation":null}"#
-        );
-        let envelope = serde_json::to_string(&Envelope {
-            magic: MAGIC.to_string(),
-            version: 2,
-            crc32: crc32(payload.as_bytes()),
-            payload: payload.to_string(),
-        })
-        .unwrap();
-        let checkpoint = Checkpoint::from_json(&envelope).unwrap();
-        assert!(matches!(checkpoint.detector, AnyDetector::Syndog(_)));
-        assert_eq!(checkpoint.detector.kind(), syndog::DetectorKind::Syndog);
-        assert_eq!(checkpoint.detector.periods_observed(), 5);
-        assert_eq!(checkpoint.detector.k_average(), Some(98.5));
-        assert_eq!(checkpoint.outbound.fin, 0);
-        assert_eq!(checkpoint.outbound.rst, 0);
-        let router = checkpoint.restore_router().unwrap();
-        assert_eq!(router.current_period(), 5);
-        assert_eq!(router.sniffer(Direction::Outbound).syn_count(), 2);
-        assert_eq!(router.sniffer(Direction::Outbound).fin_count(), 0);
-        // Re-saving writes the current version; the state survives the
-        // upgrade round-trip.
-        let resaved = Checkpoint::from_json(&checkpoint.to_json()).unwrap();
-        assert_eq!(resaved, checkpoint);
-    }
-
-    #[test]
-    fn version_3_checkpoint_restores_with_empty_fingerprint_state() {
-        // A frozen version-3 payload, exactly as the previous release
-        // wrote it: tagged detector, sniffers with pending fin/rst, and a
-        // mid-attack mitigation block that predates the fingerprint
-        // subsystem — no fingerprint tables, no exoneration window, no
-        // key-mode knob. It must restore to what that engine was: MAC
-        // keying, empty fingerprint state.
-        let payload = concat!(
-            r#"{"stub":"10.1.0.0/16","period_micros":20000000,"current_period":5,"#,
-            r#""period_base":0,"#,
-            r#""outbound":{"syn":2,"synack":0,"fin":1,"rst":0,"frames_seen":12,"#,
-            r#""malformed":1,"kinds":[2,0,1,1,3,4,0]},"#,
-            r#""inbound":{"syn":0,"synack":3,"fin":0,"rst":1,"frames_seen":7,"#,
-            r#""malformed":0,"kinds":[0,3,1,0,2,1,0]},"#,
-            r#""detector":{"syndog":{"config":{"observation_period_secs":20.0,"alpha":0.9,"#,
-            r#""offset":0.35,"min_attack_mean":0.7,"threshold":1.05},"#,
-            r#""estimator":{"alpha":0.9,"average":98.5},"#,
-            r#""cusum":{"a":0.35,"threshold":1.05,"y":1.05,"n":5,"first_alarm":4}}},"#,
-            r#""detections":[],"alarms":[],"#,
-            r#""mitigation":{"policy":{"bucket_fraction":0.05,"min_tokens_per_period":1.0,"#,
-            r#""burst_periods":1.0,"release_periods":3,"suspect_min_share":0.5},"#,
-            r#""offset":0.35,"threshold":1.05,"period_secs":20.0,"#,
-            r#""stub":"10.1.0.0/16","armed":true,"activity":[],"#,
-            r#""engagement":{"allowance":5.0,"buckets":[]},"#,
-            r#""gate":1.05,"calm_streak":0,"suspect":null,"#,
-            r#""stats":{"engagements":1,"releases":0,"engaged_periods":0,"#,
-            r#""throttled_syns":0,"passed_syns":0,"collateral_syns":0,"#,
-            r#""attack_syns_offered":0,"attack_syns_forwarded":0},"#,
-            r#""engaged_at":4,"released_at":null}}"#
-        );
-        let envelope = serde_json::to_string(&Envelope {
-            magic: MAGIC.to_string(),
-            version: 3,
-            crc32: crc32(payload.as_bytes()),
-            payload: payload.to_string(),
-        })
-        .unwrap();
-        let checkpoint = Checkpoint::from_json(&envelope).unwrap();
-        let engine = checkpoint
-            .restore_mitigation()
-            .unwrap()
-            .expect("mitigation present");
-        assert!(engine.is_engaged());
-        assert_eq!(
-            engine.policy().key_mode,
-            crate::mitigate::KeyMode::Mac,
-            "version-3 engines keyed by MAC"
-        );
-        assert!(engine.fingerprints().is_empty());
-        assert!(engine.locator().attack_fingerprints().is_empty());
-        assert_eq!(engine.stats().exonerated_periods, 0);
-        // Re-saving writes version 4 and the state survives the upgrade.
-        let resaved = Checkpoint::from_json(&checkpoint.to_json()).unwrap();
-        assert_eq!(resaved, checkpoint);
+    fn deeply_nested_input_is_rejected_without_overflowing_the_stack() {
+        assert!(matches!(
+            Checkpoint::from_json(&"[".repeat(200_000)),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 
     #[test]

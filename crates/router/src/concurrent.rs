@@ -12,7 +12,7 @@
 //! mutex, no allocation on the hot path); a coordinator drains the atomics
 //! at each period close and feeds them through the same
 //! [`LeafRouter::take_period_sample`] path every other ingestion mode
-//! uses.
+//! uses, into a [`SynDogAgent`] that makes the period's decision.
 //!
 //! With [`ConcurrentSynDog::with_shards`], each direction's ingestion is
 //! sharded RSS-style across `N` queues: frames scatter by
@@ -32,9 +32,9 @@
 //! shard's channel, so when it returns every previously submitted batch
 //! has been counted — no sleeps, no spinning on wall-clock time.
 //!
-//! The single-threaded [`crate::agent::SynDogAgent`] is the right tool for
-//! experiments; this module exists to demonstrate (and test) that the
-//! design is race-free in its intended deployment shape.
+//! The single-threaded [`SynDogAgent`] is the right tool for experiments;
+//! this module exists to demonstrate (and test) that the design is
+//! race-free in its intended deployment shape.
 //!
 //! [`LeafRouter::take_period_sample`]: crate::router::LeafRouter::take_period_sample
 
@@ -48,16 +48,14 @@ use syndog_net::batch::{classify_batch, ClassCounts, FrameBatch};
 use syndog_net::classify::{flow_hash, SegmentKind};
 use syndog_net::pool::BatchPool;
 use syndog_net::Ipv4Net;
-use syndog_sim::SimDuration;
 use syndog_telemetry::{Counter, Gauge, Telemetry};
 use syndog_traffic::trace::Direction;
 
+use crate::agent::{Alarm, SynDogAgent};
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::mitigate::{MitigationEngine, MitigationPolicy};
 use crate::router::LeafRouter;
-use crate::telemetry::{
-    AgentTelemetry, ChannelTelemetry, ConcurrentTelemetry, MitigationTelemetry,
-};
+use crate::telemetry::{ChannelTelemetry, ConcurrentTelemetry};
 
 /// What a sniffer channel does when it is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -243,9 +241,12 @@ fn spawn_sniffer(
 }
 
 /// A concurrently-deployed SYN-dog: per-interface sniffer shard threads
-/// plus an inline coordinator that owns the router and detector.
+/// plus an inline coordinator whose [`SynDogAgent`] closes each period.
 pub struct ConcurrentSynDog {
-    router: LeafRouter,
+    /// The coordinator's agent, over `0.0.0.0/0`: the deployment classifies
+    /// by interface, not address, so the stub prefix is unused, and the
+    /// period clock is external ([`Self::close_period`]).
+    agent: SynDogAgent,
     outbound: SnifferInterface,
     inbound: SnifferInterface,
     pool: Arc<BatchPool>,
@@ -254,18 +255,13 @@ pub struct ConcurrentSynDog {
     /// each other's acks without this.
     flush_lock: Mutex<()>,
     policy: OverflowPolicy,
-    detector: AnyDetector,
-    detections: Vec<Detection>,
-    agent_telemetry: Option<AgentTelemetry>,
     channel_telemetry: Option<ConcurrentTelemetry>,
-    mitigation: Option<MitigationEngine>,
-    mitigation_telemetry: Option<MitigationTelemetry>,
 }
 
 impl std::fmt::Debug for ConcurrentSynDog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentSynDog")
-            .field("periods", &self.detections.len())
+            .field("periods", &self.agent.detections().len())
             .field("policy", &self.policy)
             .field("shards", &self.outbound.shards.len())
             .finish_non_exhaustive()
@@ -293,11 +289,10 @@ impl ConcurrentSynDog {
         channel_capacity: usize,
         policy: OverflowPolicy,
     ) -> Self {
-        Self::build(
+        Self::with_detector(
             DetectorKind::Syndog.build(config),
             channel_capacity,
             policy,
-            1,
             None,
         )
     }
@@ -315,7 +310,7 @@ impl ConcurrentSynDog {
         policy: OverflowPolicy,
         hub: Option<Arc<Telemetry>>,
     ) -> Self {
-        Self::build(detector, channel_capacity, policy, 1, hub)
+        Self::with_shards(detector, channel_capacity, policy, 1, hub)
     }
 
     /// Starts a sharded deployment: `shards` worker queues per interface,
@@ -336,7 +331,9 @@ impl ConcurrentSynDog {
         shards: usize,
         hub: Option<Arc<Telemetry>>,
     ) -> Self {
-        Self::build(detector, channel_capacity, policy, shards, hub)
+        let stub: Ipv4Net = "0.0.0.0/0".parse().expect("static prefix parses");
+        let agent = SynDogAgent::with_detector(stub, detector);
+        Self::build(agent, channel_capacity, policy, shards, hub)
     }
 
     /// Starts both sniffer threads reporting into a telemetry hub: the
@@ -353,17 +350,16 @@ impl ConcurrentSynDog {
         policy: OverflowPolicy,
         hub: Arc<Telemetry>,
     ) -> Self {
-        Self::build(
+        Self::with_detector(
             DetectorKind::Syndog.build(config),
             channel_capacity,
             policy,
-            1,
             Some(hub),
         )
     }
 
     fn build(
-        detector: AnyDetector,
+        mut agent: SynDogAgent,
         channel_capacity: usize,
         policy: OverflowPolicy,
         shards: usize,
@@ -374,15 +370,12 @@ impl ConcurrentSynDog {
             (1..=MAX_SHARDS).contains(&shards),
             "shards must be 1..={MAX_SHARDS}"
         );
-        // The concurrent deployment classifies by interface, not by
-        // address, so the router's stub prefix is unused; the period clock
-        // is external (`close_period`), so the router is purely the shared
-        // counter-exchange path.
-        let stub: Ipv4Net = "0.0.0.0/0".parse().expect("static prefix parses");
-        let period = SimDuration::from_secs_f64(detector.config().observation_period_secs);
         let channel_telemetry = hub
             .as_deref()
             .map(|hub| ConcurrentTelemetry::with_shards(hub, shards));
+        if let Some(hub) = hub {
+            agent.set_telemetry(hub);
+        }
         // Enough parking slots to keep the steady-state working set warm:
         // the scatter path holds up to `shards` sub-batches per submit, and
         // a queue's worth of batches can ride each channel between acquire
@@ -405,18 +398,13 @@ impl ConcurrentSynDog {
             SnifferInterface { shards }
         };
         ConcurrentSynDog {
-            router: LeafRouter::new(stub, period),
+            agent,
             outbound: interface(Direction::Outbound),
             inbound: interface(Direction::Inbound),
             pool,
             flush_lock: Mutex::new(()),
             policy,
-            detector,
-            detections: Vec::new(),
-            agent_telemetry: hub.map(AgentTelemetry::new),
             channel_telemetry,
-            mitigation: None,
-            mitigation_telemetry: None,
         }
     }
 
@@ -429,14 +417,7 @@ impl ConcurrentSynDog {
     /// token buckets — see
     /// [`MitigationEngine::count_throttle`]).
     pub fn set_mitigation(&mut self, policy: MitigationPolicy) {
-        let engine = MitigationEngine::new(self.router.stub(), self.detector.config(), policy);
-        if let (Some(agent_telemetry), None) = (&self.agent_telemetry, &self.mitigation_telemetry) {
-            self.mitigation_telemetry = Some(MitigationTelemetry::new(agent_telemetry.hub()));
-        }
-        if let Some(telemetry) = &mut self.mitigation_telemetry {
-            telemetry.sync(&engine);
-        }
-        self.mitigation = Some(engine);
+        self.agent.set_mitigation(policy);
     }
 
     /// Builder-style [`Self::set_mitigation`].
@@ -448,7 +429,7 @@ impl ConcurrentSynDog {
 
     /// The attached mitigation engine, if any.
     pub fn mitigation(&self) -> Option<&MitigationEngine> {
-        self.mitigation.as_ref()
+        self.agent.mitigation()
     }
 
     fn interface(&self, direction: Direction) -> &SnifferInterface {
@@ -607,16 +588,16 @@ impl ConcurrentSynDog {
     /// Closes the current observation period: drains the shared atomics
     /// through the router's sniffers (the same
     /// [`LeafRouter::take_period_sample`](crate::router::LeafRouter::take_period_sample)
-    /// exchange every other mode uses) and runs the detector. The caller
-    /// is the period clock (in a router this is a 20 s timer).
+    /// exchange every other mode uses) and closes the period in the
+    /// agent ([`SynDogAgent::close_count_period`]: detector, alarms and,
+    /// with mitigation armed, count-level shedding). The caller is the
+    /// period clock (in a router this is a 20 s timer).
     ///
     /// Call [`Self::flush`] first when exact attribution to this period
     /// matters; without it a frame near the boundary may count toward
     /// either side, which the CUSUM absorbs — exactly like the real
     /// deployment.
     pub fn close_period(&mut self) -> Detection {
-        // Timing is telemetry-only: skip the syscalls when unobserved.
-        let close_started = self.agent_telemetry.is_some().then(std::time::Instant::now);
         // Merge order across shards is irrelevant: each drain is a sum of
         // independent monotone counters, so the merged tally is identical
         // at any shard count.
@@ -630,51 +611,32 @@ impl ConcurrentSynDog {
                 .channel(Direction::Inbound)
                 .record_malformed(inbound.malformed());
         }
-        self.router.observe_counts(Direction::Outbound, &outbound);
-        self.router.observe_counts(Direction::Inbound, &inbound);
-        let sample = self.router.take_period_sample();
-        let detection = self.detector.observe(sample);
-        self.detections.push(detection);
-        if let Some(engine) = &mut self.mitigation {
-            engine.on_detection(&detection, detection.period);
-            engine.count_throttle(&detection, sample.syn);
-            if let Some(telemetry) = &mut self.mitigation_telemetry {
-                telemetry.sync(engine);
-            }
-        }
-        if let Some(telemetry) = &mut self.agent_telemetry {
-            let end_secs = self.router.period().as_secs_f64() * (detection.period + 1) as f64;
-            telemetry.record_period(
-                sample,
-                &detection,
-                end_secs,
-                close_started
-                    .expect("timer started whenever telemetry is attached")
-                    .elapsed()
-                    .as_micros() as u64,
-            );
-            telemetry.sync_sniffers(
-                self.router.sniffer(Direction::Outbound),
-                self.router.sniffer(Direction::Inbound),
-            );
-        }
-        detection
+        let router = self.agent.router_mut();
+        router.observe_counts(Direction::Outbound, &outbound);
+        router.observe_counts(Direction::Inbound, &inbound);
+        let sample = router.take_period_sample();
+        self.agent.close_count_period(sample).0
     }
 
     /// All per-period detections so far.
     pub fn detections(&self) -> &[Detection] {
-        &self.detections
+        self.agent.detections()
+    }
+
+    /// Every alarm raised so far.
+    pub fn alarms(&self) -> &[Alarm] {
+        self.agent.alarms()
     }
 
     /// The coordinator's detection strategy.
     pub fn detector(&self) -> &AnyDetector {
-        &self.detector
+        self.agent.detector()
     }
 
     /// The coordinator-side router (lifetime frame / malformed tallies live
     /// on its sniffers; they update at each [`Self::close_period`]).
     pub fn router(&self) -> &LeafRouter {
-        &self.router
+        self.agent.router()
     }
 
     /// Chaos hook: makes `direction`'s sniffer thread panic on its next
@@ -695,27 +657,21 @@ impl ConcurrentSynDog {
         self.outbound.sum(|c| &c.restarts) + self.inbound.sum(|c| &c.restarts)
     }
 
-    /// Captures the coordinator's detection state as a [`Checkpoint`].
+    /// Captures the coordinator's detection state as a [`Checkpoint`]
+    /// ([`SynDogAgent::checkpoint`]).
     ///
     /// Frames still in flight (queued in the channels or in the shared
     /// atomics) are *not* captured: call [`Self::flush`] and
     /// [`Self::close_period`] first so the checkpoint lands on a period
     /// boundary — the same boundary the restore resumes from.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(
-            &self.router,
-            0,
-            &self.detector,
-            &self.detections,
-            &[],
-            self.mitigation.as_ref(),
-        )
+        self.agent.checkpoint()
     }
 
     /// Rebuilds a concurrent deployment from a [`Checkpoint`]: fresh
-    /// sniffer threads, restored router clock/counters, detector and
-    /// detection series. The detector configuration comes from the
-    /// checkpoint.
+    /// sniffer threads around the agent [`SynDogAgent::restore`] rebuilds
+    /// (router clock and counters, detector, detections, alarms,
+    /// mitigation). The detector configuration comes from the checkpoint.
     ///
     /// # Errors
     ///
@@ -754,23 +710,8 @@ impl ConcurrentSynDog {
         shards: usize,
         hub: Option<Arc<Telemetry>>,
     ) -> Result<Self, CheckpointError> {
-        let router = checkpoint.restore_router()?;
-        let mut dog = Self::build(
-            checkpoint.detector.clone(),
-            channel_capacity,
-            policy,
-            shards,
-            hub,
-        );
-        dog.router = router;
-        dog.detections = checkpoint.detections.clone();
-        dog.mitigation = checkpoint.restore_mitigation()?;
-        if let (Some(engine), Some(agent_telemetry)) = (&dog.mitigation, &dog.agent_telemetry) {
-            let mut telemetry = MitigationTelemetry::new(agent_telemetry.hub());
-            telemetry.sync(engine);
-            dog.mitigation_telemetry = Some(telemetry);
-        }
-        Ok(dog)
+        let agent = SynDogAgent::restore(checkpoint)?;
+        Ok(Self::build(agent, channel_capacity, policy, shards, hub))
     }
 
     /// Batches shed so far under [`OverflowPolicy::Drop`], summed over
@@ -1281,6 +1222,76 @@ mod tests {
         let restored = resumed.mitigation().expect("mitigation engine restored");
         assert!(restored.is_engaged());
         assert_eq!(*restored.stats(), stats);
+        resumed.shutdown();
+    }
+
+    #[test]
+    fn coordinator_closes_periods_exactly_like_the_agent() {
+        // The same per-period handshake counts, with mitigation armed,
+        // through the threaded coordinator and through the agent's
+        // count-level close: quiet, a flood that engages the throttle,
+        // then a drain that releases it.
+        let mut periods = vec![(200u32, 200u32); 3];
+        periods.extend([(600, 200); 6]);
+        periods.extend([(200, 200); 10]);
+        let config = SynDogConfig::paper_default();
+        let policy = MitigationPolicy::paper_default();
+        let mut agent =
+            SynDogAgent::new("0.0.0.0/0".parse().unwrap(), config).with_mitigation(policy);
+        for &(syn, synack) in &periods {
+            agent.close_count_period(syndog::PeriodSignals {
+                syn: u64::from(syn),
+                synack: u64::from(synack),
+                fin: 0,
+                rst: 0,
+            });
+        }
+        let stats = *agent.mitigation().unwrap().stats();
+        assert!(!agent.alarms().is_empty());
+        assert!(stats.throttled_syns > 0 && stats.releases == 1, "{stats:?}");
+
+        let close = |dog: &mut ConcurrentSynDog, period: usize| {
+            let (syn, synack) = periods[period];
+            let base = period as u32 * 1000;
+            dog.submit_batch(
+                Direction::Outbound,
+                batch_of((0..syn).map(|i| syn_frame(base + i))),
+            );
+            dog.submit_batch(
+                Direction::Inbound,
+                batch_of((0..synack).map(|i| synack_frame(base + i))),
+            );
+            dog.flush();
+            dog.close_period();
+        };
+        let mut dog = ConcurrentSynDog::start(config, 64).with_mitigation(policy);
+        for period in 0..periods.len() {
+            close(&mut dog, period);
+        }
+        assert_eq!(dog.detections(), agent.detections());
+        assert_eq!(dog.alarms(), agent.alarms());
+        assert_eq!(*dog.mitigation().unwrap().stats(), stats);
+        dog.shutdown();
+
+        // Kill mid-flood, after the first alarm, and resume: the alarms
+        // raised before the checkpoint travel with it.
+        let k = 6;
+        let mut first = ConcurrentSynDog::start(config, 64).with_mitigation(policy);
+        for period in 0..k {
+            close(&mut first, period);
+        }
+        assert!(!first.alarms().is_empty());
+        let json = first.checkpoint().to_json();
+        first.shutdown();
+        let checkpoint = Checkpoint::from_json(&json).unwrap();
+        let mut resumed =
+            ConcurrentSynDog::resume(&checkpoint, 64, OverflowPolicy::Block, None).unwrap();
+        for period in k..periods.len() {
+            close(&mut resumed, period);
+        }
+        assert_eq!(resumed.detections(), agent.detections());
+        assert_eq!(resumed.alarms(), agent.alarms());
+        assert_eq!(*resumed.mitigation().unwrap().stats(), stats);
         resumed.shutdown();
     }
 

@@ -45,39 +45,79 @@ impl AttackEpisode {
     }
 }
 
-/// Extracts attack episodes from a per-period detection series.
+/// A change of episode state at one period.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EpisodeEdge {
+    /// An episode opened: this period alarmed while none was active.
+    Opened(AttackEpisode),
+    /// The active episode closed: the statistic drained back to zero.
+    Closed(AttackEpisode),
+}
+
+/// Streaming episode extraction: fed one [`Detection`] per period, it
+/// reports each episode's rising and falling edge as it happens, holding
+/// only the open episode — so count-level fleets can follow alarm
+/// episodes without retaining the per-period series.
 ///
 /// An episode opens at the first alarming period not already inside an
 /// episode and closes when the statistic returns to zero. Pre-alarm climb
 /// periods are attributed to the episode for onset estimation, so two
 /// floods separated by a zero-statistic gap yield two episodes.
-pub fn extract_episodes(detections: &[Detection]) -> Vec<AttackEpisode> {
-    let mut episodes = Vec::new();
-    let mut last_zero: Option<u64> = None;
-    let mut current: Option<AttackEpisode> = None;
-    for d in detections {
-        if let Some(episode) = current.as_mut() {
+#[derive(Debug, Clone, Default)]
+pub struct EpisodeTracker {
+    last_zero: Option<u64>,
+    open: Option<AttackEpisode>,
+}
+
+impl EpisodeTracker {
+    /// Feeds the next period's detection, returning the edge it caused
+    /// (at most one: the period that opens an episode never closes it).
+    pub fn observe(&mut self, d: &Detection) -> Option<EpisodeEdge> {
+        let edge = if let Some(episode) = self.open.as_mut() {
             episode.peak_statistic = episode.peak_statistic.max(d.statistic);
             if d.statistic == 0.0 {
                 episode.end_period = Some(d.period);
-                episodes.push(*episode);
-                current = None;
+                self.open.take().map(EpisodeEdge::Closed)
+            } else {
+                None
             }
         } else if d.alarm {
-            current = Some(AttackEpisode {
-                onset_period: last_zero.unwrap_or(0),
+            let episode = AttackEpisode {
+                onset_period: self.last_zero.unwrap_or(0),
                 alarm_period: d.period,
                 end_period: None,
                 peak_statistic: d.statistic,
-            });
-        }
+            };
+            self.open = Some(episode);
+            Some(EpisodeEdge::Opened(episode))
+        } else {
+            None
+        };
         if d.statistic == 0.0 {
-            last_zero = Some(d.period);
+            self.last_zero = Some(d.period);
         }
+        edge
     }
-    if let Some(episode) = current {
-        episodes.push(episode);
+
+    /// The episode still in progress, if any.
+    pub fn open(&self) -> Option<AttackEpisode> {
+        self.open
     }
+}
+
+/// Extracts attack episodes from a per-period detection series: the
+/// closed episodes an [`EpisodeTracker`] reports, then the one still open
+/// at the end of the series (with `end_period: None`).
+pub fn extract_episodes(detections: &[Detection]) -> Vec<AttackEpisode> {
+    let mut tracker = EpisodeTracker::default();
+    let mut episodes: Vec<AttackEpisode> = detections
+        .iter()
+        .filter_map(|d| match tracker.observe(d)? {
+            EpisodeEdge::Closed(episode) => Some(episode),
+            EpisodeEdge::Opened(_) => None,
+        })
+        .collect();
+    episodes.extend(tracker.open());
     episodes
 }
 
@@ -138,6 +178,38 @@ mod tests {
         assert_eq!(episodes.len(), 1);
         assert_eq!(episodes[0].end_period, None);
         assert_eq!(episodes[0].duration_periods(), None);
+    }
+
+    #[test]
+    fn tracker_edges_match_batch_extraction() {
+        let mut series = vec![(500u64, 495u64); 15];
+        series.extend(vec![(900, 495); 6]);
+        series.extend(vec![(500, 495); 30]);
+        series.extend(vec![(900, 495); 6]); // still open at the end
+        let detections = run(&series);
+        let episodes = extract_episodes(&detections);
+        assert_eq!(episodes.len(), 2, "{episodes:?}");
+        let mut tracker = EpisodeTracker::default();
+        let edges: Vec<EpisodeEdge> = detections
+            .iter()
+            .filter_map(|d| tracker.observe(d))
+            .collect();
+        assert_eq!(
+            edges,
+            vec![
+                EpisodeEdge::Opened(AttackEpisode {
+                    end_period: None,
+                    peak_statistic: detections[episodes[0].alarm_period as usize].statistic,
+                    ..episodes[0]
+                }),
+                EpisodeEdge::Closed(episodes[0]),
+                EpisodeEdge::Opened(AttackEpisode {
+                    peak_statistic: detections[episodes[1].alarm_period as usize].statistic,
+                    ..episodes[1]
+                }),
+            ]
+        );
+        assert_eq!(tracker.open(), Some(episodes[1]));
     }
 
     #[test]

@@ -57,6 +57,7 @@ use syndog_traffic::trace::{Direction, Trace};
 
 use crate::agent::SynDogAgent;
 use crate::correlate::AlarmOnset;
+use crate::episodes::{EpisodeEdge, EpisodeTracker};
 use crate::faults::FaultSpec;
 use crate::locate::{SourceLocator, Suspect};
 use crate::mitigate::MitigationPolicy;
@@ -498,7 +499,7 @@ impl Fleet {
         run_indexed_fold(
             self.scenario.stubs.len(),
             self.parallelism,
-            |i| self.run_stub_counts(i, false, prepared).0,
+            |i| self.run_stub_counts(i, prepared).0,
             acc,
             |acc, _, row| fold(acc, row),
         )
@@ -512,15 +513,12 @@ impl Fleet {
     pub fn run_counts_with_detections(&self) -> (FleetReport, Vec<Vec<Detection>>) {
         let prepared = self.prepare_telemetry();
         let prepared = prepared.as_ref();
-        let results = run_indexed(self.scenario.stubs.len(), self.parallelism, |i| {
-            self.run_stub_counts(i, true, prepared)
-        });
-        let mut stubs = Vec::with_capacity(results.len());
-        let mut detections = Vec::with_capacity(results.len());
-        for (row, series) in results {
-            stubs.push(row.report);
-            detections.push(series);
-        }
+        let (stubs, detections) = run_indexed(self.scenario.stubs.len(), self.parallelism, |i| {
+            let (row, agent) = self.run_stub_counts(i, prepared);
+            (row.report, agent.detections().to_vec())
+        })
+        .into_iter()
+        .unzip();
         (self.report(stubs), detections)
     }
 
@@ -627,19 +625,16 @@ impl Fleet {
         StubReport::from_run(spec, &agent, suspect, rates)
     }
 
-    /// One stub's count-level job. Generates the period counts, drives
-    /// the detector, tracks alarm-*episode* rising edges inline (the same
-    /// open/close semantics as [`crate::episodes::extract_episodes`],
-    /// without retaining the per-period series), and returns a compact
-    /// [`StubRow`]. The full [`Detection`] series is materialized only
-    /// when `keep_detections` is set — the streaming paths pass `false`
-    /// and get an empty vector back.
+    /// One stub's count-level job. Generates the period counts, closes
+    /// each period through [`SynDogAgent::close_count_period`], follows
+    /// alarm-*episode* rising edges with an [`EpisodeTracker`], and
+    /// returns a compact [`StubRow`] plus the agent (whose detection
+    /// series the small-fleet path reads).
     fn run_stub_counts(
         &self,
         index: usize,
-        keep_detections: bool,
         prepared: Option<&PreparedTelemetry>,
-    ) -> (StubRow, Vec<Detection>) {
+    ) -> (StubRow, SynDogAgent) {
         let spec = &self.scenario.stubs[index];
         let mut rng = SimRng::seed_from_u64(self.scenario.stub_seed(index));
         let mut counts = spec.site.generate_period_counts(&mut rng);
@@ -652,49 +647,26 @@ impl Fleet {
         let mut agent = self.new_agent(index, prepared);
         let period_secs = OBSERVATION_PERIOD.as_secs_f64();
         let mut forwarded_syns = Vec::with_capacity(counts.len());
-        let mut detections = Vec::with_capacity(if keep_detections { counts.len() } else { 0 });
+        let mut episodes = EpisodeTracker::default();
         let mut onsets = Vec::new();
-        // Episode tracking, mirroring `extract_episodes`: an episode opens
-        // at the first alarming period while none is active, is charged to
-        // the last period the statistic sat at zero, and closes once the
-        // statistic drains back to zero.
-        let mut in_episode = false;
-        let mut last_zero: Option<u64> = None;
         for sample in counts {
             // Count-level runs carry only the handshake pair; the
             // FIN/RST terms are zero (the fin-pair strategy needs the
             // trace-level record path for those).
-            let detection = agent.observe_period(PeriodSignals {
+            let (detection, shed) = agent.close_count_period(PeriodSignals {
                 syn: sample.syn,
                 synack: sample.synack,
                 fin: 0,
                 rst: 0,
             });
-            // Count-level shedding: no per-record attribution exists
-            // here, so while engaged the engine cuts the aggregate
-            // SYN excess over `K̄ + allowance`.
-            let shed = agent
-                .mitigation_mut()
-                .map_or(0, |engine| engine.count_throttle(&detection, sample.syn));
             forwarded_syns.push(sample.syn - shed);
-            if in_episode {
-                if detection.statistic == 0.0 {
-                    in_episode = false;
-                }
-            } else if detection.alarm {
-                in_episode = true;
+            if let Some(EpisodeEdge::Opened(episode)) = episodes.observe(&detection) {
                 onsets.push(AlarmOnset {
                     stub: index,
-                    onset_period: last_zero.unwrap_or(0),
-                    alarm_period: detection.period,
+                    onset_period: episode.onset_period,
+                    alarm_period: episode.alarm_period,
                     est_rate: (detection.delta / period_secs).max(0.0),
                 });
-            }
-            if detection.statistic == 0.0 {
-                last_zero = Some(detection.period);
-            }
-            if keep_detections {
-                detections.push(detection);
             }
         }
         let rates = victim_rates(
@@ -707,7 +679,7 @@ impl Fleet {
             report: StubReport::from_run(spec, &agent, None, rates),
             onsets,
         };
-        (row, detections)
+        (row, agent)
     }
 }
 
@@ -1145,7 +1117,7 @@ mod tests {
         let registered = hub.registry().series_count();
         assert!(registered > 0, "prepare registers the bundles");
         for index in 0..3 {
-            let _ = fleet.run_stub_counts(index, false, prepared.as_ref());
+            let _ = fleet.run_stub_counts(index, prepared.as_ref());
         }
         assert_eq!(
             hub.registry().series_count(),

@@ -116,7 +116,7 @@ impl fmt::Display for KeyMode {
 ///
 /// Construct via [`MitigationPolicy::paper_default`] and adjust with the
 /// builder methods.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MitigationPolicy {
     /// Per-key SYN allowance per observation period, as a fraction of the
     /// calibrated `K̄` at engagement. `K̄` is the stub's expected SYN/ACK
@@ -148,36 +148,6 @@ pub struct MitigationPolicy {
     /// just-closed period — a crowd's handshakes complete; a spoofed
     /// flood's never do.
     pub exoneration_synack_ratio: f64,
-}
-
-// Hand-written so version-3 checkpoint payloads (no key-mode or
-// exoneration fields) still parse: absent fields restore to the defaults
-// a version-3 engine behaved as (MAC keying, exoneration thresholds that
-// version-3 never evaluated because it kept no fingerprint window).
-impl Deserialize for MitigationPolicy {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = serde::MapAccess::new(value, "MitigationPolicy")?;
-        let defaults = MitigationPolicy::paper_default();
-        Ok(MitigationPolicy {
-            bucket_fraction: Deserialize::from_value(map.field("bucket_fraction")?)?,
-            min_tokens_per_period: Deserialize::from_value(map.field("min_tokens_per_period")?)?,
-            burst_periods: Deserialize::from_value(map.field("burst_periods")?)?,
-            release_periods: Deserialize::from_value(map.field("release_periods")?)?,
-            suspect_min_share: Deserialize::from_value(map.field("suspect_min_share")?)?,
-            key_mode: match map.field("key_mode") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => KeyMode::Mac,
-            },
-            exoneration_entropy_bits: match map.field("exoneration_entropy_bits") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => defaults.exoneration_entropy_bits,
-            },
-            exoneration_synack_ratio: match map.field("exoneration_synack_ratio") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => defaults.exoneration_synack_ratio,
-            },
-        })
-    }
 }
 
 impl MitigationPolicy {
@@ -376,7 +346,7 @@ impl MitigationDecision {
 }
 
 /// Lifetime accounting of every mitigation decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MitigationStats {
     /// Times throttling engaged (gate crossed the threshold).
     pub engagements: u64,
@@ -400,29 +370,6 @@ pub struct MitigationStats {
     /// was diverse and its handshakes were completing, so no throttles
     /// were installed.
     pub exonerated_periods: u64,
-}
-
-// Hand-written for version-3 checkpoint compatibility: version-3 engines
-// kept no fingerprint window, so their payloads lack the exoneration
-// tally — it restores as zero.
-impl Deserialize for MitigationStats {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = serde::MapAccess::new(value, "MitigationStats")?;
-        Ok(MitigationStats {
-            engagements: Deserialize::from_value(map.field("engagements")?)?,
-            releases: Deserialize::from_value(map.field("releases")?)?,
-            engaged_periods: Deserialize::from_value(map.field("engaged_periods")?)?,
-            throttled_syns: Deserialize::from_value(map.field("throttled_syns")?)?,
-            passed_syns: Deserialize::from_value(map.field("passed_syns")?)?,
-            collateral_syns: Deserialize::from_value(map.field("collateral_syns")?)?,
-            attack_syns_offered: Deserialize::from_value(map.field("attack_syns_offered")?)?,
-            attack_syns_forwarded: Deserialize::from_value(map.field("attack_syns_forwarded")?)?,
-            exonerated_periods: match map.field("exonerated_periods") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-        })
-    }
 }
 
 impl MitigationStats {
@@ -480,7 +427,7 @@ pub struct SuspectState {
 /// Fingerprint tables travel as `(packed_key, count)` pairs sorted by
 /// key; the JSON layer round-trips `u64` exactly, so packed keys with
 /// high quirk bits survive unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MitigationState {
     /// The policy the engine runs with.
     pub policy: MitigationPolicy,
@@ -520,48 +467,6 @@ pub struct MitigationState {
     pub window_syn: u64,
     /// Inbound SYN/ACKs seen in the open period.
     pub window_synack: u64,
-}
-
-// Hand-written for version-3 checkpoint compatibility: version-3 engines
-// kept no fingerprint state, so absent tables restore empty and absent
-// window counters restore to zero — exactly what a version-3 engine had.
-impl Deserialize for MitigationState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = serde::MapAccess::new(value, "MitigationState")?;
-        let table_or_empty = |name: &str| -> Result<Vec<(u64, u64)>, serde::Error> {
-            match map.field(name) {
-                Ok(v) => Deserialize::from_value(v),
-                Err(_) => Ok(Vec::new()),
-            }
-        };
-        let count_or_zero = |name: &str| -> Result<u64, serde::Error> {
-            match map.field(name) {
-                Ok(v) => Deserialize::from_value(v),
-                Err(_) => Ok(0),
-            }
-        };
-        Ok(MitigationState {
-            policy: Deserialize::from_value(map.field("policy")?)?,
-            offset: Deserialize::from_value(map.field("offset")?)?,
-            threshold: Deserialize::from_value(map.field("threshold")?)?,
-            period_secs: Deserialize::from_value(map.field("period_secs")?)?,
-            stub: Deserialize::from_value(map.field("stub")?)?,
-            armed: Deserialize::from_value(map.field("armed")?)?,
-            activity: Deserialize::from_value(map.field("activity")?)?,
-            engagement: Deserialize::from_value(map.field("engagement")?)?,
-            gate: Deserialize::from_value(map.field("gate")?)?,
-            calm_streak: Deserialize::from_value(map.field("calm_streak")?)?,
-            suspect: Deserialize::from_value(map.field("suspect")?)?,
-            stats: Deserialize::from_value(map.field("stats")?)?,
-            engaged_at: Deserialize::from_value(map.field("engaged_at")?)?,
-            released_at: Deserialize::from_value(map.field("released_at")?)?,
-            syn_fps: table_or_empty("syn_fps")?,
-            period_fps: table_or_empty("period_fps")?,
-            attack_fps: table_or_empty("attack_fps")?,
-            window_syn: count_or_zero("window_syn")?,
-            window_synack: count_or_zero("window_synack")?,
-        })
-    }
 }
 
 /// Runtime engagement state: the frozen allowance plus the keyed buckets.
@@ -1516,81 +1421,5 @@ mod tests {
         }
         assert!(engine.is_engaged());
         assert_eq!(engine.stats().exonerated_periods, 0);
-    }
-
-    fn strip_field(value: &mut serde::Value, field: &str) {
-        if let serde::Value::Map(fields) = value {
-            fields.retain(|(name, _)| name != field);
-        }
-    }
-
-    fn field_mut<'a>(value: &'a mut serde::Value, field: &str) -> &'a mut serde::Value {
-        let serde::Value::Map(fields) = value else {
-            panic!("not a map");
-        };
-        &mut fields
-            .iter_mut()
-            .find(|(name, _)| name == field)
-            .expect("field present")
-            .1
-    }
-
-    #[test]
-    fn version3_payloads_without_fingerprint_state_restore_with_defaults() {
-        // Build a mid-attack engine with fingerprint state engaged...
-        let mut engine =
-            engine_with(MitigationPolicy::paper_default().with_key_mode(KeyMode::Fingerprint));
-        for p in 0..3 {
-            engine.on_detection(&detection(2.0, 100.0), p);
-        }
-        for i in 0..40u64 {
-            engine.process(
-                &syn_at(i * 100, "10.5.0.2:6000", MacAddr::for_host(9, 9))
-                    .with_fp(tool_fp().to_bits()),
-            );
-        }
-        let state = engine.snapshot();
-        assert!(!state.syn_fps.is_empty());
-        assert!(!state.attack_fps.is_empty());
-        // ...then age its serialized form down to what a version-3 build
-        // wrote: no fingerprint tables, no window counters, no key-mode
-        // or exoneration knobs, no exoneration tally.
-        let mut value = state.to_value();
-        for field in [
-            "syn_fps",
-            "period_fps",
-            "attack_fps",
-            "window_syn",
-            "window_synack",
-        ] {
-            strip_field(&mut value, field);
-        }
-        for field in [
-            "key_mode",
-            "exoneration_entropy_bits",
-            "exoneration_synack_ratio",
-        ] {
-            strip_field(field_mut(&mut value, "policy"), field);
-        }
-        strip_field(field_mut(&mut value, "stats"), "exonerated_periods");
-        let aged = MitigationState::from_value(&value).expect("version-3 shape parses");
-        assert_eq!(
-            aged.policy.key_mode,
-            KeyMode::Mac,
-            "v3 engines keyed by MAC"
-        );
-        assert_eq!(
-            aged.policy.exoneration_entropy_bits,
-            MitigationPolicy::paper_default().exoneration_entropy_bits
-        );
-        assert!(
-            aged.syn_fps.is_empty() && aged.period_fps.is_empty() && aged.attack_fps.is_empty()
-        );
-        assert_eq!((aged.window_syn, aged.window_synack), (0, 0));
-        assert_eq!(aged.stats.exonerated_periods, 0);
-        // The aged state still rebuilds a working engine.
-        let restored = MitigationEngine::from_state(&aged).expect("valid state");
-        assert!(restored.is_engaged());
-        assert!(restored.fingerprints().is_empty());
     }
 }

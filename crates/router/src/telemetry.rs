@@ -485,11 +485,6 @@ pub struct MitigationTelemetry {
 }
 
 impl MitigationTelemetry {
-    /// Registers the mitigation series on the hub.
-    pub fn new(hub: &Telemetry) -> Self {
-        Self::with_labels(hub, &[])
-    }
-
     /// Registers the mitigation series under extra labels (fleet runs pass
     /// the same `stub="<cidr>"` label as the agent's own series).
     pub fn with_labels(hub: &Telemetry, labels: &[(&str, &str)]) -> Self {
@@ -777,7 +772,7 @@ mod tests {
         use syndog::SynDogConfig;
 
         let hub = Telemetry::new();
-        let mut telemetry = MitigationTelemetry::new(&hub);
+        let mut telemetry = MitigationTelemetry::with_labels(&hub, &[]);
         let mut engine = MitigationEngine::new(
             "128.1.0.0/16".parse().unwrap(),
             &SynDogConfig::paper_default(),

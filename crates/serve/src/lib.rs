@@ -16,7 +16,7 @@
 //!   [`SiteProfile`](syndog_traffic::SiteProfile) (k6-style ramps and
 //!   pulses), a looping trace replay, or either overlaid with an injected
 //!   flood window.
-//! - [`rotate::CheckpointRotation`] — CRC-checked v3 checkpoints written
+//! - [`rotate::CheckpointRotation`] — CRC-checked v4 checkpoints written
 //!   atomically (temp file + rename) on an interval, pruned to a bounded
 //!   retention, restored from the newest *valid* rotation slot — a
 //!   truncated or corrupt newest file falls back to the previous slot.
