@@ -4,10 +4,6 @@
 //! repro all [--seed N] [--jobs N]     run every experiment in paper order
 //! repro <id>... [--seed N] [--jobs N] run specific experiments
 //! repro list                          list experiment ids
-//! repro bench [--quick] [--out DIR] [--check]
-//!                                     write BENCH_*.json throughput snapshots,
-//!                                     or with --check compare a fresh run
-//!                                     against the committed ones
 //! ```
 //!
 //! `--jobs` caps the worker threads of the deterministic runner; outputs
@@ -19,10 +15,6 @@ use syndog_bench::{all_experiments, run_experiment, EXPERIMENT_IDS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench") {
-        run_bench(&args[1..]);
-        return;
-    }
     let mut seed = 20020701u64; // ICDCS 2002 — any fixed default works
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
@@ -57,7 +49,6 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!("usage: repro [all | list | <id>...] [--seed N] [--jobs N]");
-                println!("       repro bench [--quick] [--out DIR] [--check]");
                 println!("experiment ids: {}", EXPERIMENT_IDS.join(", "));
                 return;
             }
@@ -82,53 +73,5 @@ fn main() {
     }
     if failed {
         std::process::exit(2);
-    }
-}
-
-/// `repro bench`: wall-clock throughput snapshots as `BENCH_*.json`.
-/// Defaults to the current directory (the repo root in CI) so the files
-/// land where the committed copies live. With `--check`, compares a fresh
-/// run against the committed snapshots instead of overwriting them, and
-/// exits nonzero if any case regressed more than the tolerance.
-fn run_bench(args: &[String]) {
-    let mut quick = false;
-    let mut check = false;
-    let mut out = std::path::PathBuf::from(".");
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--out" => {
-                let value = iter.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a directory");
-                    std::process::exit(2);
-                });
-                out = std::path::PathBuf::from(value);
-            }
-            other => {
-                eprintln!("unknown bench flag: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if check {
-        let lines = syndog_bench::quickbench::check_all(&out, quick);
-        let mut regressed = false;
-        for line in &lines {
-            println!("{}: {}", line.case, line.message);
-            regressed |= line.regressed;
-        }
-        if regressed {
-            eprintln!(
-                "throughput regressed more than {:.0}% below the committed snapshots",
-                syndog_bench::quickbench::REGRESSION_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-    for path in syndog_bench::quickbench::run_all(&out, quick) {
-        println!("wrote {}", path.display());
     }
 }

@@ -18,12 +18,14 @@ use std::path::PathBuf;
 use syndog::change::{ChangeDetector, EwmaChart, ShewhartChart, SlidingZTest};
 use syndog::metrics::{DetectionSummary, FalseAlarmReport, TrialOutcome};
 use syndog::{
-    theory, Detection, DetectorKind, NonParametricCusum, PeriodCounts, SynDogConfig, SynDogDetector,
+    theory, Detection, DetectorKind, NonParametricCusum, PeriodCounts, PeriodSignals, SynDogConfig,
+    SynDogDetector,
 };
 use syndog_attack::{FloodPattern, SpoofStrategy, SynFlood};
-use syndog_net::{MacAddr, SegmentKind};
+use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
 use syndog_router::{
-    CollectorConfig, Fleet, KeyMode, MitigationPolicy, Scenario, SourceLocator, SynDogAgent,
+    CollectorConfig, Fleet, KeyMode, MitigationEngine, MitigationPolicy, Scenario, SourceLocator,
+    SynDogAgent,
 };
 use syndog_sim::par::{run_indexed, Parallelism};
 use syndog_sim::stats::TimeSeries;
@@ -799,15 +801,31 @@ fn flash_crowd_run(policy: MitigationPolicy, seed: u64) -> (u64, u64, u64) {
         let t = start + SimDuration::from_secs_f64(rng.uniform_range(0.0, window));
         let host = rng.uniform_u64(2, u64::from(site.stub_hosts())) as u32;
         let src = SocketAddrV4::new(site.stub().host(host), 1024 + (i % 60_000) as u16);
-        let open = |dt: f64, dir, kind| {
-            TraceRecord::new(t + SimDuration::from_secs_f64(dt), dir, kind, src, victim())
-        };
+        let at = |dt: f64| t + SimDuration::from_secs_f64(dt);
         records.push(
-            open(0.0, Direction::Outbound, SegmentKind::Syn)
-                .with_fp(syndog_fingerprint::os_mix::for_host(3, host).to_bits()),
+            TraceRecord::new(
+                at(0.0),
+                Direction::Outbound,
+                SegmentKind::Syn,
+                src,
+                victim(),
+            )
+            .with_fp(syndog_fingerprint::os_mix::for_host(3, host).to_bits()),
         );
-        records.push(open(0.05, Direction::Inbound, SegmentKind::SynAck));
-        records.push(open(0.1, Direction::Outbound, SegmentKind::Ack));
+        records.push(TraceRecord::new(
+            at(0.05),
+            Direction::Inbound,
+            SegmentKind::SynAck,
+            victim(),
+            src,
+        ));
+        records.push(TraceRecord::new(
+            at(0.1),
+            Direction::Outbound,
+            SegmentKind::Ack,
+            src,
+            victim(),
+        ));
     }
     let duration = trace.duration();
     trace.merge(&Trace::from_records(records, duration));
@@ -829,6 +847,26 @@ fn flash_crowd_run(policy: MitigationPolicy, seed: u64) -> (u64, u64, u64) {
         stats.exonerated_periods,
         stats.throttled_syns,
     )
+}
+
+/// An armed mitigation engine for `stub`, pushed over the engagement gate
+/// the way a flooded stub gets there: through a [`SynDogAgent`] closing
+/// three periods of 85 unanswered SYNs over `K̄ = 100` (x = 0.85, so the
+/// gate climbs x − a = 0.5 per period and crosses N = 1.05 at the third).
+fn engaged_engine(stub: Ipv4Net) -> MitigationEngine {
+    let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default())
+        .with_mitigation(MitigationPolicy::paper_default());
+    for _ in 0..3 {
+        agent.observe_period(PeriodSignals {
+            syn: 185,
+            synack: 100,
+            fin: 0,
+            rst: 0,
+        });
+    }
+    let engine = agent.mitigation().cloned().expect("mitigation armed");
+    assert!(engine.is_engaged());
+    engine
 }
 
 /// Mitigation — the detect→act loop, priced at the victim. The `fleet`
@@ -933,8 +971,7 @@ pub fn mitigation(seed: u64) -> ExperimentOutput {
     // agents held; built standalone because the fleet consumes its
     // agents.)
     let engine_bytes = {
-        let mut engine =
-            crate::quickbench::engaged_engine("128.1.0.0/16".parse().expect("static prefix"));
+        let mut engine = engaged_engine("128.1.0.0/16".parse().expect("static prefix"));
         engine.process(
             &TraceRecord::new(
                 SimTime::from_secs(600),

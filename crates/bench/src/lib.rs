@@ -7,7 +7,6 @@
 //! paper-vs-measured record.
 
 pub mod experiments;
-pub mod quickbench;
 pub mod report;
 
 pub use experiments::*;

@@ -35,33 +35,6 @@ fn table1_runs_and_reports_all_sites() {
 }
 
 #[test]
-fn bench_mode_writes_json_snapshots() {
-    let dir = std::env::temp_dir().join(format!("syndog-repro-bench-{}", std::process::id()));
-    let output = repro()
-        .args(["bench", "--quick", "--out", dir.to_str().unwrap()])
-        .output()
-        .expect("spawn repro bench");
-    assert!(output.status.success());
-    let stdout = String::from_utf8(output.stdout).unwrap();
-    for name in [
-        "BENCH_classify.json",
-        "BENCH_concurrent_submit.json",
-        "BENCH_throttle.json",
-        "BENCH_detector_observe.json",
-    ] {
-        assert!(stdout.contains(name), "{name} not reported:\n{stdout}");
-        let body = std::fs::read_to_string(dir.join(name)).expect(name);
-        assert!(body.contains("\"ops_per_sec\""), "{name}: {body}");
-    }
-    // The per-detector snapshot covers every strategy.
-    let detectors = std::fs::read_to_string(dir.join("BENCH_detector_observe.json")).unwrap();
-    for kind in ["syndog", "syn-cusum", "ewma", "fin-pair"] {
-        assert!(detectors.contains(kind), "{kind} missing: {detectors}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn unknown_id_fails_with_nonzero_exit() {
     let output = repro()
         .arg("not-an-experiment")

@@ -5,7 +5,7 @@
 //! syndog inject   --in FILE --out FILE --rate R [--start SECS] [--duration SECS] [--seed N]
 //! syndog detect   --in FILE --stub CIDR [--detector D] [--mitigate] [--throttle-key K] [--tuned] [--t0 SECS] [--verbose] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
 //! syndog sniff    --in FILE --stub CIDR [--detector D] [--batch-size N] [--tuned] [--t0 SECS] [--verbose] [--metrics DEST]
-//! syndog replay   --in FILE --stub CIDR [--detector D] [--batch-size N] [--capacity N] [--shards N] [--drop] [--tuned] [--t0 SECS] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST]
+//! syndog replay   --in FILE --stub CIDR [--detector D] [--batch-size N] [--capacity N] [--drop] [--tuned] [--t0 SECS] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST]
 //! syndog locate   --in FILE --stub CIDR
 //! syndog fleet    [--detector D] [--stubs N] [--site S] [--site-minutes M] [--attackers I,J,A-B,..] [--total-rate V] [--start SECS] [--attack-duration SECS] [--seed N] [--jobs N] [--counts] [--regions N] [--label-budget N] [--mitigate] [--throttle-key K] [--faults SPEC] [--csv FILE] [--metrics DEST]
 //! syndog serve    [--sites S,S,..|--in FILE --stub CIDR] [--plan FILE] [--flood R@START+DURATION] [--periods N] [--t0 SECS] [--seed N] [--detector D] [--threshold N] [--mitigate] [--throttle-key K] [--config FILE] [--checkpoint-dir DIR] [--checkpoint-interval N] [--checkpoint-keep N] [--resume-latest] [--status-json] [--metrics DEST]
@@ -41,7 +41,8 @@
 //! compact binary trace format otherwise. `detect` and `locate` run the
 //! same agent pipeline the experiments use; `sniff` streams a capture
 //! through the batched `FrameSource` pipeline and `replay` drives the
-//! sharded concurrent deployment over `FrameBatch` channels.
+//! concurrent deployment (one sniffer thread per interface) over
+//! `FrameBatch` channels.
 //!
 //! `--metrics DEST` attaches a [`Telemetry`] hub to the run. A socket
 //! address (`127.0.0.1:9100`) serves live Prometheus scrapes for the life
@@ -127,7 +128,7 @@ const USAGE: &str = "usage:
   syndog inject   --in FILE --out FILE --rate R [--start SECS] [--duration SECS] [--seed N]
   syndog detect   --in FILE --stub CIDR [--detector D] [--mitigate] [--throttle-key K] [--tuned] [--t0 SECS] [--verbose] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
   syndog sniff    --in FILE --stub CIDR [--detector D] [--batch-size N] [--tuned] [--t0 SECS] [--verbose] [--metrics DEST] [--metrics-format F]
-  syndog replay   --in FILE --stub CIDR [--detector D] [--batch-size N] [--capacity N] [--shards N] [--drop] [--tuned] [--t0 SECS] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
+  syndog replay   --in FILE --stub CIDR [--detector D] [--batch-size N] [--capacity N] [--drop] [--tuned] [--t0 SECS] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
   syndog locate   --in FILE --stub CIDR
   syndog fleet    [--detector D] [--stubs N] [--site S] [--site-minutes M] [--attackers I,J,A-B,..] [--total-rate V] [--start SECS] [--attack-duration SECS] [--seed N] [--jobs N] [--counts] [--regions N] [--label-budget N] [--mitigate] [--throttle-key K] [--faults SPEC] [--csv FILE] [--metrics DEST] [--metrics-format F]
   syndog serve    [--sites S,S,..|--in FILE --stub CIDR] [--plan FILE] [--flood R@START+DURATION] [--periods N] [--t0 SECS] [--seed N] [--detector D] [--threshold N] [--mitigate] [--throttle-key K] [--config FILE] [--checkpoint-dir DIR] [--checkpoint-interval N] [--checkpoint-keep N] [--resume-latest] [--status-json] [--metrics DEST]
@@ -136,10 +137,9 @@ const USAGE: &str = "usage:
 
 FILE format: pcap when the name ends in .pcap, binary trace otherwise.
 sniff streams the capture through the batched FrameSource pipeline;
-replay drives the concurrent deployment with FrameBatch channels
-(--drop sheds batches on overflow instead of blocking; --shards N
-spreads each direction across N flow-hashed sniffer queues, reports
-stay byte-identical at any shard count).
+replay drives the concurrent deployment with FrameBatch channels, one
+sniffer thread per interface (--drop sheds batches on overflow instead
+of blocking).
 
 --metrics DEST records detector telemetry: a socket address (host:port)
 serves live Prometheus scrapes during the run; any other DEST is a file
@@ -222,7 +222,10 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], switches: &[&str]) -> Result<Flags, String> {
+    /// Parses `args` against a subcommand's declared `switches` (bare
+    /// flags) and `values` (flags that take one argument); any other
+    /// `--name` is an error, so a typo never silently changes a run.
+    fn parse(args: &[String], switches: &[&str], values: &[&str]) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
@@ -231,11 +234,13 @@ impl Flags {
             };
             if switches.contains(&name) {
                 pairs.push((name.to_string(), None));
-            } else {
+            } else if values.contains(&name) {
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("--{name} requires a value"))?;
                 pairs.push((name.to_string(), Some(value.clone())));
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
         }
         Ok(Flags { pairs })
@@ -477,7 +482,7 @@ impl Metrics {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["site", "seed", "out"])?;
     let site = site_by_name(flags.require("site")?)?;
     let seed: u64 = flags.parse_value("seed", 1)?;
     let out = flags.require("out")?;
@@ -495,7 +500,11 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inject(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(
+        args,
+        &[],
+        &["in", "out", "rate", "start", "duration", "seed", "stub"],
+    )?;
     let input = flags.require("in")?;
     let out = flags.require("out")?;
     let rate: f64 = flags.parse_value("rate", 50.0)?;
@@ -555,7 +564,22 @@ fn throttle_key_flag(flags: &Flags) -> Result<KeyMode, String> {
 }
 
 fn cmd_detect(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["tuned", "verbose", "mitigate"])?;
+    let flags = Flags::parse(
+        args,
+        &["tuned", "verbose", "mitigate"],
+        &[
+            "in",
+            "stub",
+            "detector",
+            "throttle-key",
+            "t0",
+            "faults",
+            "checkpoint",
+            "resume",
+            "metrics",
+            "metrics-format",
+        ],
+    )?;
     let stub = stub_flag(&flags)?;
     let trace = read_trace(flags.require("in")?, stub)?;
     let faults = faults_flag(&flags)?;
@@ -685,7 +709,19 @@ fn batch_size_flag(flags: &Flags) -> Result<usize, String> {
 ///
 /// [`FrameSource`]: syndog_router::FrameSource
 fn cmd_sniff(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["tuned", "verbose"])?;
+    let flags = Flags::parse(
+        args,
+        &["tuned", "verbose"],
+        &[
+            "in",
+            "stub",
+            "detector",
+            "batch-size",
+            "t0",
+            "metrics",
+            "metrics-format",
+        ],
+    )?;
     let stub = stub_flag(&flags)?;
     let input = flags.require("in")?;
     let batch_size = batch_size_flag(&flags)?;
@@ -721,13 +757,28 @@ fn cmd_sniff(args: &[String]) -> Result<(), String> {
 }
 
 /// Replays a trace through the concurrent deployment: per-direction
-/// [`FrameBatch`]es over bounded channels (`--shards N` flow-hashed
-/// queues per direction), lock-free atomic counters, a `flush` barrier at
-/// every period boundary.
+/// [`FrameBatch`]es over one bounded channel per interface, lock-free
+/// atomic counters, a `flush` barrier at every period boundary.
 ///
 /// [`FrameBatch`]: syndog_net::FrameBatch
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["tuned", "drop"])?;
+    let flags = Flags::parse(
+        args,
+        &["tuned", "drop"],
+        &[
+            "in",
+            "stub",
+            "detector",
+            "batch-size",
+            "capacity",
+            "t0",
+            "faults",
+            "checkpoint",
+            "resume",
+            "metrics",
+            "metrics-format",
+        ],
+    )?;
     let metrics = Metrics::from_flags(&flags)?;
     let stub = stub_flag(&flags)?;
     let trace = read_trace(flags.require("in")?, stub)?;
@@ -735,13 +786,6 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let capacity: usize = flags.parse_value("capacity", 64)?;
     if capacity == 0 {
         return Err("--capacity must be positive".into());
-    }
-    let shards: usize = flags.parse_value("shards", 1)?;
-    if !(1..=syndog_router::MAX_SHARDS).contains(&shards) {
-        return Err(format!(
-            "--shards must be between 1 and {}",
-            syndog_router::MAX_SHARDS
-        ));
     }
     let policy = if flags.has("drop") {
         OverflowPolicy::Drop
@@ -762,14 +806,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         Some(path) => {
             reject_config_flags_on_resume(&flags)?;
             let checkpoint = read_checkpoint(path)?;
-            let dog = ConcurrentSynDog::resume_with_shards(
-                &checkpoint,
-                capacity,
-                policy,
-                shards,
-                metrics.attachment(),
-            )
-            .map_err(|e| format!("restore {path}: {e}"))?;
+            let dog = ConcurrentSynDog::resume(&checkpoint, capacity, policy, metrics.attachment())
+                .map_err(|e| format!("restore {path}: {e}"))?;
             println!(
                 "resumed from {path} at period {}",
                 dog.router().current_period()
@@ -778,7 +816,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         }
         None => {
             let detector = detector_flag(&flags)?.build(detect_config(&flags)?);
-            ConcurrentSynDog::with_shards(detector, capacity, policy, shards, metrics.attachment())
+            ConcurrentSynDog::with_detector(detector, capacity, policy, metrics.attachment())
         }
     };
     let period = dog.router().period();
@@ -851,9 +889,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let dropped_batches = dog.dropped_batches();
     let (out_frames, in_frames) = dog.shutdown();
     println!(
-        "replayed {} periods through {} sniffer threads: {out_frames} outbound / {in_frames} inbound frames (batch size {batch_size}, capacity {capacity}, shards {shards})",
+        "replayed {} periods through 2 sniffer threads: {out_frames} outbound / {in_frames} inbound frames (batch size {batch_size}, capacity {capacity})",
         total_periods - start_period,
-        2 * shards,
     );
     if dropped_batches > 0 {
         println!("overflow shed {dropped_batches} batches / {dropped_frames} frames");
@@ -914,7 +951,7 @@ fn print_detection_report(agent: &SynDogAgent, config: &SynDogConfig, verbose: b
 }
 
 fn cmd_locate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["in", "stub"])?;
     let stub = stub_flag(&flags)?;
     let trace = read_trace(flags.require("in")?, stub)?;
     let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default());
@@ -985,7 +1022,29 @@ fn parse_attackers(raw: &str, stubs: usize) -> Result<Vec<usize>, String> {
 }
 
 fn cmd_fleet(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["counts", "mitigate"])?;
+    let flags = Flags::parse(
+        args,
+        &["counts", "mitigate"],
+        &[
+            "detector",
+            "stubs",
+            "site",
+            "site-minutes",
+            "attackers",
+            "total-rate",
+            "start",
+            "attack-duration",
+            "seed",
+            "jobs",
+            "regions",
+            "label-budget",
+            "throttle-key",
+            "faults",
+            "csv",
+            "metrics",
+            "metrics-format",
+        ],
+    )?;
     let stubs: usize = flags.parse_value("stubs", 4)?;
     if stubs == 0 || stubs > 16_384 {
         return Err("--stubs must be in 1..=16384".into());
@@ -1216,7 +1275,29 @@ fn serve_stubs(flags: &Flags, seed: u64) -> Result<Vec<ServeStubSpec>, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["mitigate", "resume-latest", "status-json"])?;
+    let flags = Flags::parse(
+        args,
+        &["mitigate", "resume-latest", "status-json"],
+        &[
+            "sites",
+            "in",
+            "stub",
+            "plan",
+            "flood",
+            "periods",
+            "t0",
+            "seed",
+            "detector",
+            "threshold",
+            "throttle-key",
+            "config",
+            "checkpoint-dir",
+            "checkpoint-interval",
+            "checkpoint-keep",
+            "metrics",
+            "metrics-format",
+        ],
+    )?;
     let periods: u64 = flags.parse_value("periods", 720)?;
     if periods == 0 {
         return Err("--periods must be positive".into());
@@ -1334,7 +1415,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["in", "format"])?;
     let input = flags.require("in")?;
     let text = std::fs::read_to_string(input).map_err(|e| format!("open {input}: {e}"))?;
     let snapshot = export::parse_jsonl(&text).map_err(|e| format!("parse {input}: {e}"))?;
@@ -1401,7 +1482,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_theory(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["k", "a", "c", "t0", "total-rate"])?;
     let k: f64 = flags
         .require("k")?
         .parse()
@@ -1452,6 +1533,7 @@ mod tests {
         let flags = Flags::parse(
             &args(&["--in", "a.bin", "--tuned", "--rate", "50"]),
             &["tuned"],
+            &["in", "rate", "start"],
         )
         .unwrap();
         assert_eq!(flags.get("in"), Some("a.bin"));
@@ -1462,15 +1544,19 @@ mod tests {
 
     #[test]
     fn flags_last_value_wins() {
-        let flags = Flags::parse(&args(&["--seed", "1", "--seed", "2"]), &[]).unwrap();
+        let flags = Flags::parse(&args(&["--seed", "1", "--seed", "2"]), &[], &["seed"]).unwrap();
         assert_eq!(flags.get("seed"), Some("2"));
     }
 
     #[test]
     fn flags_reject_malformed_input() {
-        assert!(Flags::parse(&args(&["positional"]), &[]).is_err());
-        assert!(Flags::parse(&args(&["--rate"]), &[]).is_err());
-        let flags = Flags::parse(&args(&["--rate", "abc"]), &[]).unwrap();
+        assert!(Flags::parse(&args(&["positional"]), &[], &[]).is_err());
+        assert!(Flags::parse(&args(&["--rate"]), &[], &["rate"]).is_err());
+        assert_eq!(
+            Flags::parse(&args(&["--rtae", "5"]), &[], &["rate"]).err(),
+            Some("unknown flag --rtae".to_string())
+        );
+        let flags = Flags::parse(&args(&["--rate", "abc"]), &[], &["rate"]).unwrap();
         assert!(flags.parse_value::<f64>("rate", 0.0).is_err());
         assert!(flags.require("missing").is_err());
     }
@@ -1671,14 +1757,19 @@ mod tests {
 
     #[test]
     fn detect_config_switches_profiles() {
-        let default = detect_config(&Flags::parse(&[], &["tuned"]).unwrap()).unwrap();
+        let default = detect_config(&Flags::parse(&[], &["tuned"], &["t0"]).unwrap()).unwrap();
         assert_eq!(default.offset, 0.35);
-        let tuned = detect_config(&Flags::parse(&args(&["--tuned"]), &["tuned"]).unwrap()).unwrap();
+        let tuned = detect_config(&Flags::parse(&args(&["--tuned"]), &["tuned"], &["t0"]).unwrap())
+            .unwrap();
         assert_eq!(tuned.offset, 0.2);
         let custom_t0 =
-            detect_config(&Flags::parse(&args(&["--t0", "10"]), &["tuned"]).unwrap()).unwrap();
+            detect_config(&Flags::parse(&args(&["--t0", "10"]), &["tuned"], &["t0"]).unwrap())
+                .unwrap();
         assert_eq!(custom_t0.observation_period_secs, 10.0);
-        assert!(detect_config(&Flags::parse(&args(&["--t0", "0"]), &["tuned"]).unwrap()).is_err());
+        assert!(
+            detect_config(&Flags::parse(&args(&["--t0", "0"]), &["tuned"], &["t0"]).unwrap())
+                .is_err()
+        );
     }
 
     #[test]
@@ -1998,7 +2089,8 @@ mod tests {
     fn throttle_key_flag_selects_fingerprint_keying_and_rejects_unknown() {
         let bad = Flags::parse(
             &args(&["--throttle-key", "magic"]),
-            &["--mitigate", "--verbose"],
+            &["mitigate", "verbose"],
+            &["throttle-key"],
         )
         .unwrap();
         assert!(throttle_key_flag(&bad)
@@ -2153,7 +2245,7 @@ mod tests {
         use std::io::{Read, Write};
         let hub = Arc::new(Telemetry::new());
         hub.registry().counter("syndog_periods_total").add(2);
-        let flags = Flags::parse(&args(&["--metrics", "127.0.0.1:0"]), &[]).unwrap();
+        let flags = Flags::parse(&args(&["--metrics", "127.0.0.1:0"]), &[], &["metrics"]).unwrap();
         let sink = metrics_sink(&flags, &hub).unwrap().unwrap();
         let MetricsSink::Serve(server) = &sink else {
             panic!("socket address should open a scrape endpoint")

@@ -166,43 +166,6 @@ pub fn classify_ipv4(ip: &[u8]) -> Result<SegmentKind, NetError> {
     Ok(kind_of(flags))
 }
 
-/// An RSS-style per-flow hash over raw Ethernet frame bytes, used to pick
-/// an ingestion shard so all frames of one flow land on the same queue.
-///
-/// For an unfragmented IPv4 TCP/UDP packet the hash covers
-/// `(src, dst, sport, dport)`; for any other parseable IPv4 packet it
-/// covers `(src, dst)`. Returns `None` for frames the sharder cannot key
-/// cheaply (non-IPv4, truncated, bad IHL) — callers fall back to
-/// round-robin for those. Mixing is a Fibonacci multiply, which is enough
-/// to spread sequential address ranges across a handful of shards.
-pub fn flow_hash(frame: &[u8]) -> Option<u32> {
-    let ip = frame.get(ethernet::HEADER_LEN..)?;
-    if frame[12] != 0x08 || frame[13] != 0x00 {
-        return None;
-    }
-    if ip.len() < crate::ipv4::MIN_HEADER_LEN || ip[0] >> 4 != 4 {
-        return None;
-    }
-    let ihl = usize::from(ip[0] & 0x0f) * 4;
-    if !(crate::ipv4::MIN_HEADER_LEN..=crate::ipv4::MAX_HEADER_LEN).contains(&ihl) {
-        return None;
-    }
-    let src = u32::from_be_bytes([ip[12], ip[13], ip[14], ip[15]]);
-    let dst = u32::from_be_bytes([ip[16], ip[17], ip[18], ip[19]]);
-    let mut key = src ^ dst.rotate_left(16);
-    let proto = ip[9];
-    let fragment_offset = u16::from_be_bytes([ip[6], ip[7]]) & 0x1fff;
-    if fragment_offset == 0
-        && (proto == PROTO_TCP || proto == crate::ipv4::PROTO_UDP)
-        && ip.len() >= ihl + 4
-    {
-        let sport = u32::from(u16::from_be_bytes([ip[ihl], ip[ihl + 1]]));
-        let dport = u32::from(u16::from_be_bytes([ip[ihl + 2], ip[ihl + 3]]));
-        key ^= (sport << 16) | dport;
-    }
-    Some(key.wrapping_mul(0x9e37_79b1))
-}
-
 /// Maps flag bits to a [`SegmentKind`]. RST dominates, then the SYN forms,
 /// then FIN, matching how endpoints interpret simultaneous flags.
 pub fn kind_of(flags: TcpFlags) -> SegmentKind {

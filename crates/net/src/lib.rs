@@ -13,8 +13,6 @@
 //!   per-kind tally ([`batch::ClassCounts`]) the hot path runs on, with a
 //!   SWAR fast path ([`batch::classify_batch`]) that decodes eight frames
 //!   per u64 lane group,
-//! - [`pool`] — a lock-free recycling arena ([`pool::BatchPool`]) so
-//!   steady-state ingestion reuses batch buffers instead of allocating,
 //! - [`frag`] — IPv4 fragmentation/reassembly and the RFC 1858
 //!   tiny-fragment filter that keeps the classifier sound under evasive
 //!   fragmentation,
@@ -48,15 +46,13 @@ pub mod frag;
 pub mod ipv4;
 pub mod packet;
 pub mod pcap;
-pub mod pool;
 pub mod tcp;
 
 pub use addr::{Ipv4Net, MacAddr};
 pub use batch::{classify_batch, classify_batch_scalar, ClassCounts, FrameBatch};
-pub use classify::{classify, flow_hash, SegmentKind};
+pub use classify::{classify, SegmentKind};
 pub use error::NetError;
 pub use ethernet::EtherType;
 pub use ipv4::Ipv4Header;
 pub use packet::{Packet, PacketBuilder};
-pub use pool::{BatchPool, PoolStats};
 pub use tcp::{TcpFlags, TcpHeader};

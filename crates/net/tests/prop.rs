@@ -7,7 +7,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use syndog_net::batch::{
     classify_batch, classify_batch_scalar, classify_batch_sink, ClassCounts, FrameBatch,
 };
-use syndog_net::classify::{classify, flow_hash, kind_of, SegmentKind};
+use syndog_net::classify::{classify, kind_of, SegmentKind};
 use syndog_net::ipv4::{internet_checksum, Ipv4Header};
 use syndog_net::packet::{Packet, PacketBuilder};
 use syndog_net::pcap::{PcapPacket, PcapReader, PcapWriter};
@@ -142,17 +142,6 @@ proptest! {
         sunk.sort();
         expected.sort();
         prop_assert_eq!(sunk, expected);
-    }
-
-    /// The flow hash is a pure function of the frame bytes (same flow →
-    /// same shard) and never panics on garbage.
-    #[test]
-    fn flow_hash_is_stable_and_total(
-        frame in arb_frame(),
-        garbage in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        prop_assert_eq!(flow_hash(&frame), flow_hash(&frame));
-        let _ = flow_hash(&garbage);
     }
 
     /// Any built TCP packet decodes back to the same endpoints, flags,

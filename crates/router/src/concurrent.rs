@@ -1,35 +1,24 @@
-//! The concurrent deployment shape of Figure 2: sniffer threads per
+//! The concurrent deployment shape of Figure 2: one sniffer thread per
 //! interface, coordinating through lock-free shared counters and batched
 //! channels.
 //!
 //! The paper's sniffers "coordinate with each other via shared memory, or
 //! IPC inside the router, and periodically exchange the counting
 //! information". [`ConcurrentSynDog`] reproduces that concretely: each
-//! interface runs one or more sniffer threads consuming [`FrameBatch`]es
-//! from bounded channels, classifying them with
-//! [`classify_batch`], and folding the tallies
-//! into shared relaxed [`AtomicU64`] counters (the "shared memory" — no
-//! mutex, no allocation on the hot path); a coordinator drains the atomics
+//! interface runs one sniffer thread consuming [`FrameBatch`]es from a
+//! bounded channel, classifying them with [`classify_batch`], and folding
+//! the tallies into shared relaxed [`AtomicU64`] counters (the "shared
+//! memory" — no mutex on the hot path); a coordinator drains the atomics
 //! at each period close and feeds them through the same
 //! [`LeafRouter::take_period_sample`] path every other ingestion mode
 //! uses, into a [`SynDogAgent`] that makes the period's decision.
-//!
-//! With [`ConcurrentSynDog::with_shards`], each direction's ingestion is
-//! sharded RSS-style across `N` queues: frames scatter by
-//! [`flow_hash`] (same flow → same shard; unkeyable frames round-robin by
-//! index), each shard keeps its own [`ClassCounts`], and the per-shard
-//! tallies are merged at period close. Because every merged quantity is a
-//! sum of monotone per-shard counters, the merge is order- and
-//! shard-count-independent — reports are byte-identical at any shard
-//! count (pinned by test). Batch buffers recycle through a lock-free
-//! [`BatchPool`], so steady-state ingestion allocates nothing.
 //!
 //! Backpressure is explicit: [`OverflowPolicy::Block`] makes `submit_*`
 //! wait for channel space (deterministic, the right choice for tests and
 //! replay), while [`OverflowPolicy::Drop`] sheds load like a real line
 //! card, counting what it drops. [`ConcurrentSynDog::flush`] is a
 //! deterministic drain barrier: it round-trips a marker through each
-//! shard's channel, so when it returns every previously submitted batch
+//! sniffer's channel, so when it returns every previously submitted batch
 //! has been counted — no sleeps, no spinning on wall-clock time.
 //!
 //! The single-threaded [`SynDogAgent`] is the right tool for experiments;
@@ -45,10 +34,9 @@ use std::thread::JoinHandle;
 
 use syndog::{AnyDetector, Detection, DetectorKind, SynDogConfig};
 use syndog_net::batch::{classify_batch, ClassCounts, FrameBatch};
-use syndog_net::classify::{flow_hash, SegmentKind};
-use syndog_net::pool::BatchPool;
+use syndog_net::classify::SegmentKind;
 use syndog_net::Ipv4Net;
-use syndog_telemetry::{Counter, Gauge, Telemetry};
+use syndog_telemetry::Telemetry;
 use syndog_traffic::trace::Direction;
 
 use crate::agent::{Alarm, SynDogAgent};
@@ -129,14 +117,9 @@ enum SnifferMsg {
     InjectPanic,
 }
 
-/// The most shard queues one interface may run. Keeps the `shard` label
-/// space bounded and the scatter path's stack buffers fixed-size.
-pub const MAX_SHARDS: usize = 16;
-
-/// One shard worker: its queue, its thread, its counter block, and a
-/// preallocated flush-ack channel (allocating one per flush would break the
-/// steady-state zero-allocation guarantee; the ack sender is cloned per
-/// flush, which only bumps a refcount).
+/// One interface's sniffer: its queue, its thread, its counter block, and
+/// a preallocated flush-ack channel (the ack sender is cloned per flush,
+/// which only bumps a refcount, so a barrier allocates nothing).
 struct SnifferThread {
     sender: SyncSender<SnifferMsg>,
     handle: JoinHandle<u64>,
@@ -145,69 +128,33 @@ struct SnifferThread {
     ack_rx: Receiver<()>,
 }
 
-/// One interface: `shards` worker queues plus their counter blocks. Frames
-/// scatter across the queues by flow hash; tallies merge back at period
-/// close. The merge is a sum of per-shard sums, so its value is independent
-/// of shard count and arrival interleaving — that is what keeps sharded
-/// reports byte-identical to the single-queue ones.
-struct SnifferInterface {
-    shards: Vec<SnifferThread>,
-}
-
-impl SnifferInterface {
-    /// Drains every shard's period tally into one merged count.
-    fn drain(&self) -> ClassCounts {
-        let mut merged = ClassCounts::new();
-        for shard in &self.shards {
-            merged.merge(&shard.counters.drain());
-        }
-        merged
-    }
-
-    fn sum(&self, field: impl Fn(&InterfaceCounters) -> &AtomicU64) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| field(&shard.counters).load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-fn spawn_sniffer(
-    counters: Arc<InterfaceCounters>,
-    capacity: usize,
-    pool: Arc<BatchPool>,
-    depth: Option<Arc<Gauge>>,
-    shard_depth: Option<Arc<Gauge>>,
-    restarts_counter: Option<Arc<Counter>>,
-) -> SnifferThread {
+fn spawn_sniffer(capacity: usize, channel: Option<&ChannelTelemetry>) -> SnifferThread {
     let (sender, receiver): (SyncSender<SnifferMsg>, Receiver<SnifferMsg>) = sync_channel(capacity);
     let (ack_tx, ack_rx) = sync_channel(1);
+    let counters = Arc::new(InterfaceCounters::default());
     let thread_counters = Arc::clone(&counters);
+    let depth = channel.map(ChannelTelemetry::depth);
+    let restarts_counter = channel.map(ChannelTelemetry::restarts_counter);
     let handle = std::thread::spawn(move || {
         // Supervision: the worker loop runs under catch_unwind; a panic
         // (poisoned input, injected fault) restarts the loop with the
         // shared counters, channel, and lifetime frame tally intact.
         // AssertUnwindSafe is sound here because every piece of state the
-        // closure touches is either atomic (counters, gauge, pool) or a
-        // plain tally that is only mid-update for Copy arithmetic.
+        // closure touches is either atomic (counters, gauge) or a plain
+        // tally that is only mid-update for Copy arithmetic.
         let mut frames = 0u64;
         loop {
             let worker = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 while let Ok(msg) = receiver.recv() {
                     match msg {
                         SnifferMsg::Batch(batch) => {
-                            // The depth gauges pair with the submit-side
-                            // increments: they read the batches in flight.
+                            // The depth gauge pairs with the submit-side
+                            // increment: it reads the batches in flight.
                             if let Some(depth) = &depth {
                                 depth.sub(1.0);
                             }
-                            if let Some(shard_depth) = &shard_depth {
-                                shard_depth.sub(1.0);
-                            }
                             frames += batch.len() as u64;
                             thread_counters.add(&classify_batch(&batch));
-                            // Hand the arena back for the next submit.
-                            pool.recycle(batch);
                         }
                         SnifferMsg::Flush(ack) => {
                             // The flusher may have given up; its problem.
@@ -240,17 +187,16 @@ fn spawn_sniffer(
     }
 }
 
-/// A concurrently-deployed SYN-dog: per-interface sniffer shard threads
-/// plus an inline coordinator whose [`SynDogAgent`] closes each period.
+/// A concurrently-deployed SYN-dog: one sniffer thread per interface plus
+/// an inline coordinator whose [`SynDogAgent`] closes each period.
 pub struct ConcurrentSynDog {
     /// The coordinator's agent, over `0.0.0.0/0`: the deployment classifies
     /// by interface, not address, so the stub prefix is unused, and the
     /// period clock is external ([`Self::close_period`]).
     agent: SynDogAgent,
-    outbound: SnifferInterface,
-    inbound: SnifferInterface,
-    pool: Arc<BatchPool>,
-    /// Serializes concurrent flush barriers: each shard has exactly one
+    outbound: SnifferThread,
+    inbound: SnifferThread,
+    /// Serializes concurrent flush barriers: each sniffer has exactly one
     /// preallocated ack channel, so two interleaved flushes would steal
     /// each other's acks without this.
     flush_lock: Mutex<()>,
@@ -263,7 +209,6 @@ impl std::fmt::Debug for ConcurrentSynDog {
         f.debug_struct("ConcurrentSynDog")
             .field("periods", &self.agent.detections().len())
             .field("policy", &self.policy)
-            .field("shards", &self.outbound.shards.len())
             .finish_non_exhaustive()
     }
 }
@@ -310,30 +255,9 @@ impl ConcurrentSynDog {
         policy: OverflowPolicy,
         hub: Option<Arc<Telemetry>>,
     ) -> Self {
-        Self::with_shards(detector, channel_capacity, policy, 1, hub)
-    }
-
-    /// Starts a sharded deployment: `shards` worker queues per interface,
-    /// with submitted batches scattered across them by an RSS-style
-    /// per-flow hash ([`flow_hash`]; frame-index round-robin for frames
-    /// the hash cannot key). Per-shard tallies merge at
-    /// [`Self::close_period`], so detections and reports are byte-identical
-    /// at any shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_capacity` or `shards` is zero, or if `shards`
-    /// exceeds [`MAX_SHARDS`].
-    pub fn with_shards(
-        detector: AnyDetector,
-        channel_capacity: usize,
-        policy: OverflowPolicy,
-        shards: usize,
-        hub: Option<Arc<Telemetry>>,
-    ) -> Self {
         let stub: Ipv4Net = "0.0.0.0/0".parse().expect("static prefix parses");
         let agent = SynDogAgent::with_detector(stub, detector);
-        Self::build(agent, channel_capacity, policy, shards, hub)
+        Self::build(agent, channel_capacity, policy, hub)
     }
 
     /// Starts both sniffer threads reporting into a telemetry hub: the
@@ -362,46 +286,21 @@ impl ConcurrentSynDog {
         mut agent: SynDogAgent,
         channel_capacity: usize,
         policy: OverflowPolicy,
-        shards: usize,
         hub: Option<Arc<Telemetry>>,
     ) -> Self {
         assert!(channel_capacity > 0, "channel capacity must be non-zero");
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "shards must be 1..={MAX_SHARDS}"
-        );
-        let channel_telemetry = hub
-            .as_deref()
-            .map(|hub| ConcurrentTelemetry::with_shards(hub, shards));
+        let channel_telemetry = hub.as_deref().map(ConcurrentTelemetry::new);
         if let Some(hub) = hub {
             agent.set_telemetry(hub);
         }
-        // Enough parking slots to keep the steady-state working set warm:
-        // the scatter path holds up to `shards` sub-batches per submit, and
-        // a queue's worth of batches can ride each channel between acquire
-        // and recycle when the submitter runs ahead of the sniffers.
-        let pool = Arc::new(BatchPool::new((8 * shards + 24).min(64)));
-        let interface = |direction: Direction| {
-            let shards = (0..shards)
-                .map(|shard| {
-                    let channel = channel_telemetry.as_ref().map(|t| t.channel(direction));
-                    spawn_sniffer(
-                        Arc::new(InterfaceCounters::default()),
-                        channel_capacity,
-                        Arc::clone(&pool),
-                        channel.map(ChannelTelemetry::depth),
-                        channel.and_then(|c| c.shard_depth(shard)),
-                        channel.map(ChannelTelemetry::restarts_counter),
-                    )
-                })
-                .collect();
-            SnifferInterface { shards }
+        let sniffer = |direction: Direction| {
+            let channel = channel_telemetry.as_ref().map(|t| t.channel(direction));
+            spawn_sniffer(channel_capacity, channel)
         };
         ConcurrentSynDog {
             agent,
-            outbound: interface(Direction::Outbound),
-            inbound: interface(Direction::Inbound),
-            pool,
+            outbound: sniffer(Direction::Outbound),
+            inbound: sniffer(Direction::Inbound),
             flush_lock: Mutex::new(()),
             policy,
             channel_telemetry,
@@ -432,69 +331,27 @@ impl ConcurrentSynDog {
         self.agent.mitigation()
     }
 
-    fn interface(&self, direction: Direction) -> &SnifferInterface {
+    fn sniffer(&self, direction: Direction) -> &SnifferThread {
         match direction {
             Direction::Outbound => &self.outbound,
             Direction::Inbound => &self.inbound,
         }
     }
 
-    /// The batch recycling pool. Submitters that acquire their batches here
-    /// (see [`Self::acquire_batch`]) get arenas the sniffer shards already
-    /// warmed, making the steady-state submit path allocation-free.
-    pub fn pool(&self) -> &Arc<BatchPool> {
-        &self.pool
+    /// Sums one counter over both interfaces.
+    fn sum(&self, field: impl Fn(&InterfaceCounters) -> &AtomicU64) -> u64 {
+        [&self.outbound, &self.inbound]
+            .iter()
+            .map(|sniffer| field(&sniffer.counters).load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Takes a warm (or, cold-start, fresh) batch from the recycling pool.
-    pub fn acquire_batch(&self) -> FrameBatch {
-        self.pool.acquire()
-    }
-
-    /// Shard queues per interface.
-    pub fn shards(&self) -> usize {
-        self.outbound.shards.len()
-    }
-
-    /// Submits a batch of raw frames to the sniffer shards on `direction`'s
-    /// interface. With one shard the batch is forwarded whole; with more,
-    /// frames scatter across the shard queues keyed by [`flow_hash`]
-    /// (frame-index round-robin when the hash cannot key a frame) using
-    /// sub-batches drawn from the recycling pool. Returns `true` if every
-    /// frame was enqueued; under [`OverflowPolicy::Drop`] a full shard
-    /// queue sheds its sub-batch, tallies the loss, and the call returns
-    /// `false`.
+    /// Submits a batch of raw frames to the sniffer on `direction`'s
+    /// interface. Returns `true` if the batch was enqueued; under
+    /// [`OverflowPolicy::Drop`] a full queue sheds the batch, tallies the
+    /// loss, and the call returns `false`.
     pub fn submit_batch(&self, direction: Direction, batch: FrameBatch) -> bool {
-        let shard_count = self.interface(direction).shards.len();
-        if shard_count == 1 {
-            return self.submit_to_shard(direction, 0, batch);
-        }
-        let mut subs: [FrameBatch; MAX_SHARDS] = std::array::from_fn(|shard| {
-            if shard < shard_count {
-                self.pool.acquire()
-            } else {
-                FrameBatch::new() // capacity-less placeholder, no allocation
-            }
-        });
-        for (index, frame) in batch.iter().enumerate() {
-            let shard =
-                flow_hash(frame).map_or(index % shard_count, |hash| hash as usize % shard_count);
-            subs[shard].push(frame);
-        }
-        self.pool.recycle(batch);
-        let mut all_enqueued = true;
-        for (shard, sub) in subs.into_iter().enumerate().take(shard_count) {
-            if sub.is_empty() {
-                self.pool.recycle(sub);
-            } else {
-                all_enqueued &= self.submit_to_shard(direction, shard, sub);
-            }
-        }
-        all_enqueued
-    }
-
-    fn submit_to_shard(&self, direction: Direction, shard: usize, batch: FrameBatch) -> bool {
-        let target = &self.interface(direction).shards[shard];
+        let target = self.sniffer(direction);
         let channel = self
             .channel_telemetry
             .as_ref()
@@ -507,18 +364,18 @@ impl ConcurrentSynDog {
                     .send(SnifferMsg::Batch(batch))
                     .expect("sniffer thread alive for the life of the agent");
                 if let Some(channel) = channel {
-                    channel.record_submitted(shard, frames);
+                    channel.record_submitted(frames);
                 }
                 true
             }
             OverflowPolicy::Drop => match target.sender.try_send(SnifferMsg::Batch(batch)) {
                 Ok(()) => {
                     if let Some(channel) = channel {
-                        channel.record_submitted(shard, frames);
+                        channel.record_submitted(frames);
                     }
                     true
                 }
-                Err(TrySendError::Full(SnifferMsg::Batch(batch))) => {
+                Err(TrySendError::Full(_)) => {
                     target
                         .counters
                         .dropped_batches
@@ -526,15 +383,15 @@ impl ConcurrentSynDog {
                     target
                         .counters
                         .dropped_frames
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                        .fetch_add(frames, Ordering::Relaxed);
                     if let Some(channel) = channel {
-                        channel.record_dropped(batch.len() as u64);
+                        channel.record_dropped(frames);
                     }
-                    // The shed arena still goes back to the pool.
-                    self.pool.recycle(batch);
                     false
                 }
-                Err(_) => panic!("sniffer thread alive for the life of the agent"),
+                Err(TrySendError::Disconnected(_)) => {
+                    panic!("sniffer thread alive for the life of the agent")
+                }
             },
         }
     }
@@ -559,25 +416,19 @@ impl ConcurrentSynDog {
             .channel_telemetry
             .is_some()
             .then(std::time::Instant::now);
-        // Fan the markers out to every shard first, then collect every
-        // ack: the barrier drains all queues concurrently. The ack
-        // channels are preallocated per shard (cloning the sender is a
-        // refcount bump), keeping the barrier allocation-free.
-        for interface in [&self.outbound, &self.inbound] {
-            for shard in &interface.shards {
-                shard
-                    .sender
-                    .send(SnifferMsg::Flush(shard.ack_tx.clone()))
-                    .expect("sniffer thread alive for the life of the agent");
-            }
+        // Send both markers first, then collect both acks: the barrier
+        // drains the two queues concurrently.
+        for sniffer in [&self.outbound, &self.inbound] {
+            sniffer
+                .sender
+                .send(SnifferMsg::Flush(sniffer.ack_tx.clone()))
+                .expect("sniffer thread alive for the life of the agent");
         }
-        for interface in [&self.outbound, &self.inbound] {
-            for shard in &interface.shards {
-                shard
-                    .ack_rx
-                    .recv()
-                    .expect("sniffer thread acks every flush");
-            }
+        for sniffer in [&self.outbound, &self.inbound] {
+            sniffer
+                .ack_rx
+                .recv()
+                .expect("sniffer thread acks every flush");
         }
         if let Some(telemetry) = &self.channel_telemetry {
             let started = started.expect("timer started whenever telemetry is attached");
@@ -598,11 +449,8 @@ impl ConcurrentSynDog {
     /// either side, which the CUSUM absorbs — exactly like the real
     /// deployment.
     pub fn close_period(&mut self) -> Detection {
-        // Merge order across shards is irrelevant: each drain is a sum of
-        // independent monotone counters, so the merged tally is identical
-        // at any shard count.
-        let outbound = self.outbound.drain();
-        let inbound = self.inbound.drain();
+        let outbound = self.outbound.counters.drain();
+        let inbound = self.inbound.counters.drain();
         if let Some(telemetry) = &self.channel_telemetry {
             telemetry
                 .channel(Direction::Outbound)
@@ -645,16 +493,16 @@ impl ConcurrentSynDog {
     /// [`Self::sniffer_restarts`] and the
     /// `syndog_sniffer_restarts_total{interface}` series record it.
     pub fn inject_sniffer_panic(&self, direction: Direction) {
-        self.interface(direction).shards[0]
+        self.sniffer(direction)
             .sender
             .send(SnifferMsg::InjectPanic)
             .expect("sniffer thread alive for the life of the agent");
     }
 
     /// Times the supervisor restarted a panicked sniffer worker, summed
-    /// over both interfaces and all shards.
+    /// over both interfaces.
     pub fn sniffer_restarts(&self) -> u64 {
-        self.outbound.sum(|c| &c.restarts) + self.inbound.sum(|c| &c.restarts)
+        self.sum(|c| &c.restarts)
     }
 
     /// Captures the coordinator's detection state as a [`Checkpoint`]
@@ -687,60 +535,30 @@ impl ConcurrentSynDog {
         policy: OverflowPolicy,
         hub: Option<Arc<Telemetry>>,
     ) -> Result<Self, CheckpointError> {
-        Self::resume_with_shards(checkpoint, channel_capacity, policy, 1, hub)
-    }
-
-    /// [`Self::resume`] with a sharded ingestion layer (see
-    /// [`Self::with_shards`]). The checkpoint carries no shard state —
-    /// per-shard tallies merge before every period close, so shard count
-    /// is a pure deployment knob and may differ across a resume.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::resume`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_capacity` or `shards` is out of range (see
-    /// [`Self::with_shards`]).
-    pub fn resume_with_shards(
-        checkpoint: &Checkpoint,
-        channel_capacity: usize,
-        policy: OverflowPolicy,
-        shards: usize,
-        hub: Option<Arc<Telemetry>>,
-    ) -> Result<Self, CheckpointError> {
         let agent = SynDogAgent::restore(checkpoint)?;
-        Ok(Self::build(agent, channel_capacity, policy, shards, hub))
+        Ok(Self::build(agent, channel_capacity, policy, hub))
     }
 
     /// Batches shed so far under [`OverflowPolicy::Drop`], summed over
-    /// both interfaces and all shards.
+    /// both interfaces.
     pub fn dropped_batches(&self) -> u64 {
-        self.outbound.sum(|c| &c.dropped_batches) + self.inbound.sum(|c| &c.dropped_batches)
+        self.sum(|c| &c.dropped_batches)
     }
 
-    /// Frames inside those shed batches, summed over both interfaces and
-    /// all shards.
+    /// Frames inside those shed batches, summed over both interfaces.
     pub fn dropped_frames(&self) -> u64 {
-        self.outbound.sum(|c| &c.dropped_frames) + self.inbound.sum(|c| &c.dropped_frames)
+        self.sum(|c| &c.dropped_frames)
     }
 
-    /// Shuts every sniffer shard down and returns
+    /// Shuts both sniffer threads down and returns
     /// `(outbound_frames, inbound_frames)` processed.
     pub fn shutdown(self) -> (u64, u64) {
-        let join = |interface: SnifferInterface, name: &str| {
-            interface
-                .shards
-                .into_iter()
-                .map(|shard| {
-                    drop(shard.sender);
-                    shard
-                        .handle
-                        .join()
-                        .unwrap_or_else(|_| panic!("{name} sniffer panicked"))
-                })
-                .sum()
+        let join = |sniffer: SnifferThread, name: &str| {
+            drop(sniffer.sender);
+            sniffer
+                .handle
+                .join()
+                .unwrap_or_else(|_| panic!("{name} sniffer panicked"))
         };
         let out_frames = join(self.outbound, "outbound");
         let in_frames = join(self.inbound, "inbound");
@@ -921,7 +739,7 @@ mod tests {
         let mut dog =
             ConcurrentSynDog::with_policy(SynDogConfig::paper_default(), 1, OverflowPolicy::Drop);
         let (stall_tx, stall_rx) = sync_channel::<()>(0);
-        dog.outbound.shards[0]
+        dog.outbound
             .sender
             .send(SnifferMsg::Flush(stall_tx))
             .unwrap();
@@ -930,7 +748,8 @@ mod tests {
         // this try_send succeeds and an empty batch takes the slot. (The
         // spin waits on our own test fixture, not on sniffer progress.)
         loop {
-            match dog.outbound.shards[0]
+            match dog
+                .outbound
                 .sender
                 .try_send(SnifferMsg::Batch(FrameBatch::new()))
             {
@@ -969,7 +788,7 @@ mod tests {
             Arc::clone(&hub),
         );
         let (stall_tx, stall_rx) = sync_channel::<()>(0);
-        dog.outbound.shards[0]
+        dog.outbound
             .sender
             .send(SnifferMsg::Flush(stall_tx))
             .unwrap();
@@ -1295,71 +1114,6 @@ mod tests {
         resumed.shutdown();
     }
 
-    /// Renders everything externally observable about a run into one
-    /// string, so shard-count invariance can be asserted byte-for-byte.
-    fn period_report(dog: &ConcurrentSynDog) -> String {
-        let mut report = String::new();
-        for detection in dog.detections() {
-            report.push_str(&format!("{detection:?}\n"));
-        }
-        for direction in [Direction::Outbound, Direction::Inbound] {
-            let sniffer = dog.router().sniffer(direction);
-            report.push_str(&format!(
-                "{:?}: frames={} malformed={}",
-                direction,
-                sniffer.frames_seen(),
-                sniffer.malformed()
-            ));
-            for kind in SegmentKind::ALL {
-                report.push_str(&format!(" {}={}", kind.label(), sniffer.kind_count(kind)));
-            }
-            report.push('\n');
-        }
-        report
-    }
-
-    #[test]
-    fn sharded_ingestion_reports_are_byte_identical_at_any_shard_count() {
-        // The same traffic — flows, malformed frames, non-TCP frames —
-        // through 1, 2, and 8 shard queues must produce byte-identical
-        // period reports: scatter order and shard merge order must be
-        // invisible in every externally observable tally.
-        let run = |shards: usize| -> String {
-            let mut dog = ConcurrentSynDog::with_shards(
-                DetectorKind::Syndog.build(SynDogConfig::paper_default()),
-                64,
-                OverflowPolicy::Block,
-                shards,
-                None,
-            );
-            assert_eq!(dog.shards(), shards);
-            for period in 0..3u32 {
-                let mut outbound = dog.acquire_batch();
-                for i in 0..400u32 {
-                    outbound.push(&syn_frame(period * 100_000 + i * 7));
-                }
-                // Frames the flow hash cannot key: exercise round-robin.
-                outbound.push(&[0u8; 9]); // truncated -> malformed
-                outbound.push(&[0u8; 64]); // zero ethertype -> non-TCP
-                dog.submit_batch(Direction::Outbound, outbound);
-                let mut inbound = dog.acquire_batch();
-                for i in 0..150u32 {
-                    inbound.push(&synack_frame(period * 100_000 + i * 13));
-                }
-                dog.submit_batch(Direction::Inbound, inbound);
-                dog.flush();
-                dog.close_period();
-            }
-            let report = period_report(&dog);
-            dog.shutdown();
-            report
-        };
-        let single = run(1);
-        assert_eq!(run(2), single, "2-shard report must match single-queue");
-        assert_eq!(run(8), single, "8-shard report must match single-queue");
-        assert!(single.contains("malformed=3"), "report: {single}");
-    }
-
     #[test]
     fn malformed_frames_surface_in_the_counted_telemetry_bucket() {
         // One bad frame in a batch must be tallied (not silently dropped,
@@ -1391,32 +1145,6 @@ mod tests {
             snap.counter("syndog_frames_malformed_total", &[("interface", "inbound")]),
             Some(0)
         );
-        dog.shutdown();
-    }
-
-    #[test]
-    fn sharded_submit_recycles_batches_through_the_pool() {
-        let mut dog = ConcurrentSynDog::with_shards(
-            DetectorKind::Syndog.build(SynDogConfig::paper_default()),
-            64,
-            OverflowPolicy::Block,
-            4,
-            None,
-        );
-        for round in 0..20u32 {
-            let mut batch = dog.acquire_batch();
-            for i in 0..64 {
-                batch.push(&syn_frame(round * 64 + i));
-            }
-            dog.submit_batch(Direction::Outbound, batch);
-            dog.flush();
-        }
-        let stats = dog.pool().stats();
-        assert!(
-            stats.hits > stats.misses,
-            "steady state must run on recycled arenas: {stats:?}"
-        );
-        assert_eq!(dog.close_period().delta, 20.0 * 64.0);
         dog.shutdown();
     }
 

@@ -71,7 +71,7 @@ pub mod telemetry;
 
 pub use agent::{Alarm, SynDogAgent};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
-pub use concurrent::{ConcurrentSynDog, OverflowPolicy, MAX_SHARDS};
+pub use concurrent::{ConcurrentSynDog, OverflowPolicy};
 pub use correlate::{
     AlarmOnset, Campaign, CampaignMember, CampaignReport, CollectorConfig, CorrelatedRun,
     FleetCorrelator, RegionalCollector,

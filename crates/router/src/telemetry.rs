@@ -30,8 +30,6 @@
 //! | `syndog_dropped_frames_total` | counter | `interface` |
 //! | `syndog_channel_depth` | gauge | `interface` |
 //! | `syndog_frames_malformed_total` | counter | `interface` |
-//! | `syndog_shard_depth` | gauge | `interface`, `shard` |
-//! | `syndog_shard_frames_total` | counter | `interface`, `shard` |
 //! | `syndog_flush_micros` | histogram | |
 //! | `syndog_sniffer_restarts_total` | counter | `interface` |
 //! | `syndog_faults_total` | counter | `kind` |
@@ -258,19 +256,10 @@ impl AgentTelemetry {
     }
 }
 
-/// Stable label values for the `shard` label, one per possible shard
-/// index (the concurrent router caps sharding at 16 queues per interface).
-const SHARD_LABELS: [&str; 16] = [
-    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
-];
-
 /// Channel-side series for one concurrent interface. The submit side
 /// (coordinator thread) bumps the submitted/dropped counters; the depth
-/// gauges are shared with the sniffer shard threads, which decrement them
-/// as they dequeue — so each gauge reads the number of batches in flight.
-/// With sharded ingestion the `syndog_channel_depth` gauge stays the
-/// interface aggregate while `syndog_shard_depth{shard=…}` breaks the
-/// occupancy out per queue.
+/// gauge is shared with the interface's sniffer thread, which decrements
+/// it as it dequeues — so the gauge reads the number of batches in flight.
 #[derive(Debug, Clone)]
 pub struct ChannelTelemetry {
     submitted_batches: Arc<Counter>,
@@ -280,17 +269,10 @@ pub struct ChannelTelemetry {
     depth: Arc<Gauge>,
     restarts: Arc<Counter>,
     malformed: Arc<Counter>,
-    shard_depths: Vec<Arc<Gauge>>,
-    shard_frames: Vec<Arc<Counter>>,
 }
 
 impl ChannelTelemetry {
-    fn new(telemetry: &Telemetry, direction: Direction, shards: usize) -> Self {
-        assert!(
-            shards <= SHARD_LABELS.len(),
-            "at most {} shards per interface",
-            SHARD_LABELS.len()
-        );
+    fn new(telemetry: &Telemetry, direction: Direction) -> Self {
         let interface = direction_label(direction);
         let registry = telemetry.registry();
         ChannelTelemetry {
@@ -309,36 +291,14 @@ impl ChannelTelemetry {
                 .counter_with("syndog_sniffer_restarts_total", &[("interface", interface)]),
             malformed: registry
                 .counter_with("syndog_frames_malformed_total", &[("interface", interface)]),
-            shard_depths: (0..shards)
-                .map(|shard| {
-                    registry.gauge_with(
-                        "syndog_shard_depth",
-                        &[("interface", interface), ("shard", SHARD_LABELS[shard])],
-                    )
-                })
-                .collect(),
-            shard_frames: (0..shards)
-                .map(|shard| {
-                    registry.counter_with(
-                        "syndog_shard_frames_total",
-                        &[("interface", interface), ("shard", SHARD_LABELS[shard])],
-                    )
-                })
-                .collect(),
         }
     }
 
-    /// Records a batch successfully enqueued on `shard` (coordinator side).
-    pub fn record_submitted(&self, shard: usize, frames: u64) {
+    /// Records a batch successfully enqueued (coordinator side).
+    pub fn record_submitted(&self, frames: u64) {
         self.submitted_batches.inc();
         self.submitted_frames.add(frames);
         self.depth.add(1.0);
-        if let Some(gauge) = self.shard_depths.get(shard) {
-            gauge.add(1.0);
-        }
-        if let Some(counter) = self.shard_frames.get(shard) {
-            counter.add(frames);
-        }
     }
 
     /// Records a shed batch under `OverflowPolicy::Drop`.
@@ -355,16 +315,9 @@ impl ChannelTelemetry {
         self.malformed.add(frames);
     }
 
-    /// The aggregate depth gauge, for sniffer threads to decrement on
-    /// dequeue.
+    /// The depth gauge, for the sniffer thread to decrement on dequeue.
     pub fn depth(&self) -> Arc<Gauge> {
         Arc::clone(&self.depth)
-    }
-
-    /// The per-shard depth gauge, for that shard's worker to decrement on
-    /// dequeue.
-    pub fn shard_depth(&self, shard: usize) -> Option<Arc<Gauge>> {
-        self.shard_depths.get(shard).map(Arc::clone)
     }
 
     /// The restarts counter, for the sniffer supervisor to bump when it
@@ -386,18 +339,11 @@ pub struct ConcurrentTelemetry {
 }
 
 impl ConcurrentTelemetry {
-    /// Registers the channel-layer series on the hub for an unsharded
-    /// (single queue per interface) deployment.
+    /// Registers the channel-layer series on the hub.
     pub fn new(hub: &Telemetry) -> Self {
-        Self::with_shards(hub, 1)
-    }
-
-    /// Registers the channel-layer series on the hub, including per-shard
-    /// depth/occupancy series for `shards` queues per interface.
-    pub fn with_shards(hub: &Telemetry, shards: usize) -> Self {
         ConcurrentTelemetry {
-            outbound: ChannelTelemetry::new(hub, Direction::Outbound, shards),
-            inbound: ChannelTelemetry::new(hub, Direction::Inbound, shards),
+            outbound: ChannelTelemetry::new(hub, Direction::Outbound),
+            inbound: ChannelTelemetry::new(hub, Direction::Inbound),
             flush_micros: hub.registry().histogram("syndog_flush_micros"),
         }
     }
@@ -810,61 +756,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_series_track_per_queue_depth_and_traffic() {
-        let hub = Telemetry::new();
-        let concurrent = ConcurrentTelemetry::with_shards(&hub, 4);
-        let channel = concurrent.channel(Direction::Outbound);
-        channel.record_submitted(0, 10);
-        channel.record_submitted(2, 30);
-        channel.record_submitted(2, 5);
-        channel.shard_depth(2).unwrap().sub(1.0); // shard 2 dequeues one
-        channel.record_malformed(3);
-        let snap = hub.snapshot();
-        let shard_depth = |shard: &str| {
-            snap.gauges
-                .iter()
-                .find(|g| {
-                    g.name == "syndog_shard_depth"
-                        && g.labels.iter().any(|(k, v)| k == "shard" && v == shard)
-                        && g.labels.iter().any(|(_, v)| v == "outbound")
-                })
-                .map(|g| g.value)
-        };
-        assert_eq!(shard_depth("0"), Some(1.0));
-        assert_eq!(shard_depth("2"), Some(1.0));
-        assert_eq!(shard_depth("3"), Some(0.0));
-        assert_eq!(
-            snap.counter(
-                "syndog_shard_frames_total",
-                &[("interface", "outbound"), ("shard", "2")]
-            ),
-            Some(35)
-        );
-        assert_eq!(
-            snap.counter(
-                "syndog_frames_malformed_total",
-                &[("interface", "outbound")]
-            ),
-            Some(3)
-        );
-        // The aggregate depth gauge still sums across shards.
-        let depth = snap
-            .gauges
-            .iter()
-            .find(|g| {
-                g.name == "syndog_channel_depth" && g.labels.iter().any(|(_, v)| v == "outbound")
-            })
-            .expect("aggregate depth registered");
-        assert_eq!(depth.value, 3.0);
-    }
-
-    #[test]
     fn channel_telemetry_tracks_depth_and_sheds() {
         let hub = Telemetry::new();
         let concurrent = ConcurrentTelemetry::new(&hub);
         let channel = concurrent.channel(Direction::Outbound);
-        channel.record_submitted(0, 100);
-        channel.record_submitted(0, 50);
+        channel.record_submitted(100);
+        channel.record_submitted(50);
         channel.depth().sub(1.0); // sniffer thread dequeues one
         channel.record_dropped(25);
         concurrent.record_flush(42);

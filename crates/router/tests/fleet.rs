@@ -32,7 +32,7 @@ fn ddos_scenario(master_seed: u64) -> Scenario {
     )
 }
 
-/// The ISSUE's determinism criterion: one scenario seed, three worker
+/// The determinism requirement: one scenario seed, three worker
 /// counts, byte-identical fleet reports — for both the trace-level and
 /// the count-level paths.
 #[test]

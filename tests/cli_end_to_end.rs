@@ -104,3 +104,119 @@ fn missing_required_flag_fails_cleanly() {
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("--out"), "{err}");
 }
+
+/// Runs `syndog` expecting the usage-error exit code; returns stderr.
+fn run_rejected(args: &[&str]) -> String {
+    let output = syndog().args(args).output().expect("spawn syndog");
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "syndog {args:?} should exit 2: {}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+    String::from_utf8(output.stderr).expect("utf8 stderr")
+}
+
+#[test]
+fn unknown_flags_are_rejected_not_ignored() {
+    // A misspelled --mitigate must not silently run without mitigation.
+    let err = run_rejected(&[
+        "detect",
+        "--in",
+        "s.bin",
+        "--stub",
+        "128.3.0.0/16",
+        "--mitgate",
+        "on",
+    ]);
+    assert!(err.contains("unknown flag --mitgate"), "{err}");
+    // replay has one sniffer thread per interface; there is no --shards.
+    let err = run_rejected(&[
+        "replay",
+        "--in",
+        "s.bin",
+        "--stub",
+        "128.3.0.0/16",
+        "--shards",
+        "4",
+    ]);
+    assert!(err.contains("unknown flag --shards"), "{err}");
+}
+
+/// `(period, statistic)` of the first alarm in a detection report:
+/// `detect`/`sniff` print `at period P (t = T s), y = Y`, `replay` prints
+/// `at period P (y = Y); ...`.
+fn first_alarm(out: &str) -> (u64, String) {
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("FLOODING DETECTED at period "))
+        .unwrap_or_else(|| panic!("no alarm reported: {out}"));
+    let rest = &line["FLOODING DETECTED at period ".len()..];
+    let period = rest.split_whitespace().next().unwrap().parse().unwrap();
+    let statistic = rest.split("y = ").nth(1).unwrap();
+    let statistic = statistic.split([';', ')']).next().unwrap();
+    (period, statistic.trim().to_string())
+}
+
+/// The first integer after `prefix` in `text`.
+fn number_after(text: &str, prefix: &str) -> u64 {
+    let at = text
+        .find(prefix)
+        .unwrap_or_else(|| panic!("{prefix:?} missing: {text}"));
+    text[at + prefix.len()..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
+    let dir = std::env::temp_dir();
+    let bg = dir.join("syndog_e2e_replay_bg.bin");
+    let flooded = dir.join("syndog_e2e_replay_flooded.bin");
+    let bg_s = bg.to_str().unwrap();
+    let flooded_s = flooded.to_str().unwrap();
+    let out = run_ok(&["generate", "--site", "lbl", "--seed", "2", "--out", bg_s]);
+    let written = number_after(&out, "(");
+    let out = run_ok(&[
+        "inject", "--in", bg_s, "--out", flooded_s, "--rate", "20", "--start", "600", "--seed", "5",
+    ]);
+    let written = written + number_after(&out, "injected ");
+
+    let stub = ["--in", flooded_s, "--stub", "128.3.0.0/16"];
+    let detect = first_alarm(&run_ok(&[&["detect"], &stub[..]].concat()));
+    let sniff_out = run_ok(&[&["sniff"], &stub[..]].concat());
+    let sniff = first_alarm(&sniff_out);
+    let replay = first_alarm(&run_ok(&[&["replay"], &stub[..]].concat()));
+    assert_eq!(
+        sniff, detect,
+        "sniff and detect share one period-close path"
+    );
+    assert_eq!(
+        replay, detect,
+        "replay and detect share one period-close path"
+    );
+
+    // Every ingestion path reads the records inside the trace's declared
+    // span: the few handshake tails the generator writes past the end
+    // are skipped, exactly as `detect` skips them.
+    let records = number_after(&sniff_out, "sniffed ");
+    assert!(records > 0 && records <= written, "{records} of {written}");
+    // Overflow shedding: whatever the sniffers did not count, the drop
+    // tally did — every record is accounted for exactly once.
+    let shed = ["--drop", "--capacity", "1", "--batch-size", "8"];
+    let out = run_ok(&[&["replay"], &stub[..], &shed[..]].concat());
+    let outbound = number_after(&out, "sniffer threads: ");
+    let inbound = number_after(&out, "outbound / ");
+    let dropped = if out.contains("overflow shed") {
+        number_after(&out, "batches / ")
+    } else {
+        0
+    };
+    assert_eq!(outbound + inbound + dropped, records, "{out}");
+
+    let _ = std::fs::remove_file(bg);
+    let _ = std::fs::remove_file(flooded);
+}
