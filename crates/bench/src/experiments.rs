@@ -24,8 +24,7 @@ use syndog::{
 use syndog_attack::{FloodPattern, SpoofStrategy, SynFlood};
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
 use syndog_router::{
-    CollectorConfig, Fleet, KeyMode, MitigationEngine, MitigationPolicy, Scenario, SourceLocator,
-    SynDogAgent,
+    CollectorConfig, Fleet, KeyMode, MitigationEngine, MitigationPolicy, Scenario, SynDogAgent,
 };
 use syndog_sim::par::{run_indexed, Parallelism};
 use syndog_sim::stats::TimeSeries;
@@ -565,14 +564,7 @@ pub fn disc(seed: u64) -> ExperimentOutput {
     trace.merge(&flood.generate_trace(&mut rng));
 
     let mut agent = SynDogAgent::new(site.stub(), SynDogConfig::paper_default());
-    let mut locator = SourceLocator::new(site.stub());
-    for record in trace.records() {
-        agent.observe_record(record);
-        if !locator.is_armed() && agent.first_alarm().is_some() {
-            locator.arm();
-        }
-        locator.observe(record);
-    }
+    let locator = agent.locate(&trace);
     let alarm = agent.first_alarm();
     body.push_str("Source localization after alarm (ingress-filter + MAC accounting):\n");
     match alarm {
@@ -832,15 +824,7 @@ fn flash_crowd_run(policy: MitigationPolicy, seed: u64) -> (u64, u64, u64) {
 
     let mut agent = SynDogAgent::with_detector(site.stub(), DetectorKind::SynCusum.build(config));
     agent.set_mitigation(policy.with_key_mode(KeyMode::Prefix));
-    let period = agent.router().period();
-    let last = duration.as_micros().div_ceil(period.as_micros());
-    for record in trace.records() {
-        if record.time.period_index(period) >= last {
-            continue;
-        }
-        agent.filter_record(record);
-    }
-    agent.close_periods_to(last);
+    agent.run_trace(&trace);
     let stats = agent.mitigation().expect("mitigation attached").stats();
     (
         stats.engagements,

@@ -17,9 +17,10 @@ use syndog_telemetry::Telemetry;
 use syndog_traffic::trace::{Direction, Trace, TraceRecord};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::locate::SourceLocator;
 use crate::mitigate::{MitigationDecision, MitigationEngine, MitigationPolicy};
 use crate::router::LeafRouter;
-use crate::source::{FrameSource, TraceSource};
+use crate::source::FrameSource;
 use crate::telemetry::{AgentTelemetry, MitigationTelemetry};
 
 /// A raised flooding alarm.
@@ -303,10 +304,50 @@ impl SynDogAgent {
             .collect())
     }
 
-    /// Runs a whole trace through router and detector.
+    /// Runs a whole trace through router, detector and (when armed) the
+    /// mitigation engine — [`SynDogAgent::run_trace_with`] without a hook.
     pub fn run_trace(&mut self, trace: &Trace) -> Vec<Detection> {
-        self.run_source(TraceSource::new(trace))
-            .expect("trace sources perform no I/O and cannot fail")
+        self.run_trace_with(trace, |_, _| {})
+    }
+
+    /// The record-level trace loop: every record inside the trace's
+    /// declared span goes through [`SynDogAgent::filter_record`] (so an
+    /// armed engine judges it) and then to `on_record` with its decision;
+    /// the run is squared off to `current + ⌈span / t0⌉` periods, the
+    /// envelope [`LeafRouter::ingest`](crate::router::LeafRouter::ingest)
+    /// uses, and handshake tails past the span are skipped. Returns the
+    /// detections this run closed.
+    pub fn run_trace_with<F>(&mut self, trace: &Trace, mut on_record: F) -> Vec<Detection>
+    where
+        F: FnMut(&TraceRecord, MitigationDecision),
+    {
+        let first = self.detections.len();
+        let period = self.router.period();
+        let last = self.router.current_period()
+            + trace.duration().as_micros().div_ceil(period.as_micros());
+        for record in trace.records() {
+            if record.time.period_index(period) < last {
+                let decision = self.filter_record(record);
+                on_record(record, decision);
+            }
+        }
+        self.close_periods_to(last);
+        self.detections[first..].to_vec()
+    }
+
+    /// The paper's detect-then-locate sweep: streams `trace` through the
+    /// agent and a [`SourceLocator`] together, arming per-MAC accounting
+    /// at the first alarm, and returns the locator.
+    pub fn locate(&mut self, trace: &Trace) -> SourceLocator {
+        let mut locator = SourceLocator::new(self.router.stub());
+        for record in trace.records() {
+            self.observe_record(record);
+            if !locator.is_armed() && self.first_alarm().is_some() {
+                locator.arm();
+            }
+            locator.observe(record);
+        }
+        locator
     }
 
     /// Streams one record through the router, closing periods (and running
@@ -506,6 +547,45 @@ mod tests {
         let n = streaming.detections().len();
         assert!(n > 0);
         assert_eq!(&batch.detections()[..n], streaming.detections());
+    }
+
+    #[test]
+    fn run_trace_lets_an_armed_engine_judge_every_record() {
+        use crate::mitigate::KeyMode;
+        let site = SiteProfile::auckland();
+        let mut rng = SimRng::seed_from_u64(31);
+        let mut trace = site.generate_trace(&mut rng);
+        let flood = SynFlood::constant(
+            10.0,
+            SimTime::from_secs(200),
+            SimDuration::from_secs(300),
+            "199.0.0.80:80".parse().unwrap(),
+        )
+        .with_fp(syndog_traffic::load::attack_fingerprint().to_bits());
+        trace.merge(&flood.generate_trace(&mut rng));
+        let armed = || {
+            SynDogAgent::new(site.stub(), SynDogConfig::paper_default()).with_mitigation(
+                MitigationPolicy::paper_default().with_key_mode(KeyMode::Fingerprint),
+            )
+        };
+        let mut looped = armed();
+        let period = looped.router().period();
+        let last = site.periods() as u64;
+        for record in trace.records() {
+            if record.time.period_index(period) < last {
+                looped.filter_record(record);
+            }
+        }
+        looped.close_periods_to(last);
+        let mut run = armed();
+        run.run_trace(&trace);
+
+        assert_eq!(run.detections(), looped.detections());
+        let (engine, expected) = (run.mitigation().unwrap(), looped.mitigation().unwrap());
+        assert_eq!(engine.engaged_at(), expected.engaged_at());
+        assert_eq!(engine.released_at(), expected.released_at());
+        assert_eq!(engine.stats(), expected.stats());
+        assert!(engine.stats().throttled_syns > 0, "{:?}", engine.stats());
     }
 
     #[test]

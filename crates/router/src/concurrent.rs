@@ -39,10 +39,9 @@ use syndog_net::Ipv4Net;
 use syndog_telemetry::Telemetry;
 use syndog_traffic::trace::Direction;
 
-use crate::agent::{Alarm, SynDogAgent};
+use crate::agent::SynDogAgent;
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::mitigate::{MitigationEngine, MitigationPolicy};
-use crate::router::LeafRouter;
+use crate::mitigate::MitigationPolicy;
 use crate::telemetry::{ChannelTelemetry, ConcurrentTelemetry};
 
 /// What a sniffer channel does when it is full.
@@ -244,7 +243,10 @@ impl ConcurrentSynDog {
 
     /// Starts both sniffer threads coordinating an explicit detection
     /// strategy (see [`DetectorKind::build`]); the other constructors all
-    /// default to the paper's [`DetectorKind::Syndog`].
+    /// default to the paper's [`DetectorKind::Syndog`]. A `hub` receives
+    /// the detector series of [`crate::telemetry::AgentTelemetry`] plus
+    /// the channel-layer submit/shed/depth series and the flush-latency
+    /// histogram (see [`crate::telemetry`] for the names).
     ///
     /// # Panics
     ///
@@ -258,28 +260,6 @@ impl ConcurrentSynDog {
         let stub: Ipv4Net = "0.0.0.0/0".parse().expect("static prefix parses");
         let agent = SynDogAgent::with_detector(stub, detector);
         Self::build(agent, channel_capacity, policy, hub)
-    }
-
-    /// Starts both sniffer threads reporting into a telemetry hub: the
-    /// detector series of [`crate::telemetry::AgentTelemetry`] plus the
-    /// channel-layer submit/shed/depth series and the flush-latency
-    /// histogram (see [`crate::telemetry`] for the names).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_capacity` is zero.
-    pub fn with_telemetry(
-        config: SynDogConfig,
-        channel_capacity: usize,
-        policy: OverflowPolicy,
-        hub: Arc<Telemetry>,
-    ) -> Self {
-        Self::with_detector(
-            DetectorKind::Syndog.build(config),
-            channel_capacity,
-            policy,
-            Some(hub),
-        )
     }
 
     fn build(
@@ -307,14 +287,15 @@ impl ConcurrentSynDog {
         }
     }
 
-    /// Attaches a [`MitigationEngine`] to the coordinator. The concurrent
-    /// deployment classifies by interface and never sees per-record
-    /// addresses, so mitigation here is *count-level*: at each
+    /// Attaches a [`MitigationEngine`](crate::mitigate::MitigationEngine)
+    /// to the coordinator. The concurrent deployment classifies by
+    /// interface and never sees per-record addresses, so mitigation here
+    /// is *count-level*: at each
     /// [`Self::close_period`] the engine updates its hysteresis gate from
     /// the detection and, while engaged, sheds the period's SYN excess
     /// over `K̄ + allowance` (the aggregate approximation of the keyed
     /// token buckets — see
-    /// [`MitigationEngine::count_throttle`]).
+    /// [`MitigationEngine::count_throttle`](crate::mitigate::MitigationEngine::count_throttle)).
     pub fn set_mitigation(&mut self, policy: MitigationPolicy) {
         self.agent.set_mitigation(policy);
     }
@@ -324,11 +305,6 @@ impl ConcurrentSynDog {
     pub fn with_mitigation(mut self, policy: MitigationPolicy) -> Self {
         self.set_mitigation(policy);
         self
-    }
-
-    /// The attached mitigation engine, if any.
-    pub fn mitigation(&self) -> Option<&MitigationEngine> {
-        self.agent.mitigation()
     }
 
     fn sniffer(&self, direction: Direction) -> &SnifferThread {
@@ -466,25 +442,11 @@ impl ConcurrentSynDog {
         self.agent.close_count_period(sample).0
     }
 
-    /// All per-period detections so far.
-    pub fn detections(&self) -> &[Detection] {
-        self.agent.detections()
-    }
-
-    /// Every alarm raised so far.
-    pub fn alarms(&self) -> &[Alarm] {
-        self.agent.alarms()
-    }
-
-    /// The coordinator's detection strategy.
-    pub fn detector(&self) -> &AnyDetector {
-        self.agent.detector()
-    }
-
-    /// The coordinator-side router (lifetime frame / malformed tallies live
-    /// on its sniffers; they update at each [`Self::close_period`]).
-    pub fn router(&self) -> &LeafRouter {
-        self.agent.router()
+    /// The coordinator's agent: detections, alarms, detector, and the
+    /// router whose sniffers hold the lifetime frame / malformed tallies
+    /// (they update at each [`Self::close_period`]).
+    pub fn agent(&self) -> &SynDogAgent {
+        &self.agent
     }
 
     /// Chaos hook: makes `direction`'s sniffer thread panic on its next
@@ -648,8 +610,15 @@ mod tests {
         // The frames were still *seen* — they flowed through the same
         // period exchange, just tallied as non-handshake traffic.
         assert_eq!(
-            dog.router().sniffer(Direction::Inbound).frames_seen()
-                + dog.router().sniffer(Direction::Outbound).frames_seen(),
+            dog.agent()
+                .router()
+                .sniffer(Direction::Inbound)
+                .frames_seen()
+                + dog
+                    .agent()
+                    .router()
+                    .sniffer(Direction::Outbound)
+                    .frames_seen(),
             2
         );
         let (out_frames, in_frames) = dog.shutdown();
@@ -693,14 +662,14 @@ mod tests {
             dog.flush();
             dog.close_period();
         }
-        let before = dog.detector().clone();
+        let before = dog.agent().detector().clone();
         let json = dog.checkpoint().to_json();
         dog.shutdown();
         let checkpoint = Checkpoint::from_json(&json).unwrap();
         let resumed = ConcurrentSynDog::resume(&checkpoint, 64, OverflowPolicy::Block, None)
             .expect("syn-cusum checkpoint resumes");
-        assert_eq!(resumed.detector().kind(), DetectorKind::SynCusum);
-        assert_eq!(*resumed.detector(), before);
+        assert_eq!(resumed.agent().detector().kind(), DetectorKind::SynCusum);
+        assert_eq!(*resumed.agent().detector(), before);
         resumed.shutdown();
     }
 
@@ -710,7 +679,13 @@ mod tests {
         dog.submit_batch(Direction::Outbound, batch_of([vec![0u8; 7], syn_frame(1)]));
         dog.flush();
         assert_eq!(dog.close_period().delta, 1.0);
-        assert_eq!(dog.router().sniffer(Direction::Outbound).malformed(), 1);
+        assert_eq!(
+            dog.agent()
+                .router()
+                .sniffer(Direction::Outbound)
+                .malformed(),
+            1
+        );
         let (out_frames, _) = dog.shutdown();
         assert_eq!(out_frames, 2);
     }
@@ -781,11 +756,11 @@ mod tests {
         const CAPACITY: usize = 4;
         const SUBMITTED: u64 = 10;
         let hub = Arc::new(Telemetry::new());
-        let mut dog = ConcurrentSynDog::with_telemetry(
-            SynDogConfig::paper_default(),
+        let mut dog = ConcurrentSynDog::with_detector(
+            DetectorKind::Syndog.build(SynDogConfig::paper_default()),
             CAPACITY,
             OverflowPolicy::Drop,
-            Arc::clone(&hub),
+            Some(Arc::clone(&hub)),
         );
         let (stall_tx, stall_rx) = sync_channel::<()>(0);
         dog.outbound
@@ -872,11 +847,11 @@ mod tests {
     #[test]
     fn concurrent_telemetry_reports_periods_and_flush_latency() {
         let hub = std::sync::Arc::new(Telemetry::new());
-        let mut dog = ConcurrentSynDog::with_telemetry(
-            SynDogConfig::paper_default(),
+        let mut dog = ConcurrentSynDog::with_detector(
+            DetectorKind::Syndog.build(SynDogConfig::paper_default()),
             64,
             OverflowPolicy::Block,
-            std::sync::Arc::clone(&hub),
+            Some(std::sync::Arc::clone(&hub)),
         );
         dog.submit_batch(Direction::Outbound, batch_of((0..20).map(syn_frame)));
         dog.submit_batch(Direction::Inbound, batch_of((0..10).map(synack_frame)));
@@ -912,11 +887,11 @@ mod tests {
     #[test]
     fn sniffer_restarts_after_panic_with_counters_intact() {
         let hub = Arc::new(Telemetry::new());
-        let mut dog = ConcurrentSynDog::with_telemetry(
-            SynDogConfig::paper_default(),
+        let mut dog = ConcurrentSynDog::with_detector(
+            DetectorKind::Syndog.build(SynDogConfig::paper_default()),
             64,
             OverflowPolicy::Block,
-            Arc::clone(&hub),
+            Some(Arc::clone(&hub)),
         );
         dog.submit_batch(Direction::Outbound, batch_of((0..5).map(syn_frame)));
         dog.flush();
@@ -992,16 +967,24 @@ mod tests {
         let checkpoint = Checkpoint::from_json(&json).unwrap();
         let mut resumed =
             ConcurrentSynDog::resume(&checkpoint, 64, OverflowPolicy::Block, None).unwrap();
-        assert_eq!(resumed.router().current_period(), 2);
+        assert_eq!(resumed.agent().router().current_period(), 2);
         for period in 2..4 {
             submit(&resumed, period);
             resumed.flush();
             resumed.close_period();
         }
-        assert_eq!(resumed.detections(), straight.detections());
+        assert_eq!(resumed.agent().detections(), straight.agent().detections());
         assert_eq!(
-            resumed.router().sniffer(Direction::Outbound).frames_seen(),
-            straight.router().sniffer(Direction::Outbound).frames_seen()
+            resumed
+                .agent()
+                .router()
+                .sniffer(Direction::Outbound)
+                .frames_seen(),
+            straight
+                .agent()
+                .router()
+                .sniffer(Direction::Outbound)
+                .frames_seen()
         );
         straight.shutdown();
         resumed.shutdown();
@@ -1016,15 +999,15 @@ mod tests {
         dog.submit_batch(Direction::Inbound, batch_of((0..200).map(synack_frame)));
         dog.flush();
         dog.close_period();
-        assert!(!dog.mitigation().unwrap().is_engaged());
+        assert!(!dog.agent().mitigation().unwrap().is_engaged());
         // Period 1: flood. x = 500/200 = 2.5 slams the gate to the
         // threshold in one period; count-level shedding cuts the excess
         // over K̄ + allowance.
         dog.submit_batch(Direction::Outbound, batch_of((0..500).map(syn_frame)));
         dog.flush();
         dog.close_period();
-        let stats = *dog.mitigation().unwrap().stats();
-        assert!(dog.mitigation().unwrap().is_engaged());
+        let stats = *dog.agent().mitigation().unwrap().stats();
+        assert!(dog.agent().mitigation().unwrap().is_engaged());
         assert_eq!(stats.engagements, 1);
         assert!(
             stats.throttled_syns > 250,
@@ -1038,7 +1021,10 @@ mod tests {
         let checkpoint = Checkpoint::from_json(&json).unwrap();
         let resumed =
             ConcurrentSynDog::resume(&checkpoint, 64, OverflowPolicy::Block, None).unwrap();
-        let restored = resumed.mitigation().expect("mitigation engine restored");
+        let restored = resumed
+            .agent()
+            .mitigation()
+            .expect("mitigation engine restored");
         assert!(restored.is_engaged());
         assert_eq!(*restored.stats(), stats);
         resumed.shutdown();
@@ -1087,9 +1073,9 @@ mod tests {
         for period in 0..periods.len() {
             close(&mut dog, period);
         }
-        assert_eq!(dog.detections(), agent.detections());
-        assert_eq!(dog.alarms(), agent.alarms());
-        assert_eq!(*dog.mitigation().unwrap().stats(), stats);
+        assert_eq!(dog.agent().detections(), agent.detections());
+        assert_eq!(dog.agent().alarms(), agent.alarms());
+        assert_eq!(*dog.agent().mitigation().unwrap().stats(), stats);
         dog.shutdown();
 
         // Kill mid-flood, after the first alarm, and resume: the alarms
@@ -1099,7 +1085,7 @@ mod tests {
         for period in 0..k {
             close(&mut first, period);
         }
-        assert!(!first.alarms().is_empty());
+        assert!(!first.agent().alarms().is_empty());
         let json = first.checkpoint().to_json();
         first.shutdown();
         let checkpoint = Checkpoint::from_json(&json).unwrap();
@@ -1108,9 +1094,9 @@ mod tests {
         for period in k..periods.len() {
             close(&mut resumed, period);
         }
-        assert_eq!(resumed.detections(), agent.detections());
-        assert_eq!(resumed.alarms(), agent.alarms());
-        assert_eq!(*resumed.mitigation().unwrap().stats(), stats);
+        assert_eq!(resumed.agent().detections(), agent.detections());
+        assert_eq!(resumed.agent().alarms(), agent.alarms());
+        assert_eq!(*resumed.agent().mitigation().unwrap().stats(), stats);
         resumed.shutdown();
     }
 
@@ -1120,11 +1106,11 @@ mod tests {
         // not batch-aborting) and must surface on the
         // syndog_frames_malformed_total series at period close.
         let hub = Arc::new(Telemetry::new());
-        let mut dog = ConcurrentSynDog::with_telemetry(
-            SynDogConfig::paper_default(),
+        let mut dog = ConcurrentSynDog::with_detector(
+            DetectorKind::Syndog.build(SynDogConfig::paper_default()),
             16,
             OverflowPolicy::Block,
-            Arc::clone(&hub),
+            Some(Arc::clone(&hub)),
         );
         dog.submit_batch(
             Direction::Outbound,

@@ -566,40 +566,22 @@ impl Fleet {
         let trace = self.stub_trace(index);
         let mut agent = self.new_agent(index, prepared);
         let period = agent.router().period();
-        // Square off to ceil(duration / t0) periods, the same envelope
-        // `LeafRouter::ingest` uses, so the mitigated streaming path and
-        // the batch path produce identical detection series.
-        let last = trace.duration().as_micros().div_ceil(period.as_micros());
-        let mut forwarded_syns = vec![0u64; last as usize];
-        if self.scenario.mitigation.is_some() {
-            // Mitigated path: stream every record through the agent's
-            // filter (observe first — the detector measures the offered
-            // load — then judge), tallying what the throttles let reach
-            // the victim.
-            for record in trace.records() {
-                let p = record.time.period_index(period);
-                if p >= last {
-                    // Handshake tails past the nominal duration: ignored,
-                    // like `LeafRouter::ingest`.
-                    continue;
+        // Tally what reaches the victim: every outbound SYN the agent
+        // forwards (all of them when no engine is armed).
+        let mut forwarded_syns = Vec::new();
+        agent.run_trace_with(&trace, |record, decision| {
+            if record.direction == Direction::Outbound
+                && record.kind == SegmentKind::Syn
+                && decision.forwarded()
+            {
+                let p = record.time.period_index(period) as usize;
+                if forwarded_syns.len() <= p {
+                    forwarded_syns.resize(p + 1, 0);
                 }
-                let decision = agent.filter_record(record);
-                if record.direction == Direction::Outbound
-                    && record.kind == SegmentKind::Syn
-                    && decision.forwarded()
-                {
-                    forwarded_syns[p as usize] += 1;
-                }
+                forwarded_syns[p] += 1;
             }
-            agent.close_periods_to(last);
-        } else {
-            agent.run_trace(&trace);
-            for (p, sample) in trace.period_counts(period).iter().enumerate() {
-                if p < forwarded_syns.len() {
-                    forwarded_syns[p] = sample.syn;
-                }
-            }
-        }
+        });
+        forwarded_syns.resize(agent.detections().len(), 0);
         // Post-alarm localization: the mitigated agent's own armed
         // locator already holds the tallies; otherwise run the paper's
         // sweep from the first alarm to the end of the trace.

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use syndog::{DetectorKind, PeriodCounts, PeriodSignals, SynDogConfig, SynDogDetector};
 use syndog_net::SegmentKind;
-use syndog_router::{Checkpoint, LeafRouter, SynDogAgent};
+use syndog_router::{Checkpoint, LeafRouter, SynDogAgent, TraceSource};
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::trace::{Direction, Trace, TraceRecord};
 
@@ -120,6 +120,31 @@ proptest! {
             let direct = detector.observe(PeriodCounts { syn: sample.syn, synack: sample.synack });
             prop_assert_eq!(&direct, agent_detection);
         }
+    }
+
+    /// The record loop and the frame-source loop close the same periods:
+    /// `run_trace` equals `run_source(TraceSource::new(..))` on arbitrary
+    /// records, spans and tails past the span.
+    #[test]
+    fn run_trace_equals_run_source_over_a_trace_source(
+        events in proptest::collection::vec((0u64..260, arb_direction(), arb_kind()), 0..300),
+        span in 0u64..240,
+    ) {
+        let records: Vec<TraceRecord> =
+            events.iter().map(|&(t, d, k)| record(t, d, k)).collect();
+        let trace = Trace::from_records(records, SimDuration::from_secs(span));
+        let mut by_records = SynDogAgent::new(stub(), SynDogConfig::paper_default());
+        let mut by_source = SynDogAgent::new(stub(), SynDogConfig::paper_default());
+        let series = by_records.run_trace(&trace);
+        prop_assert_eq!(
+            &series,
+            &by_source.run_source(TraceSource::new(&trace)).unwrap()
+        );
+        prop_assert_eq!(by_records.detections(), by_source.detections());
+        prop_assert_eq!(
+            by_records.router().current_period(),
+            by_source.router().current_period()
+        );
     }
 
     /// Every detection strategy's learned state survives a checkpoint

@@ -319,14 +319,10 @@ impl ServeDaemon {
         let target = index + 1;
         for hosted in &mut self.stubs {
             // (2) Stream this window's records through the agent.
-            let records = hosted.supply.next_window(index, self.period);
-            let mitigated = hosted.agent.mitigation().is_some();
-            for record in &records {
-                if mitigated {
-                    let _ = hosted.agent.filter_record(record);
-                } else {
-                    hosted.agent.observe_record(record);
-                }
+            // An armed engine judges each record; without one this is
+            // plain observation.
+            for record in &hosted.supply.next_window(index, self.period) {
+                hosted.agent.filter_record(record);
             }
             // (3) Close on sim-time and check the invariant.
             hosted.agent.close_periods_to(target);

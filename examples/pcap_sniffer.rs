@@ -13,7 +13,7 @@
 use syndog::SynDogConfig;
 use syndog_attack::SynFlood;
 use syndog_net::{Ipv4Net, MacAddr};
-use syndog_router::{SourceLocator, SynDogAgent};
+use syndog_router::SynDogAgent;
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
 use syndog_traffic::Trace;
@@ -48,14 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("read {} packets from {path}", trace.len());
 
     let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default());
-    let mut locator = SourceLocator::new(stub);
-    for record in trace.records() {
-        agent.observe_record(record);
-        if !locator.is_armed() && agent.first_alarm().is_some() {
-            locator.arm();
-        }
-        locator.observe(record);
-    }
+    let locator = agent.locate(&trace);
     match agent.first_alarm() {
         Some(alarm) => {
             println!(

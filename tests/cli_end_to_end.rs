@@ -143,19 +143,21 @@ fn unknown_flags_are_rejected_not_ignored() {
     assert!(err.contains("unknown flag --shards"), "{err}");
 }
 
-/// `(period, statistic)` of the first alarm in a detection report:
-/// `detect`/`sniff` print `at period P (t = T s), y = Y`, `replay` prints
-/// `at period P (y = Y); ...`.
-fn first_alarm(out: &str) -> (u64, String) {
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("FLOODING DETECTED at period "))
-        .unwrap_or_else(|| panic!("no alarm reported: {out}"));
-    let rest = &line["FLOODING DETECTED at period ".len()..];
-    let period = rest.split_whitespace().next().unwrap().parse().unwrap();
-    let statistic = rest.split("y = ").nth(1).unwrap();
-    let statistic = statistic.split([';', ')']).next().unwrap();
-    (period, statistic.trim().to_string())
+/// The detection report block `detect`, `sniff` and `replay` share: the
+/// `N periods, K = .., max y_n = .., threshold N = ..` summary, the
+/// `FLOODING DETECTED` line and the alarm count.
+fn report_block(out: &str) -> Vec<&str> {
+    let lines: Vec<&str> = out.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.contains(" periods, K = "))
+        .unwrap_or_else(|| panic!("no detection report: {out}"));
+    let block = lines[at..(at + 3).min(lines.len())].to_vec();
+    assert!(
+        block.len() == 3 && block[1].starts_with("FLOODING DETECTED at period "),
+        "no alarm reported: {out}"
+    );
+    block
 }
 
 /// The first integer after `prefix` in `text`.
@@ -186,17 +188,20 @@ fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
     let written = written + number_after(&out, "injected ");
 
     let stub = ["--in", flooded_s, "--stub", "128.3.0.0/16"];
-    let detect = first_alarm(&run_ok(&[&["detect"], &stub[..]].concat()));
+    let detect_out = run_ok(&[&["detect"], &stub[..]].concat());
     let sniff_out = run_ok(&[&["sniff"], &stub[..]].concat());
-    let sniff = first_alarm(&sniff_out);
-    let replay = first_alarm(&run_ok(&[&["replay"], &stub[..]].concat()));
+    let replay_out = run_ok(&[&["replay"], &stub[..]].concat());
+    let detect = report_block(&detect_out);
+    assert!(detect[2].ends_with(" alarm periods total"), "{detect_out}");
     assert_eq!(
-        sniff, detect,
-        "sniff and detect share one period-close path"
+        report_block(&sniff_out),
+        detect,
+        "sniff and detect share one period-close path and one report"
     );
     assert_eq!(
-        replay, detect,
-        "replay and detect share one period-close path"
+        report_block(&replay_out),
+        detect,
+        "replay and detect share one period-close path and one report"
     );
 
     // Every ingestion path reads the records inside the trace's declared
@@ -219,4 +224,49 @@ fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
 
     let _ = std::fs::remove_file(bg);
     let _ = std::fs::remove_file(flooded);
+}
+
+#[test]
+fn hostile_numeric_flags_exit_2_naming_the_flag() {
+    let stub = ["--in", "s.bin", "--stub", "128.3.0.0/16"];
+    // fleet: a huge range is checked against the fleet before expansion.
+    let err = run_rejected(&["fleet", "--stubs", "4", "--attackers", "0-3000000000"]);
+    assert!(err.contains("--attackers"), "{err}");
+    // replay / sniff: queue sizes are bounded before anything allocates.
+    let err = run_rejected(
+        &[
+            &["replay"],
+            &stub[..],
+            &["--batch-size", "18446744073709551615"],
+        ]
+        .concat(),
+    );
+    assert!(err.contains("--batch-size"), "{err}");
+    let err = run_rejected(&[&["replay"], &stub[..], &["--capacity", "1000000000000"]].concat());
+    assert!(err.contains("--capacity"), "{err}");
+    let err = run_rejected(&[&["sniff"], &stub[..], &["--batch-size", "65537"]].concat());
+    assert!(err.contains("--batch-size"), "{err}");
+    // detect / serve: the observation period and threshold must be
+    // finite and positive.
+    let err = run_rejected(&[&["detect"], &stub[..], &["--t0", "inf"]].concat());
+    assert!(err.contains("--t0"), "{err}");
+    let err = run_rejected(&["serve", "--periods", "2", "--threshold", "0"]);
+    assert!(err.contains("--threshold"), "{err}");
+    // theory: --k, --a and --t0 must be finite and positive.
+    for (flag, value) in [
+        ("--t0", "0"),
+        ("--t0", "-5"),
+        ("--a", "0"),
+        ("--a", "-1"),
+        ("--k", "nan"),
+        ("--k", "inf"),
+    ] {
+        let args = if flag == "--k" {
+            vec!["theory", "--k", value]
+        } else {
+            vec!["theory", "--k", "2114", flag, value]
+        };
+        let err = run_rejected(&args);
+        assert!(err.contains(flag), "{args:?}: {err}");
+    }
 }
