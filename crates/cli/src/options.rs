@@ -112,6 +112,9 @@ pub const FAULTS: FlagGroup = (&[], &["faults"]);
 /// `--checkpoint`, `--resume`.
 pub const CHECKPOINT: FlagGroup = (&[], &["checkpoint", "resume"]);
 
+/// The shortest `--t0` the detector accepts, in seconds.
+const MIN_T0_SECS: f64 = 1e-6;
+
 /// The option groups `detect`, `sniff`, `replay`, `fleet` and `serve`
 /// share, parsed and validated once. A flag a subcommand does not
 /// declare is rejected by [`Flags::parse`], so its field keeps the
@@ -174,6 +177,12 @@ impl RunOptions {
             SynDogConfig::paper_default()
         };
         let t0 = flags.positive("t0", f64::MAX)?;
+        // A shorter period rounds to zero on the 1 µs simulation clock.
+        if t0.is_some_and(|t0: f64| t0 < MIN_T0_SECS) {
+            return Err(format!(
+                "--t0 must be at least {MIN_T0_SECS} (1 µs, the clock's resolution)"
+            ));
+        }
         let format = flags
             .get("metrics-format")
             .map(|name| {

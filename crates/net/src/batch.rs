@@ -40,9 +40,10 @@ use crate::ethernet;
 
 /// A contiguous arena of raw Ethernet frames.
 ///
-/// Frames are appended with [`push`](FrameBatch::push) (or
-/// [`push_with`](FrameBatch::push_with) to fill bytes in place, e.g. straight
-/// from a pcap record) and read back as borrowed slices. [`clear`] keeps the
+/// Frames are appended with [`push`](FrameBatch::push) (or read straight
+/// from a pcap record by
+/// [`PcapReader::next_packet_into`](crate::pcap::PcapReader::next_packet_into))
+/// and read back as borrowed slices. [`clear`] keeps the
 /// allocations, so a recycled batch reaches a steady state where the hot
 /// path performs no allocation per frame or per batch.
 ///
@@ -77,23 +78,21 @@ impl FrameBatch {
         self.ends.push(self.buffer.len());
     }
 
-    /// Appends a `len`-byte frame whose bytes are produced in place by
-    /// `fill`, avoiding an intermediate copy (used by
+    /// Appends one frame made of whatever bytes `append` adds to the end
+    /// of the arena's byte buffer, with no intermediate copy (used by
     /// [`PcapReader::next_packet_into`](crate::pcap::PcapReader::next_packet_into)
     /// to read record bodies directly into the arena).
     ///
     /// # Errors
     ///
-    /// Propagates `fill`'s error; on error the batch is left exactly as it
-    /// was before the call.
-    pub fn push_with<E>(
+    /// Propagates `append`'s error; on error the batch is left exactly as
+    /// it was before the call.
+    pub(crate) fn push_appended<E>(
         &mut self,
-        len: usize,
-        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+        append: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
     ) -> Result<(), E> {
         let start = self.buffer.len();
-        self.buffer.resize(start + len, 0);
-        match fill(&mut self.buffer[start..]) {
+        match append(&mut self.buffer) {
             Ok(()) => {
                 self.ends.push(self.buffer.len());
                 Ok(())
@@ -600,16 +599,21 @@ mod tests {
     }
 
     #[test]
-    fn push_with_fills_in_place_and_rolls_back_on_error() {
+    fn push_appended_appends_one_frame_and_rolls_back_on_error() {
         let mut batch = FrameBatch::new();
         batch
-            .push_with(3, |out| {
-                out.copy_from_slice(&[1, 2, 3]);
+            .push_appended(|buffer| {
+                buffer.extend_from_slice(&[1, 2, 3]);
                 Ok::<_, ()>(())
             })
             .unwrap();
         assert_eq!(batch.get(0).unwrap(), &[1, 2, 3]);
-        let err = batch.push_with(5, |_| Err::<(), _>("boom")).unwrap_err();
+        let err = batch
+            .push_appended(|buffer| {
+                buffer.extend_from_slice(&[4, 5]);
+                Err::<(), _>("boom")
+            })
+            .unwrap_err();
         assert_eq!(err, "boom");
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.byte_len(), 3);

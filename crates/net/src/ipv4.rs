@@ -195,43 +195,13 @@ impl Ipv4Header {
     /// [`NetError::InvalidField`] for a bad version or IHL, and
     /// [`NetError::BadChecksum`] if verification is requested and fails.
     pub fn decode(bytes: &[u8], verify_checksum: bool) -> Result<(Self, &[u8]), NetError> {
-        if bytes.len() < MIN_HEADER_LEN {
-            return Err(NetError::Truncated {
-                layer: "ipv4",
-                needed: MIN_HEADER_LEN,
-                available: bytes.len(),
-            });
-        }
-        let version = bytes[0] >> 4;
-        if version != 4 {
-            return Err(NetError::InvalidField {
-                layer: "ipv4",
-                field: "version",
-                value: u64::from(version),
-            });
-        }
-        let ihl = usize::from(bytes[0] & 0x0f);
-        let header_len = ihl * 4;
-        if !(MIN_HEADER_LEN..=MAX_HEADER_LEN).contains(&header_len) {
-            return Err(NetError::InvalidField {
-                layer: "ipv4",
-                field: "ihl",
-                value: ihl as u64,
-            });
-        }
-        if bytes.len() < header_len {
-            return Err(NetError::Truncated {
-                layer: "ipv4",
-                needed: header_len,
-                available: bytes.len(),
-            });
-        }
+        let (header, payload) = split_header(bytes)?;
         if verify_checksum {
-            let computed = internet_checksum(&bytes[..header_len]);
+            let computed = internet_checksum(header);
             if computed != 0 {
-                let found = u16::from_be_bytes([bytes[10], bytes[11]]);
+                let found = u16::from_be_bytes([header[10], header[11]]);
                 // Recompute what the checksum should have been.
-                let mut copy = bytes[..header_len].to_vec();
+                let mut copy = header.to_vec();
                 copy[10] = 0;
                 copy[11] = 0;
                 return Err(NetError::BadChecksum {
@@ -241,25 +211,74 @@ impl Ipv4Header {
                 });
             }
         }
-        let total_len = u16::from_be_bytes([bytes[2], bytes[3]]);
-        let flags_frag = u16::from_be_bytes([bytes[6], bytes[7]]);
-        let header = Ipv4Header {
-            tos: bytes[1],
-            total_len,
-            identification: u16::from_be_bytes([bytes[4], bytes[5]]),
+        Ok((Ipv4Header::from_wire(header), payload))
+    }
+
+    /// Reads the fields of a header [`split_header`] accepted.
+    pub(crate) fn from_wire(header: &[u8]) -> Self {
+        let flags_frag = u16::from_be_bytes([header[6], header[7]]);
+        Ipv4Header {
+            tos: header[1],
+            total_len: u16::from_be_bytes([header[2], header[3]]),
+            identification: u16::from_be_bytes([header[4], header[5]]),
             dont_fragment: flags_frag & 0x4000 != 0,
             more_fragments: flags_frag & 0x2000 != 0,
             fragment_offset: flags_frag & 0x1fff,
-            ttl: bytes[8],
-            protocol: bytes[9],
-            header_checksum: u16::from_be_bytes([bytes[10], bytes[11]]),
-            src: Ipv4Addr::new(bytes[12], bytes[13], bytes[14], bytes[15]),
-            dst: Ipv4Addr::new(bytes[16], bytes[17], bytes[18], bytes[19]),
-            options: bytes[MIN_HEADER_LEN..header_len].to_vec(),
-        };
-        let payload_end = usize::from(total_len).clamp(header_len, bytes.len());
-        Ok((header, &bytes[header_len..payload_end]))
+            ttl: header[8],
+            protocol: header[9],
+            header_checksum: u16::from_be_bytes([header[10], header[11]]),
+            src: Ipv4Addr::new(header[12], header[13], header[14], header[15]),
+            dst: Ipv4Addr::new(header[16], header[17], header[18], header[19]),
+            options: header[MIN_HEADER_LEN..].to_vec(),
+        }
     }
+}
+
+/// Splits a datagram into its header (options included, as long as the
+/// IHL says) and its payload, which ends at `total_len` when that lies
+/// between the header's end and the end of `bytes`, and at the nearer of
+/// the two otherwise.
+///
+/// # Errors
+///
+/// Returns [`NetError::Truncated`] for a datagram shorter than 20 bytes or
+/// than its header, and [`NetError::InvalidField`] for a version other
+/// than 4 or an IHL outside 5..=15 words.
+pub(crate) fn split_header(bytes: &[u8]) -> Result<(&[u8], &[u8]), NetError> {
+    if bytes.len() < MIN_HEADER_LEN {
+        return Err(NetError::Truncated {
+            layer: "ipv4",
+            needed: MIN_HEADER_LEN,
+            available: bytes.len(),
+        });
+    }
+    let version = bytes[0] >> 4;
+    if version != 4 {
+        return Err(NetError::InvalidField {
+            layer: "ipv4",
+            field: "version",
+            value: u64::from(version),
+        });
+    }
+    let ihl = usize::from(bytes[0] & 0x0f);
+    let header_len = ihl * 4;
+    if !(MIN_HEADER_LEN..=MAX_HEADER_LEN).contains(&header_len) {
+        return Err(NetError::InvalidField {
+            layer: "ipv4",
+            field: "ihl",
+            value: ihl as u64,
+        });
+    }
+    if bytes.len() < header_len {
+        return Err(NetError::Truncated {
+            layer: "ipv4",
+            needed: header_len,
+            available: bytes.len(),
+        });
+    }
+    let total_len = usize::from(u16::from_be_bytes([bytes[2], bytes[3]]));
+    let payload_end = total_len.clamp(header_len, bytes.len());
+    Ok((&bytes[..header_len], &bytes[header_len..payload_end]))
 }
 
 fn padded_options_len(options: &[u8]) -> usize {

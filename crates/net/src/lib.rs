@@ -6,7 +6,8 @@
 //! - [`ethernet`] — Ethernet II frame header encode/decode,
 //! - [`ipv4`] — IPv4 header with options and Internet checksum,
 //! - [`tcp`] — TCP header with flags, options and pseudo-header checksum,
-//! - [`packet`] — an owned, full-stack packet type and builder,
+//! - [`packet`] — an owned, full-stack packet type, its borrowed view and
+//!   a builder,
 //! - [`mod@classify`] — the paper's packet-classification algorithm (§2) that
 //!   distinguishes TCP control segments (SYN, SYN/ACK, FIN, RST, …) from data,
 //! - [`batch`] — the batched ingestion arena ([`batch::FrameBatch`]) and
@@ -54,5 +55,5 @@ pub use classify::{classify, SegmentKind};
 pub use error::NetError;
 pub use ethernet::EtherType;
 pub use ipv4::Ipv4Header;
-pub use packet::{Packet, PacketBuilder};
+pub use packet::{Packet, PacketBuilder, PacketView};
 pub use tcp::{TcpFlags, TcpHeader};

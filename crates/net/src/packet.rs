@@ -1,11 +1,13 @@
-//! Owned full-stack packets and a builder for constructing them.
+//! Full-stack packets, owned and borrowed, and a builder for constructing
+//! them.
 //!
-//! A [`Packet`] is the decoded view of an Ethernet/IPv4/TCP byte string; a
-//! [`PacketBuilder`] assembles the byte string from high-level intent. The
-//! traffic generators build packets with the builder, the router forwards
-//! the raw bytes, and the sniffers re-decode them through
-//! [`classify`](mod@crate::classify) — so every packet the detector ever sees
-//! has gone through a real encode/decode cycle.
+//! A [`Packet`] is the decoded, owned form of an Ethernet/IPv4/TCP byte
+//! string and a [`PacketView`] the borrowed one (both accept exactly the
+//! same frames); a [`PacketBuilder`] assembles the byte string from
+//! high-level intent. The traffic generators build packets with the
+//! builder, the router forwards the raw bytes, and the sniffers re-decode
+//! them through [`classify`](mod@crate::classify) — so every packet the
+//! detector ever sees has gone through a real encode/decode cycle.
 
 use std::fmt;
 use std::net::{Ipv4Addr, SocketAddrV4};
@@ -13,8 +15,8 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use crate::addr::MacAddr;
 use crate::error::NetError;
 use crate::ethernet::{EtherType, EthernetHeader};
-use crate::ipv4::Ipv4Header;
-use crate::tcp::{TcpFlags, TcpHeader};
+use crate::ipv4::{self, Ipv4Header};
+use crate::tcp::{self, OptionWalk, TcpFlags, TcpHeader, TcpOption};
 
 /// A fully decoded Ethernet + IPv4 + TCP packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,34 +33,14 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Decodes a packet from raw frame bytes.
-    ///
-    /// TCP decoding is attempted only for protocol 6 with zero fragment
-    /// offset — mirroring the classifier's precondition. Checksums are not
-    /// verified here; use the layer decoders directly for that.
+    /// Decodes a packet from raw frame bytes: [`PacketView::parse`], then
+    /// an owned copy of every field.
     ///
     /// # Errors
     ///
     /// Returns an error if any present layer fails to decode.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let (ethernet, rest) = EthernetHeader::decode(bytes)?;
-        let (ipv4, ip_payload) = Ipv4Header::decode(rest, false)?;
-        if ipv4.protocol == crate::ipv4::PROTO_TCP && !ipv4.is_later_fragment() {
-            let (tcp, payload) = TcpHeader::decode(ip_payload, None)?;
-            Ok(Packet {
-                ethernet,
-                ipv4,
-                tcp: Some(tcp),
-                payload: payload.to_vec(),
-            })
-        } else {
-            Ok(Packet {
-                ethernet,
-                ipv4,
-                tcp: None,
-                payload: ip_payload.to_vec(),
-            })
-        }
+        PacketView::parse(bytes).map(|view| view.to_packet())
     }
 
     /// Re-encodes the packet to wire bytes.
@@ -123,6 +105,126 @@ impl fmt::Display for Packet {
     }
 }
 
+/// A borrowed view of one decoded frame: the Ethernet header, the IPv4
+/// addresses and, when the datagram carries a TCP header, the ports — read
+/// from the frame's own bytes, with no allocation.
+///
+/// [`PacketView::parse`] is the workspace's one accept rule for a whole
+/// frame, and [`Packet::decode`] is this view plus an owned copy. The
+/// IPv4 header is decoded whatever the EtherType says. TCP is decoded only
+/// for protocol 6 with zero fragment offset — mirroring the classifier's
+/// precondition — inside the payload `total_len` bounds, and its option
+/// area must walk cleanly. Checksums are not verified; use the layer
+/// decoders directly for that.
+///
+/// ```
+/// use syndog_net::packet::{PacketBuilder, PacketView};
+///
+/// # fn main() -> Result<(), syndog_net::NetError> {
+/// let bytes = PacketBuilder::tcp_syn("10.0.0.7:1025".parse().unwrap(),
+///                                    "192.0.2.80:80".parse().unwrap())
+///     .build()?;
+/// let view = PacketView::parse(&bytes)?;
+/// assert_eq!(view.src_socket(), Some("10.0.0.7:1025".parse().unwrap()));
+/// assert_eq!(view.dst().octets(), [192, 0, 2, 80]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketView<'a> {
+    /// Link-layer header.
+    pub ethernet: EthernetHeader,
+    /// The IPv4 header, options included.
+    ip_header: &'a [u8],
+    /// The TCP header, options included, when the datagram carries one.
+    tcp_header: Option<&'a [u8]>,
+    /// Application payload (the whole IP payload when there is no TCP).
+    payload: &'a [u8],
+}
+
+impl<'a> PacketView<'a> {
+    /// Parses the frame's headers in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if any present layer fails to decode.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, NetError> {
+        let (ethernet, rest) = EthernetHeader::decode(bytes)?;
+        let (ip_header, ip_payload) = ipv4::split_header(rest)?;
+        let later_fragment = u16::from_be_bytes([ip_header[6], ip_header[7]]) & 0x1fff != 0;
+        if ip_header[9] != ipv4::PROTO_TCP || later_fragment {
+            return Ok(PacketView {
+                ethernet,
+                ip_header,
+                tcp_header: None,
+                payload: ip_payload,
+            });
+        }
+        let (tcp_header, payload) = tcp::split_header(ip_payload)?;
+        for option in OptionWalk::new(&tcp_header[tcp::MIN_HEADER_LEN..]) {
+            option?;
+        }
+        Ok(PacketView {
+            ethernet,
+            ip_header,
+            tcp_header: Some(tcp_header),
+            payload,
+        })
+    }
+
+    /// The IPv4 source address.
+    pub fn src(&self) -> Ipv4Addr {
+        let h = self.ip_header;
+        Ipv4Addr::new(h[12], h[13], h[14], h[15])
+    }
+
+    /// The IPv4 destination address.
+    pub fn dst(&self) -> Ipv4Addr {
+        let h = self.ip_header;
+        Ipv4Addr::new(h[16], h[17], h[18], h[19])
+    }
+
+    /// The TCP source and destination ports, if the frame carries TCP.
+    fn ports(&self) -> Option<(u16, u16)> {
+        self.tcp_header.map(|h| {
+            (
+                u16::from_be_bytes([h[0], h[1]]),
+                u16::from_be_bytes([h[2], h[3]]),
+            )
+        })
+    }
+
+    /// The source socket address, if the frame carries TCP.
+    pub fn src_socket(&self) -> Option<SocketAddrV4> {
+        self.ports()
+            .map(|(src_port, _)| SocketAddrV4::new(self.src(), src_port))
+    }
+
+    /// The destination socket address, if the frame carries TCP.
+    pub fn dst_socket(&self) -> Option<SocketAddrV4> {
+        self.ports()
+            .map(|(_, dst_port)| SocketAddrV4::new(self.dst(), dst_port))
+    }
+
+    /// An owned copy of every decoded field.
+    pub(crate) fn to_packet(self) -> Packet {
+        Packet {
+            ethernet: self.ethernet,
+            ipv4: Ipv4Header::from_wire(self.ip_header),
+            tcp: self.tcp_header.map(|header| {
+                // `parse` walked these options cleanly, so no error is left
+                // for `map_while` to stop at.
+                let options = OptionWalk::new(&header[tcp::MIN_HEADER_LEN..])
+                    .map_while(Result::ok)
+                    .map(|(kind, payload)| TcpOption::from_wire(kind, payload))
+                    .collect();
+                TcpHeader::from_wire(header, options)
+            }),
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
 /// Builder assembling Ethernet/IPv4/TCP packets into wire bytes.
 ///
 /// ```
@@ -154,7 +256,7 @@ pub struct PacketBuilder {
     urgent: u16,
     identification: u16,
     dont_fragment: bool,
-    tcp_options: Option<Vec<crate::tcp::TcpOption>>,
+    tcp_options: Option<Vec<TcpOption>>,
     payload: Vec<u8>,
     non_tcp_protocol: Option<u8>,
     fragment_offset: u16,
@@ -280,7 +382,7 @@ impl PacketBuilder {
     /// Replaces the TCP option list. When not called, a pure SYN or
     /// SYN/ACK carries the default `MSS(1460)` and other segments carry no
     /// options; an explicit empty list suppresses even the default.
-    pub fn tcp_options(mut self, options: Vec<crate::tcp::TcpOption>) -> Self {
+    pub fn tcp_options(mut self, options: Vec<TcpOption>) -> Self {
         self.tcp_options = Some(options);
         self
     }
@@ -314,7 +416,7 @@ impl PacketBuilder {
                 // A later fragment carries a slice of the segment, not a
                 // header; emit the payload raw.
                 transport.extend_from_slice(&self.payload);
-                crate::ipv4::PROTO_TCP
+                ipv4::PROTO_TCP
             }
             None => {
                 let mut tcp = TcpHeader {
@@ -331,7 +433,7 @@ impl PacketBuilder {
                 match &self.tcp_options {
                     Some(options) => tcp.options = options.clone(),
                     None if self.flags.is_pure_syn() || self.flags.is_syn_ack() => {
-                        tcp.options.push(crate::tcp::TcpOption::Mss(1460));
+                        tcp.options.push(TcpOption::Mss(1460));
                     }
                     None => {}
                 }
@@ -341,7 +443,7 @@ impl PacketBuilder {
                     &self.payload,
                     &mut transport,
                 )?;
-                crate::ipv4::PROTO_TCP
+                ipv4::PROTO_TCP
             }
         };
         let mut ip = Ipv4Header::for_tcp(*self.src.ip(), *self.dst.ip(), transport.len());
@@ -407,7 +509,7 @@ mod tests {
         let bytes = PacketBuilder::non_tcp(
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(2, 2, 2, 2),
-            crate::ipv4::PROTO_UDP,
+            ipv4::PROTO_UDP,
         )
         .payload(&[1, 2, 3][..])
         .build()

@@ -146,52 +146,19 @@ impl<R: Read> PcapReader<R> {
     /// [`NetError::InvalidField`] for a captured length beyond the snaplen
     /// sanity bound.
     pub fn next_packet(&mut self) -> Result<Option<PcapPacket>, NetError> {
-        let mut rec = [0u8; 16];
-        match self.inner.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(err) if err.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(err) => return Err(err.into()),
-        }
-        let u32_at = |bytes: &[u8], at: usize| -> u32 {
-            let quad = [bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]];
-            if self.header.big_endian {
-                u32::from_be_bytes(quad)
-            } else {
-                u32::from_le_bytes(quad)
-            }
+        let Some(record) = self.next_record()? else {
+            return Ok(None);
         };
-        let ts_sec = u32_at(&rec, 0);
-        let ts_frac = u32_at(&rec, 4);
-        let caplen = u32_at(&rec, 8);
-        // 256 MiB per packet is far beyond any real snaplen; treat it as
-        // corruption rather than attempting the allocation.
-        if caplen > (1 << 28) {
-            return Err(NetError::InvalidField {
-                layer: "pcap record",
-                field: "caplen",
-                value: u64::from(caplen),
-            });
-        }
-        let mut data = vec![0u8; caplen as usize];
-        self.inner.read_exact(&mut data).map_err(|err| {
-            if err.kind() == std::io::ErrorKind::UnexpectedEof {
-                NetError::Truncated {
-                    layer: "pcap record",
-                    needed: caplen as usize,
-                    available: 0,
-                }
-            } else {
-                NetError::Io(err)
-            }
-        })?;
-        let ts_nanos = if self.header.nanosecond {
-            ts_frac
+        let mut data = Vec::new();
+        if record.caplen > EAGER_BODY_LEN {
+            read_long_body(&mut self.inner, record.caplen, &mut data)?;
         } else {
-            ts_frac.saturating_mul(1000)
-        };
+            data.resize(record.caplen, 0);
+            read_short_body(&mut self.inner, &mut data)?;
+        }
         Ok(Some(PcapPacket {
-            ts_sec,
-            ts_nanos,
+            ts_sec: record.ts_sec,
+            ts_nanos: record.ts_nanos,
             data,
         }))
     }
@@ -207,60 +174,124 @@ impl<R: Read> PcapReader<R> {
     ///
     /// Same conditions as [`next_packet`](PcapReader::next_packet); on error
     /// no frame is appended to `batch`.
+    #[inline]
     pub fn next_packet_into(
         &mut self,
         batch: &mut crate::batch::FrameBatch,
     ) -> Result<Option<(u32, u32)>, NetError> {
+        let Some(record) = self.next_record()? else {
+            return Ok(None);
+        };
+        let inner = &mut self.inner;
+        let caplen = record.caplen;
+        if caplen > EAGER_BODY_LEN {
+            batch.push_appended(|buffer| read_long_body(inner, caplen, buffer))?;
+        } else {
+            batch.push_appended(|buffer| {
+                let start = buffer.len();
+                buffer.resize(start + caplen, 0);
+                read_short_body(inner, &mut buffer[start..])
+            })?;
+        }
+        Ok(Some((record.ts_sec, record.ts_nanos)))
+    }
+
+    /// Reads and checks the next 16-byte record header, or `Ok(None)` at a
+    /// clean end of file.
+    fn next_record(&mut self) -> Result<Option<RecordHeader>, NetError> {
         let mut rec = [0u8; 16];
         match self.inner.read_exact(&mut rec) {
             Ok(()) => {}
             Err(err) if err.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
             Err(err) => return Err(err.into()),
         }
-        let u32_at = |bytes: &[u8], at: usize| -> u32 {
-            let quad = [bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]];
+        let u32_at = |at: usize| -> u32 {
+            let quad = [rec[at], rec[at + 1], rec[at + 2], rec[at + 3]];
             if self.header.big_endian {
                 u32::from_be_bytes(quad)
             } else {
                 u32::from_le_bytes(quad)
             }
         };
-        let ts_sec = u32_at(&rec, 0);
-        let ts_frac = u32_at(&rec, 4);
-        let caplen = u32_at(&rec, 8);
-        if caplen > (1 << 28) {
+        let ts_frac = u32_at(4);
+        let caplen = u32_at(8);
+        // 256 MiB per packet is far beyond any real snaplen; treat it as
+        // corruption rather than attempting the read.
+        if caplen > MAX_CAPLEN {
             return Err(NetError::InvalidField {
                 layer: "pcap record",
                 field: "caplen",
                 value: u64::from(caplen),
             });
         }
-        let inner = &mut self.inner;
-        batch.push_with(caplen as usize, |out| {
-            inner.read_exact(out).map_err(|err| {
-                if err.kind() == std::io::ErrorKind::UnexpectedEof {
-                    NetError::Truncated {
-                        layer: "pcap record",
-                        needed: caplen as usize,
-                        available: 0,
-                    }
-                } else {
-                    NetError::Io(err)
-                }
-            })
-        })?;
-        let ts_nanos = if self.header.nanosecond {
-            ts_frac
-        } else {
-            ts_frac.saturating_mul(1000)
-        };
-        Ok(Some((ts_sec, ts_nanos)))
+        Ok(Some(RecordHeader {
+            ts_sec: u32_at(0),
+            ts_nanos: if self.header.nanosecond {
+                ts_frac
+            } else {
+                ts_frac.saturating_mul(1000)
+            },
+            caplen: caplen as usize,
+        }))
     }
 
     /// Iterates over all remaining packets, stopping at the first error.
     pub fn packets(&mut self) -> Packets<'_, R> {
         Packets { reader: self }
     }
+}
+
+/// Largest captured length a record may claim.
+const MAX_CAPLEN: u32 = 1 << 28;
+
+/// Record bodies up to this length are read into a zero-filled slot in
+/// one go; longer ones grow with the bytes actually read.
+const EAGER_BODY_LEN: usize = 64 * 1024;
+
+/// A record header's fields, timestamp already in nanoseconds.
+struct RecordHeader {
+    ts_sec: u32,
+    ts_nanos: u32,
+    caplen: usize,
+}
+
+/// Fills `slot` with a record body of at most [`EAGER_BODY_LEN`] bytes.
+/// `read_exact` is the fastest read for buffered readers, but it cannot
+/// say how far it got, so a truncated short body reports `available: 0`.
+fn read_short_body<R: Read>(inner: &mut R, slot: &mut [u8]) -> Result<(), NetError> {
+    inner.read_exact(slot).map_err(|err| {
+        if err.kind() == std::io::ErrorKind::UnexpectedEof {
+            NetError::Truncated {
+                layer: "pcap record",
+                needed: slot.len(),
+                available: 0,
+            }
+        } else {
+            NetError::Io(err)
+        }
+    })
+}
+
+/// Appends a body longer than [`EAGER_BODY_LEN`] through
+/// `take(caplen).read_to_end`, so a record claiming more bytes than the
+/// file holds costs memory for the bytes present, not for the claim, and
+/// a truncation reports them.
+#[cold]
+#[inline(never)]
+fn read_long_body<R: Read>(
+    inner: &mut R,
+    caplen: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), NetError> {
+    let read = inner.take(caplen as u64).read_to_end(out)?;
+    if read < caplen {
+        return Err(NetError::Truncated {
+            layer: "pcap record",
+            needed: caplen,
+            available: read,
+        });
+    }
+    Ok(())
 }
 
 /// Iterator over the packets of a [`PcapReader`], produced by
@@ -486,6 +517,70 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A 50-byte file whose one record claims 2^28 bytes and holds 10:
+    /// both readers report the 10 bytes present, and neither reserves the
+    /// claim (the arena would otherwise hold 256 MiB of zeroes).
+    #[test]
+    fn oversized_caplen_claim_costs_only_the_bytes_present() {
+        let mut file = write_all(&[]);
+        file.extend_from_slice(&0u32.to_le_bytes());
+        file.extend_from_slice(&0u32.to_le_bytes());
+        file.extend_from_slice(&MAX_CAPLEN.to_le_bytes()); // caplen
+        file.extend_from_slice(&MAX_CAPLEN.to_le_bytes());
+        file.extend_from_slice(&[0xab; 10]);
+        assert_eq!(file.len(), 50);
+        let truncated = |err: NetError| {
+            matches!(
+                err,
+                NetError::Truncated {
+                    layer: "pcap record",
+                    needed,
+                    available: 10,
+                } if needed == MAX_CAPLEN as usize
+            )
+        };
+        let mut reader = PcapReader::new(Cursor::new(file.clone())).unwrap();
+        assert!(truncated(reader.next_packet().unwrap_err()));
+        let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
+        let mut batch = crate::batch::FrameBatch::new();
+        assert!(truncated(reader.next_packet_into(&mut batch).unwrap_err()));
+        assert!(batch.is_empty());
+        let mut body = Vec::new();
+        let err = read_long_body(&mut &[0xab; 10][..], MAX_CAPLEN as usize, &mut body).unwrap_err();
+        assert!(truncated(err));
+        assert!(
+            body.capacity() < 1 << 20,
+            "reserved {} bytes",
+            body.capacity()
+        );
+    }
+
+    /// Records over the 64 KiB eager-read length come back whole from
+    /// both readers, and the record after one still lines up.
+    #[test]
+    fn long_records_read_whole() {
+        let long: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
+        let mut file = Vec::new();
+        let mut writer = PcapWriter::with_options(&mut file, 1 << 20, LINKTYPE_ETHERNET).unwrap();
+        for data in [long.clone(), vec![7; 3]] {
+            writer
+                .write_packet(&PcapPacket {
+                    ts_sec: 1,
+                    ts_nanos: 0,
+                    data,
+                })
+                .unwrap();
+        }
+        let mut reader = PcapReader::new(Cursor::new(file.clone())).unwrap();
+        assert_eq!(reader.next_packet().unwrap().unwrap().data, long);
+        assert_eq!(reader.next_packet().unwrap().unwrap().data, vec![7; 3]);
+        let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
+        let mut batch = crate::batch::FrameBatch::new();
+        while reader.next_packet_into(&mut batch).unwrap().is_some() {}
+        assert_eq!(batch.get(0).unwrap(), long.as_slice());
+        assert_eq!(batch.get(1).unwrap(), &[7, 7, 7]);
     }
 
     #[test]

@@ -198,50 +198,76 @@ impl TcpOption {
         }
     }
 
-    /// Parses the option list from the raw option area.
-    fn parse_all(mut bytes: &[u8]) -> Result<Vec<TcpOption>, NetError> {
-        let mut options = Vec::new();
-        while let Some((&kind, rest)) = bytes.split_first() {
-            match kind {
-                0 => {
-                    options.push(TcpOption::EndOfOptions);
-                    break;
-                }
-                1 => {
-                    options.push(TcpOption::Nop);
-                    bytes = rest;
-                }
-                _ => {
-                    let (&len, payload_start) = rest.split_first().ok_or(NetError::Truncated {
-                        layer: "tcp options",
-                        needed: 2,
-                        available: 1,
-                    })?;
-                    let len = usize::from(len);
-                    if len < 2 || len > bytes.len() {
-                        return Err(NetError::InvalidField {
-                            layer: "tcp options",
-                            field: "length",
-                            value: len as u64,
-                        });
-                    }
-                    let payload = &payload_start[..len - 2];
-                    let option = match (kind, len) {
-                        (2, 4) => TcpOption::Mss(u16::from_be_bytes([payload[0], payload[1]])),
-                        (3, 3) => TcpOption::WindowScale(payload[0]),
-                        (4, 2) => TcpOption::SackPermitted,
-                        (8, 10) => TcpOption::Timestamps(
-                            u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]),
-                            u32::from_be_bytes([payload[4], payload[5], payload[6], payload[7]]),
-                        ),
-                        _ => TcpOption::Unknown(kind, payload.to_vec()),
-                    };
-                    options.push(option);
-                    bytes = &bytes[len..];
-                }
-            }
+    /// Builds the option for one walked `(kind, payload)` pair.
+    pub(crate) fn from_wire(kind: u8, payload: &[u8]) -> TcpOption {
+        match (kind, payload.len()) {
+            (0, _) => TcpOption::EndOfOptions,
+            (1, _) => TcpOption::Nop,
+            (2, 2) => TcpOption::Mss(u16::from_be_bytes([payload[0], payload[1]])),
+            (3, 1) => TcpOption::WindowScale(payload[0]),
+            (4, 0) => TcpOption::SackPermitted,
+            (8, 8) => TcpOption::Timestamps(
+                u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]),
+                u32::from_be_bytes([payload[4], payload[5], payload[6], payload[7]]),
+            ),
+            _ => TcpOption::Unknown(kind, payload.to_vec()),
         }
-        Ok(options)
+    }
+
+    /// Parses the option list from the raw option area.
+    fn parse_all(bytes: &[u8]) -> Result<Vec<TcpOption>, NetError> {
+        OptionWalk::new(bytes)
+            .map(|option| option.map(|(kind, payload)| TcpOption::from_wire(kind, payload)))
+            .collect()
+    }
+}
+
+/// A borrowed walk over a raw TCP option area, yielding each option's
+/// kind and payload bytes in wire order without allocating — the one
+/// option rule [`TcpHeader::decode`] and
+/// [`PacketView::parse`](crate::packet::PacketView::parse) share.
+///
+/// End-of-options ends the walk. A missing or impossible length byte
+/// yields one error and ends it.
+#[derive(Debug, Clone)]
+pub(crate) struct OptionWalk<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> OptionWalk<'a> {
+    pub(crate) fn new(options: &'a [u8]) -> Self {
+        OptionWalk { rest: options }
+    }
+}
+
+impl<'a> Iterator for OptionWalk<'a> {
+    type Item = Result<(u8, &'a [u8]), NetError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = self.rest;
+        let (&kind, rest) = bytes.split_first()?;
+        if kind <= 1 {
+            self.rest = if kind == 0 { &[] } else { rest };
+            return Some(Ok((kind, &[])));
+        }
+        self.rest = &[];
+        let Some(&len) = rest.first() else {
+            return Some(Err(NetError::Truncated {
+                layer: "tcp options",
+                needed: 2,
+                available: 1,
+            }));
+        };
+        let len = usize::from(len);
+        if len < 2 || len > bytes.len() {
+            return Some(Err(NetError::InvalidField {
+                layer: "tcp options",
+                field: "length",
+                value: len as u64,
+            }));
+        }
+        self.rest = &bytes[len..];
+        Some(Ok((kind, &bytes[2..len])))
     }
 }
 
@@ -412,29 +438,7 @@ impl TcpHeader {
         segment: &[u8],
         verify: Option<(Ipv4Addr, Ipv4Addr)>,
     ) -> Result<(Self, &[u8]), NetError> {
-        if segment.len() < MIN_HEADER_LEN {
-            return Err(NetError::Truncated {
-                layer: "tcp",
-                needed: MIN_HEADER_LEN,
-                available: segment.len(),
-            });
-        }
-        let data_offset = usize::from(segment[12] >> 4);
-        let header_len = data_offset * 4;
-        if !(MIN_HEADER_LEN..=MAX_HEADER_LEN).contains(&header_len) {
-            return Err(NetError::InvalidField {
-                layer: "tcp",
-                field: "data_offset",
-                value: data_offset as u64,
-            });
-        }
-        if segment.len() < header_len {
-            return Err(NetError::Truncated {
-                layer: "tcp",
-                needed: header_len,
-                available: segment.len(),
-            });
-        }
+        let (header, payload) = split_header(segment)?;
         if let Some((src, dst)) = verify {
             let computed = pseudo_header_checksum(src, dst, segment);
             if computed != 0 {
@@ -449,19 +453,59 @@ impl TcpHeader {
                 });
             }
         }
-        let header = TcpHeader {
-            src_port: u16::from_be_bytes([segment[0], segment[1]]),
-            dst_port: u16::from_be_bytes([segment[2], segment[3]]),
-            seq: u32::from_be_bytes([segment[4], segment[5], segment[6], segment[7]]),
-            ack: u32::from_be_bytes([segment[8], segment[9], segment[10], segment[11]]),
-            flags: TcpFlags::from_bits_truncate(segment[13]),
-            window: u16::from_be_bytes([segment[14], segment[15]]),
-            checksum: u16::from_be_bytes([segment[16], segment[17]]),
-            urgent: u16::from_be_bytes([segment[18], segment[19]]),
-            options: TcpOption::parse_all(&segment[MIN_HEADER_LEN..header_len])?,
-        };
-        Ok((header, &segment[header_len..]))
+        let options = TcpOption::parse_all(&header[MIN_HEADER_LEN..])?;
+        Ok((TcpHeader::from_wire(header, options), payload))
     }
+
+    /// Reads the fixed fields of a header [`split_header`] accepted.
+    pub(crate) fn from_wire(header: &[u8], options: Vec<TcpOption>) -> Self {
+        TcpHeader {
+            src_port: u16::from_be_bytes([header[0], header[1]]),
+            dst_port: u16::from_be_bytes([header[2], header[3]]),
+            seq: u32::from_be_bytes([header[4], header[5], header[6], header[7]]),
+            ack: u32::from_be_bytes([header[8], header[9], header[10], header[11]]),
+            flags: TcpFlags::from_bits_truncate(header[13]),
+            window: u16::from_be_bytes([header[14], header[15]]),
+            checksum: u16::from_be_bytes([header[16], header[17]]),
+            urgent: u16::from_be_bytes([header[18], header[19]]),
+            options,
+        }
+    }
+}
+
+/// Splits a segment into its header (options included, as long as the
+/// data offset says) and its payload.
+///
+/// # Errors
+///
+/// Returns [`NetError::Truncated`] for a segment shorter than 20 bytes or
+/// than its header, and [`NetError::InvalidField`] for a data offset
+/// outside 5..=15 words.
+pub(crate) fn split_header(segment: &[u8]) -> Result<(&[u8], &[u8]), NetError> {
+    if segment.len() < MIN_HEADER_LEN {
+        return Err(NetError::Truncated {
+            layer: "tcp",
+            needed: MIN_HEADER_LEN,
+            available: segment.len(),
+        });
+    }
+    let data_offset = usize::from(segment[12] >> 4);
+    let header_len = data_offset * 4;
+    if !(MIN_HEADER_LEN..=MAX_HEADER_LEN).contains(&header_len) {
+        return Err(NetError::InvalidField {
+            layer: "tcp",
+            field: "data_offset",
+            value: data_offset as u64,
+        });
+    }
+    if segment.len() < header_len {
+        return Err(NetError::Truncated {
+            layer: "tcp",
+            needed: header_len,
+            available: segment.len(),
+        });
+    }
+    Ok(segment.split_at(header_len))
 }
 
 /// Computes the RFC 793 checksum over the IPv4 pseudo-header and `segment`

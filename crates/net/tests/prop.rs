@@ -8,8 +8,9 @@ use syndog_net::batch::{
     classify_batch, classify_batch_scalar, classify_batch_sink, ClassCounts, FrameBatch,
 };
 use syndog_net::classify::{classify, kind_of, SegmentKind};
-use syndog_net::ipv4::{internet_checksum, Ipv4Header};
-use syndog_net::packet::{Packet, PacketBuilder};
+use syndog_net::ethernet::EthernetHeader;
+use syndog_net::ipv4::{internet_checksum, Ipv4Header, PROTO_TCP};
+use syndog_net::packet::{Packet, PacketBuilder, PacketView};
 use syndog_net::pcap::{PcapPacket, PcapReader, PcapWriter};
 use syndog_net::tcp::{TcpFlags, TcpHeader};
 use syndog_net::{Ipv4Net, MacAddr};
@@ -142,6 +143,45 @@ proptest! {
         sunk.sort();
         expected.sort();
         prop_assert_eq!(sunk, expected);
+    }
+
+    /// `Packet::decode` — the borrowed view plus an owned copy — accepts
+    /// and rejects exactly what the layer decoders composed by hand do
+    /// (IPv4 whatever the EtherType, TCP only for unfragmented protocol
+    /// 6), with the same error, and the view's accessors agree with the
+    /// owned packet; frames are arbitrary shapes with one byte corrupted.
+    #[test]
+    fn packet_view_equals_layer_by_layer_decode(
+        frame in arb_frame(),
+        at in any::<usize>(),
+        value in any::<u8>(),
+    ) {
+        let mut frame = frame;
+        if !frame.is_empty() {
+            let at = at % frame.len();
+            frame[at] = value;
+        }
+        let layered = (|| {
+            let (ethernet, rest) = EthernetHeader::decode(&frame)?;
+            let (ipv4, ip_payload) = Ipv4Header::decode(rest, false)?;
+            let (tcp, payload) = if ipv4.protocol == PROTO_TCP && !ipv4.is_later_fragment() {
+                let (tcp, payload) = TcpHeader::decode(ip_payload, None)?;
+                (Some(tcp), payload)
+            } else {
+                (None, ip_payload)
+            };
+            Ok::<_, syndog_net::NetError>(Packet { ethernet, ipv4, tcp, payload: payload.to_vec() })
+        })();
+        let decoded = Packet::decode(&frame);
+        prop_assert_eq!(format!("{decoded:?}"), format!("{layered:?}"));
+        if let Ok(packet) = decoded {
+            let view = PacketView::parse(&frame).unwrap();
+            prop_assert_eq!(view.ethernet, packet.ethernet);
+            prop_assert_eq!(view.src(), packet.ipv4.src);
+            prop_assert_eq!(view.dst(), packet.ipv4.dst);
+            prop_assert_eq!(view.src_socket(), packet.src_socket());
+            prop_assert_eq!(view.dst_socket(), packet.dst_socket());
+        }
     }
 
     /// Any built TCP packet decodes back to the same endpoints, flags,

@@ -14,8 +14,13 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use serde::{Deserialize, Serialize};
 use syndog_net::packet::PacketBuilder;
 use syndog_net::pcap::{PcapPacket, PcapReader, PcapWriter};
-use syndog_net::{classify, Ipv4Net, MacAddr, NetError, SegmentKind, TcpFlags};
+use syndog_net::{
+    classify, FrameBatch, Ipv4Net, MacAddr, NetError, PacketView, SegmentKind, TcpFlags,
+};
 use syndog_sim::{SimDuration, SimTime};
+
+/// Frames [`Trace::read_pcap`] reads into its arena per batch.
+const IMPORT_BATCH: usize = 256;
 
 /// Which way a segment crossed the leaf router.
 ///
@@ -480,8 +485,7 @@ impl Trace {
     }
 
     /// Synthesizes the frames for a record slice into one contiguous
-    /// [`FrameBatch`](syndog_net::FrameBatch) arena — the bridge between
-    /// record-level batches
+    /// [`FrameBatch`] arena — the bridge between record-level batches
     /// ([`Trace::iter_batches`]) and the raw-frame pipeline
     /// (`classify_batch`, the concurrent sniffer channels), with no pcap
     /// file detour and one allocation region per batch.
@@ -489,8 +493,8 @@ impl Trace {
     /// # Errors
     ///
     /// Propagates packet-encoding errors.
-    pub fn frame_batch(records: &[TraceRecord]) -> Result<syndog_net::FrameBatch, TraceError> {
-        let mut batch = syndog_net::FrameBatch::with_capacity(records.len(), records.len() * 60);
+    pub fn frame_batch(records: &[TraceRecord]) -> Result<FrameBatch, TraceError> {
+        let mut batch = FrameBatch::with_capacity(records.len(), records.len() * 60);
         for r in records {
             batch.push(&Self::synthesize_frame(r)?);
         }
@@ -501,15 +505,13 @@ impl Trace {
     /// `batch_size` frames: `trace.iter_frame_batches(256)` feeds the
     /// batched classifier / concurrent channels directly.
     ///
-    /// [`FrameBatch`]: syndog_net::FrameBatch
-    ///
     /// # Panics
     ///
     /// Panics if `batch_size` is zero.
     pub fn iter_frame_batches(
         &self,
         batch_size: usize,
-    ) -> impl Iterator<Item = Result<syndog_net::FrameBatch, TraceError>> + '_ {
+    ) -> impl Iterator<Item = Result<FrameBatch, TraceError>> + '_ {
         self.iter_batches(batch_size).map(Self::frame_batch)
     }
 
@@ -544,53 +546,71 @@ impl Trace {
     /// would misfile exactly the packets SYN-dog exists to count. The
     /// destination is the one field the routing fabric itself acts on.
     ///
-    /// Packets that fail to classify are skipped — a capture may contain
-    /// truncated frames — but I/O and pcap-structure errors are reported.
+    /// Frames are read into one recycled [`FrameBatch`] arena and each is
+    /// decoded once, through [`PacketView`]; only SYNs are fingerprinted.
+    /// Packets that fail to classify or to parse are skipped — a capture
+    /// may contain truncated frames — but I/O and pcap-structure errors are
+    /// reported.
     ///
     /// # Errors
     ///
     /// Propagates pcap-format and I/O errors.
     pub fn read_pcap<R: Read>(reader: R, stub: Ipv4Net) -> Result<Self, TraceError> {
         let mut pcap = PcapReader::new(reader)?;
+        let mut frames = FrameBatch::new();
+        let mut stamps = Vec::with_capacity(IMPORT_BATCH);
         let mut records = Vec::new();
         let mut max_time = SimDuration::ZERO;
-        while let Some(packet) = pcap.next_packet()? {
-            let Ok(kind) = classify(&packet.data) else {
-                continue;
-            };
-            let Ok(decoded) = syndog_net::Packet::decode(&packet.data) else {
-                continue;
-            };
-            let (src, dst) = match (decoded.src_socket(), decoded.dst_socket()) {
-                (Some(s), Some(d)) => (s, d),
-                _ => (
-                    SocketAddrV4::new(decoded.ipv4.src, 0),
-                    SocketAddrV4::new(decoded.ipv4.dst, 0),
-                ),
-            };
-            let direction = if stub.contains(*dst.ip()) {
-                Direction::Inbound
-            } else {
-                Direction::Outbound
-            };
-            let time = SimTime::from_micros(
-                u64::from(packet.ts_sec) * 1_000_000 + u64::from(packet.ts_nanos) / 1000,
-            );
-            max_time = max_time.max(time.saturating_since(SimTime::ZERO));
-            let fp = if kind == SegmentKind::Syn {
-                syndog_fingerprint::extract_syn(&packet.data).map_or(0, |key| key.to_bits())
-            } else {
-                0
-            };
-            records.push(TraceRecord {
-                time,
-                direction,
-                kind,
-                src,
-                dst,
-                src_mac: decoded.ethernet.src,
-                fp,
-            });
+        loop {
+            frames.clear();
+            stamps.clear();
+            while stamps.len() < IMPORT_BATCH {
+                match pcap.next_packet_into(&mut frames)? {
+                    Some(stamp) => stamps.push(stamp),
+                    None => break,
+                }
+            }
+            for (frame, &(ts_sec, ts_nanos)) in frames.iter().zip(&stamps) {
+                let Ok(kind) = classify(frame) else {
+                    continue;
+                };
+                let Ok(view) = PacketView::parse(frame) else {
+                    continue;
+                };
+                let (src, dst) = match (view.src_socket(), view.dst_socket()) {
+                    (Some(s), Some(d)) => (s, d),
+                    _ => (
+                        SocketAddrV4::new(view.src(), 0),
+                        SocketAddrV4::new(view.dst(), 0),
+                    ),
+                };
+                let direction = if stub.contains(*dst.ip()) {
+                    Direction::Inbound
+                } else {
+                    Direction::Outbound
+                };
+                let time = SimTime::from_micros(
+                    u64::from(ts_sec) * 1_000_000 + u64::from(ts_nanos) / 1000,
+                );
+                max_time = max_time.max(time.saturating_since(SimTime::ZERO));
+                let fp = if kind == SegmentKind::Syn {
+                    syndog_fingerprint::extract_syn(frame).map_or(0, |key| key.to_bits())
+                } else {
+                    0
+                };
+                records.push(TraceRecord {
+                    time,
+                    direction,
+                    kind,
+                    src,
+                    dst,
+                    src_mac: view.ethernet.src,
+                    fp,
+                });
+            }
+            if stamps.len() < IMPORT_BATCH {
+                break;
+            }
         }
         Ok(Trace::from_records(
             records,

@@ -250,6 +250,11 @@ fn hostile_numeric_flags_exit_2_naming_the_flag() {
     // finite and positive.
     let err = run_rejected(&[&["detect"], &stub[..], &["--t0", "inf"]].concat());
     assert!(err.contains("--t0"), "{err}");
+    // Below the clock's 1 µs resolution the period would round to zero.
+    for command in ["detect", "sniff", "replay"] {
+        let err = run_rejected(&[&[command], &stub[..], &["--t0", "0.0000001"]].concat());
+        assert!(err.contains("--t0"), "{command}: {err}");
+    }
     let err = run_rejected(&["serve", "--periods", "2", "--threshold", "0"]);
     assert!(err.contains("--threshold"), "{err}");
     // theory: --k, --a and --t0 must be finite and positive.
@@ -269,4 +274,27 @@ fn hostile_numeric_flags_exit_2_naming_the_flag() {
         let err = run_rejected(&args);
         assert!(err.contains(flag), "{args:?}: {err}");
     }
+}
+
+/// A 50-byte pcap whose one record claims a 256 MiB body (and holds 10
+/// bytes) is a truncated file to every reader, not an allocation.
+#[test]
+fn oversized_pcap_record_exits_2() {
+    let path = std::env::temp_dir().join("syndog_e2e_oversized.pcap");
+    let mut file = Vec::new();
+    for word in [0xa1b2_c3d4u32, 0x0004_0002, 0, 0, 65_535, 1] {
+        file.extend_from_slice(&word.to_le_bytes());
+    }
+    for word in [0u32, 0, 1 << 28, 1 << 28] {
+        file.extend_from_slice(&word.to_le_bytes());
+    }
+    file.extend_from_slice(&[0xab; 10]);
+    assert_eq!(file.len(), 50);
+    std::fs::write(&path, &file).unwrap();
+    let path_s = path.to_str().unwrap();
+    for command in ["sniff", "detect", "replay"] {
+        let err = run_rejected(&[command, "--in", path_s, "--stub", "128.3.0.0/16"]);
+        assert!(err.contains("pcap record"), "{command}: {err}");
+    }
+    let _ = std::fs::remove_file(path);
 }
