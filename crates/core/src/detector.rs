@@ -243,15 +243,6 @@ impl SynDogDetector {
         }
     }
 
-    /// Runs a whole pre-aggregated trace through the detector, returning
-    /// one record per period. Convenient for trace-driven experiments.
-    pub fn observe_trace<I>(&mut self, counts: I) -> Vec<Detection>
-    where
-        I: IntoIterator<Item = PeriodCounts>,
-    {
-        counts.into_iter().map(|c| self.observe(c)).collect()
-    }
-
     /// Resets all running state (estimate, statistic, alarms); the
     /// configuration is retained.
     pub fn reset(&mut self) {
@@ -405,30 +396,6 @@ mod tests {
             run(SynDogConfig::tuned_site_specific()).is_some(),
             "tuned params catch it"
         );
-    }
-
-    #[test]
-    fn observe_trace_matches_stepwise() {
-        let trace = vec![
-            PeriodCounts {
-                syn: 100,
-                synack: 95,
-            },
-            PeriodCounts {
-                syn: 400,
-                synack: 95,
-            },
-            PeriodCounts {
-                syn: 400,
-                synack: 95,
-            },
-        ];
-        let mut a = SynDogDetector::new(SynDogConfig::paper_default());
-        let records = a.observe_trace(trace.clone());
-        let mut b = SynDogDetector::new(SynDogConfig::paper_default());
-        for (i, counts) in trace.into_iter().enumerate() {
-            assert_eq!(records[i], b.observe(counts));
-        }
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! - [`change`] — a general sequential [`ChangeDetector`] trait with
 //!   baseline detectors (EWMA chart, Shewhart chart, sliding z-test,
 //!   parametric CUSUM) for the ablation benchmarks,
-//! - [`posterior`] — offline (posterior) change-point tests for comparison
-//!   with the sequential approach,
 //! - [`theory`] — the closed-form performance relations: detection-delay
 //!   bound (Eq. 7), minimum detectable flooding rate `f_min` (Eq. 8), the
 //!   exponential false-alarm law (Eq. 5), and the `A = V / f_min`
@@ -58,7 +56,6 @@ pub mod detector;
 pub mod fin_pair;
 pub mod metrics;
 pub mod normalize;
-pub mod posterior;
 pub mod strategy;
 pub mod theory;
 

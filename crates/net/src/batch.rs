@@ -104,21 +104,6 @@ impl FrameBatch {
         }
     }
 
-    /// Appends every frame of `other`, preserving frame boundaries, as one
-    /// bulk byte copy.
-    ///
-    /// Per-frame [`push`](FrameBatch::push) pays call and bookkeeping
-    /// overhead per frame; replicating a whole batch (replay fan-out,
-    /// template traffic, benchmarks) is a single `memcpy` of the arena
-    /// plus an offset-shifted copy of the frame table — several times
-    /// faster for wire-sized frames.
-    pub fn extend_from_batch(&mut self, other: &FrameBatch) {
-        let base = self.buffer.len();
-        self.buffer.extend_from_slice(&other.buffer);
-        self.ends.reserve(other.ends.len());
-        self.ends.extend(other.ends.iter().map(|end| base + end));
-    }
-
     /// Number of frames in the batch.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -559,30 +544,6 @@ mod tests {
         assert_eq!(batch.get(0).unwrap(), &[] as &[u8]);
         assert_eq!(batch.get(1).unwrap(), &[1]);
         assert_eq!(batch.get(2).unwrap(), &[] as &[u8]);
-    }
-
-    #[test]
-    fn extend_from_batch_matches_per_frame_pushes() {
-        let frames = [
-            frame(TcpFlags::SYN),
-            vec![],
-            frame(TcpFlags::ACK),
-            vec![7u8; 3],
-        ];
-        let template: FrameBatch = frames.iter().collect();
-        let mut bulk = FrameBatch::new();
-        bulk.push(&[9u8; 5]); // non-empty prefix: offsets must shift
-        bulk.extend_from_batch(&template);
-        bulk.extend_from_batch(&template);
-        let mut pushed = FrameBatch::new();
-        pushed.push(&[9u8; 5]);
-        for frame in frames.iter().chain(frames.iter()) {
-            pushed.push(frame);
-        }
-        assert_eq!(bulk, pushed);
-        assert_eq!(bulk.len(), 1 + 2 * frames.len());
-        assert_eq!(bulk.get(1).unwrap(), frames[0].as_slice());
-        assert_eq!(bulk.get(5).unwrap(), frames[0].as_slice());
     }
 
     #[test]

@@ -356,21 +356,6 @@ impl TcpHeader {
         }
     }
 
-    /// Creates a FIN/ACK segment for connection teardown.
-    pub fn fin_ack(src_port: u16, dst_port: u16, seq: u32, ack: u32) -> Self {
-        TcpHeader {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags: TcpFlags::FIN | TcpFlags::ACK,
-            window: 65535,
-            checksum: 0,
-            urgent: 0,
-            options: Vec::new(),
-        }
-    }
-
     /// Header length in bytes including options, padded to 4-byte words.
     pub fn header_len(&self) -> usize {
         let options_len: usize = self.options.iter().map(TcpOption::encoded_len).sum();

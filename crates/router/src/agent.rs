@@ -107,13 +107,6 @@ impl SynDogAgent {
         self.sync_mitigation_telemetry();
     }
 
-    /// Builder-style variant of [`SynDogAgent::set_stub_telemetry`].
-    #[must_use]
-    pub fn with_stub_telemetry(mut self, hub: Arc<Telemetry>) -> Self {
-        self.set_stub_telemetry(hub);
-        self
-    }
-
     /// Attaches *pre-registered* telemetry handles without touching the
     /// registry. [`AgentTelemetry::with_labels`] takes the registry's
     /// construction lock once per series; a fleet spinning up thousands

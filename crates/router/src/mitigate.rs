@@ -170,31 +170,6 @@ impl MitigationPolicy {
         }
     }
 
-    /// Returns a copy with a different per-key allowance fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `fraction` is positive and finite.
-    pub fn with_bucket_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction.is_finite(),
-            "bucket fraction must be positive and finite, got {fraction}"
-        );
-        self.bucket_fraction = fraction;
-        self
-    }
-
-    /// Returns a copy with a different release hysteresis `M`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `periods` is zero.
-    pub fn with_release_periods(mut self, periods: u32) -> Self {
-        assert!(periods > 0, "release hysteresis must be at least 1 period");
-        self.release_periods = periods;
-        self
-    }
-
     /// Returns a copy throttling under a different key family.
     pub fn with_key_mode(mut self, mode: KeyMode) -> Self {
         self.key_mode = mode;

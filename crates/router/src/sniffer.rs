@@ -9,7 +9,7 @@
 //! SYN-dog itself immune to the attacks it detects.
 
 use syndog::PeriodSignals;
-use syndog_net::batch::{classify_batch, ClassCounts, FrameBatch};
+use syndog_net::batch::ClassCounts;
 use syndog_net::classify::{classify, SegmentKind};
 use syndog_net::NetError;
 use syndog_traffic::trace::Direction;
@@ -128,12 +128,6 @@ impl Sniffer {
         for (kind, count) in counts.iter() {
             self.kinds[kind.index()] += count;
         }
-    }
-
-    /// Classifies a whole [`FrameBatch`] and folds it into the counters —
-    /// equivalent to calling [`Sniffer::observe_frame`] on every frame.
-    pub fn observe_batch(&mut self, batch: &FrameBatch) {
-        self.observe_counts(&classify_batch(batch));
     }
 
     /// Current SYN count since the last [`Sniffer::take_counts`].
@@ -311,26 +305,6 @@ mod tests {
         }
         assert_eq!(std::mem::size_of_val(&sniffer), before);
         assert_eq!(sniffer.syn_count(), 10_000);
-    }
-
-    #[test]
-    fn observe_batch_matches_per_frame_observation() {
-        let frames = [
-            frame(TcpFlags::SYN),
-            frame(TcpFlags::SYN | TcpFlags::ACK),
-            frame(TcpFlags::ACK),
-            vec![0u8; 3], // malformed
-        ];
-        let mut per_frame = Sniffer::new(Direction::Outbound);
-        for f in &frames {
-            per_frame.observe_frame(f);
-        }
-        let mut batched = Sniffer::new(Direction::Outbound);
-        let batch: syndog_net::FrameBatch = frames.iter().collect();
-        batched.observe_batch(&batch);
-        assert_eq!(per_frame, batched);
-        assert_eq!(batched.frames_seen(), 4);
-        assert_eq!(batched.malformed(), 1);
     }
 
     #[test]

@@ -1,46 +1,37 @@
-//! Deterministic discrete-event simulation kernel for the SYN-dog
-//! reproduction.
+//! Simulated time, seeded randomness and deterministic parallelism for
+//! the SYN-dog reproduction.
 //!
-//! The paper evaluates SYN-dog with trace-driven simulation; this crate is
-//! the engine those simulations run on:
+//! The paper evaluates SYN-dog with trace-driven simulation; this crate
+//! holds the pieces every generator and experiment shares:
 //!
 //! - [`time`] — microsecond-resolution [`SimTime`]/[`SimDuration`] newtypes,
-//! - [`event`] — a stable event queue (ties broken in scheduling order, so
-//!   runs are reproducible),
-//! - [`engine`] — a minimal simulator driving handler callbacks,
 //! - [`rng`] — seeded randomness plus the distributions the traffic models
 //!   need (exponential, Pareto, log-normal, normal), implemented by inverse
 //!   transform / Box–Muller so no external distribution crate is required,
-//! - [`stats`] — online statistics used both by the detector's evaluation
-//!   harness and by tests that validate the traffic generators
-//!   (Welford mean/variance, histograms, autocorrelation, an R/S Hurst
-//!   estimator for checking self-similarity),
+//! - [`stats`] — series statistics used by tests that validate the traffic
+//!   generators (autocorrelation, an R/S Hurst estimator for checking
+//!   self-similarity) and the per-period [`stats::TimeSeries`] behind every
+//!   figure's CSV,
 //! - [`par`] — deterministic index-addressed parallelism for fleet runs and
 //!   experiment sweeps (results are bit-identical for any worker count).
 //!
 //! # Example
 //!
 //! ```
-//! use syndog_sim::{SimTime, SimDuration};
-//! use syndog_sim::event::EventQueue;
+//! use syndog_sim::{SimDuration, SimTime};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.schedule(SimTime::ZERO + SimDuration::from_secs(2), "second");
-//! queue.schedule(SimTime::ZERO + SimDuration::from_secs(1), "first");
-//! let (t, label) = queue.pop().unwrap();
-//! assert_eq!(label, "first");
-//! assert_eq!(t.as_secs_f64(), 1.0);
+//! let t0 = SimDuration::from_secs(20);
+//! let t = SimTime::ZERO + SimDuration::from_secs(45);
+//! assert_eq!(t.period_index(t0), 2);
+//! assert_eq!(t - SimTime::ZERO, SimDuration::from_secs(45));
+//! assert_eq!(t.as_secs_f64(), 45.0);
 //! ```
 
-pub mod engine;
-pub mod event;
 pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::Simulator;
-pub use event::EventQueue;
 pub use par::Parallelism;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,218 +1,11 @@
-//! Online statistics for traffic validation and experiment reporting.
+//! Series statistics for traffic validation and experiment reporting.
 //!
-//! The evaluation harness needs summary statistics (means, variances,
-//! quantiles) over per-period counts and detection delays, and the traffic
-//! generators need their statistical claims checked — e.g. that the
-//! Pareto-on-off source superposition really produces a Hurst exponent
-//! above one half. Everything here is dependency-free and allocation-light.
+//! The traffic generators need their statistical claims checked — e.g. that
+//! the Pareto-on-off source superposition really produces a Hurst exponent
+//! above one half — and every figure is a per-period [`TimeSeries`] written
+//! out as CSV. Everything here is dependency-free and allocation-light.
 
 use serde::{Deserialize, Serialize};
-
-/// Welford's online algorithm for mean and variance.
-///
-/// ```
-/// use syndog_sim::stats::Welford;
-/// let mut acc = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     acc.push(x);
-/// }
-/// assert_eq!(acc.mean(), 5.0);
-/// assert_eq!(acc.population_variance(), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The running mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (divide by n).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (divide by n − 1; 0 with fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Extend<f64> for Welford {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Welford {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut acc = Welford::new();
-        acc.extend(iter);
-        acc
-    }
-}
-
-/// A fixed-width histogram over `[low, high)` with overflow/underflow bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning
-    /// `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `low >= high`.
-    pub fn new(low: f64, high: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(low < high, "empty histogram range [{low}, {high})");
-        Histogram {
-            low,
-            high,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.low {
-            self.underflow += 1;
-        } else if x >= self.high {
-            self.overflow += 1;
-        } else {
-            let frac = (x - self.low) / (self.high - self.low);
-            let idx = ((frac * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Counts per bin, in range order.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the high edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded observations, including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`) using bin midpoints; returns
-    /// `None` if nothing has been recorded in-range.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let in_range: u64 = self.bins.iter().sum();
-        if in_range == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * in_range as f64).ceil().max(1.0) as u64;
-        let width = (self.high - self.low) / self.bins.len() as f64;
-        let mut cumulative = 0;
-        for (i, &count) in self.bins.iter().enumerate() {
-            cumulative += count;
-            if cumulative >= target {
-                return Some(self.low + width * (i as f64 + 0.5));
-            }
-        }
-        Some(self.high - width / 2.0)
-    }
-}
 
 /// Sample autocorrelation of a series at the given lag.
 ///
@@ -371,81 +164,6 @@ impl TimeSeries {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-
-    #[test]
-    fn welford_known_dataset() {
-        let acc: Welford = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(acc.count(), 8);
-        assert_eq!(acc.mean(), 5.0);
-        assert_eq!(acc.population_variance(), 4.0);
-        assert!((acc.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(acc.min(), 2.0);
-        assert_eq!(acc.max(), 9.0);
-    }
-
-    #[test]
-    fn welford_empty_is_safe() {
-        let acc = Welford::new();
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.sample_variance(), 0.0);
-        assert_eq!(acc.count(), 0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let sequential: Welford = data.iter().copied().collect();
-        let mut left: Welford = data[..37].iter().copied().collect();
-        let right: Welford = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), sequential.count());
-        assert!((left.mean() - sequential.mean()).abs() < 1e-12);
-        assert!((left.sample_variance() - sequential.sample_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut acc: Welford = [1.0, 2.0].into_iter().collect();
-        acc.merge(&Welford::new());
-        assert_eq!(acc.count(), 2);
-        let mut empty = Welford::new();
-        empty.merge(&acc);
-        assert_eq!(empty.mean(), 1.5);
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.0, 0.5, 5.0, 9.99, -1.0, 10.0, 100.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_quantiles_roughly_right() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 50.0).abs() <= 1.0, "median {median}");
-        assert!(h.quantile(0.0).unwrap() < 2.0);
-        assert!(h.quantile(1.0).unwrap() > 98.0);
-    }
-
-    #[test]
-    fn histogram_quantile_empty_is_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
-    }
 
     #[test]
     fn autocorrelation_of_iid_is_near_zero() {

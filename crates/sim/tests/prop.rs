@@ -1,78 +1,9 @@
-//! Property-based tests for the simulation kernel.
+//! Property-based tests for simulated time and the distributions.
 
 use proptest::prelude::*;
-use syndog_sim::event::EventQueue;
-use syndog_sim::stats::{Histogram, Welford};
-use syndog_sim::{SimDuration, SimRng, SimTime, Simulator};
+use syndog_sim::{SimDuration, SimRng, SimTime};
 
 proptest! {
-    /// Pops come out in nondecreasing time order and FIFO within ties,
-    /// for any interleaving of schedules.
-    #[test]
-    fn event_queue_total_order(times in proptest::collection::vec(0u64..100, 1..200)) {
-        let mut queue = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            queue.schedule(SimTime::from_secs(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, id)) = queue.pop() {
-            if let Some((lt, lid)) = last {
-                prop_assert!(t >= lt);
-                if t == lt {
-                    prop_assert!(id > lid, "FIFO violated within tie");
-                }
-            }
-            last = Some((t, id));
-        }
-    }
-
-    /// The simulator clock never runs backwards and delivers every event
-    /// at or before the horizon exactly once.
-    #[test]
-    fn simulator_clock_monotone(
-        times in proptest::collection::vec(0u64..1000, 1..100),
-        horizon in 0u64..1000,
-    ) {
-        let mut sim = Simulator::new();
-        for (i, &t) in times.iter().enumerate() {
-            sim.schedule(SimTime::from_secs(t), i);
-        }
-        let mut seen = Vec::new();
-        let mut last = SimTime::ZERO;
-        let mut monotone = true;
-        sim.run_until(SimTime::from_secs(horizon), |ctx, id| {
-            monotone &= ctx.now() >= last;
-            last = ctx.now();
-            seen.push(id);
-        });
-        prop_assert!(monotone, "clock ran backwards");
-        let expected = times.iter().filter(|&&t| t <= horizon).count();
-        prop_assert_eq!(seen.len(), expected);
-    }
-
-    /// Welford matches the two-pass formulas on arbitrary data.
-    #[test]
-    fn welford_matches_two_pass(data in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
-        let acc: Welford = data.iter().copied().collect();
-        let n = data.len() as f64;
-        let mean = data.iter().sum::<f64>() / n;
-        let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((acc.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((acc.sample_variance() - var).abs() <= 1e-4 * (1.0 + var));
-    }
-
-    /// Histogram never loses observations.
-    #[test]
-    fn histogram_conserves_mass(data in proptest::collection::vec(-10.0f64..10.0, 0..300)) {
-        let mut h = Histogram::new(-5.0, 5.0, 10);
-        for &x in &data {
-            h.record(x);
-        }
-        prop_assert_eq!(h.total(), data.len() as u64);
-        let binned: u64 = h.bins().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), data.len() as u64);
-    }
-
     /// Exponential draws are positive; Pareto draws respect the scale
     /// minimum; both for arbitrary valid parameters.
     #[test]

@@ -126,11 +126,6 @@ impl SpieNetwork {
         Self::default()
     }
 
-    /// Adds (or replaces) a router.
-    pub fn add_router(&mut self, router: SpieRouter) {
-        self.routers.insert(router.id(), router);
-    }
-
     /// Provisions routers for every hop of `path` with shared parameters.
     pub fn provision_path(
         &mut self,

@@ -241,11 +241,6 @@ impl SiteProfile {
         self.stub_hosts
     }
 
-    /// The handshake parameters in force.
-    pub fn connection_params(&self) -> &ConnectionParams {
-        &self.conn
-    }
-
     /// Mean connection attempts per second.
     pub fn mean_arrival_rate(&self) -> f64 {
         self.arrivals.mean_rate()

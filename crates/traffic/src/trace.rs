@@ -436,18 +436,6 @@ impl Trace {
         Ok(Trace { records, duration })
     }
 
-    /// Iterates the (time-sorted) records in batches of at most
-    /// `batch_size` — the record-level half of the batched ingestion
-    /// pipeline. The final chunk may be shorter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn iter_batches(&self, batch_size: usize) -> std::slice::Chunks<'_, TraceRecord> {
-        assert!(batch_size > 0, "batch size must be non-zero");
-        self.records.chunks(batch_size)
-    }
-
     /// Synthesizes one real Ethernet frame for a record (flags chosen to
     /// match the record's classification) — shared by pcap export and the
     /// frame-batch bridge.
@@ -485,8 +473,8 @@ impl Trace {
     }
 
     /// Synthesizes the frames for a record slice into one contiguous
-    /// [`FrameBatch`] arena — the bridge between record-level batches
-    /// ([`Trace::iter_batches`]) and the raw-frame pipeline
+    /// [`FrameBatch`] arena — the bridge between record slices (e.g.
+    /// `trace.records().chunks(n)`) and the raw-frame pipeline
     /// (`classify_batch`, the concurrent sniffer channels), with no pcap
     /// file detour and one allocation region per batch.
     ///
@@ -499,20 +487,6 @@ impl Trace {
             batch.push(&Self::synthesize_frame(r)?);
         }
         Ok(batch)
-    }
-
-    /// Iterates the whole trace as synthesized [`FrameBatch`]es of at most
-    /// `batch_size` frames: `trace.iter_frame_batches(256)` feeds the
-    /// batched classifier / concurrent channels directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn iter_frame_batches(
-        &self,
-        batch_size: usize,
-    ) -> impl Iterator<Item = Result<FrameBatch, TraceError>> + '_ {
-        self.iter_batches(batch_size).map(Self::frame_batch)
     }
 
     /// Exports the trace as a pcap capture by synthesizing one real
@@ -714,22 +688,11 @@ mod tests {
     }
 
     #[test]
-    fn iter_batches_chunks_in_order() {
-        let t = sample_trace();
-        let batches: Vec<&[TraceRecord]> = t.iter_batches(2).collect();
-        assert_eq!(batches.len(), t.len().div_ceil(2));
-        let rejoined: Vec<TraceRecord> = batches.concat();
-        assert_eq!(rejoined, t.records());
-        // One oversized batch covers everything.
-        assert_eq!(t.iter_batches(1000).count(), 1);
-    }
-
-    #[test]
     fn frame_batches_classify_back_to_record_kinds() {
         let t = sample_trace();
         let mut kinds = Vec::new();
-        for batch in t.iter_frame_batches(2) {
-            let batch = batch.unwrap();
+        for chunk in t.records().chunks(2) {
+            let batch = Trace::frame_batch(chunk).unwrap();
             for frame in &batch {
                 kinds.push(classify(frame).unwrap());
             }
