@@ -3,8 +3,7 @@
 
 use syndog::SynDogConfig;
 use syndog_router::{
-    ConcurrentSynDog, FaultInjector, FaultTelemetry, OverflowPolicy, PcapSource, SynDogAgent,
-    TraceSource, DEFAULT_BATCH_SIZE,
+    ConcurrentSynDog, OverflowPolicy, PcapSource, SynDogAgent, DEFAULT_BATCH_SIZE,
 };
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::{Direction, Trace, TraceRecord};
@@ -18,10 +17,9 @@ use crate::options::{
 /// up front.
 const MAX_QUEUE: u32 = 65_536;
 
-/// Runs a capture through one [`SynDogAgent`]. Unmitigated `--faults`
-/// runs stream through the event-level [`FaultInjector`]; every other
-/// run (after the record-level fault pass, when faulted) goes through
-/// [`SynDogAgent::run_trace`], where an armed engine judges each record.
+/// Runs a capture through one [`SynDogAgent`]: the `--faults` pass, when
+/// given, then [`SynDogAgent::run_trace`], where an armed engine judges
+/// each record.
 pub fn cmd_detect(args: &[String]) -> Result<(), String> {
     let (flags, opts) = RunOptions::parse(
         args,
@@ -54,25 +52,11 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
     if let (Some(policy), None) = (opts.mitigation(), agent.mitigation()) {
         agent.set_mitigation(policy);
     }
-    match opts.faults {
-        Some(spec) if agent.mitigation().is_none() => {
-            let mut injector = FaultInjector::new(TraceSource::new(&trace), spec);
-            if let Some(hub) = metrics.hub() {
-                injector = injector.with_telemetry(FaultTelemetry::new(&hub));
-            }
-            agent
-                .run_source(&mut injector)
-                .map_err(|e| format!("detect: {e}"))?;
-            println!("faults: {}", injector.ledger().summary());
-        }
-        faults => {
-            let (trace, ledger) = faulted_trace(faults, trace, &metrics);
-            if let Some(ledger) = ledger {
-                println!("faults: {}", ledger.summary());
-            }
-            agent.run_trace(&trace);
-        }
+    let (trace, ledger) = faulted_trace(opts.faults, trace, &metrics);
+    if let Some(ledger) = ledger {
+        println!("faults: {}", ledger.summary());
     }
+    agent.run_trace(&trace);
     print!("{}", detection_report(&agent, flags.has("verbose")));
     print_mitigation_report(&agent);
     if let Some(path) = &opts.checkpoint {
@@ -131,12 +115,10 @@ fn print_mitigation_report(agent: &SynDogAgent) {
     }
 }
 
-/// Streams a capture through the batched [`FrameSource`] pipeline — the
-/// same agent as `detect`, but fed by `PcapSource` (pcap input, read
-/// incrementally in `--batch-size` frame batches) or `TraceSource`
-/// (binary input) instead of a fully materialized trace.
-///
-/// [`FrameSource`]: syndog_router::FrameSource
+/// Streams a pcap capture through [`PcapSource`] in `--batch-size` frame
+/// batches, without materializing a trace — the same agent as `detect`,
+/// closing the same periods. A binary trace goes through
+/// [`SynDogAgent::run_trace`], as in `detect`.
 pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
     let (flags, opts) = RunOptions::parse(
         args,
@@ -152,6 +134,11 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
     if let Some(hub) = metrics.hub() {
         agent.set_telemetry(hub);
     }
+    let frames_seen = |agent: &SynDogAgent| {
+        let router = agent.router();
+        router.sniffer(Direction::Outbound).frames_seen()
+            + router.sniffer(Direction::Inbound).frames_seen()
+    };
     if input.ends_with(".pcap") {
         let file = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
         let source = PcapSource::with_batch_size(std::io::BufReader::new(file), stub, batch_size)
@@ -159,17 +146,19 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
         agent
             .run_source(source)
             .map_err(|e| format!("sniff {input}: {e}"))?;
+        // A stream declares no end: close the period holding the last
+        // frame, as the span `Trace::read_pcap` infers closes it for
+        // `detect`.
+        if frames_seen(&agent) > 0 {
+            agent.close_periods_to(agent.router().current_period() + 1);
+        }
     } else {
-        let trace = read_trace(input, stub)?;
-        agent
-            .run_source(TraceSource::with_batch_size(&trace, batch_size))
-            .map_err(|e| format!("sniff {input}: {e}"))?;
+        agent.run_trace(&read_trace(input, stub)?);
     }
     let router = agent.router();
     println!(
         "sniffed {} frames ({} malformed), batch size {batch_size}",
-        router.sniffer(Direction::Outbound).frames_seen()
-            + router.sniffer(Direction::Inbound).frames_seen(),
+        frames_seen(&agent),
         router.sniffer(Direction::Outbound).malformed()
             + router.sniffer(Direction::Inbound).malformed(),
     );
@@ -253,7 +242,7 @@ pub fn cmd_replay(args: &[String]) -> Result<(), String> {
     for record in trace.records() {
         let p = record.time.period_index(period);
         if p >= total_periods {
-            break; // past the trace's declared span, like run_trace
+            continue; // past the trace's declared span, like run_trace
         }
         if p < start_period {
             continue; // already covered by the resumed checkpoint

@@ -65,7 +65,7 @@ const USAGE: &str = "usage:
   syndog theory   --k KBAR [--a A] [--c C] [--t0 SECS] [--total-rate V]
 
 FILE format: pcap when the name ends in .pcap, binary trace otherwise.
-sniff streams the capture through the batched FrameSource pipeline;
+sniff streams a pcap in --batch-size frame batches without loading it;
 replay drives the concurrent deployment with FrameBatch channels, one
 sniffer thread per interface (--drop sheds batches on overflow instead
 of blocking).

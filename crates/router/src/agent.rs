@@ -276,15 +276,15 @@ impl SynDogAgent {
         (detection, shed)
     }
 
-    /// Runs any [`FrameSource`] through router and detector — the one
-    /// ingestion entry point; trace, raw-frame and pcap runs all land
-    /// here and close periods through
-    /// [`LeafRouter::ingest`](crate::router::LeafRouter::ingest).
+    /// Runs a [`FrameSource`] (a pcap capture) through router and
+    /// detector, closing periods through
+    /// [`LeafRouter::ingest`](crate::router::LeafRouter::ingest). A stream
+    /// declares no end, so the period holding the last frame stays open;
+    /// [`SynDogAgent::close_periods_to`] closes it.
     ///
     /// # Errors
     ///
-    /// Propagates source I/O errors (pcap streams); in-memory sources
-    /// never fail.
+    /// Propagates source I/O errors.
     pub fn run_source<S: FrameSource>(
         &mut self,
         source: S,
@@ -303,13 +303,12 @@ impl SynDogAgent {
         self.run_trace_with(trace, |_, _| {})
     }
 
-    /// The record-level trace loop: every record inside the trace's
-    /// declared span goes through [`SynDogAgent::filter_record`] (so an
+    /// The record loop: every record inside the trace's declared span goes,
+    /// in the trace's order, through [`SynDogAgent::filter_record`] (so an
     /// armed engine judges it) and then to `on_record` with its decision;
-    /// the run is squared off to `current + ⌈span / t0⌉` periods, the
-    /// envelope [`LeafRouter::ingest`](crate::router::LeafRouter::ingest)
-    /// uses, and handshake tails past the span are skipped. Returns the
-    /// detections this run closed.
+    /// the run is squared off to `current + ⌈span / t0⌉` periods, and
+    /// handshake tails past the span are skipped. Returns the detections
+    /// this run closed.
     pub fn run_trace_with<F>(&mut self, trace: &Trace, mut on_record: F) -> Vec<Detection>
     where
         F: FnMut(&TraceRecord, MitigationDecision),
@@ -344,8 +343,9 @@ impl SynDogAgent {
     }
 
     /// Streams one record through the router, closing periods (and running
-    /// the detector) as simulated time passes. Records must be fed in time
-    /// order.
+    /// the detector) as simulated time passes. The period clock only moves
+    /// forward: a record older than the open period (reordered or
+    /// jittered) is counted in the open period.
     pub fn observe_record(&mut self, record: &TraceRecord) {
         let mut closed = Vec::new();
         self.router.advance_to(record.time, &mut closed);
@@ -370,10 +370,8 @@ impl SynDogAgent {
     }
 
     /// Closes every period up to (but not including) absolute period
-    /// `last`, running the detector on each — squares a streamed
-    /// per-record run off to the same period count
-    /// [`LeafRouter::ingest`](crate::router::LeafRouter::ingest) produces
-    /// for batch runs (empty trailing periods included — silence is
+    /// `last`, running the detector on each — squares a streamed run off
+    /// to a declared span (empty trailing periods included — silence is
     /// data).
     pub fn close_periods_to(&mut self, last: u64) {
         while self.router.current_period() < last {

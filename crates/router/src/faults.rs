@@ -1,65 +1,59 @@
-//! Deterministic fault injection over the unified ingestion boundary.
+//! Deterministic fault injection: one seeded pass over a trace's records.
 //!
 //! The paper claims SYN-dog's first-mile detection survives packet loss,
-//! reordering and partial observation (§4's loss-fitted SYN→SYN/ACK
-//! gaps); this module makes that claim testable. A [`FaultInjector`]
-//! wraps any [`FrameSource`] and perturbs its event stream with seeded,
-//! reproducible faults:
+//! reordering and partial observation (§3.1: `X_n = Δ_n / K̄` divides out
+//! uniform loss, and reordering inside a period cannot move an alarm);
+//! this module makes that claim testable. [`FaultSpec::apply_to_trace`]
+//! perturbs a trace's records with seeded, reproducible faults:
 //!
 //! | fault | spec key | effect |
 //! |---|---|---|
-//! | drop | `drop=P` | event removed with probability `P` |
-//! | duplicate | `dup=P` | event emitted twice with probability `P` |
-//! | reorder | `reorder=W` | events shuffled within windows of `W` |
-//! | truncate | `truncate=P` | classification lost (`kind -> None`) |
+//! | drop | `drop=P` | record removed with probability `P` |
+//! | duplicate | `dup=P` | record emitted twice with probability `P` |
+//! | reorder | `reorder=W` | records shuffled within windows of `W` |
+//! | truncate | `truncate=P` | record unclassifiable, so shed |
 //! | corrupt | `corrupt=P` | flag byte flipped: kind re-rolled |
 //! | clock jitter | `jitter_ms=M` | timestamp perturbed by ±`M` ms |
 //!
-//! Because every ingestion mode funnels through
-//! [`LeafRouter::ingest`](crate::router::LeafRouter::ingest), composing a
-//! `FaultInjector` onto a source faults trace, raw-frame and pcap runs
-//! identically — and the same seed replays the same fault sequence
-//! bit-for-bit (see the determinism property tests). A [`FaultLedger`]
-//! tallies what was done; attach a
-//! [`FaultTelemetry`] to export the
-//! tallies as `syndog_faults_total{kind=...}` counters.
+//! Every front end (`detect` with or without mitigation, `replay`, the
+//! fleet) faults through this one pass, so a spec means the same thing
+//! everywhere, and the same seed replays the same faulted trace
+//! bit-for-bit. A [`FaultLedger`] tallies what was done; a
+//! [`FaultTelemetry`](crate::telemetry::FaultTelemetry) exports the
+//! tallies as
+//! `syndog_faults_total{kind=...}` counters.
 //!
-//! Note that reordering and jitter intentionally violate the
-//! [`FrameSource`] nondecreasing-time contract: that is the point. The
-//! router's period clock only moves forward, so late events land in the
-//! then-current period — the absorption behaviour the soak tests measure.
+//! The faulted trace keeps arrival order: reordering and jitter leave
+//! records out of time order on purpose. Every record loop runs a
+//! forward-only period clock, so a late record lands in the then-current
+//! period, which is the absorption behaviour the soak tests measure.
 
-use std::collections::VecDeque;
-
-use syndog_net::{NetError, SegmentKind};
+use syndog_net::SegmentKind;
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_traffic::trace::{Trace, TraceRecord};
-
-use crate::source::{EventBatch, FrameEvent, FrameSource, DEFAULT_BATCH_SIZE};
-use crate::telemetry::FaultTelemetry;
 
 /// A seeded fault configuration. Construct via [`FaultSpec::parse`] (the
 /// CLI `--faults` syntax) or struct update from [`FaultSpec::off`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
-    /// Probability an event is dropped.
+    /// Probability a record is dropped.
     pub drop: f64,
-    /// Probability an event is duplicated.
+    /// Probability a record is duplicated.
     pub duplicate: f64,
-    /// Reorder window: events are shuffled within consecutive windows of
-    /// this many events. `0` or `1` disables reordering.
+    /// Reorder window: records are shuffled within consecutive windows of
+    /// this many records. `0` or `1` disables reordering.
     pub reorder_window: usize,
-    /// Probability an event's classification is lost (truncated frame:
-    /// `kind -> None`, tallied as malformed downstream).
+    /// Probability a record copy is truncated past classification and
+    /// shed.
     pub truncate: f64,
-    /// Probability a classified event's kind is re-rolled to a different
+    /// Probability a record copy's kind is re-rolled to a different
     /// [`SegmentKind`] (a corrupted flag byte).
     pub corrupt: f64,
-    /// Maximum clock perturbation applied to event timestamps, uniformly
+    /// Maximum clock perturbation applied to record timestamps, uniformly
     /// in `±jitter`.
     pub jitter: SimDuration,
-    /// RNG seed: the same spec over the same source replays the same
-    /// faulted stream bit-for-bit.
+    /// RNG seed: the same spec over the same trace replays the same
+    /// faulted trace bit-for-bit.
     pub seed: u64,
 }
 
@@ -150,17 +144,24 @@ impl FaultSpec {
         Ok(spec)
     }
 
-    /// Applies the spec at trace-record level, for consumers that replay
-    /// [`TraceRecord`]s rather than pull a [`FrameSource`] (the concurrent
-    /// deployment). Semantics match the event-level injector with two
-    /// documented differences: truncation *drops* the record (a
-    /// `TraceRecord` cannot carry "unclassifiable"), and explicit
-    /// reordering is a no-op because [`Trace::from_records`] re-sorts by
-    /// time — jitter is the record-level reorder knob.
+    /// Runs the trace's records through the spec in arrival order and
+    /// returns the faulted trace (same duration, records *not* re-sorted)
+    /// with its ledger.
+    ///
+    /// Per record the draws are drop, then duplicate; per surviving copy
+    /// jitter, then truncate, then corrupt. Copies fill a window of
+    /// `reorder_window` records that is Fisher–Yates shuffled each time it
+    /// fills, the final partial window at the end. A truncated copy (a
+    /// `TraceRecord` cannot carry "unclassifiable") holds its window slot
+    /// and is shed when the window spills.
     pub fn apply_to_trace(&self, trace: &Trace) -> (Trace, FaultLedger) {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut ledger = FaultLedger::default();
-        let mut out: Vec<TraceRecord> = Vec::with_capacity(trace.len());
+        let mut out = Trace::new(trace.duration());
+        let window_len = self.reorder_window.max(1);
+        // Each staged copy with whether truncation shed it. The window
+        // grows as it fills: `reorder=` is user input, not an allocation.
+        let mut window: Vec<(TraceRecord, bool)> = Vec::new();
         for record in trace.records() {
             ledger.input_events += 1;
             if self.drop > 0.0 && rng.chance(self.drop) {
@@ -176,19 +177,24 @@ impl FaultSpec {
             for _ in 0..copies {
                 let mut faulted = *record;
                 faulted.time = self.jittered_time(&mut rng, faulted.time, &mut ledger);
-                if self.truncate > 0.0 && rng.chance(self.truncate) {
+                let truncated = self.truncate > 0.0 && rng.chance(self.truncate);
+                if truncated {
                     ledger.truncated += 1;
-                    continue; // unclassifiable record: shed
+                } else {
+                    if self.corrupt > 0.0 && rng.chance(self.corrupt) {
+                        faulted.kind = reroll_kind(&mut rng, faulted.kind);
+                        ledger.corrupted += 1;
+                    }
+                    ledger.emitted_events += 1;
                 }
-                if self.corrupt > 0.0 && rng.chance(self.corrupt) {
-                    faulted.kind = reroll_kind(&mut rng, faulted.kind);
-                    ledger.corrupted += 1;
+                window.push((faulted, truncated));
+                if window.len() == window_len {
+                    spill_window(&mut window, &mut rng, &mut ledger, &mut out);
                 }
-                ledger.emitted_events += 1;
-                out.push(faulted);
             }
         }
-        (Trace::from_records(out, trace.duration()), ledger)
+        spill_window(&mut window, &mut rng, &mut ledger, &mut out);
+        (out, ledger)
     }
 
     /// One jittered timestamp draw (no-op when jitter is off).
@@ -247,24 +253,25 @@ impl std::fmt::Display for FaultSpec {
     }
 }
 
-/// Running tally of what a fault injector did to its stream.
+/// Running tally of what [`FaultSpec::apply_to_trace`] did to a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultLedger {
-    /// Events pulled from the wrapped source.
+    /// Records read from the input trace.
     pub input_events: u64,
-    /// Events emitted downstream (after drops and duplicates).
+    /// Records written to the faulted trace (after drops, duplicates and
+    /// truncation).
     pub emitted_events: u64,
-    /// Events removed by the drop fault.
+    /// Records removed by the drop fault.
     pub dropped: u64,
-    /// Events the duplicate fault emitted a second copy of.
+    /// Records the duplicate fault emitted a second copy of.
     pub duplicated: u64,
-    /// Events whose position changed inside a reorder window.
+    /// Copies whose position changed inside a reorder window.
     pub reordered: u64,
-    /// Events whose classification was truncated away.
+    /// Copies truncated past classification and shed.
     pub truncated: u64,
-    /// Events whose kind was re-rolled by the corrupt fault.
+    /// Copies whose kind was re-rolled by the corrupt fault.
     pub corrupted: u64,
-    /// Events whose timestamp moved under clock jitter.
+    /// Copies whose timestamp moved under clock jitter.
     pub jittered: u64,
 }
 
@@ -302,170 +309,40 @@ fn reroll_kind(rng: &mut SimRng, kind: SegmentKind) -> SegmentKind {
     SegmentKind::ALL[index]
 }
 
-/// A [`FrameSource`] adapter injecting seeded faults into any wrapped
-/// source (see the [module docs](crate::faults) for the fault model).
-pub struct FaultInjector<S> {
-    inner: S,
-    spec: FaultSpec,
-    rng: SimRng,
-    /// Reorder staging: fills to `reorder_window` events, then shuffles
-    /// and spills into `ready`.
-    window: Vec<FrameEvent>,
-    /// Faulted events ready to emit.
-    ready: VecDeque<FrameEvent>,
-    /// Scratch buffer for the wrapped source's batches.
-    scratch: EventBatch,
-    inner_done: bool,
-    ledger: FaultLedger,
-    telemetry: Option<FaultTelemetry>,
-}
-
-impl<S: FrameSource> FaultInjector<S> {
-    /// Wraps `inner`, seeding the fault RNG from `spec.seed`.
-    pub fn new(inner: S, spec: FaultSpec) -> Self {
-        FaultInjector {
-            inner,
-            spec,
-            rng: SimRng::seed_from_u64(spec.seed),
-            window: Vec::new(),
-            ready: VecDeque::new(),
-            scratch: EventBatch::new(),
-            inner_done: false,
-            ledger: FaultLedger::default(),
-            telemetry: None,
+/// Shuffles the staged window (Fisher–Yates), counts the copies that
+/// moved, and appends the untruncated ones to `out`.
+///
+/// "Reordered" counts displaced records, not windows, so the ledger
+/// reflects the actual perturbation magnitude.
+fn spill_window(
+    window: &mut Vec<(TraceRecord, bool)>,
+    rng: &mut SimRng,
+    ledger: &mut FaultLedger,
+    out: &mut Trace,
+) {
+    if window.len() > 1 {
+        let staged = window.clone();
+        for i in (1..window.len()).rev() {
+            let j = rng.uniform_u64(0, i as u64 + 1) as usize;
+            window.swap(i, j);
         }
+        ledger.reordered += window
+            .iter()
+            .zip(&staged)
+            .filter(|(shuffled, original)| shuffled != original)
+            .count() as u64;
     }
-
-    /// Attaches fault-ledger telemetry: every batch syncs the ledger into
-    /// `syndog_faults_total{kind=...}` counters.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: FaultTelemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The spec this injector runs with.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    /// The fault tally so far.
-    pub fn ledger(&self) -> &FaultLedger {
-        &self.ledger
-    }
-
-    /// Faults one input event into the reorder window (0, 1 or 2 staged
-    /// events).
-    fn stage(&mut self, event: FrameEvent) {
-        self.ledger.input_events += 1;
-        if self.spec.drop > 0.0 && self.rng.chance(self.spec.drop) {
-            self.ledger.dropped += 1;
-            return;
-        }
-        let copies = if self.spec.duplicate > 0.0 && self.rng.chance(self.spec.duplicate) {
-            self.ledger.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let mut faulted = event;
-            faulted.time = self
-                .spec
-                .jittered_time(&mut self.rng, faulted.time, &mut self.ledger);
-            if self.spec.truncate > 0.0 && self.rng.chance(self.spec.truncate) {
-                if faulted.kind.take().is_some() {
-                    self.ledger.truncated += 1;
-                }
-            } else if let Some(kind) = faulted.kind {
-                if self.spec.corrupt > 0.0 && self.rng.chance(self.spec.corrupt) {
-                    faulted.kind = Some(reroll_kind(&mut self.rng, kind));
-                    self.ledger.corrupted += 1;
-                }
-            }
-            self.ledger.emitted_events += 1;
-            self.window.push(faulted);
-            if self.window.len() >= self.spec.reorder_window.max(1) {
-                self.spill_window();
-            }
-        }
-    }
-
-    /// Shuffles the staged window (Fisher–Yates) and moves it to `ready`.
-    ///
-    /// "Reordered" counts displaced events, not windows, so the ledger
-    /// reflects the actual perturbation magnitude.
-    fn spill_window(&mut self) {
-        if self.window.len() > 1 {
-            let staged = self.window.clone();
-            for i in (1..self.window.len()).rev() {
-                let j = self.rng.uniform_u64(0, i as u64 + 1) as usize;
-                self.window.swap(i, j);
-            }
-            self.ledger.reordered += self
-                .window
-                .iter()
-                .zip(&staged)
-                .filter(|(shuffled, original)| shuffled != original)
-                .count() as u64;
-        }
-        self.ready.extend(self.window.drain(..));
-    }
-
-    /// Publishes the ledger to the attached telemetry, if any.
-    fn sync_telemetry(&mut self) {
-        if let Some(telemetry) = &mut self.telemetry {
-            telemetry.sync(&self.ledger);
-        }
-    }
-}
-
-impl<S: FrameSource> FrameSource for FaultInjector<S> {
-    fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError> {
-        out.clear();
-        loop {
-            while out.len() < DEFAULT_BATCH_SIZE {
-                match self.ready.pop_front() {
-                    Some(event) => out.push(event),
-                    None => break,
-                }
-            }
-            if !out.is_empty() {
-                self.sync_telemetry();
-                return Ok(true);
-            }
-            if self.inner_done {
-                if self.window.is_empty() {
-                    self.sync_telemetry();
-                    return Ok(false);
-                }
-                self.spill_window();
-                continue;
-            }
-            // Refill: pull one batch from the wrapped source and fault it.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let produced = self.inner.next_batch(&mut scratch)?;
-            if produced {
-                for i in 0..scratch.len() {
-                    self.stage(scratch.events()[i]);
-                }
-            } else {
-                self.inner_done = true;
-            }
-            self.scratch = scratch;
-        }
-    }
-
-    fn duration(&self) -> Option<SimDuration> {
-        self.inner.duration()
-    }
+    out.extend(
+        window
+            .drain(..)
+            .filter(|&(_, truncated)| !truncated)
+            .map(|(record, _)| record),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::TraceSource;
-    use syndog_sim::SimTime;
     use syndog_traffic::trace::Direction;
 
     fn sample_trace(n: u64) -> Trace {
@@ -483,31 +360,16 @@ mod tests {
         Trace::from_records(records, SimDuration::from_secs(n))
     }
 
-    fn drain<S: FrameSource>(source: &mut S) -> Vec<FrameEvent> {
-        let mut out = EventBatch::new();
-        let mut all = Vec::new();
-        while source.next_batch(&mut out).unwrap() {
-            assert!(!out.is_empty(), "a produced batch is never empty");
-            all.extend_from_slice(out.events());
-        }
-        assert!(
-            !source.next_batch(&mut out).unwrap(),
-            "exhaustion is stable"
-        );
-        all
-    }
-
     #[test]
     fn off_spec_is_identity() {
         let trace = sample_trace(1000);
-        let direct = drain(&mut TraceSource::new(&trace));
-        let mut injector = FaultInjector::new(TraceSource::new(&trace), FaultSpec::off());
-        assert!(injector.spec().is_off());
-        let faulted = drain(&mut injector);
-        assert_eq!(direct, faulted);
-        assert_eq!(injector.ledger().total_faults(), 0);
-        assert_eq!(injector.ledger().input_events, 1000);
-        assert_eq!(injector.ledger().emitted_events, 1000);
+        let spec = FaultSpec::off();
+        assert!(spec.is_off());
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        assert_eq!(faulted, trace);
+        assert_eq!(ledger.total_faults(), 0);
+        assert_eq!(ledger.input_events, 1000);
+        assert_eq!(ledger.emitted_events, 1000);
     }
 
     #[test]
@@ -518,10 +380,8 @@ mod tests {
             seed: 7,
             ..FaultSpec::off()
         };
-        let mut injector = FaultInjector::new(TraceSource::new(&trace), spec);
-        let events = drain(&mut injector);
-        let ledger = *injector.ledger();
-        assert_eq!(events.len() as u64, ledger.emitted_events);
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        assert_eq!(faulted.len() as u64, ledger.emitted_events);
         assert_eq!(ledger.input_events, 10_000);
         assert_eq!(ledger.dropped, 10_000 - ledger.emitted_events);
         let rate = ledger.dropped as f64 / 10_000.0;
@@ -536,46 +396,38 @@ mod tests {
             seed: 11,
             ..FaultSpec::off()
         };
-        let mut injector = FaultInjector::new(TraceSource::new(&trace), spec);
-        let events = drain(&mut injector);
-        let ledger = *injector.ledger();
-        assert_eq!(events.len() as u64, 5_000 + ledger.duplicated);
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        assert_eq!(faulted.len() as u64, 5_000 + ledger.duplicated);
         assert!(ledger.duplicated > 800, "duplicated {}", ledger.duplicated);
-        // No other fault active: every event keeps its classification.
-        assert!(events.iter().all(|e| e.kind == Some(SegmentKind::Syn)));
+        // No other fault active: every record keeps its classification.
+        assert!(faulted.records().iter().all(|r| r.kind == SegmentKind::Syn));
     }
 
     #[test]
-    fn truncate_clears_kind_and_corrupt_rerolls_it() {
+    fn truncate_sheds_records_and_corrupt_rerolls_kinds() {
         let trace = sample_trace(5_000);
-        let truncated = {
-            let spec = FaultSpec {
-                truncate: 0.5,
-                seed: 13,
-                ..FaultSpec::off()
-            };
-            let mut injector = FaultInjector::new(TraceSource::new(&trace), spec);
-            let events = drain(&mut injector);
-            let none = events.iter().filter(|e| e.kind.is_none()).count() as u64;
-            assert_eq!(none, injector.ledger().truncated);
-            assert!(none > 2_000);
-            none
+        let spec = FaultSpec {
+            truncate: 0.5,
+            seed: 13,
+            ..FaultSpec::off()
         };
-        assert!(truncated > 0);
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        assert!(ledger.truncated > 2_000, "truncated {}", ledger.truncated);
+        assert_eq!(faulted.len() as u64, 5_000 - ledger.truncated);
+        assert_eq!(ledger.emitted_events, faulted.len() as u64);
         let spec = FaultSpec {
             corrupt: 0.5,
             seed: 13,
             ..FaultSpec::off()
         };
-        let mut injector = FaultInjector::new(TraceSource::new(&trace), spec);
-        let events = drain(&mut injector);
-        let changed = events
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        assert_eq!(faulted.len(), 5_000);
+        let changed = faulted
+            .records()
             .iter()
-            .filter(|e| e.kind != Some(SegmentKind::Syn))
+            .filter(|r| r.kind != SegmentKind::Syn)
             .count() as u64;
-        assert_eq!(changed, injector.ledger().corrupted);
-        // Corruption always lands on a *different* kind, never None.
-        assert!(events.iter().all(|e| e.kind.is_some()));
+        assert_eq!(changed, ledger.corrupted);
         assert!(changed > 2_000);
     }
 
@@ -587,14 +439,13 @@ mod tests {
             seed: 17,
             ..FaultSpec::off()
         };
-        let mut injector = FaultInjector::new(TraceSource::new(&trace), spec);
-        let events = drain(&mut injector);
-        assert_eq!(events.len(), 256);
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        assert_eq!(faulted.len(), 256);
         let mut moved = 0;
-        for (window_index, window) in events.chunks(8).enumerate() {
-            let mut times: Vec<u64> = window.iter().map(|e| e.time.as_micros()).collect();
+        for (window_index, window) in faulted.records().chunks(8).enumerate() {
+            let mut times: Vec<u64> = window.iter().map(|r| r.time.as_micros()).collect();
             times.sort_unstable();
-            // Each window is a permutation of the original 8 events.
+            // Each window is a permutation of the original 8 records.
             let expected: Vec<u64> = (0..8)
                 .map(|i| SimTime::from_secs((window_index * 8 + i) as u64).as_micros())
                 .collect();
@@ -602,15 +453,52 @@ mod tests {
             moved += window
                 .iter()
                 .zip(&expected)
-                .filter(|(e, t)| e.time.as_micros() != **t)
+                .filter(|(r, t)| r.time.as_micros() != **t)
                 .count();
         }
-        assert!(moved > 0, "shuffle must actually move events");
+        assert!(moved > 0, "shuffle must actually move records");
         assert_eq!(
-            injector.ledger().reordered,
-            moved as u64,
-            "ledger counts exactly the displaced events"
+            ledger.reordered, moved as u64,
+            "ledger counts exactly the displaced records"
         );
+    }
+
+    #[test]
+    fn a_window_past_the_trace_shuffles_it_once() {
+        // `reorder=` comes from the command line: a window far larger
+        // than the trace must not size an allocation.
+        let trace = sample_trace(64);
+        let spec = FaultSpec {
+            reorder_window: usize::MAX,
+            seed: 3,
+            ..FaultSpec::off()
+        };
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        let mut times: Vec<SimTime> = faulted.records().iter().map(|r| r.time).collect();
+        times.sort_unstable();
+        let expected: Vec<SimTime> = trace.records().iter().map(|r| r.time).collect();
+        assert_eq!(times, expected, "the final partial window is a permutation");
+        assert!(ledger.reordered > 0);
+    }
+
+    #[test]
+    fn reordered_trace_keeps_arrival_order() {
+        let trace = sample_trace(256);
+        let spec = FaultSpec {
+            reorder_window: 8,
+            seed: 7,
+            ..FaultSpec::off()
+        };
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
+        assert!(ledger.reordered > 0);
+        assert!(
+            faulted
+                .records()
+                .windows(2)
+                .any(|pair| pair[1].time < pair[0].time),
+            "the faulted trace is not re-sorted"
+        );
+        assert_eq!(faulted.duration(), trace.duration());
     }
 
     #[test]
@@ -621,18 +509,17 @@ mod tests {
             seed: 19,
             ..FaultSpec::off()
         };
-        let mut injector = FaultInjector::new(TraceSource::new(&trace), spec);
-        let events = drain(&mut injector);
+        let (faulted, ledger) = spec.apply_to_trace(&trace);
         let mut moved = 0u64;
-        for (i, event) in events.iter().enumerate() {
+        for (i, record) in faulted.records().iter().enumerate() {
             let original = SimTime::from_secs(i as u64).as_micros() as i64;
-            let delta = (event.time.as_micros() as i64 - original).abs();
+            let delta = (record.time.as_micros() as i64 - original).abs();
             assert!(delta <= 5_000, "jitter {delta} exceeds bound");
             if delta != 0 {
                 moved += 1;
             }
         }
-        assert_eq!(moved, injector.ledger().jittered);
+        assert_eq!(moved, ledger.jittered);
         assert!(moved > 1_000);
     }
 
@@ -729,16 +616,22 @@ mod tests {
             duplicate: 0.05,
             truncate: 0.02,
             corrupt: 0.02,
+            reorder_window: 16,
+            jitter: SimDuration::from_millis(5),
             seed: 23,
-            ..FaultSpec::off()
         };
         let (faulted, ledger) = spec.apply_to_trace(&trace);
         assert_eq!(ledger.input_events, 5_000);
         assert_eq!(faulted.len() as u64, ledger.emitted_events);
+        assert_eq!(
+            ledger.emitted_events + ledger.truncated,
+            ledger.input_events - ledger.dropped + ledger.duplicated
+        );
         assert!(ledger.dropped > 300);
-        assert!(ledger.truncated > 0, "record-level truncate sheds records");
+        assert!(ledger.truncated > 0, "truncate sheds records");
+        assert!(ledger.reordered > 0 && ledger.jittered > 0);
         assert_eq!(faulted.duration(), trace.duration());
-        // Same spec, same seed: the record-level path is deterministic too.
+        // Same spec, same seed: the same faulted trace.
         let (again, ledger_again) = spec.apply_to_trace(&trace);
         assert_eq!(ledger, ledger_again);
         assert_eq!(faulted.records(), again.records());

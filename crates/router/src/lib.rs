@@ -6,9 +6,8 @@
 //! The two sniffers coordinate with each other via shared memory, or IPC
 //! inside the router, and periodically exchange the counting information."
 //!
-//! - [`sniffer`] — the stateless per-interface counters, driven either by
-//!   raw frame bytes (through the packet classifier) or by pre-classified
-//!   trace records,
+//! - [`sniffer`] — the stateless per-interface counters, fed classified
+//!   segments (trace records, or frames the §2 classifier has judged),
 //! - [`router`] — a simulated leaf router binding a stub network prefix to
 //!   its two sniffers and slicing time into observation periods,
 //! - [`agent`] — [`SynDogAgent`]: the full pipeline from a packet/record
@@ -21,11 +20,10 @@
 //!   mile: keyed token-bucket SYN throttles sized from the stub's `K̄`,
 //!   installed on alarm and released by hysteresis, with full
 //!   throttled/passed/collateral accounting,
-//! - [`source`] — the unified ingestion boundary: a [`FrameSource`]
-//!   produces batches of classified events from trace records, raw
-//!   frames or pcap captures, and [`LeafRouter::ingest`] is the single
-//!   period-close code path all of them (and the concurrent deployment)
-//!   share,
+//! - [`source`] — the frame ingestion boundary: [`PcapSource`] streams a
+//!   capture as batches of classified events through
+//!   [`LeafRouter::ingest`]; every in-memory trace takes the record loop,
+//!   [`SynDogAgent::run_trace`], instead,
 //! - [`concurrent`] — the two-thread shared-memory deployment shape
 //!   described in the paper, with supervised sniffer threads feeding
 //!   lock-free atomic counters from batched frame channels,
@@ -42,8 +40,9 @@
 //!   the master/slave stub sets a per-stub table cannot show — verified
 //!   against the same traceback topology,
 //! - [`faults`] — deterministic, seeded fault injection
-//!   ([`FaultInjector`]) composing onto any [`FrameSource`], for proving
-//!   detection degrades gracefully under loss / reordering / corruption,
+//!   ([`FaultSpec::apply_to_trace`]): one pass over a trace's records that
+//!   every front end shares, for proving detection degrades gracefully
+//!   under loss / reordering / corruption,
 //! - [`checkpoint`] — versioned, CRC-checked capture/restore of detector
 //!   and router state, so a restarted agent resumes mid-trace without
 //!   re-learning `K̄`,
@@ -77,7 +76,7 @@ pub use correlate::{
     FleetCorrelator, RegionalCollector,
 };
 pub use episodes::{extract_episodes, AttackEpisode};
-pub use faults::{FaultInjector, FaultLedger, FaultSpec};
+pub use faults::{FaultLedger, FaultSpec};
 pub use fleet::{
     derive_seed, Fleet, FleetReport, Scenario, StubReport, StubRow, StubSpec, TopologyCheck,
 };
@@ -88,8 +87,5 @@ pub use mitigate::{
 };
 pub use router::LeafRouter;
 pub use sniffer::Sniffer;
-pub use source::{
-    EventBatch, FrameEvent, FrameSource, LoopingTraceSource, PcapSource, RawFrameSource,
-    TraceSource, DEFAULT_BATCH_SIZE,
-};
+pub use source::{EventBatch, FrameEvent, FrameSource, PcapSource, DEFAULT_BATCH_SIZE};
 pub use telemetry::{AgentTelemetry, ConcurrentTelemetry, FaultTelemetry, MitigationTelemetry};

@@ -4,18 +4,18 @@
 //! prefix, and slices time into observation periods. It can be driven two
 //! ways:
 //!
-//! - **record-driven** — feed it [`TraceRecord`]s (already classified and
-//!   direction-tagged), the fast path used by the big experiments,
-//! - **frame-driven** — feed it raw Ethernet frames per interface, which
-//!   exercises the real §2 classifier on every packet,
-//! - **source-driven** — hand it any [`FrameSource`] (trace, raw frames,
-//!   pcap) and let [`LeafRouter::ingest`] drive the whole run. The other
-//!   two modes and the concurrent deployment all share this single
-//!   period-close code path.
+//! - **record-driven** — [`LeafRouter::run_trace`] (or
+//!   [`LeafRouter::advance_to`] then [`LeafRouter::observe_record`]) over
+//!   [`TraceRecord`]s, already classified and direction-tagged; the path
+//!   every in-memory trace takes,
+//! - **frame-driven** — [`LeafRouter::ingest`] over a [`FrameSource`] (a
+//!   pcap capture), whose events carry the §2 classifier's verdict.
 //!
 //! Period boundaries are handled exactly: a record at `t` lands in period
 //! `⌊t / t0⌋`, and [`LeafRouter::advance_to`] closes every period that
 //! ends at or before the new time, emitting one [`PeriodSignals`] each.
+//! The clock only moves forward: a record older than the open period
+//! (reordered or jittered) is counted in the open period.
 
 use syndog::PeriodSignals;
 use syndog_net::Ipv4Net;
@@ -23,7 +23,7 @@ use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::trace::{Direction, Trace, TraceRecord};
 
 use crate::sniffer::Sniffer;
-use crate::source::{EventBatch, FrameEvent, FrameSource, TraceSource};
+use crate::source::{EventBatch, FrameEvent, FrameSource};
 
 /// A leaf router with SYN-dog sniffers on both interfaces.
 #[derive(Debug, Clone)]
@@ -115,23 +115,14 @@ impl LeafRouter {
         }
     }
 
-    /// Record-driven input: routes one pre-classified record to the right
-    /// sniffer. Records must arrive in time order; call
-    /// [`LeafRouter::advance_to`] with the record's time first (or use
-    /// [`LeafRouter::run_trace`], which does both).
+    /// Record-driven input: counts one pre-classified record in the open
+    /// period. Call [`LeafRouter::advance_to`] with the record's time first
+    /// (or use [`LeafRouter::run_trace`], which does both); the clock only
+    /// moves forward, so a record older than the open period counts there.
     pub fn observe_record(&mut self, record: &TraceRecord) {
         match record.direction {
             Direction::Outbound => self.outbound.observe_kind(record.kind),
             Direction::Inbound => self.inbound.observe_kind(record.kind),
-        }
-    }
-
-    /// Frame-driven input: classifies one raw frame arriving on the given
-    /// interface.
-    pub fn observe_frame(&mut self, direction: Direction, frame: &[u8]) {
-        match direction {
-            Direction::Outbound => self.outbound.observe_frame(frame),
-            Direction::Inbound => self.inbound.observe_frame(frame),
         }
     }
 
@@ -159,59 +150,50 @@ impl LeafRouter {
         }
     }
 
-    /// Drives a [`FrameSource`] to exhaustion through the router — **the**
-    /// period-close code path: every ingestion mode (trace records, raw
-    /// frames, pcap, and the concurrent deployment's coordinator) funnels
-    /// into this loop, so period semantics are defined in exactly one
-    /// place.
-    ///
-    /// Each closed period pushes one sample into `samples` (empty periods
-    /// included — silence is data). If the source knows its duration, the
-    /// run is squared off to `ceil(duration / t0)` periods and stray
-    /// events past the end are ignored, exactly like
-    /// [`Trace::period_counts`].
+    /// Drives a [`FrameSource`] to exhaustion through the router: each
+    /// event advances the clock to its time and is tallied in the open
+    /// period. Each closed period pushes one sample into `samples` (empty
+    /// periods included — silence is data); a stream declares no end, so
+    /// the period holding the last event is left open.
     ///
     /// # Errors
     ///
-    /// Propagates source I/O errors (pcap streams); in-memory sources
-    /// never fail. Periods closed before the error remain in `samples`.
+    /// Propagates source I/O errors. Periods closed before the error
+    /// remain in `samples`.
     pub fn ingest<S: FrameSource>(
         &mut self,
         mut source: S,
         samples: &mut Vec<PeriodSignals>,
     ) -> Result<(), syndog_net::NetError> {
-        let base = self.current_period;
-        let last = source
-            .duration()
-            .map(|d| base + d.as_micros().div_ceil(self.period.as_micros()));
         let mut batch = EventBatch::new();
         while source.next_batch(&mut batch)? {
             for event in batch.events() {
-                // Handshake tails may extend past the source's nominal
-                // duration; like Trace::period_counts, ignore them.
-                if let Some(last) = last {
-                    if event.time.period_index(self.period) >= last {
-                        continue;
-                    }
-                }
                 self.advance_to(event.time, samples);
                 self.observe_event(event);
-            }
-        }
-        if let Some(last) = last {
-            while self.current_period < last {
-                samples.push(self.take_period_sample());
             }
         }
         Ok(())
     }
 
     /// Runs a whole trace through the router, returning one sample per
-    /// observation period covering the trace's full duration.
+    /// observation period of the trace's declared span. Records past the
+    /// span (handshake tails) are skipped, like [`Trace::period_counts`].
     pub fn run_trace(&mut self, trace: &Trace) -> Vec<PeriodSignals> {
         let mut samples = Vec::new();
-        self.ingest(TraceSource::new(trace), &mut samples)
-            .expect("trace sources perform no I/O and cannot fail");
+        let last = self.current_period
+            + trace
+                .duration()
+                .as_micros()
+                .div_ceil(self.period.as_micros());
+        for record in trace.records() {
+            if record.time.period_index(self.period) < last {
+                self.advance_to(record.time, &mut samples);
+                self.observe_record(record);
+            }
+        }
+        while self.current_period < last {
+            samples.push(self.take_period_sample());
+        }
         samples
     }
 }
@@ -327,6 +309,7 @@ mod tests {
 
     #[test]
     fn frame_driven_input() {
+        use syndog_net::classify;
         use syndog_net::packet::PacketBuilder;
         let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let syn = PacketBuilder::tcp_syn(
@@ -341,9 +324,20 @@ mod tests {
         )
         .build()
         .unwrap();
-        router.observe_frame(Direction::Outbound, &syn);
-        router.observe_frame(Direction::Inbound, &synack);
+        let frames: [(Direction, &[u8]); 3] = [
+            (Direction::Outbound, &syn),
+            (Direction::Inbound, &synack),
+            (Direction::Inbound, &[0u8; 6]),
+        ];
+        for (direction, frame) in frames {
+            router.observe_event(&FrameEvent {
+                time: SimTime::ZERO,
+                direction,
+                kind: classify(frame).ok(),
+            });
+        }
         assert_eq!(router.take_period_sample(), sig(1, 1));
+        assert_eq!(router.sniffer(Direction::Inbound).malformed(), 1);
         assert_eq!(router.current_period(), 1);
     }
 
@@ -353,6 +347,22 @@ mod tests {
         let _ = LeafRouter::new(stub(), SimDuration::ZERO);
     }
 
+    /// A pcap capture holding `frames` at whole-second timestamps.
+    fn pcap(frames: &[(u64, Vec<u8>)]) -> Vec<u8> {
+        use syndog_net::pcap::{PcapPacket, PcapWriter};
+        let mut writer = PcapWriter::new(Vec::new()).unwrap();
+        for (secs, data) in frames {
+            writer
+                .write_packet(&PcapPacket {
+                    ts_sec: *secs as u32,
+                    ts_nanos: 0,
+                    data: data.clone(),
+                })
+                .unwrap();
+        }
+        writer.into_inner()
+    }
+
     #[test]
     fn ingest_from_pcap_matches_run_trace() {
         use crate::source::PcapSource;
@@ -360,24 +370,25 @@ mod tests {
         use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
         let site = SiteProfile::auckland();
         let mut rng = SimRng::seed_from_u64(23);
-        let trace = site.generate_trace(&mut rng);
         let mut file = Vec::new();
-        trace.write_pcap(&mut file).unwrap();
+        site.generate_trace(&mut rng).write_pcap(&mut file).unwrap();
 
-        let mut by_trace = LeafRouter::new(site.stub(), OBSERVATION_PERIOD);
-        let expected = by_trace.run_trace(&trace);
+        let imported = Trace::read_pcap(file.as_slice(), site.stub()).unwrap();
+        let expected = LeafRouter::new(site.stub(), OBSERVATION_PERIOD).run_trace(&imported);
 
-        let mut source = PcapSource::new(file.as_slice(), site.stub()).unwrap();
-        source.set_duration(trace.duration());
+        let source = PcapSource::new(file.as_slice(), site.stub()).unwrap();
         let mut by_pcap = LeafRouter::new(site.stub(), OBSERVATION_PERIOD);
         let mut samples = Vec::new();
         by_pcap.ingest(source, &mut samples).unwrap();
+        // The period holding the last frame: the envelope `read_pcap`
+        // gives the imported trace.
+        samples.push(by_pcap.take_period_sample());
         assert_eq!(samples, expected);
     }
 
     #[test]
     fn ingest_from_raw_frames_matches_run_trace() {
-        use crate::source::RawFrameSource;
+        use crate::source::PcapSource;
         use syndog_net::packet::PacketBuilder;
         let trace = Trace::from_records(
             vec![
@@ -391,46 +402,57 @@ mod tests {
         let mut by_trace = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let expected = by_trace.run_trace(&trace);
 
-        // Re-synthesize each record as a raw frame, plus one malformed
-        // frame that must only show up in the malformed tally.
-        let mut source = RawFrameSource::with_batch_size(2);
-        for r in trace.records() {
-            let flags = match r.kind {
-                SegmentKind::Syn => syndog_net::TcpFlags::SYN,
-                SegmentKind::SynAck => syndog_net::TcpFlags::SYN | syndog_net::TcpFlags::ACK,
-                _ => unreachable!("test trace holds handshake records only"),
-            };
-            let frame = PacketBuilder::tcp(r.src, r.dst, flags).build().unwrap();
-            source.push(r.time, r.direction, &frame);
-        }
-        source.push(SimTime::from_secs(59), Direction::Outbound, &[0u8; 6]);
-        source.set_duration(trace.duration());
+        // Re-synthesize each record as a raw frame addressed the way it
+        // travels (the source tags direction by destination), plus one
+        // malformed frame that must only show up in the malformed tally.
+        let mut frames: Vec<(u64, Vec<u8>)> = trace
+            .records()
+            .iter()
+            .map(|r| {
+                let (flags, src, dst) = match r.kind {
+                    SegmentKind::Syn => (syndog_net::TcpFlags::SYN, r.src, r.dst),
+                    SegmentKind::SynAck => (
+                        syndog_net::TcpFlags::SYN | syndog_net::TcpFlags::ACK,
+                        r.dst,
+                        r.src,
+                    ),
+                    _ => unreachable!("test trace holds handshake records only"),
+                };
+                let frame = PacketBuilder::tcp(src, dst, flags).build().unwrap();
+                (r.time.as_micros() / 1_000_000, frame)
+            })
+            .collect();
+        frames.push((59, vec![0u8; 6]));
+        let file = pcap(&frames);
 
         let mut by_frames = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let mut samples = Vec::new();
+        let source = PcapSource::with_batch_size(file.as_slice(), stub(), 2).unwrap();
         by_frames.ingest(source, &mut samples).unwrap();
+        samples.push(by_frames.take_period_sample());
         assert_eq!(samples, expected);
         assert_eq!(by_frames.sniffer(Direction::Outbound).malformed(), 1);
     }
 
     #[test]
     fn ingest_without_duration_closes_no_trailing_periods() {
-        use crate::source::RawFrameSource;
-        let mut source = RawFrameSource::new();
-        source.push(
-            SimTime::from_secs(1),
-            Direction::Outbound,
-            &syndog_net::packet::PacketBuilder::tcp_syn(
-                "10.1.0.5:1025".parse().unwrap(),
-                "192.0.2.80:80".parse().unwrap(),
-            )
-            .build()
-            .unwrap(),
-        );
+        use crate::source::PcapSource;
+        let syn = syndog_net::packet::PacketBuilder::tcp_syn(
+            "10.1.0.5:1025".parse().unwrap(),
+            "192.0.2.80:80".parse().unwrap(),
+        )
+        .build()
+        .unwrap();
+        let file = pcap(&[(1, syn)]);
         let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let mut samples = Vec::new();
-        router.ingest(source, &mut samples).unwrap();
-        // The event's own period is still open: no duration, no square-off.
+        router
+            .ingest(
+                PcapSource::new(file.as_slice(), stub()).unwrap(),
+                &mut samples,
+            )
+            .unwrap();
+        // The event's own period is still open: a stream declares no end.
         assert!(samples.is_empty());
         assert_eq!(router.take_period_sample().syn, 1);
     }

@@ -3,15 +3,14 @@
 //! "Neither state nor state computation is involved in our SYN-dog. Only
 //! two new variables are introduced to measure the number of received SYN
 //! and SYN/ACK packets at the inbound and outbound interfaces" (§1). A
-//! [`Sniffer`] is exactly that: it classifies each frame with the §2
-//! algorithm and bumps one of two counters. Its memory footprint is
+//! [`Sniffer`] is exactly that: it takes each frame's §2 classification
+//! and bumps one of two counters. Its memory footprint is
 //! constant no matter how hard it is flooded — the property that makes
 //! SYN-dog itself immune to the attacks it detects.
 
 use syndog::PeriodSignals;
 use syndog_net::batch::ClassCounts;
-use syndog_net::classify::{classify, SegmentKind};
-use syndog_net::NetError;
+use syndog_net::classify::SegmentKind;
 use syndog_traffic::trace::Direction;
 
 /// A stateless SYN / SYN-ACK / FIN / RST counter for one router interface.
@@ -59,42 +58,8 @@ impl Sniffer {
         self.direction
     }
 
-    /// Classifies one raw Ethernet frame and updates the counters.
-    ///
-    /// Malformed frames are counted separately and otherwise ignored: a
-    /// sniffer on a live interface must never fail.
-    pub fn observe_frame(&mut self, frame: &[u8]) {
-        match classify(frame) {
-            Ok(kind) => self.observe_kind(kind),
-            Err(_) => {
-                self.frames_seen += 1;
-                self.malformed += 1;
-            }
-        }
-    }
-
-    /// Classifies one raw frame, reporting classification errors to the
-    /// caller while still counting the frame. Useful in tests and
-    /// diagnostics; the production path is [`Sniffer::observe_frame`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the classification error for malformed frames.
-    pub fn try_observe_frame(&mut self, frame: &[u8]) -> Result<SegmentKind, NetError> {
-        match classify(frame) {
-            Ok(kind) => {
-                self.observe_kind(kind);
-                Ok(kind)
-            }
-            Err(err) => {
-                self.frames_seen += 1;
-                self.malformed += 1;
-                Err(err)
-            }
-        }
-    }
-
-    /// Records an already-classified segment (the trace-driven path).
+    /// Records one classified segment (a trace record, or a frame the
+    /// capture front end classified with the §2 algorithm).
     pub fn observe_kind(&mut self, kind: SegmentKind) {
         self.frames_seen += 1;
         self.kinds[kind.index()] += 1;
@@ -107,8 +72,9 @@ impl Sniffer {
         }
     }
 
-    /// Records a frame that failed classification, without classifying it
-    /// here (the batched path has already tried).
+    /// Records a frame that failed classification. Malformed frames are
+    /// counted separately and otherwise ignored: a sniffer on a live
+    /// interface must never fail.
     pub fn observe_malformed(&mut self) {
         self.frames_seen += 1;
         self.malformed += 1;
@@ -210,8 +176,17 @@ impl Sniffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syndog_net::classify::classify;
     use syndog_net::packet::PacketBuilder;
     use syndog_net::TcpFlags;
+
+    /// Classifies one frame and counts it, as the capture front ends do.
+    fn observe(sniffer: &mut Sniffer, frame: &[u8]) {
+        match classify(frame) {
+            Ok(kind) => sniffer.observe_kind(kind),
+            Err(_) => sniffer.observe_malformed(),
+        }
+    }
 
     fn frame(flags: TcpFlags) -> Vec<u8> {
         PacketBuilder::tcp(
@@ -226,11 +201,11 @@ mod tests {
     #[test]
     fn counts_only_handshake_signals() {
         let mut sniffer = Sniffer::new(Direction::Outbound);
-        sniffer.observe_frame(&frame(TcpFlags::SYN));
-        sniffer.observe_frame(&frame(TcpFlags::SYN | TcpFlags::ACK));
-        sniffer.observe_frame(&frame(TcpFlags::ACK));
-        sniffer.observe_frame(&frame(TcpFlags::RST));
-        sniffer.observe_frame(&frame(TcpFlags::FIN | TcpFlags::ACK));
+        observe(&mut sniffer, &frame(TcpFlags::SYN));
+        observe(&mut sniffer, &frame(TcpFlags::SYN | TcpFlags::ACK));
+        observe(&mut sniffer, &frame(TcpFlags::ACK));
+        observe(&mut sniffer, &frame(TcpFlags::RST));
+        observe(&mut sniffer, &frame(TcpFlags::FIN | TcpFlags::ACK));
         assert_eq!(sniffer.syn_count(), 1);
         assert_eq!(sniffer.synack_count(), 1);
         assert_eq!(sniffer.frames_seen(), 5);
@@ -253,10 +228,10 @@ mod tests {
     fn take_counts_resets_period_counters_only() {
         let mut sniffer = Sniffer::new(Direction::Inbound);
         for _ in 0..3 {
-            sniffer.observe_frame(&frame(TcpFlags::SYN));
+            observe(&mut sniffer, &frame(TcpFlags::SYN));
         }
-        sniffer.observe_frame(&frame(TcpFlags::FIN | TcpFlags::ACK));
-        sniffer.observe_frame(&frame(TcpFlags::RST));
+        observe(&mut sniffer, &frame(TcpFlags::FIN | TcpFlags::ACK));
+        observe(&mut sniffer, &frame(TcpFlags::RST));
         let sample = sniffer.take_counts();
         assert_eq!(
             sample,
@@ -271,21 +246,19 @@ mod tests {
         assert_eq!(sniffer.fin_count(), 0);
         assert_eq!(sniffer.rst_count(), 0);
         assert_eq!(sniffer.frames_seen(), 5, "lifetime counter survives");
-        sniffer.observe_frame(&frame(TcpFlags::SYN));
+        observe(&mut sniffer, &frame(TcpFlags::SYN));
         assert_eq!(sniffer.take_counts().syn, 1);
     }
 
     #[test]
     fn malformed_frames_never_panic_or_count_as_handshake() {
         let mut sniffer = Sniffer::new(Direction::Outbound);
-        sniffer.observe_frame(&[0u8; 3]);
-        sniffer.observe_frame(&[]);
+        observe(&mut sniffer, &[0u8; 3]);
+        observe(&mut sniffer, &[]);
         let truncated = &frame(TcpFlags::SYN)[..20];
-        sniffer.observe_frame(truncated);
+        observe(&mut sniffer, truncated);
         assert_eq!(sniffer.syn_count(), 0);
         assert_eq!(sniffer.malformed(), 3);
-        assert!(sniffer.try_observe_frame(&[0u8; 3]).is_err());
-        assert_eq!(sniffer.malformed(), 4);
     }
 
     #[test]
@@ -301,30 +274,9 @@ mod tests {
             )
             .build()
             .unwrap();
-            sniffer.observe_frame(&syn);
+            observe(&mut sniffer, &syn);
         }
         assert_eq!(std::mem::size_of_val(&sniffer), before);
         assert_eq!(sniffer.syn_count(), 10_000);
-    }
-
-    #[test]
-    fn observe_malformed_matches_frame_error_path() {
-        let mut by_frame = Sniffer::new(Direction::Inbound);
-        by_frame.observe_frame(&[0u8; 2]);
-        let mut direct = Sniffer::new(Direction::Inbound);
-        direct.observe_malformed();
-        assert_eq!(by_frame, direct);
-    }
-
-    #[test]
-    fn observe_kind_matches_observe_frame() {
-        let mut by_frame = Sniffer::new(Direction::Outbound);
-        let mut by_kind = Sniffer::new(Direction::Outbound);
-        for flags in [TcpFlags::SYN, TcpFlags::SYN | TcpFlags::ACK, TcpFlags::ACK] {
-            let f = frame(flags);
-            by_frame.observe_frame(&f);
-            by_kind.observe_kind(syndog_net::classify(&f).unwrap());
-        }
-        assert_eq!(by_frame.take_counts(), by_kind.take_counts());
     }
 }

@@ -1,24 +1,23 @@
-//! The unified ingestion boundary: every way frames reach a router —
-//! pre-classified trace records, raw timestamped frames, pcap captures —
-//! is a [`FrameSource`] producing [`EventBatch`]es, and every consumer
-//! ([`LeafRouter::ingest`](crate::router::LeafRouter::ingest), and through
-//! it [`SynDogAgent`](crate::agent::SynDogAgent) and the concurrent
-//! deployment) closes observation periods through the same code path.
+//! The frame ingestion boundary: a [`FrameSource`] produces batches of
+//! classified, direction-tagged, timestamped [`FrameEvent`]s, and
+//! [`LeafRouter::ingest`](crate::router::LeafRouter::ingest) tallies them
+//! and slices time.
 //!
 //! The paper's sniffer (§2) is a classifier plus two counters; nothing in
-//! it cares *where* frames come from. Before this module the repository had
-//! three divergent ingestion paths duplicating classification and
-//! period-close logic; now a source's only job is to produce classified,
-//! direction-tagged, time-ordered events in batches, and the router's only
-//! job is to tally them and slice time.
+//! it cares *where* frames come from. [`PcapSource`] is the one frame
+//! source: `syndog sniff` streams a capture through it without
+//! materializing a trace. Every in-memory input is a
+//! [`Trace`](syndog_traffic::trace::Trace) and goes through the record
+//! loop, [`SynDogAgent::run_trace`](crate::agent::SynDogAgent::run_trace),
+//! instead.
 
 use std::io::Read;
 
 use syndog_net::batch::FrameBatch;
 use syndog_net::classify::{classify, SegmentKind};
 use syndog_net::{Ipv4Net, NetError};
-use syndog_sim::{SimDuration, SimTime};
-use syndog_traffic::trace::{Direction, Trace, TraceRecord};
+use syndog_sim::SimTime;
+use syndog_traffic::trace::Direction;
 
 /// Default number of events per batch; large enough to amortize per-batch
 /// overhead, small enough to stay cache-resident.
@@ -84,11 +83,9 @@ impl EventBatch {
     }
 }
 
-/// A producer of classified frame events, in nondecreasing time order.
+/// A producer of classified frame events, in capture order.
 ///
-/// Implementations exist for the three offline ingestion modes — trace
-/// records ([`TraceSource`]), raw timestamped frames ([`RawFrameSource`]),
-/// pcap captures ([`PcapSource`]) — and the live concurrent deployment
+/// [`PcapSource`] is the implementation; the concurrent deployment
 /// bridges its channels onto the same event/period machinery (see
 /// [`crate::concurrent`]).
 pub trait FrameSource {
@@ -99,239 +96,9 @@ pub trait FrameSource {
     ///
     /// # Errors
     ///
-    /// Sources backed by I/O (pcap) report stream failures; in-memory
-    /// sources never error. A *malformed frame* is not an error — it
-    /// becomes an event with `kind: None`.
+    /// Reports stream failures (I/O, pcap structure). A *malformed frame*
+    /// is not an error — it becomes an event with `kind: None`.
     fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError>;
-
-    /// The time span this source nominally covers, when known in advance.
-    ///
-    /// A known duration lets [`LeafRouter::ingest`] emit trailing empty
-    /// periods (silence is data) and ignore stray events past the end,
-    /// exactly as trace aggregation does.
-    ///
-    /// [`LeafRouter::ingest`]: crate::router::LeafRouter::ingest
-    fn duration(&self) -> Option<SimDuration> {
-        None
-    }
-}
-
-impl<S: FrameSource + ?Sized> FrameSource for &mut S {
-    fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError> {
-        (**self).next_batch(out)
-    }
-    fn duration(&self) -> Option<SimDuration> {
-        (**self).duration()
-    }
-}
-
-/// [`FrameSource`] over a [`Trace`]'s pre-classified records.
-#[derive(Debug, Clone)]
-pub struct TraceSource<'a> {
-    records: &'a [TraceRecord],
-    duration: SimDuration,
-    cursor: usize,
-    batch_size: usize,
-}
-
-impl<'a> TraceSource<'a> {
-    /// A source over `trace` with the default batch size.
-    pub fn new(trace: &'a Trace) -> Self {
-        TraceSource::with_batch_size(trace, DEFAULT_BATCH_SIZE)
-    }
-
-    /// A source over `trace` emitting `batch_size` events per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn with_batch_size(trace: &'a Trace, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be non-zero");
-        TraceSource {
-            records: trace.records(),
-            duration: trace.duration(),
-            cursor: 0,
-            batch_size,
-        }
-    }
-}
-
-impl FrameSource for TraceSource<'_> {
-    fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError> {
-        out.clear();
-        let end = (self.cursor + self.batch_size).min(self.records.len());
-        for record in &self.records[self.cursor..end] {
-            out.push(FrameEvent {
-                time: record.time,
-                direction: record.direction,
-                kind: Some(record.kind),
-            });
-        }
-        self.cursor = end;
-        Ok(!out.is_empty())
-    }
-
-    fn duration(&self) -> Option<SimDuration> {
-        Some(self.duration)
-    }
-}
-
-/// [`FrameSource`] that replays an owned [`Trace`] in a loop, shifting
-/// each pass by the trace's nominal duration — a bounded capture becomes
-/// an endless (or `loops`-bounded) workload for the serve daemon, the
-/// moral equivalent of `tcpreplay --loop` on a pcap.
-#[derive(Debug, Clone)]
-pub struct LoopingTraceSource {
-    trace: Trace,
-    /// Total passes to emit; `None` loops forever.
-    loops: Option<u64>,
-    pass: u64,
-    cursor: usize,
-    batch_size: usize,
-}
-
-impl LoopingTraceSource {
-    /// A source replaying `trace` end-to-end `loops` times (`None` =
-    /// forever), with the default batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's nominal duration is zero — each pass would
-    /// replay at the same timestamps and sim-time could never advance.
-    pub fn new(trace: Trace, loops: Option<u64>) -> Self {
-        assert!(
-            trace.duration() > SimDuration::ZERO,
-            "looping a zero-duration trace would freeze sim-time"
-        );
-        LoopingTraceSource {
-            trace,
-            loops,
-            pass: 0,
-            cursor: 0,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
-
-    /// The trace being looped.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Completed + in-progress passes so far (0 until the first event).
-    pub fn pass(&self) -> u64 {
-        self.pass
-    }
-}
-
-impl FrameSource for LoopingTraceSource {
-    fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError> {
-        out.clear();
-        let records = self.trace.records();
-        if records.is_empty() {
-            return Ok(false);
-        }
-        while out.len() < self.batch_size {
-            if self.loops.is_some_and(|total| self.pass >= total) {
-                break;
-            }
-            let offset = self.trace.duration() * self.pass;
-            let end = (self.cursor + (self.batch_size - out.len())).min(records.len());
-            for record in &records[self.cursor..end] {
-                out.push(FrameEvent {
-                    time: record.time + offset,
-                    direction: record.direction,
-                    kind: Some(record.kind),
-                });
-            }
-            self.cursor = end;
-            if self.cursor == records.len() {
-                self.cursor = 0;
-                self.pass += 1;
-            }
-        }
-        Ok(!out.is_empty())
-    }
-
-    fn duration(&self) -> Option<SimDuration> {
-        self.loops.map(|total| self.trace.duration() * total)
-    }
-}
-
-/// [`FrameSource`] over raw timestamped frames held in a [`FrameBatch`]
-/// arena — the frame bytes live back-to-back in one buffer, classified
-/// lazily as batches are drawn.
-#[derive(Debug, Clone, Default)]
-pub struct RawFrameSource {
-    frames: FrameBatch,
-    times: Vec<SimTime>,
-    directions: Vec<Direction>,
-    cursor: usize,
-    batch_size: usize,
-    duration: Option<SimDuration>,
-}
-
-impl RawFrameSource {
-    /// An empty source with the default batch size.
-    pub fn new() -> Self {
-        RawFrameSource::with_batch_size(DEFAULT_BATCH_SIZE)
-    }
-
-    /// An empty source emitting `batch_size` events per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn with_batch_size(batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be non-zero");
-        RawFrameSource {
-            batch_size,
-            ..RawFrameSource::default()
-        }
-    }
-
-    /// Appends one raw frame. Frames must be pushed in time order.
-    pub fn push(&mut self, time: SimTime, direction: Direction, frame: &[u8]) {
-        self.frames.push(frame);
-        self.times.push(time);
-        self.directions.push(direction);
-    }
-
-    /// Declares the nominal span of the frame stream (see
-    /// [`FrameSource::duration`]).
-    pub fn set_duration(&mut self, duration: SimDuration) {
-        self.duration = Some(duration);
-    }
-
-    /// Number of frames queued.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether any frames are queued.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-}
-
-impl FrameSource for RawFrameSource {
-    fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError> {
-        out.clear();
-        let end = (self.cursor + self.batch_size).min(self.times.len());
-        for i in self.cursor..end {
-            let frame = self.frames.get(i).expect("frames and times stay parallel");
-            out.push(FrameEvent {
-                time: self.times[i],
-                direction: self.directions[i],
-                kind: classify(frame).ok(),
-            });
-        }
-        self.cursor = end;
-        Ok(!out.is_empty())
-    }
-
-    fn duration(&self) -> Option<SimDuration> {
-        self.duration
-    }
 }
 
 /// [`FrameSource`] over a pcap capture stream.
@@ -339,9 +106,10 @@ impl FrameSource for RawFrameSource {
 /// Record bodies are read straight into a recycled [`FrameBatch`] arena
 /// (no per-packet allocation), classified with the §2 algorithm, and
 /// direction-tagged by the *destination* address against the stub prefix —
-/// the same inference [`Trace::read_pcap`] uses, and for the same reason:
-/// flood SYNs carry forged source addresses, so the destination is the one
-/// trustworthy field.
+/// the same inference
+/// [`Trace::read_pcap`](syndog_traffic::trace::Trace::read_pcap) uses, and
+/// for the same reason: flood SYNs carry forged source addresses, so the
+/// destination is the one trustworthy field.
 #[derive(Debug)]
 pub struct PcapSource<R> {
     reader: syndog_net::pcap::PcapReader<R>,
@@ -349,7 +117,6 @@ pub struct PcapSource<R> {
     arena: FrameBatch,
     times: Vec<SimTime>,
     batch_size: usize,
-    duration: Option<SimDuration>,
     done: bool,
 }
 
@@ -380,15 +147,8 @@ impl<R: Read> PcapSource<R> {
             arena: FrameBatch::new(),
             times: Vec::new(),
             batch_size,
-            duration: None,
             done: false,
         })
-    }
-
-    /// Declares the capture's true span (pcap files carry no duration
-    /// metadata; see [`Trace::set_duration`] for the same caveat).
-    pub fn set_duration(&mut self, duration: SimDuration) {
-        self.duration = Some(duration);
     }
 
     /// Classifies and direction-tags one frame from the arena.
@@ -448,16 +208,13 @@ impl<R: Read> FrameSource for PcapSource<R> {
         }
         Ok(!out.is_empty())
     }
-
-    fn duration(&self) -> Option<SimDuration> {
-        self.duration
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_net::packet::PacketBuilder;
+    use syndog_sim::SimDuration;
+    use syndog_traffic::trace::{Trace, TraceRecord};
 
     fn rec(secs: f64, direction: Direction, kind: SegmentKind) -> TraceRecord {
         TraceRecord::new(
@@ -479,53 +236,6 @@ mod tests {
         assert!(!source.next_batch(&mut out).unwrap());
         assert!(out.is_empty());
         all
-    }
-
-    #[test]
-    fn trace_source_emits_records_in_batches() {
-        let records: Vec<_> = (0..10)
-            .map(|i| rec(i as f64, Direction::Outbound, SegmentKind::Syn))
-            .collect();
-        let trace = Trace::from_records(records.clone(), SimDuration::from_secs(20));
-        let mut source = TraceSource::with_batch_size(&trace, 3);
-        assert_eq!(source.duration(), Some(SimDuration::from_secs(20)));
-        let mut out = EventBatch::new();
-        assert!(source.next_batch(&mut out).unwrap());
-        assert_eq!(out.len(), 3);
-        let events = drain(&mut source);
-        assert_eq!(events.len(), 7, "drain picks up after the first batch");
-        let mut source = TraceSource::new(&trace);
-        let events = drain(&mut source);
-        assert_eq!(events.len(), records.len());
-        for (event, record) in events.iter().zip(&records) {
-            assert_eq!(event.time, record.time);
-            assert_eq!(event.direction, record.direction);
-            assert_eq!(event.kind, Some(record.kind));
-        }
-    }
-
-    #[test]
-    fn raw_source_classifies_frames() {
-        let syn = PacketBuilder::tcp_syn(
-            "10.1.0.5:1025".parse().unwrap(),
-            "192.0.2.80:80".parse().unwrap(),
-        )
-        .build()
-        .unwrap();
-        let mut source = RawFrameSource::with_batch_size(2);
-        assert!(source.is_empty());
-        source.push(SimTime::from_secs(1), Direction::Outbound, &syn);
-        source.push(SimTime::from_secs(2), Direction::Inbound, &[0u8; 4]);
-        source.push(SimTime::from_secs(3), Direction::Outbound, &syn);
-        source.set_duration(SimDuration::from_secs(20));
-        assert_eq!(source.len(), 3);
-        assert_eq!(source.duration(), Some(SimDuration::from_secs(20)));
-        let events = drain(&mut source);
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, Some(SegmentKind::Syn));
-        assert_eq!(events[1].kind, None, "truncated frame -> malformed event");
-        assert_eq!(events[1].direction, Direction::Inbound);
-        assert_eq!(events[2].time, SimTime::from_secs(3));
     }
 
     #[test]
@@ -573,58 +283,6 @@ mod tests {
         let mut source = PcapSource::new(file.as_slice(), "10.1.0.0/16".parse().unwrap()).unwrap();
         let mut out = EventBatch::new();
         assert!(source.next_batch(&mut out).is_err());
-    }
-
-    #[test]
-    fn looping_source_shifts_each_pass_by_the_trace_duration() {
-        let trace = Trace::from_records(
-            vec![
-                rec(1.0, Direction::Outbound, SegmentKind::Syn),
-                rec(8.0, Direction::Inbound, SegmentKind::SynAck),
-            ],
-            SimDuration::from_secs(10),
-        );
-        let mut source = LoopingTraceSource::new(trace, Some(3));
-        assert_eq!(source.duration(), Some(SimDuration::from_secs(30)));
-        let events = drain(&mut source);
-        assert_eq!(events.len(), 6);
-        let times: Vec<f64> = events.iter().map(|e| e.time.as_secs_f64()).collect();
-        assert_eq!(times, vec![1.0, 8.0, 11.0, 18.0, 21.0, 28.0]);
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
-        assert_eq!(source.pass(), 3);
-    }
-
-    #[test]
-    fn endless_looping_source_keeps_producing_full_batches() {
-        let trace = Trace::from_records(
-            vec![rec(1.0, Direction::Outbound, SegmentKind::Syn)],
-            SimDuration::from_secs(2),
-        );
-        let mut source = LoopingTraceSource::new(trace, None);
-        assert_eq!(source.duration(), None);
-        let mut out = EventBatch::new();
-        assert!(source.next_batch(&mut out).unwrap());
-        // An endless source fills whole batches from a one-record trace.
-        assert_eq!(out.len(), DEFAULT_BATCH_SIZE);
-        assert_eq!(out.events()[0].time.as_secs_f64(), 1.0);
-        assert_eq!(out.events()[1].time.as_secs_f64(), 3.0);
-        assert!(source.next_batch(&mut out).unwrap());
-        assert_eq!(out.events()[0].time.as_secs_f64(), 513.0);
-    }
-
-    #[test]
-    fn looping_source_over_empty_trace_is_immediately_exhausted() {
-        let trace = Trace::from_records(Vec::new(), SimDuration::from_secs(10));
-        let mut source = LoopingTraceSource::new(trace, None);
-        let mut out = EventBatch::new();
-        assert!(!source.next_batch(&mut out).unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-duration")]
-    fn looping_source_rejects_zero_duration_traces() {
-        let trace = Trace::from_records(Vec::new(), SimDuration::ZERO);
-        let _ = LoopingTraceSource::new(trace, None);
     }
 
     #[test]

@@ -362,12 +362,11 @@ impl ConcurrentTelemetry {
     }
 }
 
-/// Per-fault-kind counters for a
-/// [`FaultInjector`](crate::faults::FaultInjector)'s ledger, published as
+/// Per-fault-kind counters for a [`FaultLedger`], published as
 /// `syndog_faults_total{kind=...}` by delta against the last synced
-/// ledger — the injector keeps its plain-value [`FaultLedger`] and this
-/// struct owns the telemetry coupling, mirroring the sniffer's
-/// per-interface series split.
+/// ledger — the fault pass keeps its plain-value ledger and this struct
+/// owns the telemetry coupling, mirroring the sniffer's per-interface
+/// series split.
 #[derive(Debug, Clone)]
 pub struct FaultTelemetry {
     dropped: Arc<Counter>,

@@ -12,10 +12,7 @@ use proptest::prelude::*;
 
 use syndog::SynDogConfig;
 use syndog_attack::SynFlood;
-use syndog_router::{
-    Checkpoint, EventBatch, FaultInjector, FaultSpec, FrameEvent, FrameSource, SynDogAgent,
-    TraceSource,
-};
+use syndog_router::{Checkpoint, FaultSpec, SynDogAgent};
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_traffic::sites::SiteProfile;
 use syndog_traffic::trace::Trace;
@@ -44,10 +41,7 @@ fn agent_for(site: &SiteProfile) -> SynDogAgent {
 /// period (absolute), if any.
 fn faulted_alarm_period(site: &SiteProfile, trace: &Trace, spec: FaultSpec) -> Option<u64> {
     let mut agent = agent_for(site);
-    let mut injector = FaultInjector::new(TraceSource::new(trace), spec);
-    agent
-        .run_source(&mut injector)
-        .expect("in-memory sources cannot fail");
+    agent.run_trace(&spec.apply_to_trace(trace).0);
     agent.first_alarm().map(|a| a.period)
 }
 
@@ -202,20 +196,11 @@ fn checkpoint_restore_reproduces_uninterrupted_detections() {
     }
 }
 
-fn drain<S: FrameSource>(source: &mut S) -> Vec<FrameEvent> {
-    let mut batch = EventBatch::new();
-    let mut all = Vec::new();
-    while source.next_batch(&mut batch).expect("in-memory source") {
-        all.extend_from_slice(batch.events());
-    }
-    all
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Two injectors with the same spec over the same source produce
-    /// byte-identical faulted streams, identical ledgers, and identical
+    /// Two passes with the same spec over the same trace produce
+    /// identical faulted traces, identical ledgers, and identical
     /// detection series.
     #[test]
     fn same_seed_same_faulted_stream_and_detections(
@@ -236,25 +221,21 @@ proptest! {
         let mut rng = SimRng::seed_from_u64(40);
         let trace = site.generate_trace(&mut rng);
 
-        let mut first = FaultInjector::new(TraceSource::new(&trace), spec);
-        let mut second = FaultInjector::new(TraceSource::new(&trace), spec);
-        prop_assert_eq!(drain(&mut first), drain(&mut second));
-        prop_assert_eq!(first.ledger(), second.ledger());
+        let (first, first_ledger) = spec.apply_to_trace(&trace);
+        let (second, second_ledger) = spec.apply_to_trace(&trace);
+        prop_assert_eq!(&first, &second);
+        prop_assert_eq!(first_ledger, second_ledger);
 
         let mut agent_a = agent_for(&site);
-        agent_a
-            .run_source(FaultInjector::new(TraceSource::new(&trace), spec))
-            .expect("in-memory source");
+        agent_a.run_trace(&first);
         let mut agent_b = agent_for(&site);
-        agent_b
-            .run_source(FaultInjector::new(TraceSource::new(&trace), spec))
-            .expect("in-memory source");
+        agent_b.run_trace(&second);
         prop_assert_eq!(agent_a.detections(), agent_b.detections());
         prop_assert_eq!(agent_a.alarms(), agent_b.alarms());
     }
 
-    /// An off spec is the identity: same events, same detections as the
-    /// bare source, regardless of seed.
+    /// An off spec is the identity: same records, same detections as the
+    /// bare trace, regardless of seed.
     #[test]
     fn off_faults_are_identity(seed in 0u64..1000) {
         let spec = FaultSpec { seed, ..FaultSpec::off() };
@@ -262,17 +243,14 @@ proptest! {
         let mut rng = SimRng::seed_from_u64(41);
         let trace = site.generate_trace(&mut rng);
 
-        let mut plain = TraceSource::new(&trace);
-        let mut wrapped = FaultInjector::new(TraceSource::new(&trace), spec);
-        prop_assert_eq!(drain(&mut plain), drain(&mut wrapped));
-        prop_assert_eq!(wrapped.ledger().total_faults(), 0);
+        let (faulted_trace, ledger) = spec.apply_to_trace(&trace);
+        prop_assert_eq!(&faulted_trace, &trace);
+        prop_assert_eq!(ledger.total_faults(), 0);
 
         let mut direct = agent_for(&site);
         direct.run_trace(&trace);
         let mut faulted = agent_for(&site);
-        faulted
-            .run_source(FaultInjector::new(TraceSource::new(&trace), spec))
-            .expect("in-memory source");
+        faulted.run_trace(&faulted_trace);
         prop_assert_eq!(direct.detections(), faulted.detections());
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use syndog::{DetectorKind, PeriodCounts, PeriodSignals, SynDogConfig, SynDogDetector};
 use syndog_net::SegmentKind;
-use syndog_router::{Checkpoint, LeafRouter, SynDogAgent, TraceSource};
+use syndog_router::{Checkpoint, LeafRouter, PcapSource, SynDogAgent};
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::trace::{Direction, Trace, TraceRecord};
 
@@ -123,23 +123,38 @@ proptest! {
     }
 
     /// The record loop and the frame-source loop close the same periods:
-    /// `run_trace` equals `run_source(TraceSource::new(..))` on arbitrary
-    /// records, spans and tails past the span.
+    /// for arbitrary records written as a pcap, `run_source(PcapSource)`
+    /// squared off to the span `read_pcap` infers equals `run_trace` over
+    /// the imported trace.
     #[test]
-    fn run_trace_equals_run_source_over_a_trace_source(
+    fn run_trace_equals_run_source_over_a_pcap_source(
         events in proptest::collection::vec((0u64..260, arb_direction(), arb_kind()), 0..300),
-        span in 0u64..240,
     ) {
-        let records: Vec<TraceRecord> =
-            events.iter().map(|&(t, d, k)| record(t, d, k)).collect();
-        let trace = Trace::from_records(records, SimDuration::from_secs(span));
+        // The pcap carries no direction: address each record the way it
+        // travels, so the reader's destination rule recovers it.
+        let records: Vec<TraceRecord> = events
+            .iter()
+            .map(|&(t, d, k)| {
+                let r = record(t, d, k);
+                match d {
+                    Direction::Outbound => r,
+                    Direction::Inbound => TraceRecord { src: r.dst, dst: r.src, ..r },
+                }
+            })
+            .collect();
+        let mut file = Vec::new();
+        Trace::from_records(records, SimDuration::from_secs(260))
+            .write_pcap(&mut file)
+            .unwrap();
+        let imported = Trace::read_pcap(file.as_slice(), stub()).unwrap();
         let mut by_records = SynDogAgent::new(stub(), SynDogConfig::paper_default());
         let mut by_source = SynDogAgent::new(stub(), SynDogConfig::paper_default());
-        let series = by_records.run_trace(&trace);
-        prop_assert_eq!(
-            &series,
-            &by_source.run_source(TraceSource::new(&trace)).unwrap()
-        );
+        by_records.run_trace(&imported);
+        by_source
+            .run_source(PcapSource::new(file.as_slice(), stub()).unwrap())
+            .unwrap();
+        let period = by_source.router().period().as_micros();
+        by_source.close_periods_to(imported.duration().as_micros().div_ceil(period));
         prop_assert_eq!(by_records.detections(), by_source.detections());
         prop_assert_eq!(
             by_records.router().current_period(),

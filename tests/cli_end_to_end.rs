@@ -178,49 +178,110 @@ fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
     let dir = std::env::temp_dir();
     let bg = dir.join("syndog_e2e_replay_bg.bin");
     let flooded = dir.join("syndog_e2e_replay_flooded.bin");
+    let flooded_pcap = dir.join("syndog_e2e_replay_flooded.pcap");
+    let bg_s = bg.to_str().unwrap();
+    let out = run_ok(&["generate", "--site", "lbl", "--seed", "2", "--out", bg_s]);
+    let background = number_after(&out, "(");
+    let mut written = 0;
+    // One capture, written once as a binary trace and once as a pcap.
+    for copy in [&flooded, &flooded_pcap] {
+        let out = run_ok(&[
+            "inject",
+            "--in",
+            bg_s,
+            "--out",
+            copy.to_str().unwrap(),
+            "--rate",
+            "20",
+            "--start",
+            "600",
+            "--seed",
+            "5",
+        ]);
+        written = background + number_after(&out, "injected ");
+    }
+
+    for input in [&flooded, &flooded_pcap] {
+        let stub = ["--in", input.to_str().unwrap(), "--stub", "128.3.0.0/16"];
+        let detect_out = run_ok(&[&["detect"], &stub[..]].concat());
+        let sniff_out = run_ok(&[&["sniff"], &stub[..]].concat());
+        let replay_out = run_ok(&[&["replay"], &stub[..]].concat());
+        let detect = report_block(&detect_out);
+        assert!(detect[2].ends_with(" alarm periods total"), "{detect_out}");
+        assert_eq!(
+            report_block(&sniff_out),
+            detect,
+            "sniff and detect close the same periods on {input:?}"
+        );
+        assert_eq!(
+            report_block(&replay_out),
+            detect,
+            "replay and detect close the same periods on {input:?}"
+        );
+
+        // Every ingestion path reads the records inside the trace's
+        // declared span: the few handshake tails the generator writes past
+        // the end of a binary trace are skipped, exactly as `detect` skips
+        // them.
+        let records = number_after(&sniff_out, "sniffed ");
+        assert!(records > 0 && records <= written, "{records} of {written}");
+        // Overflow shedding: whatever the sniffers did not count, the drop
+        // tally did — every record is accounted for exactly once.
+        let shed = ["--drop", "--capacity", "1", "--batch-size", "8"];
+        let out = run_ok(&[&["replay"], &stub[..], &shed[..]].concat());
+        let outbound = number_after(&out, "sniffer threads: ");
+        let inbound = number_after(&out, "outbound / ");
+        let dropped = if out.contains("overflow shed") {
+            number_after(&out, "batches / ")
+        } else {
+            0
+        };
+        assert_eq!(outbound + inbound + dropped, records, "{out}");
+    }
+
+    for file in [bg, flooded, flooded_pcap] {
+        let _ = std::fs::remove_file(file);
+    }
+}
+
+/// `--faults` is one record pass on every front end: `detect`, `detect
+/// --mitigate` and `replay` print one report block and one fault ledger,
+/// and the ledger shows the reordering happened.
+#[test]
+fn faults_mean_the_same_on_every_front_end() {
+    let dir = std::env::temp_dir();
+    let bg = dir.join("syndog_e2e_faults_bg.bin");
+    let flooded = dir.join("syndog_e2e_faults_flooded.bin");
     let bg_s = bg.to_str().unwrap();
     let flooded_s = flooded.to_str().unwrap();
-    let out = run_ok(&["generate", "--site", "lbl", "--seed", "2", "--out", bg_s]);
-    let written = number_after(&out, "(");
-    let out = run_ok(&[
-        "inject", "--in", bg_s, "--out", flooded_s, "--rate", "20", "--start", "600", "--seed", "5",
-    ]);
-    let written = written + number_after(&out, "injected ");
+    run_ok(&["generate", "--site", "lbl", "--seed", "1", "--out", bg_s]);
+    run_ok(&["inject", "--in", bg_s, "--out", flooded_s, "--rate", "50"]);
 
-    let stub = ["--in", flooded_s, "--stub", "128.3.0.0/16"];
-    let detect_out = run_ok(&[&["detect"], &stub[..]].concat());
-    let sniff_out = run_ok(&[&["sniff"], &stub[..]].concat());
-    let replay_out = run_ok(&[&["replay"], &stub[..]].concat());
-    let detect = report_block(&detect_out);
-    assert!(detect[2].ends_with(" alarm periods total"), "{detect_out}");
-    assert_eq!(
-        report_block(&sniff_out),
-        detect,
-        "sniff and detect share one period-close path and one report"
-    );
-    assert_eq!(
-        report_block(&replay_out),
-        detect,
-        "replay and detect share one period-close path and one report"
-    );
-
-    // Every ingestion path reads the records inside the trace's declared
-    // span: the few handshake tails the generator writes past the end
-    // are skipped, exactly as `detect` skips them.
-    let records = number_after(&sniff_out, "sniffed ");
-    assert!(records > 0 && records <= written, "{records} of {written}");
-    // Overflow shedding: whatever the sniffers did not count, the drop
-    // tally did — every record is accounted for exactly once.
-    let shed = ["--drop", "--capacity", "1", "--batch-size", "8"];
-    let out = run_ok(&[&["replay"], &stub[..], &shed[..]].concat());
-    let outbound = number_after(&out, "sniffer threads: ");
-    let inbound = number_after(&out, "outbound / ");
-    let dropped = if out.contains("overflow shed") {
-        number_after(&out, "batches / ")
-    } else {
-        0
+    let run = [
+        "--in",
+        flooded_s,
+        "--stub",
+        "128.3.0.0/16",
+        "--faults",
+        "reorder=64,jitter_ms=500,seed=7",
+    ];
+    let detect = run_ok(&[&["detect"], &run[..]].concat());
+    let mitigated = run_ok(&[&["detect"], &run[..], &["--mitigate"]].concat());
+    let replay = run_ok(&[&["replay"], &run[..]].concat());
+    let ledger = |out: &str| {
+        out.lines()
+            .find(|line| line.starts_with("faults: "))
+            .unwrap_or_else(|| panic!("no fault ledger: {out}"))
+            .to_owned()
     };
-    assert_eq!(outbound + inbound + dropped, records, "{out}");
+    for other in [&mitigated, &replay] {
+        assert_eq!(report_block(other), report_block(&detect), "{other}");
+        assert_eq!(ledger(other), ledger(&detect));
+    }
+    assert!(
+        number_after(&ledger(&detect), "duplicated, ") > 0,
+        "records were reordered: {detect}"
+    );
 
     let _ = std::fs::remove_file(bg);
     let _ = std::fs::remove_file(flooded);
