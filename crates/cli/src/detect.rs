@@ -141,7 +141,7 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
     };
     if input.ends_with(".pcap") {
         let file = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
-        let source = PcapSource::with_batch_size(std::io::BufReader::new(file), stub, batch_size)
+        let source = PcapSource::with_batch_size(file, stub, batch_size)
             .map_err(|e| format!("read {input}: {e}"))?;
         agent
             .run_source(source)

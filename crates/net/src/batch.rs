@@ -40,12 +40,10 @@ use crate::ethernet;
 
 /// A contiguous arena of raw Ethernet frames.
 ///
-/// Frames are appended with [`push`](FrameBatch::push) (or read straight
-/// from a pcap record by
-/// [`PcapReader::next_packet_into`](crate::pcap::PcapReader::next_packet_into))
-/// and read back as borrowed slices. [`clear`] keeps the
-/// allocations, so a recycled batch reaches a steady state where the hot
-/// path performs no allocation per frame or per batch.
+/// Frames are appended with [`push`](FrameBatch::push) and read back as
+/// borrowed slices. [`clear`] keeps the allocations, so a recycled batch
+/// reaches a steady state where the hot path performs no allocation per
+/// frame or per batch.
 ///
 /// [`clear`]: FrameBatch::clear
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -78,32 +76,6 @@ impl FrameBatch {
         self.ends.push(self.buffer.len());
     }
 
-    /// Appends one frame made of whatever bytes `append` adds to the end
-    /// of the arena's byte buffer, with no intermediate copy (used by
-    /// [`PcapReader::next_packet_into`](crate::pcap::PcapReader::next_packet_into)
-    /// to read record bodies directly into the arena).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `append`'s error; on error the batch is left exactly as
-    /// it was before the call.
-    pub(crate) fn push_appended<E>(
-        &mut self,
-        append: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let start = self.buffer.len();
-        match append(&mut self.buffer) {
-            Ok(()) => {
-                self.ends.push(self.buffer.len());
-                Ok(())
-            }
-            Err(err) => {
-                self.buffer.truncate(start);
-                Err(err)
-            }
-        }
-    }
-
     /// Number of frames in the batch.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -112,11 +84,6 @@ impl FrameBatch {
     /// Whether the batch holds no frames.
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
-    }
-
-    /// Total bytes across all frames.
-    pub fn byte_len(&self) -> usize {
-        self.buffer.len()
     }
 
     /// Removes all frames, keeping the allocations for reuse.
@@ -523,7 +490,6 @@ mod tests {
         let batch: FrameBatch = frames.iter().collect();
         assert_eq!(batch.len(), 3);
         assert!(!batch.is_empty());
-        assert_eq!(batch.byte_len(), frames.iter().map(Vec::len).sum::<usize>());
         for (i, expected) in frames.iter().enumerate() {
             assert_eq!(batch.get(i).unwrap(), expected.as_slice());
         }
@@ -555,29 +521,8 @@ mod tests {
         let bytes_cap_before = batch.buffer.capacity();
         batch.clear();
         assert!(batch.is_empty());
-        assert_eq!(batch.byte_len(), 0);
+        assert!(batch.buffer.is_empty());
         assert_eq!(batch.buffer.capacity(), bytes_cap_before);
-    }
-
-    #[test]
-    fn push_appended_appends_one_frame_and_rolls_back_on_error() {
-        let mut batch = FrameBatch::new();
-        batch
-            .push_appended(|buffer| {
-                buffer.extend_from_slice(&[1, 2, 3]);
-                Ok::<_, ()>(())
-            })
-            .unwrap();
-        assert_eq!(batch.get(0).unwrap(), &[1, 2, 3]);
-        let err = batch
-            .push_appended(|buffer| {
-                buffer.extend_from_slice(&[4, 5]);
-                Err::<(), _>("boom")
-            })
-            .unwrap_err();
-        assert_eq!(err, "boom");
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.byte_len(), 3);
     }
 
     #[test]

@@ -97,6 +97,7 @@ impl SegmentKind {
 /// Returns [`NetError::Truncated`] if the frame is too short to hold the
 /// fields the algorithm must read, and [`NetError::InvalidField`] for a
 /// non-IPv4 version nibble in an IPv4 EtherType frame.
+#[inline]
 pub fn classify(frame: &[u8]) -> Result<SegmentKind, NetError> {
     // Step 0: link layer. Anything but IPv4 is NonTcp for our purposes.
     if frame.len() < ethernet::HEADER_LEN {
@@ -119,6 +120,7 @@ pub fn classify(frame: &[u8]) -> Result<SegmentKind, NetError> {
 /// # Errors
 ///
 /// Same conditions as [`classify`].
+#[inline]
 pub fn classify_ipv4(ip: &[u8]) -> Result<SegmentKind, NetError> {
     if ip.len() < crate::ipv4::MIN_HEADER_LEN {
         return Err(NetError::Truncated {
@@ -168,6 +170,7 @@ pub fn classify_ipv4(ip: &[u8]) -> Result<SegmentKind, NetError> {
 
 /// Maps flag bits to a [`SegmentKind`]. RST dominates, then the SYN forms,
 /// then FIN, matching how endpoints interpret simultaneous flags.
+#[inline]
 pub fn kind_of(flags: TcpFlags) -> SegmentKind {
     if flags.contains(TcpFlags::RST) {
         SegmentKind::Rst

@@ -18,7 +18,8 @@
 //!   tiny-fragment filter that keeps the classifier sound under evasive
 //!   fragmentation,
 //! - [`pcap`] — a reader/writer for the classic libpcap capture file format,
-//!   so the sniffer can run over real capture files,
+//!   so the sniffer can run over real capture files; the reader lends each
+//!   record in place from a block buffer,
 //! - [`addr`] — MAC addresses, IPv4 prefixes and the invalid/spoofed source
 //!   address test the paper relies on ("the spoofed source address must be an
 //!   invalid IP address so that it can't be reachable from the victim").

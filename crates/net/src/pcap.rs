@@ -77,14 +77,39 @@ pub struct PcapHeader {
     pub big_endian: bool,
 }
 
+/// One packet record lent by [`PcapReader::next_frame`]: the body is a
+/// slice of the reader's block buffer, valid until the next read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PcapFrame<'a> {
+    /// Seconds since the Unix epoch.
+    pub ts_sec: u32,
+    /// Sub-second part in nanoseconds, as in [`PcapPacket::ts_nanos`].
+    pub ts_nanos: u32,
+    /// Captured bytes (starting at the link-layer header).
+    pub data: &'a [u8],
+}
+
+impl PcapFrame<'_> {
+    /// The timestamp in whole microseconds since the Unix epoch.
+    pub fn timestamp_micros(&self) -> u64 {
+        u64::from(self.ts_sec) * 1_000_000 + u64::from(self.ts_nanos) / 1000
+    }
+}
+
 /// Streaming pcap reader over any [`Read`].
 ///
-/// Generic readers are taken by value; pass `&mut reader` to retain
-/// ownership at the call site.
+/// Records are read in 64 KiB blocks into one private buffer and lent in
+/// place by [`next_frame`](PcapReader::next_frame), so the underlying
+/// reader needs no buffering of its own. Generic readers are taken by
+/// value; pass `&mut reader` to retain ownership at the call site.
 #[derive(Debug)]
 pub struct PcapReader<R> {
     inner: R,
     header: PcapHeader,
+    /// Block buffer; bytes `start..end` are read but not yet consumed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl<R: Read> PcapReader<R> {
@@ -106,31 +131,29 @@ impl<R: Read> PcapReader<R> {
             (_, MAGIC_NANOS) => (true, true),
             _ => return Err(NetError::BadPcapMagic(magic_le)),
         };
-        let u16_at = |bytes: &[u8], at: usize| -> u16 {
-            let pair = [bytes[at], bytes[at + 1]];
+        let u16_at = |at: usize| -> u16 {
+            let pair = [head[at], head[at + 1]];
             if big_endian {
                 u16::from_be_bytes(pair)
             } else {
                 u16::from_le_bytes(pair)
             }
         };
-        let u32_at = |bytes: &[u8], at: usize| -> u32 {
-            let quad = [bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]];
-            if big_endian {
-                u32::from_be_bytes(quad)
-            } else {
-                u32::from_le_bytes(quad)
-            }
-        };
         let header = PcapHeader {
-            version_major: u16_at(&head, 4),
-            version_minor: u16_at(&head, 6),
-            snaplen: u32_at(&head, 16),
-            linktype: u32_at(&head, 20),
+            version_major: u16_at(4),
+            version_minor: u16_at(6),
+            snaplen: u32_at(&head, 16, big_endian),
+            linktype: u32_at(&head, 20, big_endian),
             nanosecond,
             big_endian,
         };
-        Ok(PcapReader { inner, header })
+        Ok(PcapReader {
+            inner,
+            header,
+            buf: vec![0; BLOCK_LEN],
+            start: 0,
+            end: 0,
+        })
     }
 
     /// The parsed global header.
@@ -138,176 +161,117 @@ impl<R: Read> PcapReader<R> {
         &self.header
     }
 
-    /// Reads the next packet record, or `Ok(None)` at a clean end of file.
+    /// Reads the next packet record into an owned [`PcapPacket`], or
+    /// `Ok(None)` at a clean end of file.
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Truncated`] if the file ends mid-record, and
-    /// [`NetError::InvalidField`] for a captured length beyond the snaplen
-    /// sanity bound.
+    /// As [`next_frame`](PcapReader::next_frame).
     pub fn next_packet(&mut self) -> Result<Option<PcapPacket>, NetError> {
-        let Some(record) = self.next_record()? else {
-            return Ok(None);
-        };
-        let mut data = Vec::new();
-        if record.caplen > EAGER_BODY_LEN {
-            read_long_body(&mut self.inner, record.caplen, &mut data)?;
-        } else {
-            data.resize(record.caplen, 0);
-            read_short_body(&mut self.inner, &mut data)?;
-        }
-        Ok(Some(PcapPacket {
-            ts_sec: record.ts_sec,
-            ts_nanos: record.ts_nanos,
-            data,
+        Ok(self.next_frame()?.map(|frame| PcapPacket {
+            ts_sec: frame.ts_sec,
+            ts_nanos: frame.ts_nanos,
+            data: frame.data.to_vec(),
         }))
     }
 
-    /// Reads the next packet record's bytes directly into `batch`, avoiding
-    /// the per-packet `Vec` of [`next_packet`](PcapReader::next_packet).
-    ///
-    /// On success returns the record's timestamp as `Some((ts_sec,
-    /// ts_nanos))`; returns `Ok(None)` at a clean end of file, leaving
-    /// `batch` untouched.
+    /// Lends the next packet record in place, or returns `Ok(None)` at a
+    /// clean end of file (which includes a partial record header).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`next_packet`](PcapReader::next_packet); on error
-    /// no frame is appended to `batch`.
+    /// Returns [`NetError::Truncated`] with the body bytes present if the
+    /// file ends mid-body, [`NetError::InvalidField`] for a captured length
+    /// beyond the snaplen sanity bound, and I/O errors from the underlying
+    /// reader.
     #[inline]
-    pub fn next_packet_into(
-        &mut self,
-        batch: &mut crate::batch::FrameBatch,
-    ) -> Result<Option<(u32, u32)>, NetError> {
-        let Some(record) = self.next_record()? else {
+    pub fn next_frame(&mut self) -> Result<Option<PcapFrame<'_>>, NetError> {
+        if self.end - self.start < RECORD_HEADER_LEN && !self.fill(RECORD_HEADER_LEN)? {
             return Ok(None);
-        };
-        let inner = &mut self.inner;
-        let caplen = record.caplen;
-        if caplen > EAGER_BODY_LEN {
-            batch.push_appended(|buffer| read_long_body(inner, caplen, buffer))?;
-        } else {
-            batch.push_appended(|buffer| {
-                let start = buffer.len();
-                buffer.resize(start + caplen, 0);
-                read_short_body(inner, &mut buffer[start..])
-            })?;
         }
-        Ok(Some((record.ts_sec, record.ts_nanos)))
-    }
-
-    /// Reads and checks the next 16-byte record header, or `Ok(None)` at a
-    /// clean end of file.
-    fn next_record(&mut self) -> Result<Option<RecordHeader>, NetError> {
-        let mut rec = [0u8; 16];
-        match self.inner.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(err) if err.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(err) => return Err(err.into()),
-        }
-        let u32_at = |at: usize| -> u32 {
-            let quad = [rec[at], rec[at + 1], rec[at + 2], rec[at + 3]];
-            if self.header.big_endian {
-                u32::from_be_bytes(quad)
-            } else {
-                u32::from_le_bytes(quad)
-            }
-        };
-        let ts_frac = u32_at(4);
-        let caplen = u32_at(8);
+        let rec = &self.buf[self.start..self.start + RECORD_HEADER_LEN];
+        let word = |at| u32_at(rec, at, self.header.big_endian);
+        let (ts_sec, ts_frac, caplen) = (word(0), word(4), word(8));
         // 256 MiB per packet is far beyond any real snaplen; treat it as
         // corruption rather than attempting the read.
         if caplen > MAX_CAPLEN {
+            self.start += RECORD_HEADER_LEN;
             return Err(NetError::InvalidField {
                 layer: "pcap record",
                 field: "caplen",
                 value: u64::from(caplen),
             });
         }
-        Ok(Some(RecordHeader {
-            ts_sec: u32_at(0),
+        let len = RECORD_HEADER_LEN + caplen as usize;
+        if self.end - self.start < len && !self.fill(len)? {
+            let available = self.end - self.start - RECORD_HEADER_LEN;
+            self.start = self.end;
+            return Err(NetError::Truncated {
+                layer: "pcap record",
+                needed: caplen as usize,
+                available,
+            });
+        }
+        let body = self.start + RECORD_HEADER_LEN..self.start + len;
+        self.start += len;
+        Ok(Some(PcapFrame {
+            ts_sec,
             ts_nanos: if self.header.nanosecond {
                 ts_frac
             } else {
                 ts_frac.saturating_mul(1000)
             },
-            caplen: caplen as usize,
+            data: &self.buf[body],
         }))
     }
 
-    /// Iterates over all remaining packets, stopping at the first error.
-    pub fn packets(&mut self) -> Packets<'_, R> {
-        Packets { reader: self }
+    /// Reads until `need` unconsumed bytes are buffered, returning `false`
+    /// if the file ends first. Reading stops as soon as they are, so a
+    /// pipe is never waited on for more than the current record. The
+    /// buffer doubles only when full, so a record that claims more bytes
+    /// than the file holds costs memory for the bytes present.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, need: usize) -> Result<bool, NetError> {
+        if self.buf.len() - self.start < need {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        while self.end - self.start < need {
+            if self.end == self.buf.len() {
+                self.buf.resize(2 * self.buf.len(), 0);
+            }
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(read) => self.end += read,
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err.into()),
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// The `u32` at `at` in `bytes`, in the file's byte order.
+fn u32_at(bytes: &[u8], at: usize, big_endian: bool) -> u32 {
+    let quad = [bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]];
+    if big_endian {
+        u32::from_be_bytes(quad)
+    } else {
+        u32::from_le_bytes(quad)
     }
 }
 
 /// Largest captured length a record may claim.
 const MAX_CAPLEN: u32 = 1 << 28;
 
-/// Record bodies up to this length are read into a zero-filled slot in
-/// one go; longer ones grow with the bytes actually read.
-const EAGER_BODY_LEN: usize = 64 * 1024;
+/// Length of a per-packet record header.
+const RECORD_HEADER_LEN: usize = 16;
 
-/// A record header's fields, timestamp already in nanoseconds.
-struct RecordHeader {
-    ts_sec: u32,
-    ts_nanos: u32,
-    caplen: usize,
-}
-
-/// Fills `slot` with a record body of at most [`EAGER_BODY_LEN`] bytes.
-/// `read_exact` is the fastest read for buffered readers, but it cannot
-/// say how far it got, so a truncated short body reports `available: 0`.
-fn read_short_body<R: Read>(inner: &mut R, slot: &mut [u8]) -> Result<(), NetError> {
-    inner.read_exact(slot).map_err(|err| {
-        if err.kind() == std::io::ErrorKind::UnexpectedEof {
-            NetError::Truncated {
-                layer: "pcap record",
-                needed: slot.len(),
-                available: 0,
-            }
-        } else {
-            NetError::Io(err)
-        }
-    })
-}
-
-/// Appends a body longer than [`EAGER_BODY_LEN`] through
-/// `take(caplen).read_to_end`, so a record claiming more bytes than the
-/// file holds costs memory for the bytes present, not for the claim, and
-/// a truncation reports them.
-#[cold]
-#[inline(never)]
-fn read_long_body<R: Read>(
-    inner: &mut R,
-    caplen: usize,
-    out: &mut Vec<u8>,
-) -> Result<(), NetError> {
-    let read = inner.take(caplen as u64).read_to_end(out)?;
-    if read < caplen {
-        return Err(NetError::Truncated {
-            layer: "pcap record",
-            needed: caplen,
-            available: read,
-        });
-    }
-    Ok(())
-}
-
-/// Iterator over the packets of a [`PcapReader`], produced by
-/// [`PcapReader::packets`].
-#[derive(Debug)]
-pub struct Packets<'a, R> {
-    reader: &'a mut PcapReader<R>,
-}
-
-impl<R: Read> Iterator for Packets<'_, R> {
-    type Item = Result<PcapPacket, NetError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_packet().transpose()
-    }
-}
+/// Bytes [`PcapReader`] asks the underlying reader for at a time, and the
+/// starting size of its buffer.
+const BLOCK_LEN: usize = 64 * 1024;
 
 /// Streaming pcap writer over any [`Write`].
 #[derive(Debug)]
@@ -420,14 +384,14 @@ mod tests {
         assert!(!reader.header().big_endian);
         assert_eq!(reader.header().linktype, LINKTYPE_ETHERNET);
         assert_eq!(reader.header().version_major, 2);
-        let read: Vec<_> = reader.packets().collect::<Result<_, _>>().unwrap();
-        assert_eq!(read.len(), original.len());
-        for (a, b) in read.iter().zip(&original) {
+        for b in &original {
+            let a = reader.next_packet().unwrap().unwrap();
             assert_eq!(a.ts_sec, b.ts_sec);
             // Microsecond files round sub-microsecond parts down.
             assert_eq!(a.ts_nanos, b.ts_nanos / 1000 * 1000);
             assert_eq!(a.data, b.data);
         }
+        assert!(reader.next_packet().unwrap().is_none());
     }
 
     /// Hand-builds a big-endian nanosecond file to exercise the foreign
@@ -469,19 +433,23 @@ mod tests {
         assert!(PcapReader::new(Cursor::new(vec![0u8; 10])).is_err());
     }
 
+    /// A body cut short reports the bytes present, however short the
+    /// record, and a partial record header is a clean end of file.
     #[test]
     fn truncated_record_body_reported() {
-        let mut file = write_all(&sample_packets()[..1]);
-        file.truncate(file.len() - 2);
-        let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
+        let full = write_all(&sample_packets()[..1]);
+        let mut reader = PcapReader::new(Cursor::new(&full[..full.len() - 2])).unwrap();
         let err = reader.next_packet().unwrap_err();
         assert!(matches!(
             err,
             NetError::Truncated {
                 layer: "pcap record",
-                ..
+                needed: 4,
+                available: 2,
             }
         ));
+        let mut reader = PcapReader::new(Cursor::new(&full[..24 + 9])).unwrap();
+        assert!(reader.next_frame().unwrap().is_none());
     }
 
     #[test]
@@ -520,45 +488,33 @@ mod tests {
     }
 
     /// A 50-byte file whose one record claims 2^28 bytes and holds 10:
-    /// both readers report the 10 bytes present, and neither reserves the
-    /// claim (the arena would otherwise hold 256 MiB of zeroes).
+    /// the reader reports the 10 bytes present, and its buffer never grows
+    /// toward the claim.
     #[test]
     fn oversized_caplen_claim_costs_only_the_bytes_present() {
         let mut file = write_all(&[]);
-        file.extend_from_slice(&0u32.to_le_bytes());
-        file.extend_from_slice(&0u32.to_le_bytes());
-        file.extend_from_slice(&MAX_CAPLEN.to_le_bytes()); // caplen
-        file.extend_from_slice(&MAX_CAPLEN.to_le_bytes());
+        for word in [0, 0, MAX_CAPLEN, MAX_CAPLEN] {
+            file.extend_from_slice(&word.to_le_bytes());
+        }
         file.extend_from_slice(&[0xab; 10]);
         assert_eq!(file.len(), 50);
-        let truncated = |err: NetError| {
-            matches!(
-                err,
-                NetError::Truncated {
-                    layer: "pcap record",
-                    needed,
-                    available: 10,
-                } if needed == MAX_CAPLEN as usize
-            )
-        };
-        let mut reader = PcapReader::new(Cursor::new(file.clone())).unwrap();
-        assert!(truncated(reader.next_packet().unwrap_err()));
         let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-        let mut batch = crate::batch::FrameBatch::new();
-        assert!(truncated(reader.next_packet_into(&mut batch).unwrap_err()));
-        assert!(batch.is_empty());
-        let mut body = Vec::new();
-        let err = read_long_body(&mut &[0xab; 10][..], MAX_CAPLEN as usize, &mut body).unwrap_err();
-        assert!(truncated(err));
-        assert!(
-            body.capacity() < 1 << 20,
-            "reserved {} bytes",
-            body.capacity()
-        );
+        assert!(matches!(
+            reader.next_frame().unwrap_err(),
+            NetError::Truncated {
+                layer: "pcap record",
+                needed,
+                available: 10,
+            } if needed == MAX_CAPLEN as usize
+        ));
+        let reserved = reader.buf.capacity();
+        assert!(reserved < 1 << 20, "reserved {reserved} bytes");
+        // The cut record is consumed: the stream then ends cleanly.
+        assert!(reader.next_frame().unwrap().is_none());
     }
 
-    /// Records over the 64 KiB eager-read length come back whole from
-    /// both readers, and the record after one still lines up.
+    /// Records longer than a block come back whole, and the record after
+    /// one still lines up.
     #[test]
     fn long_records_read_whole() {
         let long: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
@@ -577,57 +533,31 @@ mod tests {
         assert_eq!(reader.next_packet().unwrap().unwrap().data, long);
         assert_eq!(reader.next_packet().unwrap().unwrap().data, vec![7; 3]);
         let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-        let mut batch = crate::batch::FrameBatch::new();
-        while reader.next_packet_into(&mut batch).unwrap().is_some() {}
-        assert_eq!(batch.get(0).unwrap(), long.as_slice());
-        assert_eq!(batch.get(1).unwrap(), &[7, 7, 7]);
+        assert_eq!(reader.next_frame().unwrap().unwrap().data, long.as_slice());
+        assert_eq!(reader.next_frame().unwrap().unwrap().data, &[7, 7, 7]);
+        assert!(reader.next_frame().unwrap().is_none());
     }
 
+    /// A read stops once the record is buffered: a pipe holding one
+    /// record lends it without waiting for a whole block.
     #[test]
-    fn next_packet_into_matches_next_packet() {
-        let original = sample_packets();
-        let file = write_all(&original);
-        let mut by_value = PcapReader::new(Cursor::new(file.clone())).unwrap();
-        let mut into_batch = PcapReader::new(Cursor::new(file)).unwrap();
-        let mut batch = crate::batch::FrameBatch::new();
-        let mut stamps = Vec::new();
-        while let Some(stamp) = into_batch.next_packet_into(&mut batch).unwrap() {
-            stamps.push(stamp);
-        }
-        assert_eq!(batch.len(), original.len());
-        for (i, stamp) in stamps.iter().enumerate() {
-            let expected = by_value.next_packet().unwrap().unwrap();
-            assert_eq!(*stamp, (expected.ts_sec, expected.ts_nanos));
-            assert_eq!(batch.get(i).unwrap(), expected.data.as_slice());
-        }
-        assert!(by_value.next_packet().unwrap().is_none());
-        // A clean EOF leaves the batch untouched.
-        assert!(into_batch.next_packet_into(&mut batch).unwrap().is_none());
-        assert_eq!(batch.len(), original.len());
-    }
-
-    #[test]
-    fn next_packet_into_truncated_body_leaves_batch_clean() {
-        let mut file = write_all(&sample_packets()[..1]);
-        file.truncate(file.len() - 2);
-        let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-        let mut batch = crate::batch::FrameBatch::new();
-        let err = reader.next_packet_into(&mut batch).unwrap_err();
-        assert!(matches!(
-            err,
-            NetError::Truncated {
-                layer: "pcap record",
-                ..
+    fn a_record_is_lent_without_reading_past_it() {
+        struct Stalled;
+        impl Read for Stalled {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                panic!("read past the buffered record")
             }
-        ));
-        assert!(batch.is_empty());
+        }
+        let file = write_all(&sample_packets()[..1]);
+        let mut reader = PcapReader::new(Cursor::new(file).chain(Stalled)).unwrap();
+        assert_eq!(reader.next_frame().unwrap().unwrap().data, &[1, 2, 3, 4]);
     }
 
     #[test]
     fn empty_file_yields_no_packets() {
         let file = write_all(&[]);
         let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-        assert_eq!(reader.packets().count(), 0);
+        assert!(reader.next_packet().unwrap().is_none());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use std::io::Read;
 
-use syndog_net::batch::FrameBatch;
 use syndog_net::classify::{classify, SegmentKind};
+use syndog_net::pcap::{PcapFrame, PcapReader};
 use syndog_net::{Ipv4Net, NetError};
 use syndog_sim::SimTime;
 use syndog_traffic::trace::Direction;
@@ -48,13 +48,6 @@ impl EventBatch {
     /// An empty batch.
     pub fn new() -> Self {
         EventBatch::default()
-    }
-
-    /// An empty batch with space reserved for `events` events.
-    pub fn with_capacity(events: usize) -> Self {
-        EventBatch {
-            events: Vec::with_capacity(events),
-        }
     }
 
     /// Appends one event.
@@ -103,21 +96,19 @@ pub trait FrameSource {
 
 /// [`FrameSource`] over a pcap capture stream.
 ///
-/// Record bodies are read straight into a recycled [`FrameBatch`] arena
-/// (no per-packet allocation), classified with the §2 algorithm, and
-/// direction-tagged by the *destination* address against the stub prefix —
-/// the same inference
+/// Each record is lent in place by
+/// [`PcapReader::next_frame`](syndog_net::pcap::PcapReader::next_frame),
+/// classified with the §2 algorithm straight into the output batch (no
+/// per-packet copy or allocation), and direction-tagged by the
+/// *destination* address against the stub prefix — the same inference
 /// [`Trace::read_pcap`](syndog_traffic::trace::Trace::read_pcap) uses, and
 /// for the same reason: flood SYNs carry forged source addresses, so the
 /// destination is the one trustworthy field.
 #[derive(Debug)]
 pub struct PcapSource<R> {
-    reader: syndog_net::pcap::PcapReader<R>,
+    reader: PcapReader<R>,
     stub: Ipv4Net,
-    arena: FrameBatch,
-    times: Vec<SimTime>,
     batch_size: usize,
-    done: bool,
 }
 
 impl<R: Read> PcapSource<R> {
@@ -142,69 +133,49 @@ impl<R: Read> PcapSource<R> {
     pub fn with_batch_size(reader: R, stub: Ipv4Net, batch_size: usize) -> Result<Self, NetError> {
         assert!(batch_size > 0, "batch size must be non-zero");
         Ok(PcapSource {
-            reader: syndog_net::pcap::PcapReader::new(reader)?,
+            reader: PcapReader::new(reader)?,
             stub,
-            arena: FrameBatch::new(),
-            times: Vec::new(),
             batch_size,
-            done: false,
         })
     }
+}
 
-    /// Classifies and direction-tags one frame from the arena.
-    fn event_for(&self, index: usize) -> FrameEvent {
-        let frame = self
-            .arena
-            .get(index)
-            .expect("arena and times stay parallel");
-        let kind = classify(frame).ok();
-        // Destination IPv4 address sits at a fixed offset once the frame is
-        // known to be a well-formed IPv4 packet (classify validated the
-        // version and minimum length). Non-IPv4 frames have no routable
-        // destination; their classification (NonTcp / malformed) never
-        // touches the period counts, so the direction tag is moot.
-        let direction = match kind {
-            Some(_) if frame.len() >= 14 + 20 && frame[12] == 0x08 && frame[13] == 0x00 => {
-                let dst = std::net::Ipv4Addr::new(frame[30], frame[31], frame[32], frame[33]);
-                if self.stub.contains(dst) {
-                    Direction::Inbound
-                } else {
-                    Direction::Outbound
-                }
+/// Classifies and direction-tags one frame.
+#[inline]
+fn event_for(frame: &PcapFrame<'_>, stub: Ipv4Net) -> FrameEvent {
+    let data = frame.data;
+    let kind = classify(data).ok();
+    // Destination IPv4 address sits at a fixed offset once the frame is
+    // known to be a well-formed IPv4 packet (classify validated the
+    // version and minimum length). Non-IPv4 frames have no routable
+    // destination; their classification (NonTcp / malformed) never
+    // touches the period counts, so the direction tag is moot.
+    let direction = match kind {
+        Some(_) if data.len() >= 14 + 20 && data[12] == 0x08 && data[13] == 0x00 => {
+            let dst = std::net::Ipv4Addr::new(data[30], data[31], data[32], data[33]);
+            if stub.contains(dst) {
+                Direction::Inbound
+            } else {
+                Direction::Outbound
             }
-            _ => Direction::Outbound,
-        };
-        FrameEvent {
-            time: self.times[index],
-            direction,
-            kind,
         }
+        _ => Direction::Outbound,
+    };
+    FrameEvent {
+        time: SimTime::from_micros(frame.timestamp_micros()),
+        direction,
+        kind,
     }
 }
 
 impl<R: Read> FrameSource for PcapSource<R> {
     fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError> {
         out.clear();
-        if self.done {
-            return Ok(false);
-        }
-        self.arena.clear();
-        self.times.clear();
-        while self.arena.len() < self.batch_size {
-            match self.reader.next_packet_into(&mut self.arena)? {
-                Some((ts_sec, ts_nanos)) => {
-                    self.times.push(SimTime::from_micros(
-                        u64::from(ts_sec) * 1_000_000 + u64::from(ts_nanos) / 1000,
-                    ));
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        for i in 0..self.arena.len() {
-            out.push(self.event_for(i));
+        for _ in 0..self.batch_size {
+            let Some(frame) = self.reader.next_frame()? else {
+                break;
+            };
+            out.push(event_for(&frame, self.stub));
         }
         Ok(!out.is_empty())
     }
@@ -287,7 +258,7 @@ mod tests {
 
     #[test]
     fn event_batch_recycles() {
-        let mut batch = EventBatch::with_capacity(8);
+        let mut batch = EventBatch::new();
         batch.push(FrameEvent {
             time: SimTime::ZERO,
             direction: Direction::Outbound,

@@ -19,9 +19,6 @@ use syndog_net::{
 };
 use syndog_sim::{SimDuration, SimTime};
 
-/// Frames [`Trace::read_pcap`] reads into its arena per batch.
-const IMPORT_BATCH: usize = 256;
-
 /// Which way a segment crossed the leaf router.
 ///
 /// Per the paper's convention: *inbound* flows from the Internet into the
@@ -520,76 +517,65 @@ impl Trace {
     /// would misfile exactly the packets SYN-dog exists to count. The
     /// destination is the one field the routing fabric itself acts on.
     ///
-    /// Frames are read into one recycled [`FrameBatch`] arena and each is
-    /// decoded once, through [`PacketView`]; only SYNs are fingerprinted.
+    /// Each frame is decoded once, in place in the pcap reader's block
+    /// buffer, through [`PacketView`]; only SYNs are fingerprinted.
     /// Packets that fail to classify or to parse are skipped — a capture
     /// may contain truncated frames — but I/O and pcap-structure errors are
-    /// reported.
+    /// reported. The records are sorted by time only if the capture's
+    /// timestamps go backwards.
     ///
     /// # Errors
     ///
     /// Propagates pcap-format and I/O errors.
     pub fn read_pcap<R: Read>(reader: R, stub: Ipv4Net) -> Result<Self, TraceError> {
         let mut pcap = PcapReader::new(reader)?;
-        let mut frames = FrameBatch::new();
-        let mut stamps = Vec::with_capacity(IMPORT_BATCH);
-        let mut records = Vec::new();
+        let mut records: Vec<TraceRecord> = Vec::new();
         let mut max_time = SimDuration::ZERO;
-        loop {
-            frames.clear();
-            stamps.clear();
-            while stamps.len() < IMPORT_BATCH {
-                match pcap.next_packet_into(&mut frames)? {
-                    Some(stamp) => stamps.push(stamp),
-                    None => break,
-                }
-            }
-            for (frame, &(ts_sec, ts_nanos)) in frames.iter().zip(&stamps) {
-                let Ok(kind) = classify(frame) else {
-                    continue;
-                };
-                let Ok(view) = PacketView::parse(frame) else {
-                    continue;
-                };
-                let (src, dst) = match (view.src_socket(), view.dst_socket()) {
-                    (Some(s), Some(d)) => (s, d),
-                    _ => (
-                        SocketAddrV4::new(view.src(), 0),
-                        SocketAddrV4::new(view.dst(), 0),
-                    ),
-                };
-                let direction = if stub.contains(*dst.ip()) {
-                    Direction::Inbound
-                } else {
-                    Direction::Outbound
-                };
-                let time = SimTime::from_micros(
-                    u64::from(ts_sec) * 1_000_000 + u64::from(ts_nanos) / 1000,
-                );
-                max_time = max_time.max(time.saturating_since(SimTime::ZERO));
-                let fp = if kind == SegmentKind::Syn {
-                    syndog_fingerprint::extract_syn(frame).map_or(0, |key| key.to_bits())
-                } else {
-                    0
-                };
-                records.push(TraceRecord {
-                    time,
-                    direction,
-                    kind,
-                    src,
-                    dst,
-                    src_mac: view.ethernet.src,
-                    fp,
-                });
-            }
-            if stamps.len() < IMPORT_BATCH {
-                break;
-            }
+        let mut sorted = true;
+        while let Some(frame) = pcap.next_frame()? {
+            let data = frame.data;
+            let Ok(kind) = classify(data) else {
+                continue;
+            };
+            let Ok(view) = PacketView::parse(data) else {
+                continue;
+            };
+            let (src, dst) = match (view.src_socket(), view.dst_socket()) {
+                (Some(s), Some(d)) => (s, d),
+                _ => (
+                    SocketAddrV4::new(view.src(), 0),
+                    SocketAddrV4::new(view.dst(), 0),
+                ),
+            };
+            let direction = if stub.contains(*dst.ip()) {
+                Direction::Inbound
+            } else {
+                Direction::Outbound
+            };
+            let time = SimTime::from_micros(frame.timestamp_micros());
+            max_time = max_time.max(time.saturating_since(SimTime::ZERO));
+            sorted &= records.last().is_none_or(|last| last.time <= time);
+            let fp = if kind == SegmentKind::Syn {
+                syndog_fingerprint::extract_syn(data).map_or(0, |key| key.to_bits())
+            } else {
+                0
+            };
+            records.push(TraceRecord {
+                time,
+                direction,
+                kind,
+                src,
+                dst,
+                src_mac: view.ethernet.src,
+                fp,
+            });
         }
-        Ok(Trace::from_records(
-            records,
-            max_time + SimDuration::from_micros(1),
-        ))
+        let duration = max_time + SimDuration::from_micros(1);
+        Ok(if sorted {
+            Trace { records, duration }
+        } else {
+            Trace::from_records(records, duration)
+        })
     }
 
     /// Renders the per-period counts as CSV (`period,syn,synack`).

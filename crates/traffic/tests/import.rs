@@ -1,5 +1,5 @@
 //! Differential test of the pcap importer: `Trace::read_pcap` decodes each
-//! frame once, through a borrowed view into a recycled arena, and must
+//! frame once, through a borrowed view of the reader's block buffer, and must
 //! equal the reference chain — `next_packet`, `classify`, `Packet::decode`,
 //! `extract_syn` per frame — record for record on every frame the mutator
 //! can make.
@@ -201,12 +201,13 @@ proptest! {
     }
 }
 
-/// Every arena batch boundary (the importer reads 256 frames at a time)
-/// keeps the same records as one unbatched pass.
+/// Wherever the pcap reader's 64 KiB block boundaries fall (a few
+/// hundred frames per block here), the records equal the reference
+/// chain's.
 #[test]
 fn batch_boundaries_do_not_change_the_trace() {
     let stub: Ipv4Net = STUB.parse().unwrap();
-    for count in [0usize, 1, 255, 256, 257, 512, 513] {
+    for count in [0usize, 1, 255, 256, 257, 1_000, 2_500] {
         let frames: Vec<FrameSpec> = (0..count)
             .map(|i| (i as u8, i % 3 == 0, i as u16, Vec::new(), i as u32, 0))
             .collect();
@@ -232,5 +233,35 @@ fn a_cut_capture_is_an_error() {
     file.truncate(file.len() - 5);
     assert!(Trace::read_pcap(file.as_slice(), stub).is_err());
     let mut reader = PcapReader::new(file.as_slice()).unwrap();
-    assert!(reader.packets().any(|packet| packet.is_err()));
+    assert!(std::iter::from_fn(|| reader.next_packet().transpose()).any(|packet| packet.is_err()));
+}
+
+/// Timestamps that go backwards (with ties) make the importer sort: the
+/// trace equals `Trace::from_records` of the same records in file order,
+/// which keeps ties in file order. The in-order captures above take the
+/// path that skips the sort.
+#[test]
+fn an_out_of_order_capture_imports_sorted() {
+    let stub: Ipv4Net = STUB.parse().unwrap();
+    let kinds = [SegmentKind::SynAck, SegmentKind::Ack, SegmentKind::Rst];
+    let stamps = [
+        5_000_000, 3_000_000, 3_000_000, 9_000_250, 1_000_000, 3_000_000,
+    ];
+    let records: Vec<TraceRecord> = (0..stamps.len())
+        .map(|i| {
+            // Outbound from 10.1.0.i, so the importer infers the direction.
+            let inside = SocketAddrV4::new([10, 1, 0, i as u8].into(), 80);
+            let outside = SocketAddrV4::new([192, 0, 2, 1].into(), 1025);
+            let time = SimTime::from_micros(stamps[i]);
+            TraceRecord::new(time, Direction::Outbound, kinds[i % 3], inside, outside)
+        })
+        .collect();
+    let duration = SimDuration::from_micros(9_000_251);
+    let mut unsorted = Trace::new(duration);
+    unsorted.extend(records.iter().copied());
+    let mut file = Vec::new();
+    unsorted.write_pcap(&mut file).unwrap();
+    let imported = Trace::read_pcap(file.as_slice(), stub).unwrap();
+    assert_ne!(imported.records(), records.as_slice());
+    assert_eq!(imported, Trace::from_records(records, duration));
 }

@@ -338,24 +338,26 @@ fn hostile_numeric_flags_exit_2_naming_the_flag() {
 }
 
 /// A 50-byte pcap whose one record claims a 256 MiB body (and holds 10
-/// bytes) is a truncated file to every reader, not an allocation.
+/// bytes) is a truncated file to every reader, not an allocation; a
+/// record that claims 60 bytes and holds 7 reports the 7 it holds.
 #[test]
 fn oversized_pcap_record_exits_2() {
     let path = std::env::temp_dir().join("syndog_e2e_oversized.pcap");
-    let mut file = Vec::new();
-    for word in [0xa1b2_c3d4u32, 0x0004_0002, 0, 0, 65_535, 1] {
-        file.extend_from_slice(&word.to_le_bytes());
-    }
-    for word in [0u32, 0, 1 << 28, 1 << 28] {
-        file.extend_from_slice(&word.to_le_bytes());
-    }
-    file.extend_from_slice(&[0xab; 10]);
-    assert_eq!(file.len(), 50);
-    std::fs::write(&path, &file).unwrap();
     let path_s = path.to_str().unwrap();
-    for command in ["sniff", "detect", "replay"] {
-        let err = run_rejected(&[command, "--in", path_s, "--stub", "128.3.0.0/16"]);
-        assert!(err.contains("pcap record"), "{command}: {err}");
+    for (caplen, held, message) in [
+        (1u32 << 28, 10, "need 268435456 bytes, have 10"),
+        (60, 7, "need 60 bytes, have 7"),
+    ] {
+        let header = [0xa1b2_c3d4u32, 0x0004_0002, 0, 0, 65_535, 1];
+        let words = header.into_iter().chain([0, 0, caplen, caplen]);
+        let mut file: Vec<u8> = words.flat_map(u32::to_le_bytes).collect();
+        file.extend_from_slice(&vec![0xab; held]);
+        std::fs::write(&path, &file).unwrap();
+        for command in ["sniff", "detect", "replay"] {
+            let err = run_rejected(&[command, "--in", path_s, "--stub", "128.3.0.0/16"]);
+            assert!(err.contains("pcap record"), "{command}: {err}");
+            assert!(err.contains(message), "{command}: {err}");
+        }
     }
     let _ = std::fs::remove_file(path);
 }
