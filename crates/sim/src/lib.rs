@@ -33,5 +33,5 @@ pub mod stats;
 pub mod time;
 
 pub use par::Parallelism;
-pub use rng::SimRng;
+pub use rng::{LogNormal, LogNormalDraw, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -41,6 +41,7 @@ impl SimRng {
     }
 
     /// A uniform draw in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
@@ -66,6 +67,7 @@ impl SimRng {
     }
 
     /// A Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p.clamp(0.0, 1.0)
     }
@@ -76,6 +78,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `rate` is not strictly positive.
+    #[inline]
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "exponential rate must be positive, got {rate}");
         // 1 - U avoids ln(0).
@@ -84,10 +87,7 @@ impl SimRng {
 
     /// A standard normal draw via Box–Muller.
     pub fn standard_normal(&mut self) -> f64 {
-        // Avoid u1 == 0 which would take ln(0).
-        let u1 = 1.0 - self.uniform();
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        box_muller(1.0 - self.uniform(), self.uniform())
     }
 
     /// A normal draw with the given mean and standard deviation.
@@ -100,16 +100,15 @@ impl SimRng {
         mean + std_dev * self.standard_normal()
     }
 
-    /// A log-normal draw parameterized by the underlying normal's `mu` and
-    /// `sigma`. Used for per-connection RTTs, which are well modeled as
-    /// log-normal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        assert!(sigma >= 0.0, "negative sigma {sigma}");
-        (mu + sigma * self.standard_normal()).exp()
+    /// A draw from `dist` that takes its uniforms now, as computing the
+    /// value would, but computes it only in [`LogNormalDraw::value`].
+    #[inline]
+    pub fn log_normal_draw(&mut self, dist: &LogNormal) -> LogNormalDraw {
+        LogNormalDraw {
+            dist: *dist,
+            u1: 1.0 - self.uniform(),
+            u2: self.uniform(),
+        }
     }
 
     /// A Pareto draw with scale `xm > 0` and shape `alpha > 0`, by inverse
@@ -151,14 +150,64 @@ impl SimRng {
         count
     }
 
-    /// Fills `buf` with random bytes (used for spoofed address material).
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        self.inner.fill_bytes(buf);
-    }
-
     /// A full-range random `u32`.
     pub fn next_u32(&mut self) -> u32 {
         self.inner.next_u32()
+    }
+}
+
+/// A bound on every Box–Muller magnitude: the largest is
+/// `sqrt(-2 ln 2^-53) ≈ 8.5716`, reached when `1 - U` takes its least value.
+const BOX_MULLER_BOUND: f64 = 8.6;
+
+/// Box–Muller of `u1 = 1 - U ∈ [2^-53, 1]`, which keeps `ln(0)` out, and `u2 = U`.
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// The log-normal distribution of `exp(mu + sigma·z)`, `z` standard normal.
+/// Used for per-connection RTTs, which are well modeled as log-normal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    mu: f64,
+    sigma: f64,
+    max: f64,
+}
+
+impl LogNormal {
+    /// # Panics
+    ///
+    /// Panics if `sigma` is negative.
+    pub fn new(mu: f64, sigma: f64) -> Self {
+        assert!(sigma >= 0.0, "negative sigma {sigma}");
+        LogNormal {
+            mu,
+            sigma,
+            max: (mu + sigma * BOX_MULLER_BOUND).exp(),
+        }
+    }
+}
+
+/// A log-normal draw whose randomness is taken but whose value is not yet
+/// computed (see [`SimRng::log_normal_draw`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormalDraw {
+    dist: LogNormal,
+    u1: f64,
+    u2: f64,
+}
+
+impl LogNormalDraw {
+    /// The drawn value, `exp(mu + sigma·z)`.
+    pub fn value(&self) -> f64 {
+        (self.dist.mu + self.dist.sigma * box_muller(self.u1, self.u2)).exp()
+    }
+
+    /// An upper bound on every value a draw from this distribution can
+    /// take, `exp(mu + sigma·8.6)`, computed once by [`LogNormal::new`].
+    #[inline]
+    pub fn max(&self) -> f64 {
+        self.dist.max
     }
 }
 
@@ -225,11 +274,48 @@ mod tests {
     #[test]
     fn log_normal_is_positive_with_right_median() {
         let mut rng = SimRng::seed_from_u64(5);
-        let mut samples: Vec<f64> = (0..20_001).map(|_| rng.log_normal(0.0, 1.0)).collect();
+        let mut samples: Vec<f64> = (0..20_001)
+            .map(|_| rng.log_normal_draw(&LogNormal::new(0.0, 1.0)).value())
+            .collect();
         assert!(samples.iter().all(|&x| x > 0.0));
         samples.sort_by(f64::total_cmp);
         let median = samples[samples.len() / 2];
         assert!((median - 1.0).abs() < 0.05, "median {median}"); // e^mu = 1
+    }
+
+    #[test]
+    fn lazy_draws_equal_the_eager_formulas_bit_for_bit() {
+        let (mut lazy, mut eager) = (SimRng::seed_from_u64(12), SimRng::seed_from_u64(12));
+        let old_z = |rng: &mut SimRng| {
+            let u1 = 1.0 - rng.uniform();
+            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * rng.uniform()).cos()
+        };
+        for i in 0..10_000 {
+            let (mu, sigma) = (f64::from(i % 7) - 4.0, f64::from(i % 5) * 0.4);
+            let draw = lazy.log_normal_draw(&LogNormal::new(mu, sigma));
+            let old = (mu + sigma * old_z(&mut eager)).exp();
+            assert_eq!(draw.value().to_bits(), old.to_bits());
+            assert!(draw.value() <= draw.max());
+            let z = lazy.standard_normal();
+            assert_eq!(z.to_bits(), old_z(&mut eager).to_bits());
+        }
+        assert_eq!(lazy.uniform().to_bits(), eager.uniform().to_bits());
+    }
+
+    #[test]
+    fn the_bound_covers_the_extreme_draw_with_little_to_spare() {
+        // The least 1 - U is 2^-53; cos(0) and cos(π) give ±1.
+        let u1 = 1.0 - (u64::MAX >> 11) as f64 * 2f64.powi(-53);
+        for z in [box_muller(u1, 0.0), box_muller(u1, 0.5)] {
+            let spare = BOX_MULLER_BOUND - z.abs();
+            assert!((0.0..0.1).contains(&spare), "|z| = {}", z.abs());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "negative sigma")]
+    fn log_normal_rejects_negative_sigma() {
+        LogNormal::new(0.0, -0.1);
     }
 
     #[test]

@@ -64,6 +64,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `period` is zero.
+    #[inline]
     pub fn period_index(&self, period: SimDuration) -> u64 {
         assert!(period.0 > 0, "observation period must be non-zero");
         self.0 / period.0

@@ -8,9 +8,11 @@
 //! connection attempt, emitting each control segment through a caller sink
 //! so the same logic drives both full trace generation and fast
 //! count-level simulation.
+//! A SYN/ACK reaches the sink with its RTT drawn but not evaluated, and
+//! [`Segment::period_index`] evaluates it only if it could cross a period.
 
 use syndog_net::SegmentKind;
-use syndog_sim::{SimDuration, SimRng, SimTime};
+use syndog_sim::{LogNormal, LogNormalDraw, SimDuration, SimRng, SimTime};
 
 use crate::trace::Direction;
 
@@ -31,14 +33,8 @@ pub struct ConnectionParams {
     /// Delay before the k-th retransmission, seconds after the previous
     /// transmission (exponential backoff: 3 s, 6 s, …).
     pub syn_backoff_secs: Vec<f64>,
-    /// Log-normal RTT parameters (of the underlying normal, in seconds).
-    pub rtt_mu: f64,
-    /// Log-normal RTT sigma.
-    pub rtt_sigma: f64,
-    /// When set, established connections also emit the client ACK and a
-    /// FIN/ACK teardown pair, so generated traces carry realistic non-SYN
-    /// traffic for the classifier to sift.
-    pub emit_data_segments: bool,
+    /// Log-normal RTT, in seconds.
+    pub rtt: LogNormal,
 }
 
 impl ConnectionParams {
@@ -50,9 +46,7 @@ impl ConnectionParams {
             p_synack_loss: 0.005,
             max_syn_transmissions: 3,
             syn_backoff_secs: vec![3.0, 6.0],
-            rtt_mu: (0.12f64).ln(),
-            rtt_sigma: 0.35,
-            emit_data_segments: true,
+            rtt: LogNormal::new((0.12f64).ln(), 0.35),
         }
     }
 
@@ -108,26 +102,64 @@ impl ConnectionParams {
     }
 }
 
-impl Default for ConnectionParams {
-    fn default() -> Self {
-        Self::clean()
+/// A control segment the leaf router sees, as [`simulate_handshake`] emits it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Segment {
+    /// Direction of travel.
+    pub direction: Direction,
+    /// Segment classification.
+    pub kind: SegmentKind,
+    /// When the segment, or a pending SYN/ACK's SYN, was sent.
+    sent: SimTime,
+    rtt: Option<LogNormalDraw>,
+}
+
+impl Segment {
+    fn at(time: SimTime, direction: Direction, kind: SegmentKind) -> Self {
+        Segment {
+            direction,
+            kind,
+            sent: time,
+            rtt: None,
+        }
+    }
+
+    /// When the segment crosses the router; evaluates a pending RTT.
+    pub fn time(&self) -> SimTime {
+        match &self.rtt {
+            Some(rtt) => self.sent + SimDuration::from_secs_f64(rtt.value()),
+            None => self.sent,
+        }
+    }
+
+    /// `self.time().period_index(period)`, without evaluating a pending RTT
+    /// that cannot reach the next period boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn period_index(&self, period: SimDuration) -> u64 {
+        match &self.rtt {
+            Some(rtt) if !stays_in_period(self.sent, rtt, period) => self.time(),
+            _ => self.sent,
+        }
+        .period_index(period)
     }
 }
 
-/// What became of one connection attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HandshakeOutcome {
-    /// Whether the three-way handshake completed.
-    pub established: bool,
-    /// SYN transmissions emitted (1..=max).
-    pub syn_sent: u32,
-    /// SYN/ACKs observed at the inbound sniffer.
-    pub synack_seen: u32,
+/// Whether `sent + rtt` lies in `sent`'s period for every value `rtt` can
+/// take: the largest, rounded to the µs as [`Segment::time`] rounds, falls
+/// short of the next boundary.
+fn stays_in_period(sent: SimTime, rtt: &LogNormalDraw, period: SimDuration) -> bool {
+    let to_boundary = period.as_micros() - sent.as_micros() % period.as_micros();
+    rtt.max().is_finite() && SimDuration::from_secs_f64(rtt.max()).as_micros() < to_boundary
 }
 
 /// Simulates one client connection attempt starting at `start`, emitting
-/// every control segment the leaf router would see through `sink` as
-/// `(time, direction, kind)`.
+/// every control segment the leaf router would see through `sink`: the
+/// SYNs and SYN/ACK, and with `data_segments` the client ACK and a FIN/ACK
+/// teardown pair of an established connection, so generated traces carry
+/// realistic non-SYN traffic for the classifier to sift.
 ///
 /// The client is inside the stub network (SYNs travel outbound) and the
 /// server outside (SYN/ACKs travel inbound), matching the paper's Figure 6
@@ -135,38 +167,37 @@ pub struct HandshakeOutcome {
 pub fn simulate_handshake(
     start: SimTime,
     params: &ConnectionParams,
+    data_segments: bool,
     rng: &mut SimRng,
-    mut sink: impl FnMut(SimTime, Direction, SegmentKind),
-) -> HandshakeOutcome {
-    let mut outcome = HandshakeOutcome {
-        established: false,
-        syn_sent: 0,
-        synack_seen: 0,
-    };
+    mut sink: impl FnMut(Segment),
+) {
+    use {Direction::*, SegmentKind::*};
     let mut at = start;
     for attempt in 0..params.max_syn_transmissions.max(1) {
-        sink(at, Direction::Outbound, SegmentKind::Syn);
-        outcome.syn_sent += 1;
-        let rtt = SimDuration::from_secs_f64(rng.log_normal(params.rtt_mu, params.rtt_sigma));
+        sink(Segment::at(at, Outbound, Syn));
+        let rtt = rng.log_normal_draw(&params.rtt);
         let answered = !rng.chance(params.p_syn_drop);
         if answered && !rng.chance(params.p_synack_loss) {
+            if !data_segments {
+                sink(Segment {
+                    rtt: Some(rtt),
+                    ..Segment::at(at, Inbound, SynAck)
+                });
+                break;
+            }
+            let rtt = SimDuration::from_secs_f64(rtt.value());
             let synack_at = at + rtt;
-            sink(synack_at, Direction::Inbound, SegmentKind::SynAck);
-            outcome.synack_seen += 1;
-            outcome.established = true;
-            if params.emit_data_segments {
-                let ack_at = synack_at + SimDuration::from_millis(1);
-                sink(ack_at, Direction::Outbound, SegmentKind::Ack);
-                // A short exchange followed by an orderly teardown.
-                let lifetime = SimDuration::from_secs_f64(rng.exponential(1.0 / 8.0));
-                let fin_at = ack_at + lifetime;
-                sink(fin_at, Direction::Outbound, SegmentKind::Fin);
-                sink(fin_at + rtt, Direction::Inbound, SegmentKind::Fin);
-                sink(
-                    fin_at + rtt + SimDuration::from_millis(1),
-                    Direction::Outbound,
-                    SegmentKind::Ack,
-                );
+            let ack_at = synack_at + SimDuration::from_millis(1);
+            // A short exchange followed by an orderly teardown.
+            let fin_at = ack_at + SimDuration::from_secs_f64(rng.exponential(1.0 / 8.0));
+            for (time, direction, kind) in [
+                (synack_at, Inbound, SynAck),
+                (ack_at, Outbound, Ack),
+                (fin_at, Outbound, Fin),
+                (fin_at + rtt, Inbound, Fin),
+                (fin_at + rtt + SimDuration::from_millis(1), Outbound, Ack),
+            ] {
+                sink(Segment::at(time, direction, kind));
             }
             break;
         }
@@ -178,32 +209,34 @@ pub fn simulate_handshake(
             .unwrap_or_else(|| params.syn_backoff_secs.last().copied().unwrap_or(3.0));
         at += SimDuration::from_secs_f64(backoff);
     }
-    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn collect(
-        params: &ConnectionParams,
-        seed: u64,
-    ) -> (HandshakeOutcome, Vec<(SimTime, Direction, SegmentKind)>) {
+    fn collect(params: &ConnectionParams, seed: u64) -> Vec<(SimTime, Direction, SegmentKind)> {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut events = Vec::new();
-        let outcome = simulate_handshake(SimTime::from_secs(10), params, &mut rng, |t, d, k| {
-            events.push((t, d, k))
+        simulate_handshake(SimTime::from_secs(10), params, true, &mut rng, |s| {
+            events.push((s.time(), s.direction, s.kind))
         });
-        (outcome, events)
+        events
+    }
+
+    /// The SYNs and SYN/ACKs one connection attempt emits.
+    fn tally(params: &ConnectionParams, rng: &mut SimRng) -> (u32, u32) {
+        let mut kinds = Vec::new();
+        simulate_handshake(SimTime::ZERO, params, true, rng, |s| kinds.push(s.kind));
+        let count = |kind| kinds.iter().filter(|&&k| k == kind).count() as u32;
+        (count(SegmentKind::Syn), count(SegmentKind::SynAck))
     }
 
     #[test]
     fn lossless_handshake_emits_full_lifecycle() {
         let params = ConnectionParams::clean().with_losses(0.0, 0.0);
-        let (outcome, events) = collect(&params, 1);
-        assert!(outcome.established);
-        assert_eq!(outcome.syn_sent, 1);
-        assert_eq!(outcome.synack_seen, 1);
+        let events = collect(&params, 1);
         let kinds: Vec<SegmentKind> = events.iter().map(|e| e.2).collect();
         assert_eq!(
             kinds,
@@ -227,10 +260,7 @@ mod tests {
     #[test]
     fn total_loss_exhausts_retransmissions() {
         let params = ConnectionParams::clean().with_losses(0.999_999, 0.0);
-        let (outcome, events) = collect(&params, 2);
-        assert!(!outcome.established);
-        assert_eq!(outcome.syn_sent, 3);
-        assert_eq!(outcome.synack_seen, 0);
+        let events = collect(&params, 2);
         assert_eq!(events.len(), 3);
         assert!(events.iter().all(|e| e.2 == SegmentKind::Syn));
         // Backoff schedule: 3 s then 6 s.
@@ -245,9 +275,8 @@ mod tests {
         // the sniffers see SYNs with zero SYN/ACKs — exactly a flood's
         // signature, which is why path pathologies set the noise floor.
         let params = ConnectionParams::clean().with_losses(0.0, 0.999_999);
-        let (outcome, events) = collect(&params, 3);
-        assert!(!outcome.established);
-        assert_eq!(outcome.syn_sent, 3);
+        let events = collect(&params, 3);
+        assert_eq!(events.len(), 3);
         assert!(events.iter().all(|e| e.2 == SegmentKind::Syn));
     }
 
@@ -259,9 +288,9 @@ mod tests {
         let mut syn_total = 0u64;
         let mut synack_total = 0u64;
         for _ in 0..trials {
-            let outcome = simulate_handshake(SimTime::ZERO, &params, &mut rng, |_, _, _| {});
-            syn_total += u64::from(outcome.syn_sent);
-            synack_total += u64::from(outcome.synack_seen);
+            let (syns, synacks) = tally(&params, &mut rng);
+            syn_total += u64::from(syns);
+            synack_total += u64::from(synacks);
         }
         let syn_mean = syn_total as f64 / trials as f64;
         let synack_mean = synack_total as f64 / trials as f64;
@@ -291,19 +320,76 @@ mod tests {
         let params = ConnectionParams::clean();
         let mut rng = SimRng::seed_from_u64(5);
         for _ in 0..2000 {
-            let outcome = simulate_handshake(SimTime::ZERO, &params, &mut rng, |_, _, _| {});
-            assert!(outcome.synack_seen <= 1);
-            assert!(outcome.syn_sent >= 1 && outcome.syn_sent <= 3);
-            assert_eq!(outcome.established, outcome.synack_seen == 1);
+            let (syns, synacks) = tally(&params, &mut rng);
+            assert!(synacks <= 1);
+            assert!((1..=3).contains(&syns));
         }
     }
 
     #[test]
     fn disabling_data_segments_emits_handshake_only() {
-        let mut params = ConnectionParams::clean().with_losses(0.0, 0.0);
-        params.emit_data_segments = false;
-        let (_, events) = collect(&params, 6);
-        assert_eq!(events.len(), 2);
+        let params = ConnectionParams::clean().with_losses(0.0, 0.0);
+        let mut kinds = Vec::new();
+        let mut rng = SimRng::seed_from_u64(6);
+        simulate_handshake(SimTime::ZERO, &params, false, &mut rng, |s| {
+            kinds.push(s.kind)
+        });
+        assert_eq!(kinds, [SegmentKind::Syn, SegmentKind::SynAck]);
+    }
+
+    #[test]
+    fn most_clean_path_rtts_are_never_evaluated_for_a_20_s_period() {
+        // Every RTT is below ~2.4 s: only SYNs sent later in a period need it.
+        let mut rng = SimRng::seed_from_u64(8);
+        let skipped = (0..20_000)
+            .filter(|_| {
+                let sent = SimTime::from_micros(rng.uniform_u64(0, 3_600_000_000));
+                let rtt = rng.log_normal_draw(&ConnectionParams::clean().rtt);
+                stays_in_period(sent, &rtt, SimDuration::from_secs(20))
+            })
+            .count();
+        assert!((17_200..18_000).contains(&skipped), "skipped {skipped}");
+    }
+
+    proptest! {
+        /// Whenever `period_index` skips the RTT, the evaluated SYN/ACK
+        /// lands in the SYN's period; either way the two agree.
+        #[test]
+        fn a_skipped_rtt_never_crosses_a_period(
+            seed in any::<u64>(),
+            mu in -6.0f64..2.0,
+            sigma in prop_oneof![Just(0.0f64), 0.0f64..2.0],
+            period_secs in prop_oneof![Just(1u64), Just(20u64), Just(60u64)],
+            boundary in 1u64..1_000_000_000,
+        ) {
+            let period = SimDuration::from_secs(period_secs);
+            let dist = LogNormal::new(mu, sigma);
+            let mut rng = SimRng::seed_from_u64(seed);
+            for i in 0..64 {
+                let rtt = rng.log_normal_draw(&dist);
+                // Every other SYN is sent anywhere; the rest within twice the
+                // largest RTT before a boundary, every fourth within 1 µs of it.
+                let max = SimDuration::from_secs_f64(rtt.max()).as_micros();
+                let back = match i % 4 {
+                    1 => rng.uniform_u64(0, max.saturating_mul(2).max(1)),
+                    _ => max.saturating_add(rng.uniform_u64(0, 3)).saturating_sub(1),
+                };
+                let boundary = boundary * period.as_micros();
+                let sent = SimTime::from_micros(match i % 2 {
+                    0 => rng.uniform_u64(0, u64::MAX),
+                    _ => boundary - back.min(boundary),
+                });
+                let synack = Segment {
+                    rtt: Some(rtt),
+                    ..Segment::at(sent, Direction::Inbound, SegmentKind::SynAck)
+                };
+                let evaluated = synack.time().period_index(period);
+                if stays_in_period(sent, &rtt, period) {
+                    prop_assert_eq!(evaluated, sent.period_index(period));
+                }
+                prop_assert_eq!(synack.period_index(period), evaluated);
+            }
+        }
     }
 
     #[test]
@@ -311,7 +397,7 @@ mod tests {
         let mut params = ConnectionParams::clean().with_losses(0.999_999, 0.0);
         params.max_syn_transmissions = 4;
         params.syn_backoff_secs = vec![2.0];
-        let (_, events) = collect(&params, 7);
+        let events = collect(&params, 7);
         assert_eq!(events.len(), 4);
         let t: Vec<f64> = events.iter().map(|e| e.0.as_secs_f64()).collect();
         assert!((t[1] - t[0] - 2.0).abs() < 1e-6);

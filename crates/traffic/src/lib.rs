@@ -45,7 +45,7 @@ pub mod sites;
 pub mod trace;
 
 pub use arrival::ArrivalModel;
-pub use connection::{ConnectionParams, HandshakeOutcome};
+pub use connection::ConnectionParams;
 pub use load::{LoadPhase, LoadPlan};
 pub use sites::SiteProfile;
 pub use trace::{Direction, PeriodSample, Trace, TraceRecord};

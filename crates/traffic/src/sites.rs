@@ -271,11 +271,9 @@ impl SiteProfile {
     pub fn generate_period_counts(&self, rng: &mut SimRng) -> Vec<PeriodSample> {
         let periods = self.periods();
         let mut counts = vec![PeriodSample::default(); periods];
-        let mut conn = self.conn.clone();
-        conn.emit_data_segments = false;
         for start in self.arrivals.generate(self.duration, rng) {
-            simulate_handshake(start, &conn, rng, |time, direction, kind| {
-                let idx = time.period_index(OBSERVATION_PERIOD) as usize;
+            simulate_handshake(start, &self.conn, false, rng, |segment| {
+                let idx = segment.period_index(OBSERVATION_PERIOD) as usize;
                 if idx >= counts.len() {
                     return;
                 }
@@ -283,7 +281,7 @@ impl SiteProfile {
                 // SYN/ACK; bidirectional profiles (LBL, Harvard) count both
                 // directions, which for counting purposes is the same
                 // arithmetic regardless of who initiated.
-                match (direction, kind) {
+                match (segment.direction, segment.kind) {
                     (Direction::Outbound, SegmentKind::Syn) => counts[idx].syn += 1,
                     (Direction::Inbound, SegmentKind::SynAck) => counts[idx].synack += 1,
                     _ => {}
@@ -317,7 +315,8 @@ impl SiteProfile {
             // OS's constant fingerprint, so the site-level mix shows the
             // weighted OS distribution (high entropy — unlike a flood).
             let host_fp = syndog_fingerprint::os_mix::for_host(self.site_id, host_index).to_bits();
-            simulate_handshake(start, &self.conn, rng, |time, direction, kind| {
+            simulate_handshake(start, &self.conn, true, rng, |segment| {
+                let (time, direction, kind) = (segment.time(), segment.direction, segment.kind);
                 // For inbound-initiated connections every direction flips:
                 // the SYN arrives inbound, the SYN/ACK leaves outbound.
                 let (direction, src, dst, src_mac) = if inbound_initiated {

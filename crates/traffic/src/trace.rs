@@ -4,7 +4,7 @@
 //! A [`Trace`] is a time-sorted vector of [`TraceRecord`]s — one per TCP
 //! control segment crossing the leaf router, in either direction. Traces
 //! can be merged (normal background + flood), aggregated into per-period
-//! [`PeriodSample`]s, serialized to a compact binary format or CSV, and
+//! [`PeriodSample`]s, serialized to a compact binary format, and
 //! bridged to real pcap files by synthesizing full packets.
 
 use std::fmt;
@@ -577,19 +577,6 @@ impl Trace {
             Trace::from_records(records, duration)
         })
     }
-
-    /// Renders the per-period counts as CSV (`period,syn,synack`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn to_period_csv(&self, period: SimDuration) -> String {
-        let mut out = String::from("period,syn,synack\n");
-        for (i, sample) in self.period_counts(period).iter().enumerate() {
-            out.push_str(&format!("{i},{},{}\n", sample.syn, sample.synack));
-        }
-        out
-    }
 }
 
 impl Extend<TraceRecord> for Trace {
@@ -841,15 +828,6 @@ mod tests {
             Trace::read_binary(v9.as_slice()),
             Err(TraceError::InvalidRecord("format version"))
         ));
-    }
-
-    #[test]
-    fn csv_output_shape() {
-        let csv = sample_trace().to_period_csv(SimDuration::from_secs(20));
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "period,syn,synack");
-        assert_eq!(lines[1], "0,1,1");
-        assert_eq!(lines[2], "1,2,1");
     }
 
     #[test]
