@@ -24,7 +24,8 @@ use syndog::{
 use syndog_attack::{FloodPattern, SpoofStrategy, SynFlood};
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
 use syndog_router::{
-    CollectorConfig, Fleet, KeyMode, MitigationEngine, MitigationPolicy, Scenario, SynDogAgent,
+    CollectorConfig, Fleet, KeyMode, MitigationEngine, MitigationPolicy, Scenario, SourceLocator,
+    SynDogAgent,
 };
 use syndog_sim::par::{run_indexed, Parallelism};
 use syndog_sim::stats::TimeSeries;
@@ -564,7 +565,12 @@ pub fn disc(seed: u64) -> ExperimentOutput {
     trace.merge(&flood.generate_trace(&mut rng));
 
     let mut agent = SynDogAgent::new(site.stub(), SynDogConfig::paper_default());
-    let locator = agent.locate(&trace);
+    let mut locator = SourceLocator::new(site.stub());
+    agent.run_trace_with(
+        trace.records().iter().copied(),
+        Some(trace.duration()),
+        |agent, record, _| locator.observe_after_alarm(agent, record),
+    );
     let alarm = agent.first_alarm();
     body.push_str("Source localization after alarm (ingress-filter + MAC accounting):\n");
     match alarm {

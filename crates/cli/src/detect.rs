@@ -3,13 +3,14 @@
 
 use syndog::SynDogConfig;
 use syndog_router::{
-    ConcurrentSynDog, OverflowPolicy, PcapSource, SynDogAgent, DEFAULT_BATCH_SIZE,
+    ConcurrentSynDog, LeafRouter, OverflowPolicy, PcapSource, SourceLocator, SpanRule, SynDogAgent,
+    DEFAULT_BATCH_SIZE,
 };
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::{Direction, Trace, TraceRecord};
 
 use crate::options::{
-    faulted_trace, read_checkpoint, read_trace, stub_flag, write_checkpoint, Flags, RunOptions,
+    read_checkpoint, stream_records, stub_flag, write_checkpoint, Flags, Metrics, RunOptions,
     CHECKPOINT, DETECTOR, FAULTS, MITIGATION, TELEMETRY,
 };
 
@@ -17,9 +18,10 @@ use crate::options::{
 /// up front.
 const MAX_QUEUE: u32 = 65_536;
 
-/// Runs a capture through one [`SynDogAgent`]: the `--faults` pass, when
-/// given, then [`SynDogAgent::run_trace`], where an armed engine judges
-/// each record.
+/// Streams a capture through one [`SynDogAgent`]'s record loop,
+/// [`SynDogAgent::run_trace_with`]: the `--faults` pass, when given, sits
+/// between the reader and the loop, and an armed engine judges each
+/// record.
 pub fn cmd_detect(args: &[String]) -> Result<(), String> {
     let (flags, opts) = RunOptions::parse(
         args,
@@ -28,21 +30,17 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
         &[DETECTOR, MITIGATION, TELEMETRY, FAULTS, CHECKPOINT],
     )?;
     let stub = stub_flag(&flags)?;
-    let trace = read_trace(flags.require("in")?, stub)?;
+    let input = flags.require("in")?;
     let metrics = opts.metrics(Vec::new())?;
-    let (mut agent, trace) = match &opts.resume {
+    let mut agent = match &opts.resume {
         Some(path) => {
             let agent = SynDogAgent::restore(&read_checkpoint(path)?)
                 .map_err(|e| format!("restore {path}: {e}"))?;
             let k = agent.router().current_period();
             println!("resumed from {path} at period {k}");
-            let tail = resume_tail(&trace, k, agent.router().period());
-            (agent, tail)
+            agent
         }
-        None => (
-            SynDogAgent::with_detector(stub, opts.detector.build(opts.config)),
-            trace,
-        ),
+        None => SynDogAgent::with_detector(stub, opts.detector.build(opts.config)),
     };
     if let Some(hub) = metrics.hub() {
         agent.set_telemetry(hub);
@@ -52,11 +50,13 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
     if let (Some(policy), None) = (opts.mitigation(), agent.mitigation()) {
         agent.set_mitigation(policy);
     }
-    let (trace, ledger) = faulted_trace(opts.faults, trace, &metrics);
+    let from = open_period_start(agent.router());
+    let (_, ledger) = stream_records(input, stub, from, opts.faults, &metrics, |records, span| {
+        agent.run_trace_with(records, span, |_, _, _| {})
+    })?;
     if let Some(ledger) = ledger {
         println!("faults: {}", ledger.summary());
     }
-    agent.run_trace(&trace);
     print!("{}", detection_report(&agent, flags.has("verbose")));
     print_mitigation_report(&agent);
     if let Some(path) = &opts.checkpoint {
@@ -65,23 +65,10 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
     metrics.finish()
 }
 
-/// The part of `trace` a checkpoint taken at period boundary `k` has not
-/// yet covered: records from `k * period` on, with the duration
-/// shortened to match so the restored forward-only period clock closes
-/// exactly the remaining periods.
-fn resume_tail(trace: &Trace, k: u64, period: SimDuration) -> Trace {
-    let cut = SimTime::ZERO + period * k;
-    let records = trace
-        .records()
-        .iter()
-        .filter(|r| r.time >= cut)
-        .copied()
-        .collect();
-    let remaining = trace
-        .duration()
-        .as_micros()
-        .saturating_sub(period.as_micros() * k);
-    Trace::from_records(records, SimDuration::from_micros(remaining))
+/// Where a run's input starts: the start of the router's open period,
+/// zero for a fresh run. A resumed run reads the input from there on.
+fn open_period_start(router: &LeafRouter) -> SimTime {
+    SimTime::ZERO + router.period() * router.current_period()
 }
 
 /// The `--mitigate` postscript to the detection report (silent when no
@@ -115,20 +102,14 @@ fn print_mitigation_report(agent: &SynDogAgent) {
     }
 }
 
-/// Streams a pcap capture through [`PcapSource`] in `--batch-size` frame
-/// batches, without materializing a trace — the same agent as `detect`,
-/// closing the same periods. A binary trace goes through
-/// [`SynDogAgent::run_trace`], as in `detect`.
+/// Streams a pcap through [`PcapSource`], classifying frames without
+/// decoding records; the same agent as `detect`, closing the same periods.
+/// A binary trace goes through the record loop, as in `detect`.
 pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
-    let (flags, opts) = RunOptions::parse(
-        args,
-        &["verbose"],
-        &["in", "stub", "batch-size"],
-        &[DETECTOR, TELEMETRY],
-    )?;
+    let (flags, opts) =
+        RunOptions::parse(args, &["verbose"], &["in", "stub"], &[DETECTOR, TELEMETRY])?;
     let stub = stub_flag(&flags)?;
     let input = flags.require("in")?;
-    let batch_size = batch_size_flag(&flags)?;
     let metrics = opts.metrics(Vec::new())?;
     let mut agent = SynDogAgent::with_detector(stub, opts.detector.build(opts.config));
     if let Some(hub) = metrics.hub() {
@@ -141,23 +122,28 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
     };
     if input.ends_with(".pcap") {
         let file = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
-        let source = PcapSource::with_batch_size(file, stub, batch_size)
-            .map_err(|e| format!("read {input}: {e}"))?;
+        let source = PcapSource::new(file, stub).map_err(|e| format!("read {input}: {e}"))?;
         agent
             .run_source(source)
             .map_err(|e| format!("sniff {input}: {e}"))?;
-        // A stream declares no end: close the period holding the last
-        // frame, as the span `Trace::read_pcap` infers closes it for
-        // `detect`.
+        // A pcap declares no span: close the period holding the latest
+        // frame, as the record loop's span rule does.
         if frames_seen(&agent) > 0 {
             agent.close_periods_to(agent.router().current_period() + 1);
         }
     } else {
-        agent.run_trace(&read_trace(input, stub)?);
+        stream_records(
+            input,
+            stub,
+            SimTime::ZERO,
+            None,
+            &metrics,
+            |records, span| agent.run_trace_with(records, span, |_, _, _| {}),
+        )?;
     }
     let router = agent.router();
     println!(
-        "sniffed {} frames ({} malformed), batch size {batch_size}",
+        "sniffed {} frames ({} malformed), batch size {DEFAULT_BATCH_SIZE}",
         frames_seen(&agent),
         router.sniffer(Direction::Outbound).malformed()
             + router.sniffer(Direction::Inbound).malformed(),
@@ -166,13 +152,7 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
     metrics.finish()
 }
 
-fn batch_size_flag(flags: &Flags) -> Result<usize, String> {
-    Ok(flags
-        .positive("batch-size", MAX_QUEUE)?
-        .unwrap_or(DEFAULT_BATCH_SIZE))
-}
-
-/// Replays a trace through the concurrent deployment: per-direction
+/// Replays a capture through the concurrent deployment: per-direction
 /// [`FrameBatch`]es over one bounded channel per interface, lock-free
 /// atomic counters, a `flush` barrier at every period boundary.
 ///
@@ -184,17 +164,18 @@ pub fn cmd_replay(args: &[String]) -> Result<(), String> {
         &["in", "stub", "batch-size", "capacity"],
         &[DETECTOR, TELEMETRY, FAULTS, CHECKPOINT],
     )?;
-    let batch_size = batch_size_flag(&flags)?;
+    let batch_size = flags
+        .positive("batch-size", MAX_QUEUE)?
+        .unwrap_or(DEFAULT_BATCH_SIZE);
     let capacity = flags.positive("capacity", MAX_QUEUE)?.unwrap_or(64);
     let metrics = opts.metrics(Vec::new())?;
     let stub = stub_flag(&flags)?;
-    let trace = read_trace(flags.require("in")?, stub)?;
+    let input = flags.require("in")?;
     let policy = if flags.has("drop") {
         OverflowPolicy::Drop
     } else {
         OverflowPolicy::Block
     };
-    let (trace, fault_ledger) = faulted_trace(opts.faults, trace, &metrics);
     let mut dog = match &opts.resume {
         Some(path) => {
             let checkpoint = read_checkpoint(path)?;
@@ -213,16 +194,53 @@ pub fn cmd_replay(args: &[String]) -> Result<(), String> {
             metrics.hub(),
         ),
     };
-    let period = dog.agent().router().period();
-    let total_periods = trace
-        .duration()
-        .as_micros()
-        .div_ceil(period.as_micros())
-        .max(1)
-        .max(dog.agent().router().current_period());
     let start_period = dog.agent().router().current_period();
+    let from = open_period_start(dog.agent().router());
+    let streamed = stream_records(input, stub, from, opts.faults, &metrics, |records, span| {
+        feed(&mut dog, records, span, batch_size)
+    });
+    // A capture that fails mid-stream still joins the sniffer threads.
+    let fault_ledger = match streamed.and_then(|(fed, ledger)| fed.map(|()| ledger)) {
+        Ok(ledger) => ledger,
+        Err(e) => {
+            dog.shutdown();
+            return Err(e);
+        }
+    };
 
-    fn submit_pending(
+    if let Some(ledger) = &fault_ledger {
+        println!("faults: {}", ledger.summary());
+    }
+    if let Some(path) = &opts.checkpoint {
+        write_checkpoint(&dog.checkpoint(), path)?;
+    }
+    let report = detection_report(dog.agent(), false);
+    let periods = dog.agent().router().current_period() - start_period;
+    let dropped_frames = dog.dropped_frames();
+    let dropped_batches = dog.dropped_batches();
+    let (out_frames, in_frames) = dog.shutdown();
+    println!(
+        "replayed {periods} periods through 2 sniffer threads: {out_frames} outbound / {in_frames} inbound frames (batch size {batch_size}, capacity {capacity})",
+    );
+    if dropped_batches > 0 {
+        println!("overflow shed {dropped_batches} batches / {dropped_frames} frames");
+    }
+    print!("{report}");
+    metrics.finish()
+}
+
+/// Feeds the concurrent sniffers from a record stream under the agent's
+/// period rules: records the [`SpanRule`] admits are synthesized into
+/// per-direction batches of `batch_size` frames, and before a record
+/// closes periods the held batches are submitted, then each period is
+/// flushed and closed.
+fn feed(
+    dog: &mut ConcurrentSynDog,
+    records: &mut dyn Iterator<Item = TraceRecord>,
+    span: Option<SimDuration>,
+    batch_size: usize,
+) -> Result<(), String> {
+    fn submit(
         dog: &ConcurrentSynDog,
         direction: Direction,
         pending: &mut Vec<TraceRecord>,
@@ -236,64 +254,44 @@ pub fn cmd_replay(args: &[String]) -> Result<(), String> {
         Ok(())
     }
 
+    let mut span = SpanRule::new(span, dog.agent().router().period());
     let mut pending_out: Vec<TraceRecord> = Vec::with_capacity(batch_size);
     let mut pending_in: Vec<TraceRecord> = Vec::with_capacity(batch_size);
-    let mut current_period = start_period;
-    for record in trace.records() {
-        let p = record.time.period_index(period);
-        if p >= total_periods {
-            continue; // past the trace's declared span, like run_trace
+    for record in records {
+        if !span.admits(record.time) {
+            continue;
         }
-        if p < start_period {
-            continue; // already covered by the resumed checkpoint
-        }
-        while current_period < p {
-            submit_pending(&dog, Direction::Outbound, &mut pending_out)?;
-            submit_pending(&dog, Direction::Inbound, &mut pending_in)?;
-            dog.flush();
-            dog.close_period();
-            current_period += 1;
+        let due = dog.periods_due(record.time);
+        if due > 0 {
+            submit(dog, Direction::Outbound, &mut pending_out)?;
+            submit(dog, Direction::Inbound, &mut pending_in)?;
+            for _ in 0..due {
+                dog.flush();
+                dog.close_period();
+            }
         }
         let pending = match record.direction {
             Direction::Outbound => &mut pending_out,
             Direction::Inbound => &mut pending_in,
         };
-        pending.push(*record);
+        pending.push(record);
         if pending.len() >= batch_size {
-            submit_pending(&dog, record.direction, pending)?;
+            submit(dog, record.direction, pending)?;
         }
     }
-    submit_pending(&dog, Direction::Outbound, &mut pending_out)?;
-    submit_pending(&dog, Direction::Inbound, &mut pending_in)?;
-    while current_period < total_periods {
+    submit(dog, Direction::Outbound, &mut pending_out)?;
+    submit(dog, Direction::Inbound, &mut pending_in)?;
+    let last = span.last(dog.agent().router().current_period());
+    while dog.agent().router().current_period() < last {
         dog.flush();
         dog.close_period();
-        current_period += 1;
     }
-
-    if let Some(ledger) = &fault_ledger {
-        println!("faults: {}", ledger.summary());
-    }
-    if let Some(path) = &opts.checkpoint {
-        write_checkpoint(&dog.checkpoint(), path)?;
-    }
-    let report = detection_report(dog.agent(), false);
-    let dropped_frames = dog.dropped_frames();
-    let dropped_batches = dog.dropped_batches();
-    let (out_frames, in_frames) = dog.shutdown();
-    println!(
-        "replayed {} periods through 2 sniffer threads: {out_frames} outbound / {in_frames} inbound frames (batch size {batch_size}, capacity {capacity})",
-        total_periods - start_period,
-    );
-    if dropped_batches > 0 {
-        println!("overflow shed {dropped_batches} batches / {dropped_frames} frames");
-    }
-    print!("{report}");
-    metrics.finish()
+    Ok(())
 }
 
 /// The detection report `detect`, `sniff` and `replay` print: the
-/// optional per-period table, the series summary, and the first alarm.
+/// optional per-period table, the late-record count when there is one,
+/// the series summary, and the first alarm.
 fn detection_report(agent: &SynDogAgent, verbose: bool) -> String {
     use std::fmt::Write as _;
     let detections = agent.detections();
@@ -312,6 +310,10 @@ fn detection_report(agent: &SynDogAgent, verbose: bool) -> String {
                 if d.alarm { "ALARM" } else { "" }
             );
         }
+    }
+    let late = agent.router().late();
+    if late > 0 {
+        let _ = writeln!(out, "{late} late records counted in the open period");
     }
     let _ = writeln!(
         out,
@@ -344,12 +346,28 @@ fn detection_report(agent: &SynDogAgent, verbose: bool) -> String {
     out
 }
 
+/// Runs `detect`'s record loop with a [`SourceLocator`] in the hook: the
+/// first alarm arms per-MAC accounting of spoofed-source SYNs for every
+/// record after it (§4.2.3).
 pub fn cmd_locate(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &[], &["in", "stub"])?;
     let stub = stub_flag(&flags)?;
-    let trace = read_trace(flags.require("in")?, stub)?;
+    let input = flags.require("in")?;
     let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default());
-    let locator = agent.locate(&trace);
+    let mut locator = SourceLocator::new(stub);
+    let metrics = Metrics::default();
+    stream_records(
+        input,
+        stub,
+        SimTime::ZERO,
+        None,
+        &metrics,
+        |records, span| {
+            agent.run_trace_with(records, span, |agent, record, _| {
+                locator.observe_after_alarm(agent, record);
+            })
+        },
+    )?;
     let Some(alarm) = agent.first_alarm() else {
         println!("no flooding detected; nothing to locate");
         return Ok(());

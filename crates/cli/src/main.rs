@@ -56,7 +56,7 @@ const USAGE: &str = "usage:
   syndog generate --site <lbl|harvard|unc|auckland> [--seed N] --out FILE
   syndog inject   --in FILE --out FILE --rate R [--start SECS] [--duration SECS] [--seed N]
   syndog detect   --in FILE --stub CIDR [--detector D] [--mitigate] [--throttle-key K] [--tuned] [--t0 SECS] [--verbose] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
-  syndog sniff    --in FILE --stub CIDR [--detector D] [--batch-size N] [--tuned] [--t0 SECS] [--verbose] [--metrics DEST] [--metrics-format F]
+  syndog sniff    --in FILE --stub CIDR [--detector D] [--tuned] [--t0 SECS] [--verbose] [--metrics DEST] [--metrics-format F]
   syndog replay   --in FILE --stub CIDR [--detector D] [--batch-size N] [--capacity N] [--drop] [--tuned] [--t0 SECS] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
   syndog locate   --in FILE --stub CIDR
   syndog fleet    [--detector D] [--stubs N] [--site S] [--site-minutes M] [--attackers I,J,A-B,..] [--total-rate V] [--start SECS] [--attack-duration SECS] [--seed N] [--jobs N] [--counts] [--regions N] [--label-budget N] [--mitigate] [--throttle-key K] [--faults SPEC] [--csv FILE] [--metrics DEST] [--metrics-format F]
@@ -65,10 +65,14 @@ const USAGE: &str = "usage:
   syndog theory   --k KBAR [--a A] [--c C] [--t0 SECS] [--total-rate V]
 
 FILE format: pcap when the name ends in .pcap, binary trace otherwise.
-sniff streams a pcap in --batch-size frame batches without loading it;
-replay drives the concurrent deployment with FrameBatch channels, one
-sniffer thread per interface (--drop sheds batches on overflow instead
-of blocking).
+detect, sniff, replay and locate read FILE one record at a time, never
+whole, under one period rule: a record behind the period clock counts
+in the open period (the report gives the late count), a binary trace's
+declared span sets how many periods close, and a pcap's last period is
+the one holding its latest record. sniff classifies a pcap's frames
+without decoding records; replay drives the concurrent deployment with
+FrameBatch channels, one sniffer thread per interface (--drop sheds
+batches on overflow instead of blocking).
 
 --metrics DEST records detector telemetry: a socket address (host:port)
 serves live Prometheus scrapes during the run; any other DEST is a file
@@ -93,8 +97,8 @@ key=value pairs from drop, dup, truncate, corrupt (probabilities in
 --faults drop=0.05,reorder=8,seed=7. The run prints a fault ledger
 summary. --checkpoint FILE writes a versioned, CRC-checked snapshot of
 the detector and router state after the run; --resume FILE restores
-one and continues the input trace from the checkpoint's period
-boundary, keeping the learned K. The checkpoint carries the detector
+one and reads the input's records from the checkpoint's period
+boundary on, keeping the learned K. The checkpoint carries the detector
 strategy and configuration, so --tuned/--t0/--detector are rejected
 alongside --resume.
 
@@ -433,15 +437,7 @@ mod tests {
             let path = dir.join(name);
             let path = path.to_str().unwrap();
             write_trace(&trace, path).unwrap();
-            cmd_sniff(&args(&[
-                "--in",
-                path,
-                "--stub",
-                &stub,
-                "--batch-size",
-                "64",
-            ]))
-            .unwrap();
+            cmd_sniff(&args(&["--in", path, "--stub", &stub])).unwrap();
             cmd_replay(&args(&[
                 "--in",
                 path,
@@ -456,7 +452,7 @@ mod tests {
             cmd_replay(&args(&["--in", path, "--stub", &stub, "--drop"])).unwrap();
             let _ = std::fs::remove_file(path);
         }
-        assert!(cmd_sniff(&args(&[
+        assert!(cmd_replay(&args(&[
             "--in",
             "x.bin",
             "--stub",

@@ -3,7 +3,8 @@
 //! `fleet` and `serve` repeat ([`RunOptions`]), the `--metrics` sink, and
 //! trace / checkpoint file I/O.
 
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{BufReader, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::sync::Arc;
 
@@ -12,8 +13,9 @@ use syndog_net::Ipv4Net;
 use syndog_router::{
     Checkpoint, FaultLedger, FaultSpec, FaultTelemetry, KeyMode, MitigationPolicy,
 };
+use syndog_sim::{SimDuration, SimTime};
 use syndog_telemetry::{ExportFormat, RouteHandler, ScrapeServer, Telemetry};
-use syndog_traffic::{SiteProfile, Trace};
+use syndog_traffic::{RecordReader, SiteProfile, Trace, TraceRecord};
 
 /// Minimal `--flag value` / `--switch` argument map.
 pub struct Flags {
@@ -283,21 +285,33 @@ impl Metrics {
     }
 }
 
-/// `--faults` as the record-level pass: the faulted trace and its
-/// ledger (already synced into telemetry), or `trace` untouched.
-pub fn faulted_trace(
-    spec: Option<FaultSpec>,
-    trace: Trace,
+/// Streams `--in` into `run` one record at a time: the records from
+/// `from` on (a resumed run's open period; `--resume` is this filter),
+/// through the `--faults` pass when given. Returns what `run` returned
+/// and the fault ledger, already synced into telemetry. A read error ends
+/// the stream early and is reported once `run` returns.
+pub fn stream_records<T>(
+    path: &str,
+    stub: Ipv4Net,
+    from: SimTime,
+    faults: Option<FaultSpec>,
     metrics: &Metrics,
-) -> (Trace, Option<FaultLedger>) {
-    let Some(spec) = spec else {
-        return (trace, None);
+    run: impl FnOnce(&mut dyn Iterator<Item = TraceRecord>, Option<SimDuration>) -> T,
+) -> Result<(T, Option<FaultLedger>), String> {
+    let mut reader = open_records(path, stub)?;
+    let span = reader.span();
+    let mut records = reader.by_ref().filter(|record| record.time >= from);
+    let mut ledger = FaultLedger::default();
+    let out = match faults {
+        Some(spec) => run(&mut spec.faulted(&mut records, &mut ledger), span),
+        None => run(&mut records, span),
     };
-    let (faulted, ledger) = spec.apply_to_trace(&trace);
-    if let Some(hub) = metrics.hub() {
-        FaultTelemetry::new(&hub).sync(&ledger);
+    let ledger = faults.map(|_| ledger);
+    reader.finish().map_err(|e| format!("read {path}: {e}"))?;
+    if let (Some(ledger), Some(hub)) = (&ledger, metrics.hub()) {
+        FaultTelemetry::new(&hub).sync(ledger);
     }
-    (faulted, Some(ledger))
+    Ok((out, ledger))
 }
 
 pub fn site_by_name(name: &str) -> Result<SiteProfile, String> {
@@ -324,15 +338,22 @@ pub fn write_trace(trace: &Trace, path: &str) -> Result<(), String> {
     writer.flush().map_err(|e| format!("write {path}: {e}"))
 }
 
-pub fn read_trace(path: &str, stub: Ipv4Net) -> Result<Trace, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let reader = std::io::BufReader::new(file);
-    let read = if path.ends_with(".pcap") {
-        Trace::read_pcap(reader, stub)
+/// Opens a capture as a record stream: a pcap when the name ends in
+/// `.pcap`, a binary trace otherwise.
+fn open_records(path: &str, stub: Ipv4Net) -> Result<RecordReader<BufReader<File>>, String> {
+    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    let reader = BufReader::new(file);
+    let opened = if path.ends_with(".pcap") {
+        RecordReader::pcap(reader, stub)
     } else {
-        Trace::read_binary(reader)
+        RecordReader::binary(reader)
     };
-    read.map_err(|e| format!("read {path}: {e}"))
+    opened.map_err(|e| format!("read {path}: {e}"))
+}
+
+pub fn read_trace(path: &str, stub: Ipv4Net) -> Result<Trace, String> {
+    let trace = open_records(path, stub)?.into_trace();
+    trace.map_err(|e| format!("read {path}: {e}"))
 }
 
 pub fn stub_flag(flags: &Flags) -> Result<Ipv4Net, String> {

@@ -22,8 +22,8 @@
 //!   used by the evaluation harness,
 //! - [`fin_pair`] — the companion mechanism (INFOCOM 2002): the same CUSUM
 //!   over SYN–FIN pairs, usable where SYN/ACKs are not observable,
-//! - [`strategy`] — the pluggable [`Detector`] trait and [`AnyDetector`]
-//!   tagged union: the paper detector plus three competing strategies
+//! - [`strategy`] — the [`AnyDetector`] tagged union of pluggable
+//!   strategies: the paper detector plus three competing strategies
 //!   (SYN-count CUSUM, adaptive EWMA, SYN–FIN pairing) behind one
 //!   interface, selectable at runtime and checkpointable.
 //!
@@ -64,6 +64,4 @@ pub use cusum::{CusumState, NonParametricCusum};
 pub use detector::{Detection, PeriodCounts, SynDogConfig, SynDogDetector};
 pub use fin_pair::{FinPairDetector, SynFinCounts};
 pub use normalize::SynAckEstimator;
-pub use strategy::{
-    AnyDetector, Detector, DetectorKind, EwmaDetector, PeriodSignals, SynCountCusum,
-};
+pub use strategy::{AnyDetector, DetectorKind, EwmaDetector, PeriodSignals, SynCountCusum};

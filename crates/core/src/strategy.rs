@@ -1,4 +1,4 @@
-//! Pluggable detection strategies behind one [`Detector`] interface.
+//! Pluggable detection strategies behind one [`AnyDetector`] value.
 //!
 //! The paper's SYN−SYN/ACK CUSUM is one point in the change-detection
 //! design space the review literature (arXiv 1202.1761) maps out. This
@@ -71,39 +71,6 @@ impl From<PeriodCounts> for PeriodSignals {
             rst: 0,
         }
     }
-}
-
-/// The common interface every per-period flooding detector implements.
-///
-/// A detector is a pure function of the [`PeriodSignals`] sequence it has
-/// observed: plain serializable state, no clocks, no randomness — the
-/// properties the checkpoint envelope and the deterministic fleet runner
-/// rely on.
-pub trait Detector {
-    /// Which strategy this is.
-    fn kind(&self) -> DetectorKind;
-
-    /// The configuration the detector runs with.
-    fn config(&self) -> &SynDogConfig;
-
-    /// Consumes one period's counters and returns the decision record.
-    fn observe(&mut self, signals: PeriodSignals) -> Detection;
-
-    /// The current decision statistic.
-    fn statistic(&self) -> f64;
-
-    /// The current baseline estimate the strategy normalizes against
-    /// (`K̄` for the paper detector), if seeded.
-    fn k_average(&self) -> Option<f64>;
-
-    /// The period index of the first alarm, if any.
-    fn first_alarm_period(&self) -> Option<u64>;
-
-    /// Number of periods observed so far.
-    fn periods_observed(&self) -> u64;
-
-    /// Resets all running state, keeping the configuration.
-    fn reset(&mut self);
 }
 
 /// The built-in strategy names, as selected by `--detector`.
@@ -340,9 +307,12 @@ impl EwmaDetector {
     }
 }
 
-/// A detection strategy chosen at runtime: the value-level counterpart of
-/// the [`Detector`] trait, with plain-enum dispatch so agents, fleet specs
-/// and checkpoints stay `Clone + PartialEq + Serialize`.
+/// A detection strategy chosen at runtime, with plain-enum dispatch so
+/// agents, fleet specs and checkpoints stay `Clone + PartialEq +
+/// Serialize`. A strategy is a pure function of the [`PeriodSignals`]
+/// sequence it has observed: plain serializable state, no clocks, no
+/// randomness — the properties the checkpoint envelope and the
+/// deterministic fleet runner rely on.
 ///
 /// Serialized form is externally tagged by the strategy's canonical name
 /// (`{"syndog": {...}}`), and deserialization accepts only that form.
@@ -470,40 +440,6 @@ impl AnyDetector {
             AnyDetector::Ewma(d) => d.reset(),
             AnyDetector::FinPair(d) => d.reset(),
         }
-    }
-}
-
-impl Detector for AnyDetector {
-    fn kind(&self) -> DetectorKind {
-        AnyDetector::kind(self)
-    }
-
-    fn config(&self) -> &SynDogConfig {
-        AnyDetector::config(self)
-    }
-
-    fn observe(&mut self, signals: PeriodSignals) -> Detection {
-        AnyDetector::observe(self, signals)
-    }
-
-    fn statistic(&self) -> f64 {
-        AnyDetector::statistic(self)
-    }
-
-    fn k_average(&self) -> Option<f64> {
-        AnyDetector::k_average(self)
-    }
-
-    fn first_alarm_period(&self) -> Option<u64> {
-        AnyDetector::first_alarm_period(self)
-    }
-
-    fn periods_observed(&self) -> u64 {
-        AnyDetector::periods_observed(self)
-    }
-
-    fn reset(&mut self) {
-        AnyDetector::reset(self)
     }
 }
 

@@ -5,8 +5,9 @@
 //! and an [`AnyDetector`] (the paper's normalization + CUSUM by default,
 //! or any other [`syndog::strategy`] pick), and turns a packet or record
 //! stream into a list of [`Alarm`]s. Because the agent sits at the first
-//! mile, an alarm *is* localization to the stub network; the
-//! [`crate::locate`] module then narrows it to a host.
+//! mile, an alarm *is* localization to the stub network; a
+//! [`SourceLocator`](crate::locate::SourceLocator) in the record loop's
+//! hook then narrows it to a host.
 
 use std::sync::Arc;
 
@@ -17,9 +18,8 @@ use syndog_telemetry::Telemetry;
 use syndog_traffic::trace::{Direction, Trace, TraceRecord};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::locate::SourceLocator;
 use crate::mitigate::{MitigationDecision, MitigationEngine, MitigationPolicy};
-use crate::router::LeafRouter;
+use crate::router::{LeafRouter, SpanRule};
 use crate::source::FrameSource;
 use crate::telemetry::{AgentTelemetry, MitigationTelemetry};
 
@@ -45,9 +45,9 @@ pub struct SynDogAgent {
     mitigation: Option<MitigationEngine>,
     mitigation_telemetry: Option<MitigationTelemetry>,
     /// Absolute period index of the detector's period 0. The detector's
-    /// own indices restart at 0 on [`SynDogAgent::reset_detection`] while
+    /// own indices restart at 0 on [`SynDogAgent::replace_detector`] while
     /// the router clock keeps running; alarm timestamps must use
-    /// `period_base + detection.period` or they dilate after a reset.
+    /// `period_base + detection.period` or they dilate after a swap.
     period_base: u64,
 }
 
@@ -210,7 +210,7 @@ impl SynDogAgent {
     }
 
     /// Absolute period index the detector's period 0 corresponds to
-    /// (nonzero after [`SynDogAgent::reset_detection`] or a checkpoint
+    /// (nonzero after [`SynDogAgent::replace_detector`] or a checkpoint
     /// restore).
     pub fn period_base(&self) -> u64 {
         self.period_base
@@ -298,71 +298,57 @@ impl SynDogAgent {
     }
 
     /// Runs a whole trace through router, detector and (when armed) the
-    /// mitigation engine — [`SynDogAgent::run_trace_with`] without a hook.
+    /// mitigation engine: [`SynDogAgent::run_trace_with`] over its records
+    /// and declared duration, without a hook.
     pub fn run_trace(&mut self, trace: &Trace) -> Vec<Detection> {
-        self.run_trace_with(trace, |_, _| {})
+        let records = trace.records().iter().copied();
+        self.run_trace_with(records, Some(trace.duration()), |_, _, _| {})
     }
 
-    /// The record loop: every record inside the trace's declared span goes,
-    /// in the trace's order, through [`SynDogAgent::filter_record`] (so an
-    /// armed engine judges it) and then to `on_record` with its decision;
-    /// the run is squared off to `current + ⌈span / t0⌉` periods, and
-    /// handshake tails past the span are skipped. Returns the detections
-    /// this run closed.
-    pub fn run_trace_with<F>(&mut self, trace: &Trace, mut on_record: F) -> Vec<Detection>
+    /// The record loop, for any record stream: every record the
+    /// [`SpanRule`] of `span` admits goes, in stream order, through
+    /// [`SynDogAgent::filter_record`] (so an armed engine judges it; a
+    /// record behind the clock counts in the open period and as late,
+    /// [`LeafRouter::late`]) and then to `on_record` with the agent and its
+    /// decision. When the stream ends, the periods up to the rule's last
+    /// close. Returns the detections this run closed.
+    pub fn run_trace_with<I, F>(
+        &mut self,
+        records: I,
+        span: Option<SimDuration>,
+        mut on_record: F,
+    ) -> Vec<Detection>
     where
-        F: FnMut(&TraceRecord, MitigationDecision),
+        I: IntoIterator<Item = TraceRecord>,
+        F: FnMut(&SynDogAgent, &TraceRecord, MitigationDecision),
     {
         let first = self.detections.len();
-        let period = self.router.period();
-        let last = self.router.current_period()
-            + trace.duration().as_micros().div_ceil(period.as_micros());
-        for record in trace.records() {
-            if record.time.period_index(period) < last {
-                let decision = self.filter_record(record);
-                on_record(record, decision);
+        let mut span = SpanRule::new(span, self.router.period());
+        for record in records {
+            if span.admits(record.time) {
+                let decision = self.filter_record(&record);
+                on_record(self, &record, decision);
             }
         }
-        self.close_periods_to(last);
+        self.close_periods_to(span.last(self.router.current_period()));
         self.detections[first..].to_vec()
     }
 
-    /// The paper's detect-then-locate sweep: streams `trace` through the
-    /// agent and a [`SourceLocator`] together, arming per-MAC accounting
-    /// at the first alarm, and returns the locator.
-    pub fn locate(&mut self, trace: &Trace) -> SourceLocator {
-        let mut locator = SourceLocator::new(self.router.stub());
-        for record in trace.records() {
-            self.observe_record(record);
-            if !locator.is_armed() && self.first_alarm().is_some() {
-                locator.arm();
-            }
-            locator.observe(record);
-        }
-        locator
-    }
-
     /// Streams one record through the router, closing periods (and running
-    /// the detector) as simulated time passes. The period clock only moves
-    /// forward: a record older than the open period (reordered or
-    /// jittered) is counted in the open period.
-    pub fn observe_record(&mut self, record: &TraceRecord) {
+    /// the detector) as simulated time passes, and through the mitigation
+    /// engine: the record is always counted (the detector measures the
+    /// offered load, so throttling cannot drain the statistic that
+    /// justifies it — see [`crate::mitigate`]), then judged. Without an
+    /// armed engine the decision is [`MitigationDecision::Forward`]. The
+    /// period clock only moves forward: a record older than the open
+    /// period (reordered or jittered) is counted in the open period.
+    pub fn filter_record(&mut self, record: &TraceRecord) -> MitigationDecision {
         let mut closed = Vec::new();
         self.router.advance_to(record.time, &mut closed);
         for sample in closed {
             self.observe_period(sample);
         }
         self.router.observe_record(record);
-    }
-
-    /// Streams one record through the router *and* the mitigation engine:
-    /// the record is always observed (the detector measures the offered
-    /// load, so throttling cannot drain the statistic that justifies it —
-    /// see [`crate::mitigate`]), then judged. Without an armed engine this
-    /// is [`SynDogAgent::observe_record`] returning
-    /// [`MitigationDecision::Forward`].
-    pub fn filter_record(&mut self, record: &TraceRecord) -> MitigationDecision {
-        self.observe_record(record);
         match &mut self.mitigation {
             Some(engine) => engine.process(record),
             None => MitigationDecision::Forward,
@@ -378,16 +364,6 @@ impl SynDogAgent {
             let sample = self.router.take_period_sample();
             self.observe_period(sample);
         }
-    }
-
-    /// Resets detector state and alarm history (the router's period clock
-    /// continues; counters are already period-scoped). The period base
-    /// advances so future alarm timestamps remain in router time.
-    pub fn reset_detection(&mut self) {
-        self.period_base += self.detector.periods_observed();
-        self.detector.reset();
-        self.detections.clear();
-        self.alarms.clear();
     }
 
     /// Swaps in a new detection strategy at a period boundary — the
@@ -531,7 +507,7 @@ mod tests {
         batch.run_trace(&trace);
         let mut streaming = SynDogAgent::new(site.stub(), SynDogConfig::paper_default());
         for record in trace.records() {
-            streaming.observe_record(record);
+            streaming.filter_record(record);
         }
         // The streaming agent hasn't closed the final period(s) yet; the
         // batch agent has. Compare the common prefix.
@@ -755,29 +731,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_alarms_but_keeps_router() {
-        let stub: Ipv4Net = "10.0.0.0/8".parse().unwrap();
-        let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default());
-        agent.observe_period(sig(500, 1));
-        assert!(!agent.alarms().is_empty());
-        agent.reset_detection();
-        assert!(agent.alarms().is_empty());
-        assert!(agent.detections().is_empty());
-        assert_eq!(agent.detector().periods_observed(), 0);
-    }
-
-    #[test]
-    fn alarm_time_stays_in_router_time_after_reset() {
+    fn alarm_time_stays_in_router_time_after_replace_detector() {
         // Regression: Alarm::time was computed from the detector's period
-        // index alone, so after reset_detection() (detector restarts at
-        // period 0, router clock keeps running) alarm timestamps snapped
-        // back to the start of the trace.
+        // index alone, so after a detector swap (the new detector restarts
+        // at period 0, the router clock keeps running) alarm timestamps
+        // snapped back to the start of the trace.
         let stub: Ipv4Net = "10.0.0.0/8".parse().unwrap();
         let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default());
         let quiet = sig(100, 100);
         agent.observe_period(quiet);
         agent.observe_period(quiet);
-        agent.reset_detection();
+        agent.replace_detector(DetectorKind::Syndog.build(SynDogConfig::paper_default()));
         assert_eq!(agent.period_base(), 2);
         agent.observe_period(quiet);
         let d = agent.observe_period(sig(400, 100));
@@ -788,6 +752,49 @@ mod tests {
         // …but the timestamp is the end of absolute period 3 (20s each):
         // 4 periods into the run, not 2.
         assert_eq!(alarm.time, SimTime::from_secs(80));
+    }
+
+    #[test]
+    fn the_record_loop_hands_the_hook_the_agent_and_counts_late_records() {
+        let site = SiteProfile::auckland();
+        let mut rng = SimRng::seed_from_u64(32);
+        let mut trace = site.generate_trace(&mut rng);
+        trace.merge(
+            &SynFlood::constant(
+                10.0,
+                SimTime::from_secs(40 * 20),
+                SimDuration::from_secs(600),
+                "192.0.2.80:80".parse().unwrap(),
+            )
+            .generate_trace(&mut rng),
+        );
+        // Every 50th record arrives 1,000 records late.
+        let mut late = Vec::new();
+        let mut arrivals = Vec::new();
+        for (i, record) in trace.records().iter().enumerate() {
+            if i % 50 == 49 {
+                late.push((i + 1_000, *record));
+            } else {
+                arrivals.push(*record);
+            }
+            while late.first().is_some_and(|&(due, _)| due <= i) {
+                arrivals.push(late.remove(0).1);
+            }
+        }
+        arrivals.extend(late.into_iter().map(|(_, record)| record));
+        assert_eq!(arrivals.len(), trace.len());
+
+        let mut agent = SynDogAgent::new(site.stub(), SynDogConfig::paper_default());
+        let mut alarmed_records = 0;
+        agent.run_trace_with(arrivals, Some(trace.duration()), |agent, _, _| {
+            alarmed_records += u64::from(agent.first_alarm().is_some());
+        });
+        assert!(agent.router().late() > 0);
+        assert_eq!(agent.detections().len(), site.periods());
+        assert!(
+            alarmed_records > 0,
+            "the hook sees the alarm as it is raised"
+        );
     }
 
     #[test]

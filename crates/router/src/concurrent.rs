@@ -36,6 +36,7 @@ use syndog::{AnyDetector, Detection, DetectorKind, SynDogConfig};
 use syndog_net::batch::{classify_batch, ClassCounts, FrameBatch};
 use syndog_net::classify::SegmentKind;
 use syndog_net::Ipv4Net;
+use syndog_sim::SimTime;
 use syndog_telemetry::Telemetry;
 use syndog_traffic::trace::Direction;
 
@@ -220,25 +221,8 @@ impl ConcurrentSynDog {
     ///
     /// Panics if `channel_capacity` is zero.
     pub fn start(config: SynDogConfig, channel_capacity: usize) -> Self {
-        Self::with_policy(config, channel_capacity, OverflowPolicy::Block)
-    }
-
-    /// Starts both sniffer threads with an explicit overflow policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_capacity` is zero.
-    pub fn with_policy(
-        config: SynDogConfig,
-        channel_capacity: usize,
-        policy: OverflowPolicy,
-    ) -> Self {
-        Self::with_detector(
-            DetectorKind::Syndog.build(config),
-            channel_capacity,
-            policy,
-            None,
-        )
+        let detector = DetectorKind::Syndog.build(config);
+        Self::with_detector(detector, channel_capacity, OverflowPolicy::Block, None)
     }
 
     /// Starts both sniffer threads coordinating an explicit detection
@@ -372,14 +356,6 @@ impl ConcurrentSynDog {
         }
     }
 
-    /// Single-frame convenience wrapper around [`Self::submit_batch`]. The
-    /// hot path should batch; this exists for boundary cases and examples.
-    pub fn submit(&self, direction: Direction, frame: &[u8]) -> bool {
-        let mut batch = FrameBatch::with_capacity(1, frame.len());
-        batch.push(frame);
-        self.submit_batch(direction, batch)
-    }
-
     /// Deterministic drain barrier: when this returns, every batch
     /// submitted (and not dropped) before the call has been classified and
     /// its counts are visible to [`Self::close_period`]. The flush marker
@@ -440,6 +416,13 @@ impl ConcurrentSynDog {
         router.observe_counts(Direction::Inbound, &inbound);
         let sample = router.take_period_sample();
         self.agent.close_count_period(sample).0
+    }
+
+    /// How many periods a record at `now` closes, for a caller feeding the
+    /// sniffers from a record stream; a `now` behind the clock closes none
+    /// and counts late, as on every other front end.
+    pub fn periods_due(&mut self, now: SimTime) -> u64 {
+        self.agent.router_mut().periods_due(now)
     }
 
     /// The coordinator's agent: detections, alarms, detector, and the
@@ -573,6 +556,10 @@ mod tests {
         frames.into_iter().collect()
     }
 
+    fn syndog() -> AnyDetector {
+        DetectorKind::Syndog.build(SynDogConfig::paper_default())
+    }
+
     #[test]
     fn concurrent_counting_is_exact() {
         let mut dog = ConcurrentSynDog::start(SynDogConfig::paper_default(), 64);
@@ -602,8 +589,8 @@ mod tests {
         // flush barrier makes this deterministic: both frames are
         // guaranteed classified before the period closes.
         let mut dog = ConcurrentSynDog::start(SynDogConfig::paper_default(), 16);
-        dog.submit(Direction::Inbound, &syn_frame(1));
-        dog.submit(Direction::Outbound, &synack_frame(1));
+        dog.submit_batch(Direction::Inbound, batch_of([syn_frame(1)]));
+        dog.submit_batch(Direction::Outbound, batch_of([synack_frame(1)]));
         dog.flush();
         let d = dog.close_period();
         assert_eq!(d.delta, 0.0);
@@ -694,10 +681,9 @@ mod tests {
     fn block_policy_counts_every_frame_under_tiny_capacity() {
         // Channel capacity 1 forces constant backpressure; Block must
         // still deliver every batch.
-        let mut dog =
-            ConcurrentSynDog::with_policy(SynDogConfig::paper_default(), 1, OverflowPolicy::Block);
+        let mut dog = ConcurrentSynDog::with_detector(syndog(), 1, OverflowPolicy::Block, None);
         for i in 0..50 {
-            assert!(dog.submit(Direction::Outbound, &syn_frame(i)));
+            assert!(dog.submit_batch(Direction::Outbound, batch_of([syn_frame(i)])));
         }
         dog.flush();
         assert_eq!(dog.close_period().delta, 50.0);
@@ -711,8 +697,7 @@ mod tests {
         // flush whose ack channel is a rendezvous (capacity-0) channel we
         // don't read yet, so the thread blocks inside `ack.send` and the
         // frame channel (capacity 1) backs up.
-        let mut dog =
-            ConcurrentSynDog::with_policy(SynDogConfig::paper_default(), 1, OverflowPolicy::Drop);
+        let mut dog = ConcurrentSynDog::with_detector(syndog(), 1, OverflowPolicy::Drop, None);
         let (stall_tx, stall_rx) = sync_channel::<()>(0);
         dog.outbound
             .sender
@@ -734,7 +719,7 @@ mod tests {
         }
         // The slot is full and the thread is wedged: batches must be shed.
         assert!(!dog.submit_batch(Direction::Outbound, batch_of((0..3).map(syn_frame))));
-        assert!(!dog.submit(Direction::Outbound, &syn_frame(9)));
+        assert!(!dog.submit_batch(Direction::Outbound, batch_of([syn_frame(9)])));
         assert_eq!(dog.dropped_batches(), 2);
         assert_eq!(dog.dropped_frames(), 4);
         // Un-wedge, drain, and verify only the delivered (empty) batch
@@ -927,7 +912,7 @@ mod tests {
         let mut dog = ConcurrentSynDog::start(SynDogConfig::paper_default(), 16);
         for round in 0..3 {
             dog.inject_sniffer_panic(Direction::Inbound);
-            dog.submit(Direction::Inbound, &synack_frame(round));
+            dog.submit_batch(Direction::Inbound, batch_of([synack_frame(round)]));
             dog.flush();
         }
         assert_eq!(dog.sniffer_restarts(), 3);
@@ -1136,8 +1121,7 @@ mod tests {
 
     #[test]
     fn drop_policy_still_counts_delivered_batches() {
-        let mut dog =
-            ConcurrentSynDog::with_policy(SynDogConfig::paper_default(), 64, OverflowPolicy::Drop);
+        let mut dog = ConcurrentSynDog::with_detector(syndog(), 64, OverflowPolicy::Drop, None);
         // Plenty of capacity: nothing is shed.
         dog.submit_batch(Direction::Outbound, batch_of((0..10).map(syn_frame)));
         dog.flush();

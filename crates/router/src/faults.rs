@@ -1,10 +1,10 @@
-//! Deterministic fault injection: one seeded pass over a trace's records.
+//! Deterministic fault injection: one seeded pass over a record stream.
 //!
 //! The paper claims SYN-dog's first-mile detection survives packet loss,
 //! reordering and partial observation (§3.1: `X_n = Δ_n / K̄` divides out
 //! uniform loss, and reordering inside a period cannot move an alarm);
-//! this module makes that claim testable. [`FaultSpec::apply_to_trace`]
-//! perturbs a trace's records with seeded, reproducible faults:
+//! this module makes that claim testable. [`FaultSpec::faulted`] perturbs
+//! a record stream with seeded, reproducible faults:
 //!
 //! | fault | spec key | effect |
 //! |---|---|---|
@@ -23,10 +23,12 @@
 //! tallies as
 //! `syndog_faults_total{kind=...}` counters.
 //!
-//! The faulted trace keeps arrival order: reordering and jitter leave
+//! The faulted stream keeps arrival order: reordering and jitter leave
 //! records out of time order on purpose. Every record loop runs a
 //! forward-only period clock, so a late record lands in the then-current
 //! period, which is the absorption behaviour the soak tests measure.
+
+use std::collections::VecDeque;
 
 use syndog_net::SegmentKind;
 use syndog_sim::{SimDuration, SimRng, SimTime};
@@ -144,57 +146,76 @@ impl FaultSpec {
         Ok(spec)
     }
 
-    /// Runs the trace's records through the spec in arrival order and
-    /// returns the faulted trace (same duration, records *not* re-sorted)
-    /// with its ledger.
+    /// Runs the trace's records through [`FaultSpec::faulted`] and
+    /// collects the faulted trace (same duration, records *not*
+    /// re-sorted) with its ledger.
+    pub fn apply_to_trace(&self, trace: &Trace) -> (Trace, FaultLedger) {
+        let mut ledger = FaultLedger::default();
+        let mut out = Trace::new(trace.duration());
+        out.extend(self.faulted(trace.records().iter().copied(), &mut ledger));
+        (out, ledger)
+    }
+
+    /// The fault pass over a record stream, in arrival order, tallied in
+    /// `ledger`.
     ///
     /// Per record the draws are drop, then duplicate; per surviving copy
     /// jitter, then truncate, then corrupt. Copies fill a window of
     /// `reorder_window` records that is Fisher–Yates shuffled each time it
-    /// fills, the final partial window at the end. A truncated copy (a
-    /// `TraceRecord` cannot carry "unclassifiable") holds its window slot
-    /// and is shed when the window spills.
-    pub fn apply_to_trace(&self, trace: &Trace) -> (Trace, FaultLedger) {
+    /// fills, the final partial window at the end of the stream. A
+    /// truncated copy (a `TraceRecord` cannot carry "unclassifiable")
+    /// holds its window slot and is shed when the window spills.
+    pub fn faulted<'a>(
+        &self,
+        records: impl Iterator<Item = TraceRecord> + 'a,
+        ledger: &'a mut FaultLedger,
+    ) -> impl Iterator<Item = TraceRecord> + 'a {
+        let spec = *self;
         let mut rng = SimRng::seed_from_u64(self.seed);
-        let mut ledger = FaultLedger::default();
-        let mut out = Trace::new(trace.duration());
-        let window_len = self.reorder_window.max(1);
+        let mut records = records.fuse();
         // Each staged copy with whether truncation shed it. The window
         // grows as it fills: `reorder=` is user input, not an allocation.
         let mut window: Vec<(TraceRecord, bool)> = Vec::new();
-        for record in trace.records() {
-            ledger.input_events += 1;
-            if self.drop > 0.0 && rng.chance(self.drop) {
-                ledger.dropped += 1;
-                continue;
-            }
-            let copies = if self.duplicate > 0.0 && rng.chance(self.duplicate) {
-                ledger.duplicated += 1;
-                2
-            } else {
-                1
-            };
-            for _ in 0..copies {
-                let mut faulted = *record;
-                faulted.time = self.jittered_time(&mut rng, faulted.time, &mut ledger);
-                let truncated = self.truncate > 0.0 && rng.chance(self.truncate);
-                if truncated {
-                    ledger.truncated += 1;
+        let mut spilled = VecDeque::new();
+        std::iter::from_fn(move || {
+            while spilled.is_empty() {
+                let Some(record) = records.next() else {
+                    // The stream ended: spill the final partial window.
+                    spill_window(&mut window, &mut rng, ledger, &mut spilled);
+                    break;
+                };
+                ledger.input_events += 1;
+                if spec.drop > 0.0 && rng.chance(spec.drop) {
+                    ledger.dropped += 1;
+                    continue;
+                }
+                let copies = if spec.duplicate > 0.0 && rng.chance(spec.duplicate) {
+                    ledger.duplicated += 1;
+                    2
                 } else {
-                    if self.corrupt > 0.0 && rng.chance(self.corrupt) {
-                        faulted.kind = reroll_kind(&mut rng, faulted.kind);
-                        ledger.corrupted += 1;
+                    1
+                };
+                for _ in 0..copies {
+                    let mut faulted = record;
+                    faulted.time = spec.jittered_time(&mut rng, faulted.time, ledger);
+                    let truncated = spec.truncate > 0.0 && rng.chance(spec.truncate);
+                    if truncated {
+                        ledger.truncated += 1;
+                    } else {
+                        if spec.corrupt > 0.0 && rng.chance(spec.corrupt) {
+                            faulted.kind = reroll_kind(&mut rng, faulted.kind);
+                            ledger.corrupted += 1;
+                        }
+                        ledger.emitted_events += 1;
                     }
-                    ledger.emitted_events += 1;
-                }
-                window.push((faulted, truncated));
-                if window.len() == window_len {
-                    spill_window(&mut window, &mut rng, &mut ledger, &mut out);
+                    window.push((faulted, truncated));
+                    if window.len() == spec.reorder_window.max(1) {
+                        spill_window(&mut window, &mut rng, ledger, &mut spilled);
+                    }
                 }
             }
-        }
-        spill_window(&mut window, &mut rng, &mut ledger, &mut out);
-        (out, ledger)
+            spilled.pop_front()
+        })
     }
 
     /// One jittered timestamp draw (no-op when jitter is off).
@@ -253,12 +274,12 @@ impl std::fmt::Display for FaultSpec {
     }
 }
 
-/// Running tally of what [`FaultSpec::apply_to_trace`] did to a trace.
+/// Running tally of what a fault pass did to a record stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultLedger {
-    /// Records read from the input trace.
+    /// Records read from the input stream.
     pub input_events: u64,
-    /// Records written to the faulted trace (after drops, duplicates and
+    /// Records the faulted stream yields (after drops, duplicates and
     /// truncation).
     pub emitted_events: u64,
     /// Records removed by the drop fault.
@@ -276,16 +297,6 @@ pub struct FaultLedger {
 }
 
 impl FaultLedger {
-    /// Total faults applied, across every kind.
-    pub fn total_faults(&self) -> u64 {
-        self.dropped
-            + self.duplicated
-            + self.reordered
-            + self.truncated
-            + self.corrupted
-            + self.jittered
-    }
-
     /// A one-line human summary for CLI reports.
     pub fn summary(&self) -> String {
         format!(
@@ -310,7 +321,7 @@ fn reroll_kind(rng: &mut SimRng, kind: SegmentKind) -> SegmentKind {
 }
 
 /// Shuffles the staged window (Fisher–Yates), counts the copies that
-/// moved, and appends the untruncated ones to `out`.
+/// moved, and queues the untruncated ones on `out`.
 ///
 /// "Reordered" counts displaced records, not windows, so the ledger
 /// reflects the actual perturbation magnitude.
@@ -318,7 +329,7 @@ fn spill_window(
     window: &mut Vec<(TraceRecord, bool)>,
     rng: &mut SimRng,
     ledger: &mut FaultLedger,
-    out: &mut Trace,
+    out: &mut VecDeque<TraceRecord>,
 ) {
     if window.len() > 1 {
         let staged = window.clone();
@@ -367,9 +378,12 @@ mod tests {
         assert!(spec.is_off());
         let (faulted, ledger) = spec.apply_to_trace(&trace);
         assert_eq!(faulted, trace);
-        assert_eq!(ledger.total_faults(), 0);
-        assert_eq!(ledger.input_events, 1000);
-        assert_eq!(ledger.emitted_events, 1000);
+        let clean = FaultLedger {
+            input_events: 1000,
+            emitted_events: 1000,
+            ..FaultLedger::default()
+        };
+        assert_eq!(ledger, clean);
     }
 
     #[test]

@@ -569,35 +569,41 @@ impl Fleet {
         // Tally what reaches the victim: every outbound SYN the agent
         // forwards (all of them when no engine is armed).
         let mut forwarded_syns = Vec::new();
-        agent.run_trace_with(&trace, |record, decision| {
-            if record.direction == Direction::Outbound
-                && record.kind == SegmentKind::Syn
-                && decision.forwarded()
-            {
-                let p = record.time.period_index(period) as usize;
-                if forwarded_syns.len() <= p {
-                    forwarded_syns.resize(p + 1, 0);
+        // The paper's sweep, for an agent with no engine of its own to
+        // localize: per-MAC accounting from the first alarm on.
+        let mut locator = agent
+            .mitigation()
+            .is_none()
+            .then(|| SourceLocator::new(spec.stub()));
+        let records = trace.records().iter().copied();
+        agent.run_trace_with(
+            records,
+            Some(trace.duration()),
+            |agent, record, decision| {
+                if let Some(locator) = &mut locator {
+                    locator.observe_after_alarm(agent, record);
                 }
-                forwarded_syns[p] += 1;
-            }
-        });
+                if record.direction == Direction::Outbound
+                    && record.kind == SegmentKind::Syn
+                    && decision.forwarded()
+                {
+                    let p = record.time.period_index(period) as usize;
+                    if forwarded_syns.len() <= p {
+                        forwarded_syns.resize(p + 1, 0);
+                    }
+                    forwarded_syns[p] += 1;
+                }
+            },
+        );
         forwarded_syns.resize(agent.detections().len(), 0);
-        // Post-alarm localization: the mitigated agent's own armed
-        // locator already holds the tallies; otherwise run the paper's
-        // sweep from the first alarm to the end of the trace.
-        let suspect = match agent.mitigation() {
-            Some(engine) => engine
+        // Post-alarm localization: a mitigated agent's own armed locator
+        // holds the tallies.
+        let suspect = match (agent.mitigation(), locator) {
+            (Some(engine), _) => engine
                 .suspect()
                 .cloned()
                 .or_else(|| engine.locator().suspects().into_iter().next()),
-            None => agent.first_alarm().and_then(|alarm| {
-                let mut locator = SourceLocator::new(spec.stub());
-                locator.arm();
-                for record in trace.records().iter().filter(|r| r.time >= alarm.time) {
-                    locator.observe(record);
-                }
-                locator.suspects().into_iter().next()
-            }),
+            (None, locator) => locator.and_then(|l| l.suspects().into_iter().next()),
         };
         let rates = victim_rates(
             &forwarded_syns,
@@ -903,14 +909,6 @@ impl FleetReport {
     /// The stubs the fleet implicates (any alarm raised).
     pub fn implicated(&self) -> Vec<&StubReport> {
         self.stubs.iter().filter(|s| s.implicated).collect()
-    }
-
-    /// Exact localization: the implicated set equals the attacked set,
-    /// and no trace-level suspect contradicts the planted attacker.
-    pub fn localization_correct(&self) -> bool {
-        self.stubs
-            .iter()
-            .all(|s| s.implicated == s.attacked && s.suspect_is_attacker != Some(false))
     }
 
     /// Builds the scenario's attack tree (one path per stub, deterministic

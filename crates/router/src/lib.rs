@@ -22,8 +22,9 @@
 //!   throttled/passed/collateral accounting,
 //! - [`source`] — the frame ingestion boundary: [`PcapSource`] streams a
 //!   capture as batches of classified events through
-//!   [`LeafRouter::ingest`]; every in-memory trace takes the record loop,
-//!   [`SynDogAgent::run_trace`], instead,
+//!   [`LeafRouter::ingest`]; every record stream (a capture read by
+//!   `RecordReader`, or an in-memory trace) takes the record loop,
+//!   [`SynDogAgent::run_trace_with`], instead,
 //! - [`concurrent`] — the two-thread shared-memory deployment shape
 //!   described in the paper, with supervised sniffer threads feeding
 //!   lock-free atomic counters from batched frame channels,
@@ -40,9 +41,9 @@
 //!   the master/slave stub sets a per-stub table cannot show — verified
 //!   against the same traceback topology,
 //! - [`faults`] — deterministic, seeded fault injection
-//!   ([`FaultSpec::apply_to_trace`]): one pass over a trace's records that
-//!   every front end shares, for proving detection degrades gracefully
-//!   under loss / reordering / corruption,
+//!   ([`FaultSpec::faulted`]): one pass over a record stream that every
+//!   front end shares, for proving detection degrades gracefully under
+//!   loss / reordering / corruption,
 //! - [`checkpoint`] — versioned, CRC-checked capture/restore of detector
 //!   and router state, so a restarted agent resumes mid-trace without
 //!   re-learning `K̄`,
@@ -85,7 +86,7 @@ pub use mitigate::{
     KeyMode, MitigationDecision, MitigationEngine, MitigationPolicy, MitigationState,
     MitigationStats, ThrottleKey, TokenBucket,
 };
-pub use router::LeafRouter;
+pub use router::{LeafRouter, SpanRule};
 pub use sniffer::Sniffer;
 pub use source::{EventBatch, FrameEvent, FrameSource, PcapSource, DEFAULT_BATCH_SIZE};
 pub use telemetry::{AgentTelemetry, ConcurrentTelemetry, FaultTelemetry, MitigationTelemetry};

@@ -27,6 +27,8 @@ use syndog_net::addr::is_unroutable_source;
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
 use syndog_traffic::trace::{Direction, TraceRecord};
 
+use crate::agent::SynDogAgent;
+
 /// Per-MAC accounting of outbound SYN activity while an alarm is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MacActivity {
@@ -112,6 +114,17 @@ impl SourceLocator {
     pub fn is_spoofed_source(&self, src: Ipv4Addr) -> bool {
         let outside_stub = self.stub.map(|net| !net.contains(src)).unwrap_or(false);
         is_unroutable_source(src) || outside_stub
+    }
+
+    /// The detect-then-locate sweep, one record at a time, as the agent's
+    /// record-loop hook
+    /// ([`SynDogAgent::run_trace_with`](crate::agent::SynDogAgent::run_trace_with)):
+    /// arms at `agent`'s first alarm, then inspects `record`.
+    pub fn observe_after_alarm(&mut self, agent: &SynDogAgent, record: &TraceRecord) {
+        if !self.armed && agent.first_alarm().is_some() {
+            self.arm();
+        }
+        self.observe(record);
     }
 
     /// Inspects one outbound record (no-op unless armed and the record is

@@ -4,10 +4,11 @@
 //! prefix, and slices time into observation periods. It can be driven two
 //! ways:
 //!
-//! - **record-driven** — [`LeafRouter::run_trace`] (or
-//!   [`LeafRouter::advance_to`] then [`LeafRouter::observe_record`]) over
-//!   [`TraceRecord`]s, already classified and direction-tagged; the path
-//!   every in-memory trace takes,
+//! - **record-driven** — [`LeafRouter::advance_to`] then
+//!   [`LeafRouter::observe_record`] over [`TraceRecord`]s, already
+//!   classified and direction-tagged; the agent's record loop
+//!   ([`SynDogAgent::run_trace_with`](crate::agent::SynDogAgent::run_trace_with))
+//!   drives every record stream this way,
 //! - **frame-driven** — [`LeafRouter::ingest`] over a [`FrameSource`] (a
 //!   pcap capture), whose events carry the §2 classifier's verdict.
 //!
@@ -15,7 +16,9 @@
 //! `⌊t / t0⌋`, and [`LeafRouter::advance_to`] closes every period that
 //! ends at or before the new time, emitting one [`PeriodSignals`] each.
 //! The clock only moves forward: a record older than the open period
-//! (reordered or jittered) is counted in the open period.
+//! (reordered or jittered) is counted in the open period, and tallied as
+//! late ([`LeafRouter::late`]). Where a stream ends is the [`SpanRule`]'s
+//! business.
 
 use syndog::PeriodSignals;
 use syndog_net::Ipv4Net;
@@ -33,6 +36,8 @@ pub struct LeafRouter {
     outbound: Sniffer,
     inbound: Sniffer,
     current_period: u64,
+    /// A per-run tally, not checkpointed.
+    late: u64,
 }
 
 impl LeafRouter {
@@ -49,6 +54,7 @@ impl LeafRouter {
             outbound: Sniffer::new(Direction::Outbound),
             inbound: Sniffer::new(Direction::Inbound),
             current_period: 0,
+            late: 0,
         }
     }
 
@@ -65,6 +71,12 @@ impl LeafRouter {
     /// Index of the period currently being accumulated.
     pub fn current_period(&self) -> u64 {
         self.current_period
+    }
+
+    /// How many records or frames arrived behind the clock, in a period
+    /// already closed, and were counted in the open one.
+    pub fn late(&self) -> u64 {
+        self.late
     }
 
     /// The sniffer on the given interface.
@@ -94,10 +106,20 @@ impl LeafRouter {
     /// at or before it and pushing one sample per closed period into
     /// `out` (empty periods included — silence is data).
     pub fn advance_to(&mut self, now: SimTime, out: &mut Vec<PeriodSignals>) {
-        let target = now.period_index(self.period);
-        while self.current_period < target {
+        for _ in 0..self.periods_due(now) {
             out.push(self.take_period_sample());
         }
+    }
+
+    /// How many open periods end at or before `now`: the ones a record at
+    /// `now` closes. A `now` in a period already closed closes none and is
+    /// counted late.
+    pub(crate) fn periods_due(&mut self, now: SimTime) -> u64 {
+        let target = now.period_index(self.period);
+        if target < self.current_period {
+            self.late += 1;
+        }
+        target.saturating_sub(self.current_period)
     }
 
     /// Closes the current period unconditionally and returns its signals:
@@ -175,26 +197,61 @@ impl LeafRouter {
         Ok(())
     }
 
-    /// Runs a whole trace through the router, returning one sample per
-    /// observation period of the trace's declared span. Records past the
-    /// span (handshake tails) are skipped, like [`Trace::period_counts`].
+    /// Runs a whole trace through the router under the [`SpanRule`] of its
+    /// duration, returning one sample per period closed.
     pub fn run_trace(&mut self, trace: &Trace) -> Vec<PeriodSignals> {
         let mut samples = Vec::new();
-        let last = self.current_period
-            + trace
-                .duration()
-                .as_micros()
-                .div_ceil(self.period.as_micros());
+        let mut span = SpanRule::new(Some(trace.duration()), self.period);
         for record in trace.records() {
-            if record.time.period_index(self.period) < last {
+            if span.admits(record.time) {
                 self.advance_to(record.time, &mut samples);
                 self.observe_record(record);
             }
         }
+        let last = span.last(self.current_period);
         while self.current_period < last {
             samples.push(self.take_period_sample());
         }
         samples
+    }
+}
+
+/// Where a record stream ends, the one rule every record loop follows. A
+/// declared span (a binary trace's duration) closes `⌈span / t0⌉` periods
+/// and skips the records past it (handshake tails). Without one (a pcap),
+/// the last period closed is the one holding the latest record: with the
+/// forward-only clock, the one open when the stream ends.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanRule {
+    period: SimDuration,
+    end: Option<u64>,
+    admitted: bool,
+}
+
+impl SpanRule {
+    /// The rule for a stream declaring `span`, in periods of `period`.
+    pub fn new(span: Option<SimDuration>, period: SimDuration) -> SpanRule {
+        let end = span.map(|span| span.as_micros().div_ceil(period.as_micros()));
+        SpanRule {
+            period,
+            end,
+            admitted: false,
+        }
+    }
+
+    /// Whether a record at `time` lies inside the span.
+    pub fn admits(&mut self, time: SimTime) -> bool {
+        let inside = self
+            .end
+            .is_none_or(|end| time.period_index(self.period) < end);
+        self.admitted |= inside;
+        inside
+    }
+
+    /// The period to close up to, exclusive, once the stream has ended
+    /// with the clock at `current`.
+    pub fn last(&self, current: u64) -> u64 {
+        self.end.unwrap_or(current + u64::from(self.admitted))
     }
 }
 
@@ -342,20 +399,47 @@ mod tests {
     }
 
     #[test]
+    fn a_record_behind_the_clock_counts_late_in_the_open_period() {
+        let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
+        let mut closed = Vec::new();
+        for (secs, kind) in [(25.0, SegmentKind::Syn), (5.0, SegmentKind::Syn)] {
+            let record = rec(secs, Direction::Outbound, kind);
+            router.advance_to(record.time, &mut closed);
+            router.observe_record(&record);
+        }
+        assert_eq!(closed, vec![PeriodSignals::default()]);
+        assert_eq!(router.late(), 1);
+        assert_eq!(router.take_period_sample().syn, 2);
+    }
+
+    #[test]
+    fn span_rule_closes_the_declared_span_or_the_latest_records_period() {
+        let period = SimDuration::from_secs(20);
+        let mut declared = SpanRule::new(Some(SimDuration::from_secs(41)), period);
+        assert!(declared.admits(SimTime::from_secs(59)));
+        assert!(!declared.admits(SimTime::from_secs(60)));
+        assert_eq!(declared.last(0), 3);
+        let mut open = SpanRule::new(None, period);
+        assert_eq!(open.last(7), 7, "no record, no period");
+        assert!(open.admits(SimTime::from_secs(1_000_000)));
+        assert_eq!(open.last(7), 8);
+    }
+
+    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_period_rejected() {
         let _ = LeafRouter::new(stub(), SimDuration::ZERO);
     }
 
-    /// A pcap capture holding `frames` at whole-second timestamps.
+    /// A pcap capture holding `frames` at microsecond timestamps.
     fn pcap(frames: &[(u64, Vec<u8>)]) -> Vec<u8> {
         use syndog_net::pcap::{PcapPacket, PcapWriter};
         let mut writer = PcapWriter::new(Vec::new()).unwrap();
-        for (secs, data) in frames {
+        for (micros, data) in frames {
             writer
                 .write_packet(&PcapPacket {
-                    ts_sec: *secs as u32,
-                    ts_nanos: 0,
+                    ts_sec: (micros / 1_000_000) as u32,
+                    ts_nanos: (micros % 1_000_000) as u32 * 1000,
                     data: data.clone(),
                 })
                 .unwrap();
@@ -390,15 +474,14 @@ mod tests {
     fn ingest_from_raw_frames_matches_run_trace() {
         use crate::source::PcapSource;
         use syndog_net::packet::PacketBuilder;
-        let trace = Trace::from_records(
-            vec![
-                rec(1.0, Direction::Outbound, SegmentKind::Syn),
-                rec(2.0, Direction::Inbound, SegmentKind::SynAck),
-                rec(21.0, Direction::Outbound, SegmentKind::Syn),
-                rec(59.0, Direction::Inbound, SegmentKind::SynAck),
-            ],
-            SimDuration::from_secs(60),
-        );
+        // 300 records, so the frames cross the source's 256-frame batches.
+        let records = (0..300)
+            .map(|i| match i % 3 {
+                0 => rec(f64::from(i) * 0.2, Direction::Inbound, SegmentKind::SynAck),
+                _ => rec(f64::from(i) * 0.2, Direction::Outbound, SegmentKind::Syn),
+            })
+            .collect();
+        let trace = Trace::from_records(records, SimDuration::from_secs(60));
         let mut by_trace = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let expected = by_trace.run_trace(&trace);
 
@@ -419,15 +502,15 @@ mod tests {
                     _ => unreachable!("test trace holds handshake records only"),
                 };
                 let frame = PacketBuilder::tcp(src, dst, flags).build().unwrap();
-                (r.time.as_micros() / 1_000_000, frame)
+                (r.time.as_micros(), frame)
             })
             .collect();
-        frames.push((59, vec![0u8; 6]));
+        frames.push((59_900_000, vec![0u8; 6]));
         let file = pcap(&frames);
 
         let mut by_frames = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let mut samples = Vec::new();
-        let source = PcapSource::with_batch_size(file.as_slice(), stub(), 2).unwrap();
+        let source = PcapSource::new(file.as_slice(), stub()).unwrap();
         by_frames.ingest(source, &mut samples).unwrap();
         samples.push(by_frames.take_period_sample());
         assert_eq!(samples, expected);
@@ -443,7 +526,7 @@ mod tests {
         )
         .build()
         .unwrap();
-        let file = pcap(&[(1, syn)]);
+        let file = pcap(&[(1_000_000, syn)]);
         let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let mut samples = Vec::new();
         router

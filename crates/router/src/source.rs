@@ -5,10 +5,12 @@
 //!
 //! The paper's sniffer (§2) is a classifier plus two counters; nothing in
 //! it cares *where* frames come from. [`PcapSource`] is the one frame
-//! source: `syndog sniff` streams a capture through it without
-//! materializing a trace. Every in-memory input is a
-//! [`Trace`](syndog_traffic::trace::Trace) and goes through the record
-//! loop, [`SynDogAgent::run_trace`](crate::agent::SynDogAgent::run_trace),
+//! source: `syndog sniff` streams a pcap through it, classifying frames
+//! without decoding records. Every other input is a record stream
+//! ([`RecordReader`](syndog_traffic::trace::RecordReader) or a
+//! [`Trace`](syndog_traffic::trace::Trace)) and goes through the record
+//! loop,
+//! [`SynDogAgent::run_trace_with`](crate::agent::SynDogAgent::run_trace_with),
 //! instead.
 
 use std::io::Read;
@@ -19,8 +21,8 @@ use syndog_net::{Ipv4Net, NetError};
 use syndog_sim::SimTime;
 use syndog_traffic::trace::Direction;
 
-/// Default number of events per batch; large enough to amortize per-batch
-/// overhead, small enough to stay cache-resident.
+/// Number of events per [`PcapSource`] batch; large enough to amortize
+/// per-batch overhead, small enough to stay cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 /// One classified, direction-tagged, timestamped frame observation.
@@ -101,14 +103,13 @@ pub trait FrameSource {
 /// classified with the §2 algorithm straight into the output batch (no
 /// per-packet copy or allocation), and direction-tagged by the
 /// *destination* address against the stub prefix — the same inference
-/// [`Trace::read_pcap`](syndog_traffic::trace::Trace::read_pcap) uses, and
+/// [`RecordReader::pcap`](syndog_traffic::trace::RecordReader::pcap) uses, and
 /// for the same reason: flood SYNs carry forged source addresses, so the
 /// destination is the one trustworthy field.
 #[derive(Debug)]
 pub struct PcapSource<R> {
     reader: PcapReader<R>,
     stub: Ipv4Net,
-    batch_size: usize,
 }
 
 impl<R: Read> PcapSource<R> {
@@ -118,24 +119,9 @@ impl<R: Read> PcapSource<R> {
     ///
     /// Propagates header-validation and I/O errors.
     pub fn new(reader: R, stub: Ipv4Net) -> Result<Self, NetError> {
-        PcapSource::with_batch_size(reader, stub, DEFAULT_BATCH_SIZE)
-    }
-
-    /// Opens a capture stream emitting `batch_size` events per batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates header-validation and I/O errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn with_batch_size(reader: R, stub: Ipv4Net, batch_size: usize) -> Result<Self, NetError> {
-        assert!(batch_size > 0, "batch size must be non-zero");
         Ok(PcapSource {
             reader: PcapReader::new(reader)?,
             stub,
-            batch_size,
         })
     }
 }
@@ -171,7 +157,7 @@ fn event_for(frame: &PcapFrame<'_>, stub: Ipv4Net) -> FrameEvent {
 impl<R: Read> FrameSource for PcapSource<R> {
     fn next_batch(&mut self, out: &mut EventBatch) -> Result<bool, NetError> {
         out.clear();
-        for _ in 0..self.batch_size {
+        for _ in 0..DEFAULT_BATCH_SIZE {
             let Some(frame) = self.reader.next_frame()? else {
                 break;
             };
@@ -212,24 +198,28 @@ mod tests {
     #[test]
     fn pcap_source_matches_trace_read_pcap() {
         let stub: Ipv4Net = "10.1.0.0/16".parse().unwrap();
-        let trace = Trace::from_records(
-            vec![
-                rec(1.0, Direction::Outbound, SegmentKind::Syn),
-                TraceRecord::new(
-                    SimTime::from_secs(2),
-                    Direction::Inbound,
-                    SegmentKind::SynAck,
-                    "192.0.2.80:80".parse().unwrap(),
-                    "10.1.0.5:1025".parse().unwrap(),
-                ),
-                rec(3.0, Direction::Outbound, SegmentKind::NonTcp),
-            ],
-            SimDuration::from_secs(10),
-        );
+        // 600 records, so the events span three 256-event batches.
+        let records = (0..600u32)
+            .map(|i| {
+                let secs = f64::from(i) * 0.01;
+                match i % 3 {
+                    0 => rec(secs, Direction::Outbound, SegmentKind::Syn),
+                    1 => TraceRecord::new(
+                        SimTime::from_secs_f64(secs),
+                        Direction::Inbound,
+                        SegmentKind::SynAck,
+                        "192.0.2.80:80".parse().unwrap(),
+                        "10.1.0.5:1025".parse().unwrap(),
+                    ),
+                    _ => rec(secs, Direction::Outbound, SegmentKind::NonTcp),
+                }
+            })
+            .collect();
+        let trace = Trace::from_records(records, SimDuration::from_secs(10));
         let mut file = Vec::new();
         trace.write_pcap(&mut file).unwrap();
         let by_trace = Trace::read_pcap(file.as_slice(), stub).unwrap();
-        let mut source = PcapSource::with_batch_size(file.as_slice(), stub, 2).unwrap();
+        let mut source = PcapSource::new(file.as_slice(), stub).unwrap();
         let events = drain(&mut source);
         assert_eq!(events.len(), by_trace.len());
         for (event, record) in events.iter().zip(by_trace.records()) {

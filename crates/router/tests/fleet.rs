@@ -115,7 +115,16 @@ fn distributed_flood_below_single_point_threshold_is_localized() {
         .map(|s| s.name.as_str())
         .collect();
     assert_eq!(implicated, vec!["Auckland-1", "Auckland-3"]);
-    assert!(report.localization_correct(), "report: {}", report.render());
+    // Exact localization: the implicated set equals the attacked set, and
+    // no trace-level suspect contradicts the planted attacker.
+    assert!(
+        report
+            .stubs
+            .iter()
+            .all(|s| s.implicated == s.attacked && s.suspect_is_attacker != Some(false)),
+        "report: {}",
+        report.render()
+    );
 
     for stub in &report.stubs {
         if stub.attacked {

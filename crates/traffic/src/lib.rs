@@ -48,4 +48,4 @@ pub use arrival::ArrivalModel;
 pub use connection::ConnectionParams;
 pub use load::{LoadPhase, LoadPlan};
 pub use sites::SiteProfile;
-pub use trace::{Direction, PeriodSample, Trace, TraceRecord};
+pub use trace::{Direction, PeriodSample, RecordReader, Trace, TraceRecord};

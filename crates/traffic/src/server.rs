@@ -146,16 +146,6 @@ impl VictimServer {
     pub fn on_rst(&mut self, _now: SimTime, client: SocketAddrV4) -> bool {
         self.half_open.remove(&client).is_some()
     }
-
-    /// Fraction of received SYNs dropped so far — the visible denial of
-    /// service.
-    pub fn drop_rate(&self) -> f64 {
-        if self.stats.syn_received == 0 {
-            0.0
-        } else {
-            self.stats.syn_dropped as f64 / self.stats.syn_received as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +180,7 @@ mod tests {
         assert_eq!(server.backlog_occupancy(), 0);
         assert_eq!(server.stats().completed, 4);
         assert_eq!(server.stats().max_backlog, 4);
-        assert_eq!(server.drop_rate(), 0.0);
+        assert_eq!(server.stats().syn_dropped, 0);
     }
 
     #[test]
@@ -202,7 +192,7 @@ mod tests {
         }
         assert_eq!(server.on_syn(now, client(99)), SynVerdict::Dropped);
         assert_eq!(server.stats().syn_dropped, 1);
-        assert!(server.drop_rate() > 0.0);
+        assert_eq!(server.stats().syn_received, 5);
     }
 
     #[test]

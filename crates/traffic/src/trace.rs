@@ -1,11 +1,13 @@
 //! Timestamped segment traces: the interchange format between traffic
 //! generation, flood injection, the leaf router and the detector.
 //!
-//! A [`Trace`] is a time-sorted vector of [`TraceRecord`]s — one per TCP
-//! control segment crossing the leaf router, in either direction. Traces
-//! can be merged (normal background + flood), aggregated into per-period
-//! [`PeriodSample`]s, serialized to a compact binary format, and
-//! bridged to real pcap files by synthesizing full packets.
+//! A [`Trace`] is a vector of [`TraceRecord`]s — one per TCP control
+//! segment crossing the leaf router, in either direction — in time order
+//! when generated, in arrival order when read from a capture. Traces can
+//! be merged (normal background + flood), aggregated into per-period
+//! [`PeriodSample`]s, serialized to a compact binary format, and bridged
+//! to real pcap files by synthesizing full packets. A [`RecordReader`]
+//! reads either file format one record at a time, never whole.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -123,7 +125,7 @@ impl PeriodSample {
     }
 }
 
-/// A time-sorted sequence of segment records with a fixed duration.
+/// A sequence of segment records with a fixed duration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     records: Vec<TraceRecord>,
@@ -239,7 +241,8 @@ impl Trace {
         self.records.sort_by_key(|r| r.time);
     }
 
-    /// The records, in time order if the trace has been kept sorted.
+    /// The records: in time order if the trace has been kept sorted, in
+    /// arrival order if it was read from a capture.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
@@ -247,16 +250,6 @@ impl Trace {
     /// The nominal duration of the trace.
     pub fn duration(&self) -> SimDuration {
         self.duration
-    }
-
-    /// Overrides the nominal duration.
-    ///
-    /// The pcap format carries no duration metadata, so
-    /// [`Trace::read_pcap`] infers it from the last packet; callers that
-    /// know the capture's true span should set it explicitly to get
-    /// identical period binning across formats.
-    pub fn set_duration(&mut self, duration: SimDuration) {
-        self.duration = duration;
     }
 
     /// Number of records.
@@ -361,76 +354,16 @@ impl Trace {
         Ok(())
     }
 
-    /// Deserializes from the binary trace format.
+    /// Deserializes from the binary trace format: a collect over
+    /// [`RecordReader::binary`].
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::BadMagic`] / [`TraceError::Truncated`] /
     /// [`TraceError::InvalidRecord`] for malformed input, and propagates
     /// I/O errors.
-    pub fn read_binary<R: Read>(mut reader: R) -> Result<Self, TraceError> {
-        let mut head = [0u8; 4 + 2 + 8 + 8];
-        reader
-            .read_exact(&mut head)
-            .map_err(|_| TraceError::Truncated)?;
-        let magic = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
-        if magic != TRACE_MAGIC {
-            return Err(TraceError::BadMagic(magic));
-        }
-        let version = u16::from_be_bytes([head[4], head[5]]);
-        if version == 0 || version > TRACE_VERSION {
-            return Err(TraceError::InvalidRecord("format version"));
-        }
-        let duration = SimDuration::from_micros(u64::from_be_bytes(
-            head[6..14].try_into().expect("fixed slice"),
-        ));
-        let count = u64::from_be_bytes(head[14..22].try_into().expect("fixed slice"));
-        if count > (1 << 32) {
-            return Err(TraceError::InvalidRecord("record count"));
-        }
-        let mut records = Vec::with_capacity(count as usize);
-        // v1 records stop after the MAC; v2 appends the 8-byte fingerprint.
-        let rec_len = if version == 1 { 28 } else { 36 };
-        let mut rec = [0u8; 36];
-        for _ in 0..count {
-            reader
-                .read_exact(&mut rec[..rec_len])
-                .map_err(|_| TraceError::Truncated)?;
-            let time = SimTime::from_micros(u64::from_be_bytes(
-                rec[0..8].try_into().expect("fixed slice"),
-            ));
-            let direction = match rec[8] {
-                0 => Direction::Inbound,
-                1 => Direction::Outbound,
-                _ => return Err(TraceError::InvalidRecord("direction")),
-            };
-            let kind = byte_to_kind(rec[9])?;
-            let src = SocketAddrV4::new(
-                Ipv4Addr::new(rec[10], rec[11], rec[12], rec[13]),
-                u16::from_be_bytes([rec[14], rec[15]]),
-            );
-            let dst = SocketAddrV4::new(
-                Ipv4Addr::new(rec[16], rec[17], rec[18], rec[19]),
-                u16::from_be_bytes([rec[20], rec[21]]),
-            );
-            let mut mac = [0u8; 6];
-            mac.copy_from_slice(&rec[22..28]);
-            let fp = if version >= 2 {
-                u64::from_be_bytes(rec[28..36].try_into().expect("fixed slice"))
-            } else {
-                0
-            };
-            records.push(TraceRecord {
-                time,
-                direction,
-                kind,
-                src,
-                dst,
-                src_mac: MacAddr::new(mac),
-                fp,
-            });
-        }
-        Ok(Trace { records, duration })
+    pub fn read_binary<R: Read>(reader: R) -> Result<Self, TraceError> {
+        RecordReader::binary(reader)?.into_trace()
     }
 
     /// Synthesizes one real Ethernet frame for a record (flags chosen to
@@ -508,73 +441,227 @@ impl Trace {
         Ok(())
     }
 
-    /// Imports a pcap capture, classifying each packet and inferring
-    /// direction from the *destination* address: a packet addressed into
-    /// `stub` is inbound, anything else outbound.
-    ///
-    /// Destination-based inference matters: spoofed flood SYNs carry
-    /// forged (often bogon) *source* addresses, so source-based inference
-    /// would misfile exactly the packets SYN-dog exists to count. The
-    /// destination is the one field the routing fabric itself acts on.
-    ///
-    /// Each frame is decoded once, in place in the pcap reader's block
-    /// buffer, through [`PacketView`]; only SYNs are fingerprinted.
-    /// Packets that fail to classify or to parse are skipped — a capture
-    /// may contain truncated frames — but I/O and pcap-structure errors are
-    /// reported. The records are sorted by time only if the capture's
-    /// timestamps go backwards.
+    /// Imports a pcap capture: a collect over [`RecordReader::pcap`], in
+    /// arrival order, ending just past the latest record.
     ///
     /// # Errors
     ///
     /// Propagates pcap-format and I/O errors.
     pub fn read_pcap<R: Read>(reader: R, stub: Ipv4Net) -> Result<Self, TraceError> {
-        let mut pcap = PcapReader::new(reader)?;
-        let mut records: Vec<TraceRecord> = Vec::new();
-        let mut max_time = SimDuration::ZERO;
-        let mut sorted = true;
-        while let Some(frame) = pcap.next_frame()? {
-            let data = frame.data;
-            let Ok(kind) = classify(data) else {
-                continue;
-            };
-            let Ok(view) = PacketView::parse(data) else {
-                continue;
-            };
-            let (src, dst) = match (view.src_socket(), view.dst_socket()) {
-                (Some(s), Some(d)) => (s, d),
-                _ => (
-                    SocketAddrV4::new(view.src(), 0),
-                    SocketAddrV4::new(view.dst(), 0),
-                ),
-            };
-            let direction = if stub.contains(*dst.ip()) {
-                Direction::Inbound
-            } else {
-                Direction::Outbound
-            };
-            let time = SimTime::from_micros(frame.timestamp_micros());
-            max_time = max_time.max(time.saturating_since(SimTime::ZERO));
-            sorted &= records.last().is_none_or(|last| last.time <= time);
-            let fp = if kind == SegmentKind::Syn {
-                syndog_fingerprint::extract_syn(data).map_or(0, |key| key.to_bits())
-            } else {
-                0
-            };
-            records.push(TraceRecord {
-                time,
-                direction,
-                kind,
-                src,
-                dst,
-                src_mac: view.ethernet.src,
-                fp,
-            });
+        RecordReader::pcap(reader, stub)?.into_trace()
+    }
+}
+
+#[derive(Debug)]
+enum Format<R> {
+    Pcap {
+        pcap: PcapReader<R>,
+        stub: Ipv4Net,
+    },
+    // `record_len` is 28 bytes for v1, 36 for v2 (with the fingerprint).
+    Binary {
+        reader: R,
+        record_len: usize,
+        remaining: u64,
+    },
+}
+
+/// A capture read one record at a time, in arrival order. Nothing is
+/// sized from the input, so memory stays flat however long the capture
+/// (or however large a hostile header's record count). The reader stops
+/// at the first error, which [`RecordReader::finish`] reports: iterate it
+/// through [`Iterator::by_ref`], then call `finish`.
+#[derive(Debug)]
+pub struct RecordReader<R> {
+    format: Format<R>,
+    span: Option<SimDuration>,
+    error: Option<TraceError>,
+}
+
+impl<R: Read> RecordReader<R> {
+    /// Opens a pcap capture, which declares no span. Each frame is decoded
+    /// once, in place in the pcap reader's block buffer: [`classify()`], then
+    /// [`PacketView::parse`], then `extract_syn` for SYNs; frames that fail
+    /// either are skipped. A packet addressed into `stub` is inbound,
+    /// anything else outbound: flood SYNs forge their *source*, so the
+    /// destination is the one field the routing fabric itself acts on.
+    ///
+    /// # Errors
+    ///
+    /// Propagates header-validation and I/O errors.
+    pub fn pcap(reader: R, stub: Ipv4Net) -> Result<Self, TraceError> {
+        Ok(RecordReader {
+            format: Format::Pcap {
+                pcap: PcapReader::new(reader)?,
+                stub,
+            },
+            span: None,
+            error: None,
+        })
+    }
+
+    /// Opens a binary trace, whose header declares the span.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::BadMagic`], [`TraceError::Truncated`] or
+    /// [`TraceError::InvalidRecord`] for a malformed header.
+    pub fn binary(mut reader: R) -> Result<Self, TraceError> {
+        let mut head = [0u8; 4 + 2 + 8 + 8];
+        reader
+            .read_exact(&mut head)
+            .map_err(|_| TraceError::Truncated)?;
+        let magic = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
+        if magic != TRACE_MAGIC {
+            return Err(TraceError::BadMagic(magic));
         }
-        let duration = max_time + SimDuration::from_micros(1);
-        Ok(if sorted {
-            Trace { records, duration }
-        } else {
-            Trace::from_records(records, duration)
+        let version = u16::from_be_bytes([head[4], head[5]]);
+        if version == 0 || version > TRACE_VERSION {
+            return Err(TraceError::InvalidRecord("format version"));
+        }
+        let span = SimDuration::from_micros(u64::from_be_bytes(
+            head[6..14].try_into().expect("fixed slice"),
+        ));
+        Ok(RecordReader {
+            format: Format::Binary {
+                reader,
+                // v1 records stop after the MAC; v2 appends the fingerprint.
+                record_len: if version == 1 { 28 } else { 36 },
+                remaining: u64::from_be_bytes(head[14..22].try_into().expect("fixed slice")),
+            },
+            span: Some(span),
+            error: None,
+        })
+    }
+
+    /// The span the capture declares (a binary trace's duration).
+    pub fn span(&self) -> Option<SimDuration> {
+        self.span
+    }
+
+    /// Ends the stream.
+    ///
+    /// # Errors
+    ///
+    /// The I/O, pcap-structure or record error that ended it early.
+    pub fn finish(self) -> Result<(), TraceError> {
+        self.error.map_or(Ok(()), Err)
+    }
+
+    /// Collects the stream into a [`Trace`]. Without a declared span, the
+    /// duration ends just past the latest record.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordReader::finish`].
+    pub fn into_trace(mut self) -> Result<Trace, TraceError> {
+        let mut records = Vec::new();
+        let mut latest = None;
+        for record in self.by_ref() {
+            latest = latest.max(Some(record.time));
+            records.push(record);
+        }
+        let past_latest = latest.map(|t: SimTime| SimDuration::from_micros(t.as_micros() + 1));
+        let duration = self.span.or(past_latest).unwrap_or(SimDuration::ZERO);
+        self.finish()?;
+        Ok(Trace { records, duration })
+    }
+
+    #[inline(always)]
+    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
+        match &mut self.format {
+            Format::Pcap { pcap, stub } => {
+                while let Some(frame) = pcap.next_frame()? {
+                    let data = frame.data;
+                    let Ok(kind) = classify(data) else {
+                        continue;
+                    };
+                    let Ok(view) = PacketView::parse(data) else {
+                        continue;
+                    };
+                    let (src, dst) = match (view.src_socket(), view.dst_socket()) {
+                        (Some(s), Some(d)) => (s, d),
+                        _ => (
+                            SocketAddrV4::new(view.src(), 0),
+                            SocketAddrV4::new(view.dst(), 0),
+                        ),
+                    };
+                    let direction = if stub.contains(*dst.ip()) {
+                        Direction::Inbound
+                    } else {
+                        Direction::Outbound
+                    };
+                    let fp = if kind == SegmentKind::Syn {
+                        syndog_fingerprint::extract_syn(data).map_or(0, |key| key.to_bits())
+                    } else {
+                        0
+                    };
+                    return Ok(Some(TraceRecord {
+                        time: SimTime::from_micros(frame.timestamp_micros()),
+                        direction,
+                        kind,
+                        src,
+                        dst,
+                        src_mac: view.ethernet.src,
+                        fp,
+                    }));
+                }
+                Ok(None)
+            }
+            Format::Binary {
+                reader,
+                record_len,
+                remaining,
+            } => {
+                if *remaining == 0 {
+                    return Ok(None);
+                }
+                *remaining -= 1;
+                let mut rec = [0u8; 36];
+                reader
+                    .read_exact(&mut rec[..*record_len])
+                    .map_err(|_| TraceError::Truncated)?;
+                let direction = match rec[8] {
+                    0 => Direction::Inbound,
+                    1 => Direction::Outbound,
+                    _ => return Err(TraceError::InvalidRecord("direction")),
+                };
+                Ok(Some(TraceRecord {
+                    time: SimTime::from_micros(u64::from_be_bytes(
+                        rec[0..8].try_into().expect("fixed slice"),
+                    )),
+                    direction,
+                    kind: byte_to_kind(rec[9])?,
+                    src: SocketAddrV4::new(
+                        Ipv4Addr::new(rec[10], rec[11], rec[12], rec[13]),
+                        u16::from_be_bytes([rec[14], rec[15]]),
+                    ),
+                    dst: SocketAddrV4::new(
+                        Ipv4Addr::new(rec[16], rec[17], rec[18], rec[19]),
+                        u16::from_be_bytes([rec[20], rec[21]]),
+                    ),
+                    src_mac: MacAddr::new(rec[22..28].try_into().expect("fixed slice")),
+                    // A v1 record leaves the fingerprint bytes zero.
+                    fp: u64::from_be_bytes(rec[28..36].try_into().expect("fixed slice")),
+                }))
+            }
+        }
+    }
+}
+
+impl<R: Read> Iterator for RecordReader<R> {
+    type Item = TraceRecord;
+
+    // One call per record: inlined, the decode stays in the caller's loop
+    // (`read_pcap` runs ~8% slower without it).
+    #[inline(always)]
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.error.is_some() {
+            return None;
+        }
+        self.next_record().unwrap_or_else(|err| {
+            self.error = Some(err);
+            None
         })
     }
 }
@@ -828,6 +915,54 @@ mod tests {
             Trace::read_binary(v9.as_slice()),
             Err(TraceError::InvalidRecord("format version"))
         ));
+    }
+
+    #[test]
+    fn a_header_claiming_2_pow_32_records_is_truncated_not_an_allocation() {
+        // 22 header bytes claiming 2^32 records of 36 bytes (160 GiB), then
+        // none: nothing is sized from the count.
+        let mut head = Vec::new();
+        head.extend_from_slice(&TRACE_MAGIC.to_be_bytes());
+        head.extend_from_slice(&TRACE_VERSION.to_be_bytes());
+        head.extend_from_slice(&60_000_000u64.to_be_bytes());
+        head.extend_from_slice(&(1u64 << 32).to_be_bytes());
+        let mut reader = RecordReader::binary(head.as_slice()).unwrap();
+        assert_eq!(reader.span(), Some(SimDuration::from_secs(60)));
+        assert_eq!(reader.next(), None);
+        assert!(matches!(reader.finish(), Err(TraceError::Truncated)));
+        assert!(matches!(
+            Trace::read_binary(head.as_slice()),
+            Err(TraceError::Truncated)
+        ));
+    }
+
+    #[test]
+    fn the_reader_streams_both_formats_in_arrival_order() {
+        let stub: Ipv4Net = "10.1.0.0/16".parse().unwrap();
+        let mut t = Trace::new(SimDuration::from_secs(60));
+        t.extend(sample_trace().records().iter().rev().copied());
+        let mut bin = Vec::new();
+        t.write_binary(&mut bin).unwrap();
+        let reader = RecordReader::binary(bin.as_slice()).unwrap();
+        assert_eq!(reader.span(), Some(t.duration()));
+        assert_eq!(reader.collect::<Vec<_>>(), t.records());
+        let mut pcap = Vec::new();
+        t.write_pcap(&mut pcap).unwrap();
+        let reader = RecordReader::pcap(pcap.as_slice(), stub).unwrap();
+        assert_eq!(reader.span(), None);
+        let times: Vec<SimTime> = reader.map(|r| r.time).collect();
+        let expected: Vec<SimTime> = t.records().iter().map(|r| r.time).collect();
+        assert_eq!(times, expected);
+        // Without a declared span, the duration ends just past the latest
+        // record; a capture with no records spans nothing.
+        let imported = Trace::read_pcap(pcap.as_slice(), stub).unwrap();
+        assert_eq!(imported.duration(), SimDuration::from_micros(59_900_001));
+        let mut empty = Vec::new();
+        Trace::new(SimDuration::from_secs(5))
+            .write_pcap(&mut empty)
+            .unwrap();
+        let imported = Trace::read_pcap(empty.as_slice(), stub).unwrap();
+        assert_eq!(imported.duration(), SimDuration::ZERO);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 use syndog::SynDogConfig;
 use syndog_attack::SynFlood;
 use syndog_net::{Ipv4Net, MacAddr};
-use syndog_router::SynDogAgent;
+use syndog_router::{SourceLocator, SynDogAgent};
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
-use syndog_traffic::Trace;
+use syndog_traffic::RecordReader;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let site = SiteProfile::auckland();
@@ -42,13 +42,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         path
     });
 
-    // Read the capture back: every packet is classified from raw bytes.
+    // Stream the capture back: every packet is classified from raw bytes,
+    // one at a time, and judged as it passes; the locator arms at the
+    // first alarm.
     let file = std::fs::File::open(&path)?;
-    let trace = Trace::read_pcap(std::io::BufReader::new(file), stub)?;
-    println!("read {} packets from {path}", trace.len());
-
+    let mut reader = RecordReader::pcap(std::io::BufReader::new(file), stub)?;
     let mut agent = SynDogAgent::new(stub, SynDogConfig::paper_default());
-    let locator = agent.locate(&trace);
+    let mut locator = SourceLocator::new(stub);
+    let mut records = 0;
+    agent.run_trace_with(reader.by_ref(), None, |agent, record, _| {
+        records += 1;
+        locator.observe_after_alarm(agent, record);
+    });
+    reader.finish()?;
+    println!("read {records} packets from {path}");
     match agent.first_alarm() {
         Some(alarm) => {
             println!(

@@ -293,7 +293,7 @@ fn hostile_numeric_flags_exit_2_naming_the_flag() {
     // fleet: a huge range is checked against the fleet before expansion.
     let err = run_rejected(&["fleet", "--stubs", "4", "--attackers", "0-3000000000"]);
     assert!(err.contains("--attackers"), "{err}");
-    // replay / sniff: queue sizes are bounded before anything allocates.
+    // replay: queue sizes are bounded before anything allocates.
     let err = run_rejected(
         &[
             &["replay"],
@@ -305,8 +305,9 @@ fn hostile_numeric_flags_exit_2_naming_the_flag() {
     assert!(err.contains("--batch-size"), "{err}");
     let err = run_rejected(&[&["replay"], &stub[..], &["--capacity", "1000000000000"]].concat());
     assert!(err.contains("--capacity"), "{err}");
-    let err = run_rejected(&[&["sniff"], &stub[..], &["--batch-size", "65537"]].concat());
-    assert!(err.contains("--batch-size"), "{err}");
+    // sniff reads a pcap in fixed batches: it has no queue to size.
+    let err = run_rejected(&[&["sniff"], &stub[..], &["--batch-size", "256"]].concat());
+    assert!(err.contains("unknown flag --batch-size"), "{err}");
     // detect / serve: the observation period and threshold must be
     // finite and positive.
     let err = run_rejected(&[&["detect"], &stub[..], &["--t0", "inf"]].concat());
@@ -358,6 +359,25 @@ fn oversized_pcap_record_exits_2() {
             assert!(err.contains("pcap record"), "{command}: {err}");
             assert!(err.contains(message), "{command}: {err}");
         }
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+/// A 22-byte binary trace whose header claims 2^32 records (160 GiB)
+/// and holds none is a truncated stream to every front end, not an
+/// allocation.
+#[test]
+fn hostile_binary_record_count_exits_2() {
+    let path = std::env::temp_dir().join("syndog_e2e_hostile.bin");
+    let path_s = path.to_str().unwrap();
+    let mut file = b"SDTR".to_vec();
+    file.extend_from_slice(&2u16.to_be_bytes());
+    file.extend_from_slice(&60_000_000u64.to_be_bytes());
+    file.extend_from_slice(&(1u64 << 32).to_be_bytes());
+    std::fs::write(&path, &file).unwrap();
+    for command in ["detect", "sniff", "replay", "locate"] {
+        let err = run_rejected(&[command, "--in", path_s, "--stub", "128.3.0.0/16"]);
+        assert!(err.contains("truncated trace stream"), "{command}: {err}");
     }
     let _ = std::fs::remove_file(path);
 }

@@ -31,13 +31,11 @@ fn two_concurrent_flooders_both_ranked() {
 
     let mut agent = SynDogAgent::new(site.stub(), SynDogConfig::paper_default());
     let mut locator = SourceLocator::new(site.stub());
-    for record in trace.records() {
-        agent.observe_record(record);
-        if !locator.is_armed() && agent.first_alarm().is_some() {
-            locator.arm();
-        }
-        locator.observe(record);
-    }
+    agent.run_trace_with(
+        trace.records().iter().copied(),
+        Some(trace.duration()),
+        |agent, record, _| locator.observe_after_alarm(agent, record),
+    );
     assert!(agent.first_alarm().is_some());
     let suspects = locator.suspects();
     assert!(
@@ -106,13 +104,11 @@ fn locator_stays_quiet_without_alarm_trigger() {
     let trace = site.generate_trace(&mut rng);
     let mut agent = SynDogAgent::new(site.stub(), SynDogConfig::paper_default());
     let mut locator = SourceLocator::new(site.stub());
-    for record in trace.records() {
-        agent.observe_record(record);
-        if !locator.is_armed() && agent.first_alarm().is_some() {
-            locator.arm();
-        }
-        locator.observe(record);
-    }
+    agent.run_trace_with(
+        trace.records().iter().copied(),
+        Some(trace.duration()),
+        |agent, record, _| locator.observe_after_alarm(agent, record),
+    );
     assert!(agent.first_alarm().is_none());
     assert!(!locator.is_armed());
     assert!(locator.activity().is_empty());

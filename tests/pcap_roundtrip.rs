@@ -13,11 +13,12 @@ use syndog_traffic::Trace;
 fn roundtrip(trace: &Trace, stub: Ipv4Net) -> Trace {
     let mut file = Vec::new();
     trace.write_pcap(&mut file).expect("export");
-    let mut restored = Trace::read_pcap(file.as_slice(), stub).expect("import");
+    let restored = Trace::read_pcap(file.as_slice(), stub).expect("import");
     // pcap carries no duration metadata; restore the nominal span so
-    // period binning matches (see Trace::set_duration).
-    restored.set_duration(trace.duration());
-    restored
+    // period binning matches.
+    let mut spanned = Trace::new(trace.duration());
+    spanned.extend(restored.records().iter().copied());
+    spanned
 }
 
 #[test]

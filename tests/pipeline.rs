@@ -36,13 +36,11 @@ fn auckland_flood_detected_and_localized() {
 
     let mut agent = SynDogAgent::new(site.stub(), SynDogConfig::paper_default());
     let mut locator = SourceLocator::new(site.stub());
-    for record in trace.records() {
-        agent.observe_record(record);
-        if !locator.is_armed() && agent.first_alarm().is_some() {
-            locator.arm();
-        }
-        locator.observe(record);
-    }
+    agent.run_trace_with(
+        trace.records().iter().copied(),
+        Some(trace.duration()),
+        |agent, record, _| locator.observe_after_alarm(agent, record),
+    );
     let alarm = agent
         .first_alarm()
         .expect("10 SYN/s at Auckland must be caught");
