@@ -169,13 +169,6 @@ impl SynFlood {
         self
     }
 
-    /// Returns a copy that rotates the forged source MAC over `macs`
-    /// distinct addresses (0 disables rotation).
-    pub fn with_mac_rotation(mut self, macs: u32) -> Self {
-        self.mac_rotation = macs;
-        self
-    }
-
     /// The instantaneous rate multiplier at `offset` seconds into the
     /// flood (integrates to 1 over the duration for every pattern).
     fn rate_multiplier(&self, offset: f64) -> f64 {
@@ -445,9 +438,9 @@ mod tests {
     #[test]
     fn mac_rotation_cycles_forged_addresses() {
         let mut rng = SimRng::seed_from_u64(22);
-        let trace = base_flood(FloodPattern::Constant)
-            .with_mac_rotation(7)
-            .generate_trace(&mut rng);
+        let mut flood = base_flood(FloodPattern::Constant);
+        flood.mac_rotation = 7;
+        let trace = flood.generate_trace(&mut rng);
         let distinct: std::collections::BTreeSet<_> =
             trace.records().iter().map(|r| r.src_mac).collect();
         assert_eq!(distinct.len(), 7);

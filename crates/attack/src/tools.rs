@@ -39,17 +39,6 @@ pub enum AttackTool {
 }
 
 impl AttackTool {
-    /// All SYN-capable tools.
-    pub fn syn_capable() -> Vec<AttackTool> {
-        vec![
-            AttackTool::Tfn,
-            AttackTool::Tfn2k,
-            AttackTool::Trinity,
-            AttackTool::Shaft,
-            AttackTool::Plague,
-        ]
-    }
-
     /// Whether the tool floods with TCP SYNs (Trinoo does not).
     pub fn uses_syn_flooding(&self) -> bool {
         !matches!(self, AttackTool::Trinoo)
@@ -142,6 +131,15 @@ mod tests {
     use super::*;
     use syndog_sim::SimRng;
 
+    /// Every SYN-capable tool.
+    const SYN_TOOLS: [AttackTool; 5] = [
+        AttackTool::Tfn,
+        AttackTool::Tfn2k,
+        AttackTool::Trinity,
+        AttackTool::Shaft,
+        AttackTool::Plague,
+    ];
+
     fn victim() -> SocketAddrV4 {
         "192.0.2.80:80".parse().unwrap()
     }
@@ -149,7 +147,7 @@ mod tests {
     #[test]
     fn all_syn_tools_flood_at_the_requested_volume() {
         let mut rng = SimRng::seed_from_u64(1);
-        for tool in AttackTool::syn_capable() {
+        for tool in SYN_TOOLS {
             let flood = tool.flood(80.0, SimTime::ZERO, SimDuration::from_secs(600), victim());
             let volume = flood.generate_times(&mut rng).len() as f64;
             assert!(
@@ -162,9 +160,7 @@ mod tests {
     #[test]
     fn trinoo_is_not_syn_capable() {
         assert!(!AttackTool::Trinoo.uses_syn_flooding());
-        assert!(AttackTool::syn_capable()
-            .iter()
-            .all(AttackTool::uses_syn_flooding));
+        assert!(SYN_TOOLS.iter().all(AttackTool::uses_syn_flooding));
     }
 
     #[test]
@@ -186,7 +182,7 @@ mod tests {
     #[test]
     fn every_syn_tool_has_a_distinct_constant_fingerprint() {
         let mut seen = std::collections::HashSet::new();
-        for tool in AttackTool::syn_capable() {
+        for tool in SYN_TOOLS {
             let key = tool.fingerprint().expect("SYN tools have fingerprints");
             assert!(seen.insert(key.to_bits()), "{tool} fingerprint collides");
             // Every flood record carries exactly the tool's fingerprint.

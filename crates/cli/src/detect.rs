@@ -1,22 +1,15 @@
-//! `detect`, `sniff`, `replay` and `locate`: one capture, one stub, and
-//! (for the first three) one detection report.
+//! `detect`, `sniff` and `locate`: one capture, one stub, and (for the
+//! first two) one detection report.
 
 use syndog::SynDogConfig;
-use syndog_router::{
-    ConcurrentSynDog, LeafRouter, OverflowPolicy, PcapSource, SourceLocator, SpanRule, SynDogAgent,
-    DEFAULT_BATCH_SIZE,
-};
-use syndog_sim::{SimDuration, SimTime};
-use syndog_traffic::{Direction, Trace, TraceRecord};
+use syndog_router::{PcapSource, SourceLocator, SynDogAgent};
+use syndog_sim::SimTime;
+use syndog_traffic::Direction;
 
 use crate::options::{
     read_checkpoint, stream_records, stub_flag, write_checkpoint, Flags, Metrics, RunOptions,
     CHECKPOINT, DETECTOR, FAULTS, MITIGATION, TELEMETRY,
 };
-
-/// Largest `--batch-size` or `--capacity`: each sizes an allocation made
-/// up front.
-const MAX_QUEUE: u32 = 65_536;
 
 /// Streams a capture through one [`SynDogAgent`]'s record loop,
 /// [`SynDogAgent::run_trace_with`]: the `--faults` pass, when given, sits
@@ -50,7 +43,9 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
     if let (Some(policy), None) = (opts.mitigation(), agent.mitigation()) {
         agent.set_mitigation(policy);
     }
-    let from = open_period_start(agent.router());
+    // A resumed run reads the input from its open period on.
+    let router = agent.router();
+    let from = SimTime::ZERO + router.period() * router.current_period();
     let (_, ledger) = stream_records(input, stub, from, opts.faults, &metrics, |records, span| {
         agent.run_trace_with(records, span, |_, _, _| {})
     })?;
@@ -63,12 +58,6 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
         write_checkpoint(&agent.checkpoint(), path)?;
     }
     metrics.finish()
-}
-
-/// Where a run's input starts: the start of the router's open period,
-/// zero for a fresh run. A resumed run reads the input from there on.
-fn open_period_start(router: &LeafRouter) -> SimTime {
-    SimTime::ZERO + router.period() * router.current_period()
 }
 
 /// The `--mitigate` postscript to the detection report (silent when no
@@ -143,7 +132,7 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
     }
     let router = agent.router();
     println!(
-        "sniffed {} frames ({} malformed), batch size {DEFAULT_BATCH_SIZE}",
+        "sniffed {} frames ({} malformed)",
         frames_seen(&agent),
         router.sniffer(Direction::Outbound).malformed()
             + router.sniffer(Direction::Inbound).malformed(),
@@ -152,144 +141,7 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
     metrics.finish()
 }
 
-/// Replays a capture through the concurrent deployment: per-direction
-/// [`FrameBatch`]es over one bounded channel per interface, lock-free
-/// atomic counters, a `flush` barrier at every period boundary.
-///
-/// [`FrameBatch`]: syndog_net::FrameBatch
-pub fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let (flags, opts) = RunOptions::parse(
-        args,
-        &["drop"],
-        &["in", "stub", "batch-size", "capacity"],
-        &[DETECTOR, TELEMETRY, FAULTS, CHECKPOINT],
-    )?;
-    let batch_size = flags
-        .positive("batch-size", MAX_QUEUE)?
-        .unwrap_or(DEFAULT_BATCH_SIZE);
-    let capacity = flags.positive("capacity", MAX_QUEUE)?.unwrap_or(64);
-    let metrics = opts.metrics(Vec::new())?;
-    let stub = stub_flag(&flags)?;
-    let input = flags.require("in")?;
-    let policy = if flags.has("drop") {
-        OverflowPolicy::Drop
-    } else {
-        OverflowPolicy::Block
-    };
-    let mut dog = match &opts.resume {
-        Some(path) => {
-            let checkpoint = read_checkpoint(path)?;
-            let dog = ConcurrentSynDog::resume(&checkpoint, capacity, policy, metrics.hub())
-                .map_err(|e| format!("restore {path}: {e}"))?;
-            println!(
-                "resumed from {path} at period {}",
-                dog.agent().router().current_period()
-            );
-            dog
-        }
-        None => ConcurrentSynDog::with_detector(
-            opts.detector.build(opts.config),
-            capacity,
-            policy,
-            metrics.hub(),
-        ),
-    };
-    let start_period = dog.agent().router().current_period();
-    let from = open_period_start(dog.agent().router());
-    let streamed = stream_records(input, stub, from, opts.faults, &metrics, |records, span| {
-        feed(&mut dog, records, span, batch_size)
-    });
-    // A capture that fails mid-stream still joins the sniffer threads.
-    let fault_ledger = match streamed.and_then(|(fed, ledger)| fed.map(|()| ledger)) {
-        Ok(ledger) => ledger,
-        Err(e) => {
-            dog.shutdown();
-            return Err(e);
-        }
-    };
-
-    if let Some(ledger) = &fault_ledger {
-        println!("faults: {}", ledger.summary());
-    }
-    if let Some(path) = &opts.checkpoint {
-        write_checkpoint(&dog.checkpoint(), path)?;
-    }
-    let report = detection_report(dog.agent(), false);
-    let periods = dog.agent().router().current_period() - start_period;
-    let dropped_frames = dog.dropped_frames();
-    let dropped_batches = dog.dropped_batches();
-    let (out_frames, in_frames) = dog.shutdown();
-    println!(
-        "replayed {periods} periods through 2 sniffer threads: {out_frames} outbound / {in_frames} inbound frames (batch size {batch_size}, capacity {capacity})",
-    );
-    if dropped_batches > 0 {
-        println!("overflow shed {dropped_batches} batches / {dropped_frames} frames");
-    }
-    print!("{report}");
-    metrics.finish()
-}
-
-/// Feeds the concurrent sniffers from a record stream under the agent's
-/// period rules: records the [`SpanRule`] admits are synthesized into
-/// per-direction batches of `batch_size` frames, and before a record
-/// closes periods the held batches are submitted, then each period is
-/// flushed and closed.
-fn feed(
-    dog: &mut ConcurrentSynDog,
-    records: &mut dyn Iterator<Item = TraceRecord>,
-    span: Option<SimDuration>,
-    batch_size: usize,
-) -> Result<(), String> {
-    fn submit(
-        dog: &ConcurrentSynDog,
-        direction: Direction,
-        pending: &mut Vec<TraceRecord>,
-    ) -> Result<(), String> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let batch = Trace::frame_batch(pending).map_err(|e| format!("synthesize frames: {e}"))?;
-        dog.submit_batch(direction, batch);
-        pending.clear();
-        Ok(())
-    }
-
-    let mut span = SpanRule::new(span, dog.agent().router().period());
-    let mut pending_out: Vec<TraceRecord> = Vec::with_capacity(batch_size);
-    let mut pending_in: Vec<TraceRecord> = Vec::with_capacity(batch_size);
-    for record in records {
-        if !span.admits(record.time) {
-            continue;
-        }
-        let due = dog.periods_due(record.time);
-        if due > 0 {
-            submit(dog, Direction::Outbound, &mut pending_out)?;
-            submit(dog, Direction::Inbound, &mut pending_in)?;
-            for _ in 0..due {
-                dog.flush();
-                dog.close_period();
-            }
-        }
-        let pending = match record.direction {
-            Direction::Outbound => &mut pending_out,
-            Direction::Inbound => &mut pending_in,
-        };
-        pending.push(record);
-        if pending.len() >= batch_size {
-            submit(dog, record.direction, pending)?;
-        }
-    }
-    submit(dog, Direction::Outbound, &mut pending_out)?;
-    submit(dog, Direction::Inbound, &mut pending_in)?;
-    let last = span.last(dog.agent().router().current_period());
-    while dog.agent().router().current_period() < last {
-        dog.flush();
-        dog.close_period();
-    }
-    Ok(())
-}
-
-/// The detection report `detect`, `sniff` and `replay` print: the
+/// The detection report `detect` and `sniff` print: the
 /// optional per-period table, the late-record count when there is one,
 /// the series summary, and the first alarm.
 fn detection_report(agent: &SynDogAgent, verbose: bool) -> String {

@@ -6,8 +6,8 @@
 //! groups they share (detector, mitigation, telemetry, faults,
 //! checkpoint) are parsed once into [`options::RunOptions`].
 //!
-//! - [`detect`]: `detect`, `sniff`, `replay`, `locate` — one capture, one
-//!   stub, one detection report.
+//! - [`detect`]: `detect`, `sniff`, `locate` — one capture, one stub, one
+//!   detection report.
 //! - [`fleet`]: `fleet` — the distributed deployment and correlation tier.
 //! - [`serve`]: `serve` — the long-running daemon and its status plane.
 //! - [`tools`]: `generate`, `inject`, `stats`, `theory`.
@@ -31,7 +31,6 @@ fn main() -> ExitCode {
         "inject" => tools::cmd_inject(rest),
         "detect" => detect::cmd_detect(rest),
         "sniff" => detect::cmd_sniff(rest),
-        "replay" => detect::cmd_replay(rest),
         "locate" => detect::cmd_locate(rest),
         "fleet" => fleet::cmd_fleet(rest),
         "serve" => serve::cmd_serve(rest),
@@ -57,7 +56,6 @@ const USAGE: &str = "usage:
   syndog inject   --in FILE --out FILE --rate R [--start SECS] [--duration SECS] [--seed N]
   syndog detect   --in FILE --stub CIDR [--detector D] [--mitigate] [--throttle-key K] [--tuned] [--t0 SECS] [--verbose] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
   syndog sniff    --in FILE --stub CIDR [--detector D] [--tuned] [--t0 SECS] [--verbose] [--metrics DEST] [--metrics-format F]
-  syndog replay   --in FILE --stub CIDR [--detector D] [--batch-size N] [--capacity N] [--drop] [--tuned] [--t0 SECS] [--faults SPEC] [--checkpoint FILE] [--resume FILE] [--metrics DEST] [--metrics-format F]
   syndog locate   --in FILE --stub CIDR
   syndog fleet    [--detector D] [--stubs N] [--site S] [--site-minutes M] [--attackers I,J,A-B,..] [--total-rate V] [--start SECS] [--attack-duration SECS] [--seed N] [--jobs N] [--counts] [--regions N] [--label-budget N] [--mitigate] [--throttle-key K] [--faults SPEC] [--csv FILE] [--metrics DEST] [--metrics-format F]
   syndog serve    [--sites S,S,..|--in FILE --stub CIDR] [--plan FILE] [--flood R@START+DURATION] [--periods N] [--t0 SECS] [--seed N] [--detector D] [--threshold N] [--mitigate] [--throttle-key K] [--config FILE] [--checkpoint-dir DIR] [--checkpoint-interval N] [--checkpoint-keep N] [--resume-latest] [--status-json] [--metrics DEST]
@@ -65,14 +63,12 @@ const USAGE: &str = "usage:
   syndog theory   --k KBAR [--a A] [--c C] [--t0 SECS] [--total-rate V]
 
 FILE format: pcap when the name ends in .pcap, binary trace otherwise.
-detect, sniff, replay and locate read FILE one record at a time, never
-whole, under one period rule: a record behind the period clock counts
-in the open period (the report gives the late count), a binary trace's
+detect, sniff and locate read FILE one record at a time, never whole,
+under one period rule: a record behind the period clock counts in the
+open period (the report gives the late count), a binary trace's
 declared span sets how many periods close, and a pcap's last period is
 the one holding its latest record. sniff classifies a pcap's frames
-without decoding records; replay drives the concurrent deployment with
-FrameBatch channels, one sniffer thread per interface (--drop sheds
-batches on overflow instead of blocking).
+without decoding records.
 
 --metrics DEST records detector telemetry: a socket address (host:port)
 serves live Prometheus scrapes during the run; any other DEST is a file
@@ -81,18 +77,18 @@ extension (.prom, .jsonl, .csv) unless --metrics-format overrides it.
 stats reads a .jsonl snapshot back and summarizes it (or re-renders it
 with --format).
 
---detector D (detect, sniff, replay, fleet) selects the per-period
-detection strategy: syndog (the paper's normalized SYN-SYN/ACK CUSUM,
-the default), syn-cusum (CUSUM on the SYN count's excursion over its
+--detector D (detect, sniff, fleet) selects the per-period detection
+strategy: syndog (the paper's normalized SYN-SYN/ACK CUSUM, the
+default), syn-cusum (CUSUM on the SYN count's excursion over its
 own recursive mean — no reverse path needed), ewma (adaptive-threshold
 EWMA with a two-period persistence rule), or fin-pair (SYN vs FIN/RST
 pairing; needs the record-level paths, count-level runs see zero
 closes). All four share the same config, checkpoint envelope, and
 report shape.
 
-detect and replay accept fault/recovery flags. --faults SPEC injects
-seeded, reproducible faults into the run; SPEC is comma-separated
-key=value pairs from drop, dup, truncate, corrupt (probabilities in
+detect accepts fault/recovery flags. --faults SPEC injects seeded,
+reproducible faults into the run; SPEC is comma-separated key=value
+pairs from drop, dup, truncate, corrupt (probabilities in
 [0,1]), reorder (window size), jitter_ms, and seed — for example
 --faults drop=0.05,reorder=8,seed=7. The run prints a fault ledger
 summary. --checkpoint FILE writes a versioned, CRC-checked snapshot of
@@ -158,7 +154,7 @@ mod tests {
     use syndog_telemetry::export;
     use syndog_traffic::{SiteProfile, Trace, TraceRecord};
 
-    use crate::detect::{cmd_detect, cmd_replay, cmd_sniff};
+    use crate::detect::{cmd_detect, cmd_sniff};
     use crate::fleet::{cmd_fleet, parse_attackers};
     use crate::options::{
         read_checkpoint, read_trace, site_by_name, victim, write_trace, Flags, RunOptions,
@@ -334,14 +330,13 @@ mod tests {
             ]))
             .unwrap();
         }
-        // replay threads the strategy through the concurrent deployment
-        // and its checkpoint keeps it on resume.
+        // A checkpoint keeps the strategy on resume.
         let ck = dir
             .join("syndog_test_detector.ck.json")
             .to_str()
             .unwrap()
             .to_string();
-        cmd_replay(&args(&[
+        cmd_detect(&args(&[
             "--in",
             &trace_path,
             "--stub",
@@ -354,7 +349,7 @@ mod tests {
         .unwrap();
         let saved = read_checkpoint(&ck).unwrap();
         assert_eq!(saved.detector.kind(), DetectorKind::SynCusum);
-        cmd_replay(&args(&[
+        cmd_detect(&args(&[
             "--in",
             &trace_path,
             "--stub",
@@ -413,63 +408,6 @@ mod tests {
             detect_config(&Flags::parse(&args(&["--t0", "0"]), &["tuned"], &["t0"]).unwrap())
                 .is_err()
         );
-    }
-
-    #[test]
-    fn sniff_and_replay_run_end_to_end() {
-        // A small flooded trace, exercised through both new subcommands in
-        // both file formats. These are smoke tests — count-level
-        // equivalence with the single-threaded path is pinned down in
-        // syndog-router's source/concurrent tests.
-        let dir = std::env::temp_dir();
-        let site = SiteProfile::auckland();
-        let mut rng = SimRng::seed_from_u64(7);
-        let mut trace = site.generate_trace(&mut rng);
-        let flood = SynFlood::constant(
-            10.0,
-            SimTime::from_secs(200),
-            SimDuration::from_secs(300),
-            victim(),
-        );
-        trace.merge(&flood.generate_trace(&mut rng));
-        let stub = site.stub().to_string();
-        for name in ["syndog_test_pipeline.bin", "syndog_test_pipeline.pcap"] {
-            let path = dir.join(name);
-            let path = path.to_str().unwrap();
-            write_trace(&trace, path).unwrap();
-            cmd_sniff(&args(&["--in", path, "--stub", &stub])).unwrap();
-            cmd_replay(&args(&[
-                "--in",
-                path,
-                "--stub",
-                &stub,
-                "--batch-size",
-                "64",
-                "--capacity",
-                "8",
-            ]))
-            .unwrap();
-            cmd_replay(&args(&["--in", path, "--stub", &stub, "--drop"])).unwrap();
-            let _ = std::fs::remove_file(path);
-        }
-        assert!(cmd_replay(&args(&[
-            "--in",
-            "x.bin",
-            "--stub",
-            &stub,
-            "--batch-size",
-            "0"
-        ]))
-        .is_err());
-        assert!(cmd_replay(&args(&[
-            "--in",
-            "x.bin",
-            "--stub",
-            &stub,
-            "--capacity",
-            "0"
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -541,36 +479,6 @@ mod tests {
         ]))
         .unwrap();
 
-        // replay: faulted run, checkpoint at the head, resume the rest.
-        let ck2 = path("syndog_test_faultcli.ck2.json");
-        cmd_replay(&args(&[
-            "--in",
-            &trace_path,
-            "--stub",
-            &stub,
-            "--faults",
-            "drop=0.05,seed=7",
-        ]))
-        .unwrap();
-        cmd_replay(&args(&[
-            "--in",
-            &head_path,
-            "--stub",
-            &stub,
-            "--checkpoint",
-            &ck2,
-        ]))
-        .unwrap();
-        cmd_replay(&args(&[
-            "--in",
-            &trace_path,
-            "--stub",
-            &stub,
-            "--resume",
-            &ck2,
-        ]))
-        .unwrap();
-
         // Misuse fails loudly.
         assert!(cmd_detect(&args(&[
             "--in",
@@ -600,19 +508,19 @@ mod tests {
             "--tuned"
         ]))
         .is_err());
-        assert!(cmd_replay(&args(&[
+        assert!(cmd_detect(&args(&[
             "--in",
             &trace_path,
             "--stub",
             &stub,
             "--resume",
-            &ck2,
+            &ck,
             "--t0",
             "10"
         ]))
         .is_err());
 
-        for p in [&trace_path, &head_path, &ck, &ck2] {
+        for p in [&trace_path, &head_path, &ck] {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -984,14 +892,13 @@ mod tests {
             .iter()
             .any(|event| event.kind == "alarm_raised"));
 
-        // replay → CSV forced over a non-matching extension.
+        // detect → CSV forced over a non-matching extension.
         let csv = path("syndog_test_metrics_snapshot.out");
-        cmd_replay(&args(&[
+        cmd_detect(&args(&[
             "--in",
             &trace_path,
             "--stub",
             &stub,
-            "--drop",
             "--metrics",
             &csv,
             "--metrics-format",
@@ -1000,7 +907,7 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&csv).unwrap();
         assert!(text.starts_with("row_type,name,labels,value"), "{text}");
-        assert!(text.contains("syndog_submitted_batches_total"), "{text}");
+        assert!(text.contains("syndog_frames_total"), "{text}");
 
         // Flag misuse fails loudly rather than dropping telemetry.
         assert!(cmd_detect(&args(&[

@@ -1,7 +1,7 @@
 //! What every subcommand shares: the `--flag` map, the one bounded
-//! number reader, the option groups that `detect`, `sniff`, `replay`,
-//! `fleet` and `serve` repeat ([`RunOptions`]), the `--metrics` sink, and
-//! trace / checkpoint file I/O.
+//! number reader, the option groups that `detect`, `sniff`, `fleet` and
+//! `serve` repeat ([`RunOptions`]), the `--metrics` sink, and trace /
+//! checkpoint file I/O.
 
 use std::fs::File;
 use std::io::{BufReader, Write as _};
@@ -117,10 +117,9 @@ pub const CHECKPOINT: FlagGroup = (&[], &["checkpoint", "resume"]);
 /// The shortest `--t0` the detector accepts, in seconds.
 const MIN_T0_SECS: f64 = 1e-6;
 
-/// The option groups `detect`, `sniff`, `replay`, `fleet` and `serve`
-/// share, parsed and validated once. A flag a subcommand does not
-/// declare is rejected by [`Flags::parse`], so its field keeps the
-/// default here.
+/// The option groups `detect`, `sniff`, `fleet` and `serve` share,
+/// parsed and validated once. A flag a subcommand does not declare is
+/// rejected by [`Flags::parse`], so its field keeps the default here.
 pub struct RunOptions {
     /// `--detector` (the paper's strategy when absent).
     pub detector: DetectorKind,

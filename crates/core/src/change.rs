@@ -287,17 +287,18 @@ impl ChangeDetector for SlidingZTest {
     }
 }
 
-/// Runs a detector over a series, returning the index of the first alarm.
-pub fn first_alarm_index<D: ChangeDetector + ?Sized>(
-    detector: &mut D,
-    series: &[f64],
-) -> Option<usize> {
-    series.iter().position(|&x| detector.update(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs a detector over a series, returning the index of the first
+    /// alarm.
+    fn first_alarm_index<D: ChangeDetector + ?Sized>(
+        detector: &mut D,
+        series: &[f64],
+    ) -> Option<usize> {
+        series.iter().position(|&x| detector.update(x))
+    }
 
     fn step_series(pre: f64, post: f64, change_at: usize, len: usize) -> Vec<f64> {
         (0..len)

@@ -116,21 +116,6 @@ impl FalseAlarmReport {
         self.alarm_periods.len()
     }
 
-    /// `true` when the run produced no alarms at all.
-    pub fn is_clean(&self) -> bool {
-        self.alarm_periods.is_empty()
-    }
-
-    /// Mean periods between consecutive false alarms, if at least two
-    /// occurred.
-    pub fn mean_periods_between_alarms(&self) -> Option<f64> {
-        if self.alarm_periods.len() < 2 {
-            return None;
-        }
-        let gaps: u64 = self.alarm_periods.windows(2).map(|w| w[1] - w[0]).sum();
-        Some(gaps as f64 / (self.alarm_periods.len() - 1) as f64)
-    }
-
     /// Headroom between the worst spike and the threshold, as a fraction of
     /// the threshold (1.0 = spike never left zero; 0.0 = spike touched the
     /// threshold).
@@ -214,12 +199,10 @@ mod tests {
     fn clean_run_report() {
         let records = (0..100).map(|i| (0.01 * (i % 5) as f64, false));
         let report = FalseAlarmReport::from_run(records, 1.05);
-        assert!(report.is_clean());
         assert_eq!(report.count(), 0);
         assert_eq!(report.periods, 100);
         assert!((report.max_statistic - 0.04).abs() < 1e-12);
         assert!(report.headroom() > 0.95);
-        assert_eq!(report.mean_periods_between_alarms(), None);
     }
 
     #[test]
@@ -234,8 +217,6 @@ mod tests {
         let report = FalseAlarmReport::from_run(records, 1.05);
         assert_eq!(report.count(), 3);
         assert_eq!(report.alarm_periods, vec![1, 3, 4]);
-        assert!((report.mean_periods_between_alarms().unwrap() - 1.5).abs() < 1e-12);
         assert_eq!(report.headroom(), 0.0);
-        assert!(!report.is_clean());
     }
 }

@@ -6,22 +6,6 @@
 
 use crate::detector::SynDogConfig;
 
-/// Eq. 7 — the (conservative) normalized detection delay after a change:
-///
-/// ```text
-/// ρ_N → γ = N / (h − |c − a|)     as N → ∞
-/// ```
-///
-/// in observation periods, where `h` is the post-change mean increase of
-/// `X_n`, `c` its normal mean and `a` the offset.
-///
-/// Returns `None` when `h ≤ |c − a|` (the attack drift cannot outpace the
-/// offset, so the bound is vacuous).
-pub fn detection_delay_bound(threshold: f64, h: f64, c: f64, a: f64) -> Option<f64> {
-    let drift = h - (c - a).abs();
-    (drift > 0.0).then(|| threshold / drift)
-}
-
 /// The flooding threshold `N` that yields a target detection delay of
 /// `target_periods` under Eq. 7, i.e. `N = target · (h − |c − a|)`.
 ///
@@ -78,30 +62,6 @@ pub fn expected_delay_periods(
     (drift > 0.0).then(|| config.threshold / drift)
 }
 
-/// Eq. 5 — the exponential false-alarm law: as `N → ∞`,
-///
-/// ```text
-/// P∞{d_N(y_n) = 1} ≈ c1 · exp(−c2 · N)
-/// ```
-///
-/// so the mean time between false alarms grows as `exp(c2·N)/c1` periods.
-/// `c1`, `c2` depend on the marginal distribution and mixing coefficients
-/// of the series and "play a secondary role"; this helper evaluates the law
-/// for given constants.
-pub fn false_alarm_probability(threshold: f64, c1: f64, c2: f64) -> f64 {
-    c1 * (-c2 * threshold).exp()
-}
-
-/// Mean periods between false alarms under Eq. 5: `exp(c2·N) / c1`.
-///
-/// # Panics
-///
-/// Panics if `c1` is not strictly positive.
-pub fn mean_periods_between_false_alarms(threshold: f64, c1: f64, c2: f64) -> f64 {
-    assert!(c1 > 0.0, "c1 must be positive, got {c1}");
-    (c2 * threshold).exp() / c1
-}
-
 /// §4.2.3 — the largest number of stub networks `A` a DDoS attacker can
 /// spread a flood of aggregate rate `total_rate` (SYN/s) across while every
 /// per-network share `f_i = V/A` still meets or exceeds `f_min`:
@@ -130,14 +90,10 @@ mod tests {
         // h = 2a = 0.7, c = 0, target 3 periods → N = 3 · (0.7 − 0.35).
         let n = threshold_for_delay(3.0, 0.7, 0.0, 0.35).unwrap();
         assert!((n - 1.05).abs() < EPS);
-        // And the bound inverts back to 3 periods.
-        let delay = detection_delay_bound(n, 0.7, 0.0, 0.35).unwrap();
-        assert!((delay - 3.0).abs() < EPS);
     }
 
     #[test]
     fn vacuous_bounds_are_none() {
-        assert!(detection_delay_bound(1.05, 0.3, 0.0, 0.35).is_none());
         assert!(threshold_for_delay(3.0, 0.35, 0.0, 0.35).is_none());
     }
 
@@ -191,20 +147,6 @@ mod tests {
     fn expected_delay_none_below_bound() {
         let config = SynDogConfig::paper_default();
         assert!(expected_delay_periods(&config, 30.0, 2114.0, 0.0).is_none());
-    }
-
-    #[test]
-    fn false_alarm_law_is_exponential_in_threshold() {
-        let p1 = false_alarm_probability(1.0, 0.5, 2.0);
-        let p2 = false_alarm_probability(2.0, 0.5, 2.0);
-        let p3 = false_alarm_probability(3.0, 0.5, 2.0);
-        assert!(
-            (p1 / p2 - p2 / p3).abs() < EPS,
-            "constant ratio = exponential"
-        );
-        assert!(p1 > p2 && p2 > p3);
-        let mean = mean_periods_between_false_alarms(1.0, 0.5, 2.0);
-        assert!((mean - 1.0 / p1).abs() < EPS);
     }
 
     #[test]

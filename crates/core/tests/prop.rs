@@ -2,9 +2,21 @@
 
 use proptest::prelude::*;
 
-use syndog::cusum::{max_continuous_increment, NonParametricCusum};
+use syndog::cusum::NonParametricCusum;
 use syndog::detector::{PeriodCounts, SynDogConfig, SynDogDetector};
 use syndog::normalize::SynAckEstimator;
+
+/// Reference implementation of Eq. 3: `y_n = S_n − min_{0≤k≤n} S_k` over
+/// the offset series `X̃_k = X_k − a`, from the raw `X` series.
+fn max_continuous_increment(series: &[f64], a: f64) -> f64 {
+    let mut s = 0.0f64;
+    let mut min_s = 0.0f64;
+    for &x in series {
+        s += x - a;
+        min_s = min_s.min(s);
+    }
+    s - min_s
+}
 
 fn arb_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-2.0f64..2.0, len)

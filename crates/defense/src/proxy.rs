@@ -78,11 +78,6 @@ impl SynProxy {
         }
     }
 
-    /// Current number of unproven entries.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// High-water mark of the pending table.
     pub fn max_pending(&self) -> usize {
         self.max_pending
@@ -190,7 +185,7 @@ mod tests {
             DefenseVerdict::Established
         );
         assert_eq!(proxy.established(), 1);
-        assert_eq!(proxy.pending_count(), 0);
+        assert_eq!(proxy.pending.len(), 0);
     }
 
     #[test]
@@ -200,7 +195,7 @@ mod tests {
         proxy.on_syn(t, client(2));
         assert_eq!(proxy.on_ack(t, client(2), 12345), DefenseVerdict::Dropped);
         assert_eq!(proxy.established(), 0);
-        assert_eq!(proxy.pending_count(), 1, "entry stays until timeout");
+        assert_eq!(proxy.pending.len(), 1, "entry stays until timeout");
     }
 
     #[test]
@@ -210,7 +205,7 @@ mod tests {
         for i in 0..10_000 {
             proxy.on_syn(t, spoofed(i));
         }
-        assert_eq!(proxy.pending_count(), 10_000);
+        assert_eq!(proxy.pending.len(), 10_000);
         assert_eq!(proxy.state_bytes(), 10_000 * HALF_OPEN_ENTRY_BYTES);
     }
 
@@ -235,7 +230,7 @@ mod tests {
         proxy.on_syn(SimTime::from_secs(0), spoofed(1));
         proxy.on_syn(SimTime::from_secs(20), spoofed(2));
         proxy.on_syn(SimTime::from_secs(31), client(4));
-        assert_eq!(proxy.pending_count(), 2, "first entry expired at 31 s");
+        assert_eq!(proxy.pending.len(), 2, "first entry expired at 31 s");
         assert_eq!(proxy.expired(), 1);
     }
 
@@ -245,7 +240,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         proxy.on_syn(t, client(5));
         proxy.on_rst(t, client(5));
-        assert_eq!(proxy.pending_count(), 0);
+        assert_eq!(proxy.pending.len(), 0);
     }
 
     #[test]

@@ -245,8 +245,7 @@ fn ttl_class_of(ttl: u8) -> u8 {
 /// fragment, non-TCP protocol, a flags byte with ACK/RST/FIN set, or a
 /// frame too short to hold the full TCP header its data offset claims.
 /// The parse reads only the bytes it needs — no allocation, no checksum —
-/// so it is cheap enough to run from the batched classifier's per-SYN
-/// sink without disturbing the SWAR fast path.
+/// so it is cheap enough to run on every SYN as a capture is read.
 pub fn extract_syn(frame: &[u8]) -> Option<FingerprintKey> {
     let ip = frame.get(14..)?;
     if frame[12] != 0x08 || frame[13] != 0x00 {

@@ -15,8 +15,7 @@
 //! - [`FingerprintKey`] — the compact, exactly-reversible 64-bit packing of
 //!   a SYN's header shape (TTL class, window, option layout, MSS, quirks),
 //! - [`extract_syn`] — the header parser that pulls a key from raw frame
-//!   bytes, cheap enough to ride the batched classifier's per-SYN sink
-//!   ([`syndog_net::batch::classify_batch_sink`]),
+//!   bytes, run on each SYN as the capture is read,
 //! - [`FingerprintTable`] — a per-stub frequency table with the
 //!   entropy/dominance statistics the throttle keying and the flash-crowd
 //!   exoneration rule consume.

@@ -46,17 +46,6 @@ impl MacAddr {
         self.0
     }
 
-    /// Returns `true` for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// Returns `true` if the group bit (I/G, least-significant bit of the
-    /// first octet) is set, i.e. the address is multicast or broadcast.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// Returns `true` if the locally-administered (U/L) bit is set.
     pub fn is_locally_administered(&self) -> bool {
         self.0[0] & 0x02 != 0
@@ -292,12 +281,9 @@ mod tests {
 
     #[test]
     fn mac_flag_bits() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::ZERO.is_multicast());
         let local = MacAddr::for_host(3, 77);
         assert!(local.is_locally_administered());
-        assert!(!local.is_multicast());
+        assert!(!MacAddr::ZERO.is_locally_administered());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum SegmentKind {
 
 impl SegmentKind {
     /// Every kind, in tally order. `ALL[k.index()] == k` for each kind `k`,
-    /// which is what lets [`crate::batch::ClassCounts`] use a flat array.
+    /// which is what lets a per-kind tally use a flat array.
     pub const ALL: [SegmentKind; 7] = [
         SegmentKind::Syn,
         SegmentKind::SynAck,
@@ -63,11 +63,6 @@ impl SegmentKind {
             SegmentKind::OtherTcp => 5,
             SegmentKind::NonTcp => 6,
         }
-    }
-
-    /// Returns `true` for the two kinds SYN-dog counts.
-    pub fn is_handshake_signal(&self) -> bool {
-        matches!(self, SegmentKind::Syn | SegmentKind::SynAck)
     }
 
     /// A stable lowercase name, used as the `kind` label on telemetry
@@ -305,13 +300,5 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(classify_ipv4(&bytes[14..]).unwrap(), SegmentKind::Syn);
-    }
-
-    #[test]
-    fn handshake_signal_predicate() {
-        assert!(SegmentKind::Syn.is_handshake_signal());
-        assert!(SegmentKind::SynAck.is_handshake_signal());
-        assert!(!SegmentKind::Ack.is_handshake_signal());
-        assert!(!SegmentKind::NonTcp.is_handshake_signal());
     }
 }

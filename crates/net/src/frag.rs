@@ -204,18 +204,6 @@ impl Reassembler {
         self.partial.len()
     }
 
-    /// Payload bytes currently buffered across every in-progress train.
-    /// Bounded by `max_datagrams * `[`MAX_BUFFERED_BYTES_PER_DATAGRAM`].
-    pub fn pending_bytes(&self) -> usize {
-        self.partial.values().map(|d| d.bytes).sum()
-    }
-
-    /// Trains evicted for any reason (timeout, capacity pressure, or a
-    /// per-train size cap) since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evicted_timeout + self.evicted_capacity + self.evicted_oversize
-    }
-
     /// Trains evicted because they outlived the timeout.
     pub fn evicted_timeout(&self) -> u64 {
         self.evicted_timeout
@@ -511,7 +499,20 @@ mod tests {
         }
         assert!(!completed, "expired train must not complete");
         assert_eq!(reassembler.evicted_timeout(), 1);
-        assert_eq!(reassembler.evictions(), 1);
+        assert_eq!(evictions(&reassembler), 1);
+    }
+
+    /// Payload bytes buffered across every in-progress train. Bounded by
+    /// `max_datagrams * `[`MAX_BUFFERED_BYTES_PER_DATAGRAM`].
+    fn pending_bytes(reassembler: &Reassembler) -> usize {
+        reassembler.partial.values().map(|d| d.bytes).sum()
+    }
+
+    /// Trains evicted for any reason since construction.
+    fn evictions(reassembler: &Reassembler) -> u64 {
+        reassembler.evicted_timeout()
+            + reassembler.evicted_capacity()
+            + reassembler.evicted_oversize()
     }
 
     /// A first fragment (MF=1) with a per-train identification.
@@ -537,7 +538,7 @@ mod tests {
         for i in 0..10_000u16 {
             reassembler.offer(&opening_fragment(i, 64), 0).unwrap();
             max_pending = max_pending.max(reassembler.pending());
-            max_pending_bytes = max_pending_bytes.max(reassembler.pending_bytes());
+            max_pending_bytes = max_pending_bytes.max(pending_bytes(&reassembler));
         }
         assert_eq!(max_pending, CAPACITY);
         assert!(
@@ -545,7 +546,7 @@ mod tests {
             "buffered bytes {max_pending_bytes}"
         );
         assert_eq!(reassembler.evicted_capacity(), 10_000 - CAPACITY as u64);
-        assert_eq!(reassembler.evictions(), reassembler.evicted_capacity());
+        assert_eq!(evictions(&reassembler), reassembler.evicted_capacity());
     }
 
     #[test]
@@ -558,7 +559,7 @@ mod tests {
         for _ in 0..10_000 {
             let out = reassembler.offer(&fragment, 0).unwrap();
             assert!(out.is_none(), "the train never completes");
-            max_pending_bytes = max_pending_bytes.max(reassembler.pending_bytes());
+            max_pending_bytes = max_pending_bytes.max(pending_bytes(&reassembler));
         }
         assert!(reassembler.pending() <= 1);
         assert!(

@@ -125,13 +125,6 @@ impl Ipv4Header {
         (self.header_len() / 4) as u8
     }
 
-    /// Returns `true` if this datagram is a fragment other than the first,
-    /// i.e. the fragment offset is non-zero. Such packets cannot contain a
-    /// TCP header and are excluded by the paper's classifier.
-    pub fn is_later_fragment(&self) -> bool {
-        self.fragment_offset != 0
-    }
-
     /// Appends the wire representation to `buf`, computing the header
     /// checksum. Updates `self.header_checksum` is *not* performed; the
     /// computed checksum is written into the output only.
@@ -395,7 +388,6 @@ mod tests {
         assert!(!decoded.dont_fragment);
         assert!(decoded.more_fragments);
         assert_eq!(decoded.fragment_offset, 185);
-        assert!(decoded.is_later_fragment());
     }
 
     #[test]

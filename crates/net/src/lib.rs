@@ -10,10 +10,6 @@
 //!   a builder,
 //! - [`mod@classify`] — the paper's packet-classification algorithm (§2) that
 //!   distinguishes TCP control segments (SYN, SYN/ACK, FIN, RST, …) from data,
-//! - [`batch`] — the batched ingestion arena ([`batch::FrameBatch`]) and
-//!   per-kind tally ([`batch::ClassCounts`]) the hot path runs on, with a
-//!   SWAR fast path ([`batch::classify_batch`]) that decodes eight frames
-//!   per u64 lane group,
 //! - [`frag`] — IPv4 fragmentation/reassembly and the RFC 1858
 //!   tiny-fragment filter that keeps the classifier sound under evasive
 //!   fragmentation,
@@ -40,7 +36,6 @@
 //! ```
 
 pub mod addr;
-pub mod batch;
 pub mod classify;
 pub mod error;
 pub mod ethernet;
@@ -51,7 +46,6 @@ pub mod pcap;
 pub mod tcp;
 
 pub use addr::{Ipv4Net, MacAddr};
-pub use batch::{classify_batch, classify_batch_scalar, ClassCounts, FrameBatch};
 pub use classify::{classify, SegmentKind};
 pub use error::NetError;
 pub use ethernet::EtherType;

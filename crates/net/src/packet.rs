@@ -290,11 +290,6 @@ impl PacketBuilder {
         Self::tcp(src, dst, TcpFlags::SYN)
     }
 
-    /// Starts a SYN/ACK packet.
-    pub fn tcp_syn_ack(src: SocketAddrV4, dst: SocketAddrV4) -> Self {
-        Self::tcp(src, dst, TcpFlags::SYN | TcpFlags::ACK)
-    }
-
     /// Starts a non-TCP IPv4 packet of the given protocol number; the
     /// "payload" is carried opaque. Used to exercise the classifier's
     /// non-TCP path (e.g. Trinoo-style UDP floods).
@@ -529,14 +524,18 @@ mod tests {
             .unwrap();
         let packet = Packet::decode(&bytes).unwrap();
         assert!(packet.tcp.is_none());
-        assert!(packet.ipv4.is_later_fragment());
+        assert_eq!(packet.ipv4.fragment_offset, 10);
     }
 
     #[test]
     fn display_includes_flags_and_endpoints() {
-        let bytes = PacketBuilder::tcp_syn_ack(addr("9.9.9.9:80"), addr("8.8.8.8:1024"))
-            .build()
-            .unwrap();
+        let bytes = PacketBuilder::tcp(
+            addr("9.9.9.9:80"),
+            addr("8.8.8.8:1024"),
+            TcpFlags::SYN | TcpFlags::ACK,
+        )
+        .build()
+        .unwrap();
         let text = Packet::decode(&bytes).unwrap().to_string();
         assert!(text.contains("SYN|ACK"), "{text}");
         assert!(text.contains("9.9.9.9:80"), "{text}");

@@ -53,13 +53,6 @@ pub struct PcapPacket {
     pub data: Vec<u8>,
 }
 
-impl PcapPacket {
-    /// The timestamp as a floating-point number of seconds.
-    pub fn timestamp_secs(&self) -> f64 {
-        f64::from(self.ts_sec) + f64::from(self.ts_nanos) * 1e-9
-    }
-}
-
 /// File-level metadata from the global header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcapHeader {
@@ -558,15 +551,5 @@ mod tests {
         let file = write_all(&[]);
         let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
         assert!(reader.next_packet().unwrap().is_none());
-    }
-
-    #[test]
-    fn timestamp_secs_combines_parts() {
-        let packet = PcapPacket {
-            ts_sec: 2,
-            ts_nanos: 500_000_000,
-            data: vec![],
-        };
-        assert!((packet.timestamp_secs() - 2.5).abs() < 1e-9);
     }
 }

@@ -310,21 +310,6 @@ impl TcpHeader {
         }
     }
 
-    /// Creates the server's SYN/ACK answer to a SYN with sequence `peer_seq`.
-    pub fn syn_ack(src_port: u16, dst_port: u16, seq: u32, peer_seq: u32) -> Self {
-        TcpHeader {
-            src_port,
-            dst_port,
-            seq,
-            ack: peer_seq.wrapping_add(1),
-            flags: TcpFlags::SYN | TcpFlags::ACK,
-            window: 65535,
-            checksum: 0,
-            urgent: 0,
-            options: vec![TcpOption::Mss(1460)],
-        }
-    }
-
     /// Creates a bare ACK segment.
     pub fn ack(src_port: u16, dst_port: u16, seq: u32, ack: u32) -> Self {
         TcpHeader {
@@ -553,13 +538,6 @@ mod tests {
         assert!(syn.flags.is_pure_syn());
         assert_eq!(syn.header_len(), 24); // MSS option padded to 4 bytes
         assert_eq!(syn.data_offset(), 6);
-    }
-
-    #[test]
-    fn syn_ack_acks_isn_plus_one() {
-        let sa = TcpHeader::syn_ack(80, 1025, 99, u32::MAX);
-        assert_eq!(sa.ack, 0); // wrapping
-        assert!(sa.flags.is_syn_ack());
     }
 
     #[test]

@@ -4,10 +4,7 @@ use proptest::prelude::*;
 use std::io::{Cursor, Read};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use syndog_net::batch::{
-    classify_batch, classify_batch_scalar, classify_batch_sink, ClassCounts, FrameBatch,
-};
-use syndog_net::classify::{classify, kind_of, SegmentKind};
+use syndog_net::classify::{classify, kind_of};
 use syndog_net::ethernet::EthernetHeader;
 use syndog_net::ipv4::{internet_checksum, Ipv4Header, PROTO_TCP};
 use syndog_net::packet::{Packet, PacketBuilder, PacketView};
@@ -25,8 +22,7 @@ fn arb_socket() -> impl Strategy<Value = SocketAddrV4> {
 
 /// A hand-assembled IPv4/TCP frame with an arbitrary IHL (including the
 /// odd option-bearing lengths `PacketBuilder` never emits) and an
-/// arbitrary version nibble. Exercises the SWAR fast path's fallback
-/// precondition: only `ver_ihl == 0x45` frames stay on the fast lanes.
+/// arbitrary version nibble.
 fn raw_ihl_frame(version: u8, ihl_words: u8, flag_bits: u8, tail: usize) -> Vec<u8> {
     let ihl = usize::from(ihl_words) * 4;
     let mut frame = vec![0u8; 14 + ihl + 14 + tail];
@@ -88,63 +84,6 @@ fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
-    /// Batched classification agrees exactly with the per-frame fold over
-    /// any mix of well-formed, fragmented, truncated, non-TCP and
-    /// non-IPv4 frames — the equivalence the whole batched ingestion
-    /// pipeline rests on.
-    #[test]
-    fn classify_batch_matches_per_frame_fold(
-        frames in proptest::collection::vec(arb_frame(), 0..64),
-    ) {
-        let batch: FrameBatch = frames.iter().collect();
-        prop_assert_eq!(batch.len(), frames.len());
-        let mut folded = ClassCounts::new();
-        for frame in &frames {
-            folded.record_outcome(&classify(frame));
-        }
-        prop_assert_eq!(classify_batch(&batch), folded);
-        // The arena hands back byte-identical frames.
-        for (stored, original) in batch.iter().zip(&frames) {
-            prop_assert_eq!(stored, original.as_slice());
-        }
-    }
-
-    /// The SWAR fast path and the scalar reference fold produce identical
-    /// tallies — including the malformed bucket — over arbitrary mixes of
-    /// truncated, non-IPv4, fragmented and odd-IHL frames.
-    #[test]
-    fn swar_classify_matches_scalar_reference(
-        frames in proptest::collection::vec(arb_frame(), 0..96),
-    ) {
-        let batch: FrameBatch = frames.iter().collect();
-        prop_assert_eq!(classify_batch(&batch), classify_batch_scalar(&batch));
-    }
-
-    /// The per-SYN sink delivers exactly the pure-SYN frames of the batch
-    /// (the fingerprinting hook) — same multiset as a scalar filter over
-    /// the frames, same tally as the sink-less classifier — over arbitrary
-    /// mixes of truncated, non-IPv4, fragmented and odd-IHL frames.
-    #[test]
-    fn swar_syn_sink_matches_scalar_filter(
-        frames in proptest::collection::vec(arb_frame(), 0..96),
-    ) {
-        let batch: FrameBatch = frames.iter().collect();
-        let mut sunk: Vec<Vec<u8>> = Vec::new();
-        let counts = classify_batch_sink(&batch, |frame| sunk.push(frame.to_vec()));
-        prop_assert_eq!(&counts, &classify_batch_scalar(&batch));
-        let mut expected: Vec<Vec<u8>> = frames
-            .iter()
-            .filter(|frame| matches!(classify(frame), Ok(SegmentKind::Syn)))
-            .cloned()
-            .collect();
-        prop_assert_eq!(sunk.len() as u64, counts.syn());
-        // Slow lanes of a SWAR group are sunk before its fast lanes, so
-        // compare as multisets.
-        sunk.sort();
-        expected.sort();
-        prop_assert_eq!(sunk, expected);
-    }
-
     /// `Packet::decode` — the borrowed view plus an owned copy — accepts
     /// and rejects exactly what the layer decoders composed by hand do
     /// (IPv4 whatever the EtherType, TCP only for unfragmented protocol
@@ -164,7 +103,7 @@ proptest! {
         let layered = (|| {
             let (ethernet, rest) = EthernetHeader::decode(&frame)?;
             let (ipv4, ip_payload) = Ipv4Header::decode(rest, false)?;
-            let (tcp, payload) = if ipv4.protocol == PROTO_TCP && !ipv4.is_later_fragment() {
+            let (tcp, payload) = if ipv4.protocol == PROTO_TCP && ipv4.fragment_offset == 0 {
                 let (tcp, payload) = TcpHeader::decode(ip_payload, None)?;
                 (Some(tcp), payload)
             } else {

@@ -182,12 +182,6 @@ impl SynDogAgent {
         &self.router
     }
 
-    /// Mutable router access for callers that tally counts themselves
-    /// (the concurrent coordinator) before closing the period.
-    pub(crate) fn router_mut(&mut self) -> &mut LeafRouter {
-        &mut self.router
-    }
-
     /// The underlying detector.
     pub fn detector(&self) -> &AnyDetector {
         &self.detector
@@ -305,12 +299,12 @@ impl SynDogAgent {
         self.run_trace_with(records, Some(trace.duration()), |_, _, _| {})
     }
 
-    /// The record loop, for any record stream: every record the
-    /// [`SpanRule`] of `span` admits goes, in stream order, through
-    /// [`SynDogAgent::filter_record`] (so an armed engine judges it; a
-    /// record behind the clock counts in the open period and as late,
-    /// [`LeafRouter::late`]) and then to `on_record` with the agent and its
-    /// decision. When the stream ends, the periods up to the rule's last
+    /// The record loop, for any record stream: every record the span
+    /// rule of `span` admits (see [`crate::router`]) goes, in stream
+    /// order, through [`SynDogAgent::filter_record`] (so an armed engine
+    /// judges it; a record behind the clock counts in the open period and
+    /// as late, [`LeafRouter::late`]) and then to `on_record` with the
+    /// agent and its decision. When the stream ends, the periods up to the rule's last
     /// close. Returns the detections this run closed.
     pub fn run_trace_with<I, F>(
         &mut self,

@@ -208,13 +208,6 @@ pub struct Campaign {
     pub est_total_rate: f64,
 }
 
-impl Campaign {
-    /// The member stub indices, sorted ascending.
-    pub fn stub_indices(&self) -> Vec<usize> {
-        self.members.iter().map(|m| m.stub).collect()
-    }
-}
-
 /// The correlation tier's verdict over one fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
@@ -679,7 +672,8 @@ mod tests {
         let report = correlator.finish("x", 7);
         assert_eq!(report.campaigns.len(), 1);
         let campaign = &report.campaigns[0];
-        assert_eq!(campaign.stub_indices(), vec![1, 6]);
+        let stubs: Vec<usize> = campaign.members.iter().map(|m| m.stub).collect();
+        assert_eq!(stubs, vec![1, 6]);
         assert_eq!(campaign.regions, 2);
         assert!((campaign.est_total_rate - 4.0).abs() < 1e-9);
     }

@@ -31,20 +31,6 @@ pub struct AttackEpisode {
     pub peak_statistic: f64,
 }
 
-impl AttackEpisode {
-    /// Alarm latency in periods (alarm − onset); the quantity Tables 2–3
-    /// report.
-    pub fn detection_delay(&self) -> u64 {
-        self.alarm_period.saturating_sub(self.onset_period + 1)
-    }
-
-    /// Episode length in periods, if it ended.
-    pub fn duration_periods(&self) -> Option<u64> {
-        self.end_period
-            .map(|end| end.saturating_sub(self.onset_period))
-    }
-}
-
 /// A change of episode state at one period.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EpisodeEdge {
@@ -152,7 +138,6 @@ mod tests {
         let end = ep.end_period.expect("flood ends inside the series");
         assert!(end > 32, "end {end}");
         assert!(ep.peak_statistic > 2.0);
-        assert_eq!(ep.detection_delay(), ep.alarm_period - 20);
     }
 
     #[test]
@@ -177,7 +162,6 @@ mod tests {
         let episodes = extract_episodes(&detections);
         assert_eq!(episodes.len(), 1);
         assert_eq!(episodes[0].end_period, None);
-        assert_eq!(episodes[0].duration_periods(), None);
     }
 
     #[test]

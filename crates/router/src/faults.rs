@@ -15,8 +15,8 @@
 //! | corrupt | `corrupt=P` | flag byte flipped: kind re-rolled |
 //! | clock jitter | `jitter_ms=M` | timestamp perturbed by ±`M` ms |
 //!
-//! Every front end (`detect` with or without mitigation, `replay`, the
-//! fleet) faults through this one pass, so a spec means the same thing
+//! Every front end (`detect` with or without mitigation, the fleet)
+//! faults through this one pass, so a spec means the same thing
 //! everywhere, and the same seed replays the same faulted trace
 //! bit-for-bit. A [`FaultLedger`] tallies what was done; a
 //! [`FaultTelemetry`](crate::telemetry::FaultTelemetry) exports the

@@ -1094,13 +1094,17 @@ mod tests {
         let hub = Arc::new(Telemetry::new());
         let fleet = Fleet::new(scenario).with_telemetry(Arc::clone(&hub));
         let prepared = fleet.prepare_telemetry();
-        let registered = hub.registry().series_count();
+        let series_count = || {
+            let snapshot = hub.registry().snapshot();
+            snapshot.counters.len() + snapshot.gauges.len() + snapshot.histograms.len()
+        };
+        let registered = series_count();
         assert!(registered > 0, "prepare registers the bundles");
         for index in 0..3 {
             let _ = fleet.run_stub_counts(index, prepared.as_ref());
         }
         assert_eq!(
-            hub.registry().series_count(),
+            series_count(),
             registered,
             "stub jobs must not register series"
         );

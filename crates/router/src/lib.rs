@@ -25,9 +25,6 @@
 //!   [`LeafRouter::ingest`]; every record stream (a capture read by
 //!   `RecordReader`, or an in-memory trace) takes the record loop,
 //!   [`SynDogAgent::run_trace_with`], instead,
-//! - [`concurrent`] — the two-thread shared-memory deployment shape
-//!   described in the paper, with supervised sniffer threads feeding
-//!   lock-free atomic counters from batched frame channels,
 //! - [`fleet`] — the distributed deployment the paper actually argues
 //!   for: a declarative [`Scenario`] of stub networks (each with its own
 //!   workload and optional flooding slave) run by a [`Fleet`] of agents on
@@ -47,8 +44,8 @@
 //! - [`checkpoint`] — versioned, CRC-checked capture/restore of detector
 //!   and router state, so a restarted agent resumes mid-trace without
 //!   re-learning `K̄`,
-//! - [`telemetry`] — the named metric series and structured events both
-//!   deployment shapes report into a shared
+//! - [`telemetry`] — the named metric series and structured events the
+//!   agent reports into a shared
 //!   [`syndog_telemetry::Telemetry`] hub; registration is up-front and
 //!   the record path is relaxed atomics, so instrumentation never
 //!   touches the ingest hot path.
@@ -57,7 +54,6 @@
 
 pub mod agent;
 pub mod checkpoint;
-pub mod concurrent;
 pub mod correlate;
 pub mod episodes;
 pub mod faults;
@@ -71,7 +67,6 @@ pub mod telemetry;
 
 pub use agent::{Alarm, SynDogAgent};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
-pub use concurrent::{ConcurrentSynDog, OverflowPolicy};
 pub use correlate::{
     AlarmOnset, Campaign, CampaignMember, CampaignReport, CollectorConfig, CorrelatedRun,
     FleetCorrelator, RegionalCollector,
@@ -86,7 +81,7 @@ pub use mitigate::{
     KeyMode, MitigationDecision, MitigationEngine, MitigationPolicy, MitigationState,
     MitigationStats, ThrottleKey, TokenBucket,
 };
-pub use router::{LeafRouter, SpanRule};
+pub use router::LeafRouter;
 pub use sniffer::Sniffer;
 pub use source::{EventBatch, FrameEvent, FrameSource, PcapSource, DEFAULT_BATCH_SIZE};
-pub use telemetry::{AgentTelemetry, ConcurrentTelemetry, FaultTelemetry, MitigationTelemetry};
+pub use telemetry::{AgentTelemetry, FaultTelemetry, MitigationTelemetry};

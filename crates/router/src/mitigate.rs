@@ -752,7 +752,7 @@ impl MitigationEngine {
     }
 
     /// Count-level throttling for deployments that never see individual
-    /// records (the concurrent coordinator, count-driven fleet runs): while
+    /// records (count-driven fleet runs): while
     /// engaged, the period's SYN volume beyond `K̄ + allowance` is deemed
     /// attack excess and throttled in aggregate. Returns the number of
     /// SYNs throttled. An approximation — no per-key attribution is

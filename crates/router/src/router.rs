@@ -17,8 +17,10 @@
 //! ends at or before the new time, emitting one [`PeriodSignals`] each.
 //! The clock only moves forward: a record older than the open period
 //! (reordered or jittered) is counted in the open period, and tallied as
-//! late ([`LeafRouter::late`]). Where a stream ends is the [`SpanRule`]'s
-//! business.
+//! late ([`LeafRouter::late`]). Where a stream ends is the span rule's
+//! business: a declared span (a binary trace's duration) closes
+//! `⌈span / t0⌉` periods and skips the records past it; without one (a
+//! pcap), the last period closed is the one holding the latest record.
 
 use syndog::PeriodSignals;
 use syndog_net::Ipv4Net;
@@ -148,17 +150,6 @@ impl LeafRouter {
         }
     }
 
-    /// Batched input: folds a pre-classified tally into the given
-    /// interface's sniffer (the concurrent deployment drains its atomic
-    /// counters through here, so its periods close through the same
-    /// [`LeafRouter::take_period_sample`] as every other mode).
-    pub fn observe_counts(&mut self, direction: Direction, counts: &syndog_net::ClassCounts) {
-        match direction {
-            Direction::Outbound => self.outbound.observe_counts(counts),
-            Direction::Inbound => self.inbound.observe_counts(counts),
-        }
-    }
-
     /// Routes one classified event to the right sniffer (malformed events
     /// are tallied without touching the period counts).
     pub fn observe_event(&mut self, event: &FrameEvent) {
@@ -197,7 +188,7 @@ impl LeafRouter {
         Ok(())
     }
 
-    /// Runs a whole trace through the router under the [`SpanRule`] of its
+    /// Runs a whole trace through the router under the span rule of its
     /// duration, returning one sample per period closed.
     pub fn run_trace(&mut self, trace: &Trace) -> Vec<PeriodSignals> {
         let mut samples = Vec::new();
@@ -222,7 +213,7 @@ impl LeafRouter {
 /// the last period closed is the one holding the latest record: with the
 /// forward-only clock, the one open when the stream ends.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanRule {
+pub(crate) struct SpanRule {
     period: SimDuration,
     end: Option<u64>,
     admitted: bool,
@@ -258,7 +249,7 @@ impl SpanRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_net::SegmentKind;
+    use syndog_net::{SegmentKind, TcpFlags};
 
     fn stub() -> Ipv4Net {
         "10.1.0.0/16".parse().unwrap()
@@ -375,9 +366,10 @@ mod tests {
         )
         .build()
         .unwrap();
-        let synack = PacketBuilder::tcp_syn_ack(
+        let synack = PacketBuilder::tcp(
             "192.0.2.80:80".parse().unwrap(),
             "10.1.0.5:1025".parse().unwrap(),
+            TcpFlags::SYN | TcpFlags::ACK,
         )
         .build()
         .unwrap();

@@ -9,7 +9,6 @@
 //! SYN-dog itself immune to the attacks it detects.
 
 use syndog::PeriodSignals;
-use syndog_net::batch::ClassCounts;
 use syndog_net::classify::SegmentKind;
 use syndog_traffic::trace::Direction;
 
@@ -78,22 +77,6 @@ impl Sniffer {
     pub fn observe_malformed(&mut self) {
         self.frames_seen += 1;
         self.malformed += 1;
-    }
-
-    /// Folds a whole pre-classified tally into the counters — the batched
-    /// path. One call replaces `counts.total()` individual observations;
-    /// equivalent to calling [`Sniffer::observe_kind`] /
-    /// [`Sniffer::observe_malformed`] once per tallied frame.
-    pub fn observe_counts(&mut self, counts: &ClassCounts) {
-        self.syn += counts.syn();
-        self.synack += counts.synack();
-        self.fin += counts.get(SegmentKind::Fin);
-        self.rst += counts.get(SegmentKind::Rst);
-        self.frames_seen += counts.total();
-        self.malformed += counts.malformed();
-        for (kind, count) in counts.iter() {
-            self.kinds[kind.index()] += count;
-        }
     }
 
     /// Current SYN count since the last [`Sniffer::take_counts`].

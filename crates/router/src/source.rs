@@ -80,9 +80,7 @@ impl EventBatch {
 
 /// A producer of classified frame events, in capture order.
 ///
-/// [`PcapSource`] is the implementation; the concurrent deployment
-/// bridges its channels onto the same event/period machinery (see
-/// [`crate::concurrent`]).
+/// [`PcapSource`] is the implementation.
 pub trait FrameSource {
     /// Clears `out`, then fills it with the source's next batch of events.
     ///

@@ -3,8 +3,7 @@
 //! The discipline mirrors the one `syndog-telemetry` promises: metric
 //! *registration* (name lookup, label sorting, a mutex) happens once, at
 //! construction, and the handles are held as `Arc`s; the *record* path —
-//! called from [`SynDogAgent::observe_period`] and the
-//! [`ConcurrentSynDog`] submit/flush paths — is relaxed atomics only.
+//! called from [`SynDogAgent::observe_period`] — is relaxed atomics only.
 //! Events (`period_closed`, `alarm_raised`, `alarm_cleared`) fire at
 //! period granularity, never per frame.
 //!
@@ -24,14 +23,6 @@
 //! | `syndog_segments_total` | counter | `interface`, `kind` |
 //! | `syndog_frames_total` | counter | `interface` |
 //! | `syndog_malformed_total` | counter | `interface` |
-//! | `syndog_submitted_batches_total` | counter | `interface` |
-//! | `syndog_submitted_frames_total` | counter | `interface` |
-//! | `syndog_dropped_batches_total` | counter | `interface` |
-//! | `syndog_dropped_frames_total` | counter | `interface` |
-//! | `syndog_channel_depth` | gauge | `interface` |
-//! | `syndog_frames_malformed_total` | counter | `interface` |
-//! | `syndog_flush_micros` | histogram | |
-//! | `syndog_sniffer_restarts_total` | counter | `interface` |
 //! | `syndog_faults_total` | counter | `kind` |
 //! | `syndog_mitigation_engaged` | gauge | |
 //! | `syndog_mitigation_active_keys` | gauge | |
@@ -51,7 +42,6 @@
 //! even several strategies watching the same stub — without collisions.
 //!
 //! [`SynDogAgent::observe_period`]: crate::agent::SynDogAgent::observe_period
-//! [`ConcurrentSynDog`]: crate::concurrent::ConcurrentSynDog
 
 use std::sync::Arc;
 
@@ -126,9 +116,8 @@ impl InterfaceSeries {
     }
 }
 
-/// Telemetry handles for one detection pipeline (an agent or the
-/// concurrent coordinator): per-period detector series plus per-interface
-/// sniffer tallies.
+/// Telemetry handles for one detection pipeline (an agent): per-period
+/// detector series plus per-interface sniffer tallies.
 #[derive(Debug, Clone)]
 pub struct AgentTelemetry {
     hub: Arc<Telemetry>,
@@ -253,112 +242,6 @@ impl AgentTelemetry {
     pub fn sync_sniffers(&mut self, outbound: &Sniffer, inbound: &Sniffer) {
         self.outbound.sync(outbound);
         self.inbound.sync(inbound);
-    }
-}
-
-/// Channel-side series for one concurrent interface. The submit side
-/// (coordinator thread) bumps the submitted/dropped counters; the depth
-/// gauge is shared with the interface's sniffer thread, which decrements
-/// it as it dequeues — so the gauge reads the number of batches in flight.
-#[derive(Debug, Clone)]
-pub struct ChannelTelemetry {
-    submitted_batches: Arc<Counter>,
-    submitted_frames: Arc<Counter>,
-    dropped_batches: Arc<Counter>,
-    dropped_frames: Arc<Counter>,
-    depth: Arc<Gauge>,
-    restarts: Arc<Counter>,
-    malformed: Arc<Counter>,
-}
-
-impl ChannelTelemetry {
-    fn new(telemetry: &Telemetry, direction: Direction) -> Self {
-        let interface = direction_label(direction);
-        let registry = telemetry.registry();
-        ChannelTelemetry {
-            submitted_batches: registry.counter_with(
-                "syndog_submitted_batches_total",
-                &[("interface", interface)],
-            ),
-            submitted_frames: registry
-                .counter_with("syndog_submitted_frames_total", &[("interface", interface)]),
-            dropped_batches: registry
-                .counter_with("syndog_dropped_batches_total", &[("interface", interface)]),
-            dropped_frames: registry
-                .counter_with("syndog_dropped_frames_total", &[("interface", interface)]),
-            depth: registry.gauge_with("syndog_channel_depth", &[("interface", interface)]),
-            restarts: registry
-                .counter_with("syndog_sniffer_restarts_total", &[("interface", interface)]),
-            malformed: registry
-                .counter_with("syndog_frames_malformed_total", &[("interface", interface)]),
-        }
-    }
-
-    /// Records a batch successfully enqueued (coordinator side).
-    pub fn record_submitted(&self, frames: u64) {
-        self.submitted_batches.inc();
-        self.submitted_frames.add(frames);
-        self.depth.add(1.0);
-    }
-
-    /// Records a shed batch under `OverflowPolicy::Drop`.
-    pub fn record_dropped(&self, frames: u64) {
-        self.dropped_batches.inc();
-        self.dropped_frames.add(frames);
-    }
-
-    /// Records frames the classifier rejected (truncated/invalid), tallied
-    /// at period close from the drained [`ClassCounts`] malformed bucket.
-    ///
-    /// [`ClassCounts`]: syndog_net::batch::ClassCounts
-    pub fn record_malformed(&self, frames: u64) {
-        self.malformed.add(frames);
-    }
-
-    /// The depth gauge, for the sniffer thread to decrement on dequeue.
-    pub fn depth(&self) -> Arc<Gauge> {
-        Arc::clone(&self.depth)
-    }
-
-    /// The restarts counter, for the sniffer supervisor to bump when it
-    /// respawns a panicked worker loop.
-    pub fn restarts_counter(&self) -> Arc<Counter> {
-        Arc::clone(&self.restarts)
-    }
-}
-
-/// Telemetry handles for the concurrent deployment's channel layer:
-/// per-interface submit/shed accounting plus the flush-barrier latency
-/// histogram. Detector-side series live in the [`AgentTelemetry`] the
-/// coordinator also carries.
-#[derive(Debug, Clone)]
-pub struct ConcurrentTelemetry {
-    outbound: ChannelTelemetry,
-    inbound: ChannelTelemetry,
-    flush_micros: Arc<Histogram>,
-}
-
-impl ConcurrentTelemetry {
-    /// Registers the channel-layer series on the hub.
-    pub fn new(hub: &Telemetry) -> Self {
-        ConcurrentTelemetry {
-            outbound: ChannelTelemetry::new(hub, Direction::Outbound),
-            inbound: ChannelTelemetry::new(hub, Direction::Inbound),
-            flush_micros: hub.registry().histogram("syndog_flush_micros"),
-        }
-    }
-
-    /// The channel series for one interface.
-    pub fn channel(&self, direction: Direction) -> &ChannelTelemetry {
-        match direction {
-            Direction::Outbound => &self.outbound,
-            Direction::Inbound => &self.inbound,
-        }
-    }
-
-    /// Records one flush barrier's round-trip time.
-    pub fn record_flush(&self, micros: u64) {
-        self.flush_micros.record(micros);
     }
 }
 
@@ -752,46 +635,5 @@ mod tests {
             snap.counter_total("syndog_mitigation_collateral_syns_total"),
             0
         );
-    }
-
-    #[test]
-    fn channel_telemetry_tracks_depth_and_sheds() {
-        let hub = Telemetry::new();
-        let concurrent = ConcurrentTelemetry::new(&hub);
-        let channel = concurrent.channel(Direction::Outbound);
-        channel.record_submitted(100);
-        channel.record_submitted(50);
-        channel.depth().sub(1.0); // sniffer thread dequeues one
-        channel.record_dropped(25);
-        concurrent.record_flush(42);
-        let snap = hub.snapshot();
-        assert_eq!(
-            snap.counter(
-                "syndog_submitted_frames_total",
-                &[("interface", "outbound")]
-            ),
-            Some(150)
-        );
-        assert_eq!(
-            snap.counter("syndog_dropped_frames_total", &[("interface", "outbound")]),
-            Some(25)
-        );
-        assert_eq!(
-            snap.counter("syndog_dropped_batches_total", &[("interface", "outbound")]),
-            Some(1)
-        );
-        let depth = snap
-            .gauges
-            .iter()
-            .find(|g| g.name == "syndog_channel_depth")
-            .expect("depth gauge registered");
-        assert_eq!(depth.value, 1.0);
-        let flush = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "syndog_flush_micros")
-            .expect("flush histogram registered");
-        assert_eq!(flush.count, 1);
-        assert_eq!(flush.sum, 42);
     }
 }

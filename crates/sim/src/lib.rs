@@ -9,9 +9,8 @@
 //!   need (exponential, Pareto, log-normal, normal), implemented by inverse
 //!   transform / Box–Muller so no external distribution crate is required,
 //! - [`stats`] — series statistics used by tests that validate the traffic
-//!   generators (autocorrelation, an R/S Hurst estimator for checking
-//!   self-similarity) and the per-period [`stats::TimeSeries`] behind every
-//!   figure's CSV,
+//!   generators (autocorrelation) and the per-period [`stats::TimeSeries`]
+//!   behind every figure's CSV,
 //! - [`par`] — deterministic index-addressed parallelism for fleet runs and
 //!   experiment sweeps (results are bit-identical for any worker count).
 //!

@@ -1,9 +1,8 @@
 //! Series statistics for traffic validation and experiment reporting.
 //!
 //! The traffic generators need their statistical claims checked — e.g. that
-//! the Pareto-on-off source superposition really produces a Hurst exponent
-//! above one half — and every figure is a per-period [`TimeSeries`] written
-//! out as CSV. Everything here is dependency-free and allocation-light.
+//! an MMPP's per-second counts are correlated where Poisson's are not —
+//! and every figure is a per-period [`TimeSeries`] written out as CSV. Everything here is dependency-free and allocation-light.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,69 +23,6 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
         .map(|i| (series[i] - mean) * (series[i + lag] - mean))
         .sum();
     numer / denom
-}
-
-/// Estimates the Hurst exponent of a series by rescaled-range (R/S)
-/// analysis.
-///
-/// The series is divided into blocks of several sizes; for each size the
-/// mean R/S statistic is computed, and the exponent is the slope of
-/// log(R/S) against log(size) by least squares. Values near 0.5 indicate
-/// short-range dependence; self-similar traffic shows 0.7–0.9.
-///
-/// Returns `None` for series shorter than 32 points or without variation.
-pub fn hurst_rs(series: &[f64]) -> Option<f64> {
-    if series.len() < 32 {
-        return None;
-    }
-    let mut points = Vec::new();
-    let mut size = 8usize;
-    while size <= series.len() / 2 {
-        let mut rs_values = Vec::new();
-        for block in series.chunks_exact(size) {
-            if let Some(rs) = rescaled_range(block) {
-                rs_values.push(rs);
-            }
-        }
-        if !rs_values.is_empty() {
-            let mean_rs = rs_values.iter().sum::<f64>() / rs_values.len() as f64;
-            if mean_rs > 0.0 {
-                points.push(((size as f64).ln(), mean_rs.ln()));
-            }
-        }
-        size *= 2;
-    }
-    if points.len() < 2 {
-        return None;
-    }
-    Some(least_squares_slope(&points))
-}
-
-fn rescaled_range(block: &[f64]) -> Option<f64> {
-    let n = block.len() as f64;
-    let mean = block.iter().sum::<f64>() / n;
-    let std = (block.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
-    if std == 0.0 {
-        return None;
-    }
-    let mut cumulative = 0.0;
-    let mut max_dev: f64 = f64::NEG_INFINITY;
-    let mut min_dev: f64 = f64::INFINITY;
-    for &x in block {
-        cumulative += x - mean;
-        max_dev = max_dev.max(cumulative);
-        min_dev = min_dev.min(cumulative);
-    }
-    Some((max_dev - min_dev) / std)
-}
-
-fn least_squares_slope(points: &[(f64, f64)]) -> f64 {
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|(x, _)| x).sum();
-    let sy: f64 = points.iter().map(|(_, y)| y).sum();
-    let sxx: f64 = points.iter().map(|(x, _)| x * x).sum();
-    let sxy: f64 = points.iter().map(|(x, y)| x * y).sum();
-    (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
 /// A time series of (period index, value) pairs with CSV export — the
@@ -190,36 +126,6 @@ mod tests {
         assert_eq!(autocorrelation(&[], 1), 0.0);
         assert_eq!(autocorrelation(&[1.0, 1.0, 1.0, 1.0], 1), 0.0); // zero variance
         assert_eq!(autocorrelation(&[1.0, 2.0], 5), 0.0); // lag too large
-    }
-
-    #[test]
-    fn hurst_of_white_noise_is_near_half() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let series: Vec<f64> = (0..4096).map(|_| rng.standard_normal()).collect();
-        let h = hurst_rs(&series).unwrap();
-        assert!((0.4..0.65).contains(&h), "white noise hurst {h}");
-    }
-
-    #[test]
-    fn hurst_of_integrated_noise_is_high() {
-        // A random walk's increments are maximally persistent when the walk
-        // itself is fed to R/S analysis.
-        let mut rng = SimRng::seed_from_u64(4);
-        let mut level = 0.0;
-        let series: Vec<f64> = (0..4096)
-            .map(|_| {
-                level += rng.standard_normal();
-                level
-            })
-            .collect();
-        let h = hurst_rs(&series).unwrap();
-        assert!(h > 0.8, "random walk hurst {h}");
-    }
-
-    #[test]
-    fn hurst_rejects_short_or_flat_series() {
-        assert_eq!(hurst_rs(&[1.0; 10]), None);
-        assert_eq!(hurst_rs(&[2.5; 64]), None);
     }
 
     #[test]

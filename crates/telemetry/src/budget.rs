@@ -87,14 +87,6 @@ impl LabelMode {
             }
         }
     }
-
-    /// Number of distinct label sets this mode registers.
-    pub fn label_sets(&self, items: usize) -> usize {
-        match *self {
-            LabelMode::PerItem => items,
-            LabelMode::Grouped { groups, .. } => groups.min(items),
-        }
-    }
 }
 
 /// A bounded tracker of the `k` highest-scoring items, deterministic
@@ -166,8 +158,7 @@ mod tests {
                 groups: 4
             }
         );
-        assert_eq!(budget.mode(10).label_sets(10), 4);
-        assert_eq!(budget.mode(3).label_sets(3), 3);
+        assert_eq!(budget.mode(3), LabelMode::PerItem);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! SYN-dog runs at every leaf router with nobody watching. Threshold
 //! tuning and false-alarm analysis need continuous visibility into the
 //! detector's internal series (`y_n`, per-interface SYN / SYN-ACK
-//! tallies, shed counters), which this crate provides as three pieces:
+//! tallies, throttle counters), which this crate provides as three
+//! pieces:
 //!
 //! - **metrics** ([`Counter`], [`Gauge`], [`Histogram`] in a
 //!   [`Registry`]) — the record path is relaxed atomics only, safe to
-//!   call from the `ConcurrentSynDog` sniffer threads without touching
-//!   the ingest hot path;
+//!   call from the fleet's worker threads sharing one hub while a scrape
+//!   reads it;
 //! - **events** ([`EventLog`]) — a bounded ring of structured
 //!   [`Event`]s (alarm transitions, period closes) with sequence numbers
 //!   and an explicit overwrite-loss counter, so dropped history is

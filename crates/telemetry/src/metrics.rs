@@ -2,15 +2,13 @@
 //!
 //! All three share one discipline: the *record* path (`inc`, `add`, `set`,
 //! `record`) is a handful of relaxed atomic operations — no mutex, no
-//! allocation, no ordering stronger than `Relaxed` — so instrumented code
-//! can call them from the `ConcurrentSynDog` sniffer threads without
-//! perturbing the ingest hot path. Cross-metric consistency is explicitly
-//! *not* promised at read time: a snapshot taken mid-update may see counter
-//! A bumped and counter B not yet — exactly the semantics the detector's
-//! own shared counters already live with (see
-//! `syndog-router::concurrent`). What *is* promised is that no increment
-//! is ever lost: the 8-thread exactness test in `tests/concurrency.rs`
-//! pins that down for every primitive.
+//! allocation, no ordering stronger than `Relaxed` — so the fleet's worker
+//! threads can share one hub without perturbing their hot paths.
+//! Cross-metric consistency is explicitly *not* promised at read time: a
+//! snapshot taken mid-update may see counter A bumped and counter B not
+//! yet. What *is* promised is that no increment is ever lost: the
+//! 8-thread exactness test in `tests/concurrency.rs` pins that down for
+//! every primitive.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -111,15 +111,6 @@ impl Registry {
         get_or_insert(&mut self.lock().histograms, name, labels)
     }
 
-    /// Total number of registered series (counters + gauges +
-    /// histograms, each distinct `(name, labels)` counted once).
-    /// Cardinality-budget tests assert on this; it is also a cheap way
-    /// for an exporter to size its output buffer.
-    pub fn series_count(&self) -> usize {
-        let inner = self.lock();
-        inner.counters.len() + inner.gauges.len() + inner.histograms.len()
-    }
-
     /// Reads every registered metric into a plain-data [`Snapshot`]
     /// (without events — [`crate::Telemetry::snapshot`] adds those).
     pub fn snapshot(&self) -> Snapshot {
@@ -186,12 +177,16 @@ mod tests {
     #[test]
     fn series_count_tracks_distinct_registrations() {
         let registry = Registry::new();
-        assert_eq!(registry.series_count(), 0);
+        let series_count = || {
+            let snapshot = registry.snapshot();
+            snapshot.counters.len() + snapshot.gauges.len() + snapshot.histograms.len()
+        };
+        assert_eq!(series_count(), 0);
         registry.counter("a");
         registry.counter("a"); // dedupes
         registry.gauge_with("b", &[("x", "1")]);
         registry.histogram("c");
-        assert_eq!(registry.series_count(), 3);
+        assert_eq!(series_count(), 3);
     }
 
     #[test]

@@ -24,8 +24,8 @@ fn populated_telemetry() -> Telemetry {
         .add(1100);
     registry.gauge("syndog_cusum_statistic").set(0.75);
     registry
-        .gauge_with("syndog_channel_depth", &[("interface", "outbound")])
-        .set(3.0);
+        .gauge_with("syndog_alarm_active", &[("stub", "128.3.0.0/16")])
+        .set(1.0);
     let latency = registry.histogram("syndog_period_close_micros");
     for v in [0, 1, 5, 17, 1000, 65_536] {
         latency.record(v);

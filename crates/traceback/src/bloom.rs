@@ -72,16 +72,6 @@ impl BloomFilter {
         Self::new(m.max(64), k)
     }
 
-    /// Number of bits in the filter.
-    pub fn bit_len(&self) -> usize {
-        self.m
-    }
-
-    /// Number of hash probes per item.
-    pub fn hashes(&self) -> u32 {
-        self.k
-    }
-
     /// Items inserted so far.
     pub fn inserted(&self) -> u64 {
         self.inserted
@@ -188,9 +178,9 @@ mod tests {
     fn sizing_formula_shapes() {
         let tight = BloomFilter::with_capacity(1000, 0.001);
         let loose = BloomFilter::with_capacity(1000, 0.1);
-        assert!(tight.bit_len() > loose.bit_len());
-        assert!(tight.hashes() >= loose.hashes());
-        assert_eq!(tight.byte_size(), tight.bit_len().div_ceil(64) * 8);
+        assert!(tight.m > loose.m);
+        assert!(tight.k >= loose.k);
+        assert_eq!(tight.byte_size(), tight.m.div_ceil(64) * 8);
     }
 
     #[test]

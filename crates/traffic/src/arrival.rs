@@ -306,7 +306,7 @@ impl<M: ArrivalModel> ArrivalModel for DiurnalArrivals<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_sim::stats::{autocorrelation, hurst_rs};
+    use syndog_sim::stats::autocorrelation;
 
     fn bin_per_second(arrivals: &[SimTime], duration_secs: usize) -> Vec<f64> {
         let mut bins = vec![0.0; duration_secs];
@@ -366,32 +366,6 @@ mod tests {
         // Strong positive short-lag correlation distinguishes MMPP from
         // Poisson.
         assert!(autocorrelation(&bins, 1) > 0.4);
-    }
-
-    #[test]
-    fn pareto_on_off_rate_and_self_similarity() {
-        let mut rng = SimRng::seed_from_u64(6);
-        let model = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4);
-        assert!((model.mean_rate() - 64.0).abs() < 1e-9);
-        let arrivals = model.generate(SimDuration::from_secs(4096), &mut rng);
-        let rate = arrivals.len() as f64 / 4096.0;
-        assert!((rate / 64.0 - 1.0).abs() < 0.25, "rate {rate}");
-        let bins = bin_per_second(&arrivals, 4096);
-        let h = hurst_rs(&bins).unwrap();
-        // Theory: H = (3 − 1.4)/2 = 0.8; accept a generous band but insist
-        // it is clearly above the short-range 0.5.
-        assert!(h > 0.65, "hurst {h}");
-    }
-
-    #[test]
-    fn poisson_hurst_is_lower_than_pareto_on_off() {
-        let mut rng = SimRng::seed_from_u64(7);
-        let poisson = PoissonArrivals::new(64.0).generate(SimDuration::from_secs(4096), &mut rng);
-        let onoff = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4)
-            .generate(SimDuration::from_secs(4096), &mut rng);
-        let hp = hurst_rs(&bin_per_second(&poisson, 4096)).unwrap();
-        let ho = hurst_rs(&bin_per_second(&onoff, 4096)).unwrap();
-        assert!(ho > hp + 0.1, "poisson {hp}, on/off {ho}");
     }
 
     #[test]

@@ -16,9 +16,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use serde::{Deserialize, Serialize};
 use syndog_net::packet::PacketBuilder;
 use syndog_net::pcap::{PcapPacket, PcapReader, PcapWriter};
-use syndog_net::{
-    classify, FrameBatch, Ipv4Net, MacAddr, NetError, PacketView, SegmentKind, TcpFlags,
-};
+use syndog_net::{classify, Ipv4Net, MacAddr, NetError, PacketView, SegmentKind, TcpFlags};
 use syndog_sim::{SimDuration, SimTime};
 
 /// Which way a segment crossed the leaf router.
@@ -354,18 +352,6 @@ impl Trace {
         Ok(())
     }
 
-    /// Deserializes from the binary trace format: a collect over
-    /// [`RecordReader::binary`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::BadMagic`] / [`TraceError::Truncated`] /
-    /// [`TraceError::InvalidRecord`] for malformed input, and propagates
-    /// I/O errors.
-    pub fn read_binary<R: Read>(reader: R) -> Result<Self, TraceError> {
-        RecordReader::binary(reader)?.into_trace()
-    }
-
     /// Synthesizes one real Ethernet frame for a record (flags chosen to
     /// match the record's classification) — shared by pcap export and the
     /// frame-batch bridge.
@@ -400,23 +386,6 @@ impl Trace {
                 .src_mac(r.src_mac)
                 .build()
         }
-    }
-
-    /// Synthesizes the frames for a record slice into one contiguous
-    /// [`FrameBatch`] arena — the bridge between record slices (e.g.
-    /// `trace.records().chunks(n)`) and the raw-frame pipeline
-    /// (`classify_batch`, the concurrent sniffer channels), with no pcap
-    /// file detour and one allocation region per batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates packet-encoding errors.
-    pub fn frame_batch(records: &[TraceRecord]) -> Result<FrameBatch, TraceError> {
-        let mut batch = FrameBatch::with_capacity(records.len(), records.len() * 60);
-        for r in records {
-            batch.push(&Self::synthesize_frame(r)?);
-        }
-        Ok(batch)
     }
 
     /// Exports the trace as a pcap capture by synthesizing one real
@@ -676,6 +645,11 @@ impl Extend<TraceRecord> for Trace {
 mod tests {
     use super::*;
 
+    /// The binary format's reader, collected.
+    fn read_binary(bytes: &[u8]) -> Result<Trace, TraceError> {
+        RecordReader::binary(bytes)?.into_trace()
+    }
+
     fn rec(secs: f64, direction: Direction, kind: SegmentKind) -> TraceRecord {
         TraceRecord::new(
             SimTime::from_secs_f64(secs),
@@ -748,15 +722,13 @@ mod tests {
     }
 
     #[test]
-    fn frame_batches_classify_back_to_record_kinds() {
+    fn synthesized_frames_classify_back_to_record_kinds() {
         let t = sample_trace();
-        let mut kinds = Vec::new();
-        for chunk in t.records().chunks(2) {
-            let batch = Trace::frame_batch(chunk).unwrap();
-            for frame in &batch {
-                kinds.push(classify(frame).unwrap());
-            }
-        }
+        let kinds: Vec<SegmentKind> = t
+            .records()
+            .iter()
+            .map(|r| classify(&Trace::synthesize_frame(r).unwrap()).unwrap())
+            .collect();
         let expected: Vec<SegmentKind> = t.records().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, expected);
     }
@@ -766,7 +738,7 @@ mod tests {
         let t = sample_trace();
         let mut buf = Vec::new();
         t.write_binary(&mut buf).unwrap();
-        let restored = Trace::read_binary(buf.as_slice()).unwrap();
+        let restored = read_binary(buf.as_slice()).unwrap();
         assert_eq!(restored, t);
     }
 
@@ -779,20 +751,17 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] ^= 0xff;
         assert!(matches!(
-            Trace::read_binary(bad.as_slice()),
+            read_binary(bad.as_slice()),
             Err(TraceError::BadMagic(_))
         ));
         // Truncated mid-record.
         let cut = &buf[..buf.len() - 3];
-        assert!(matches!(
-            Trace::read_binary(cut),
-            Err(TraceError::Truncated)
-        ));
+        assert!(matches!(read_binary(cut), Err(TraceError::Truncated)));
         // Bad direction byte in the first record.
         let mut bad_dir = buf.clone();
         bad_dir[22 + 8] = 9;
         assert!(matches!(
-            Trace::read_binary(bad_dir.as_slice()),
+            read_binary(bad_dir.as_slice()),
             Err(TraceError::InvalidRecord("direction"))
         ));
     }
@@ -847,7 +816,7 @@ mod tests {
         let mut buf = Vec::new();
         t.write_binary(&mut buf).unwrap();
         assert_eq!(
-            Trace::read_binary(buf.as_slice()).unwrap().records()[0].src_mac,
+            read_binary(buf.as_slice()).unwrap().records()[0].src_mac,
             mac
         );
         let mut file = Vec::new();
@@ -870,7 +839,7 @@ mod tests {
         );
         let mut buf = Vec::new();
         t.write_binary(&mut buf).unwrap();
-        let restored = Trace::read_binary(buf.as_slice()).unwrap();
+        let restored = read_binary(buf.as_slice()).unwrap();
         assert_eq!(restored, t);
         assert_eq!(restored.records()[0].fp, fp);
         // pcap export synthesizes the fingerprint into the SYN's headers;
@@ -905,14 +874,14 @@ mod tests {
             v1.extend_from_slice(&r.dst.port().to_be_bytes());
             v1.extend_from_slice(&r.src_mac.octets());
         }
-        let restored = Trace::read_binary(v1.as_slice()).unwrap();
+        let restored = read_binary(v1.as_slice()).unwrap();
         assert_eq!(restored, t);
         assert!(restored.records().iter().all(|r| r.fp == 0));
         // Unknown future versions are rejected, not misparsed.
         let mut v9 = v1.clone();
         v9[4..6].copy_from_slice(&9u16.to_be_bytes());
         assert!(matches!(
-            Trace::read_binary(v9.as_slice()),
+            read_binary(v9.as_slice()),
             Err(TraceError::InvalidRecord("format version"))
         ));
     }
@@ -931,7 +900,7 @@ mod tests {
         assert_eq!(reader.next(), None);
         assert!(matches!(reader.finish(), Err(TraceError::Truncated)));
         assert!(matches!(
-            Trace::read_binary(head.as_slice()),
+            read_binary(head.as_slice()),
             Err(TraceError::Truncated)
         ));
     }

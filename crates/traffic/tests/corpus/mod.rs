@@ -32,7 +32,7 @@ pub fn base_frame(shape: u8, inbound: bool, host: u16) -> Vec<u8> {
             TcpOption::Timestamps(1, 0),
         ]),
         1 => PacketBuilder::tcp_syn(src, dst),
-        2 => PacketBuilder::tcp_syn_ack(src, dst),
+        2 => PacketBuilder::tcp(src, dst, TcpFlags::SYN | TcpFlags::ACK),
         3 => PacketBuilder::tcp(src, dst, TcpFlags::ACK | TcpFlags::PSH).payload(vec![7u8; 40]),
         4 => PacketBuilder::tcp(src, dst, TcpFlags::FIN | TcpFlags::ACK),
         5 => PacketBuilder::tcp(src, dst, TcpFlags::RST),

@@ -1,9 +1,140 @@
 //! Statistical validation of the traffic substrate: the properties the
 //! paper's argument rests on, measured on generated traffic at scale.
 
-use syndog_sim::stats::{autocorrelation, hurst_rs};
-use syndog_sim::SimRng;
+use syndog_sim::stats::autocorrelation;
+use syndog_sim::{SimDuration, SimRng, SimTime};
+use syndog_traffic::arrival::{ArrivalModel, ParetoOnOffArrivals, PoissonArrivals};
 use syndog_traffic::sites::SiteProfile;
+
+/// Estimates the Hurst exponent of a series by rescaled-range (R/S)
+/// analysis.
+///
+/// The series is divided into blocks of several sizes; for each size the
+/// mean R/S statistic is computed, and the exponent is the slope of
+/// log(R/S) against log(size) by least squares. Values near 0.5 indicate
+/// short-range dependence; self-similar traffic shows 0.7–0.9.
+///
+/// Returns `None` for series shorter than 32 points or without variation.
+fn hurst_rs(series: &[f64]) -> Option<f64> {
+    if series.len() < 32 {
+        return None;
+    }
+    let mut points = Vec::new();
+    let mut size = 8usize;
+    while size <= series.len() / 2 {
+        let mut rs_values = Vec::new();
+        for block in series.chunks_exact(size) {
+            if let Some(rs) = rescaled_range(block) {
+                rs_values.push(rs);
+            }
+        }
+        if !rs_values.is_empty() {
+            let mean_rs = rs_values.iter().sum::<f64>() / rs_values.len() as f64;
+            if mean_rs > 0.0 {
+                points.push(((size as f64).ln(), mean_rs.ln()));
+            }
+        }
+        size *= 2;
+    }
+    if points.len() < 2 {
+        return None;
+    }
+    Some(least_squares_slope(&points))
+}
+
+fn rescaled_range(block: &[f64]) -> Option<f64> {
+    let n = block.len() as f64;
+    let mean = block.iter().sum::<f64>() / n;
+    let std = (block.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
+    if std == 0.0 {
+        return None;
+    }
+    let mut cumulative = 0.0;
+    let mut max_dev: f64 = f64::NEG_INFINITY;
+    let mut min_dev: f64 = f64::INFINITY;
+    for &x in block {
+        cumulative += x - mean;
+        max_dev = max_dev.max(cumulative);
+        min_dev = min_dev.min(cumulative);
+    }
+    Some((max_dev - min_dev) / std)
+}
+
+fn least_squares_slope(points: &[(f64, f64)]) -> f64 {
+    let n = points.len() as f64;
+    let sx: f64 = points.iter().map(|(x, _)| x).sum();
+    let sy: f64 = points.iter().map(|(_, y)| y).sum();
+    let sxx: f64 = points.iter().map(|(x, _)| x * x).sum();
+    let sxy: f64 = points.iter().map(|(x, y)| x * y).sum();
+    (n * sxy - sx * sy) / (n * sxx - sx * sx)
+}
+
+fn bin_per_second(arrivals: &[SimTime], duration_secs: usize) -> Vec<f64> {
+    let mut bins = vec![0.0; duration_secs];
+    for t in arrivals {
+        let idx = t.as_secs_f64() as usize;
+        if idx < bins.len() {
+            bins[idx] += 1.0;
+        }
+    }
+    bins
+}
+
+#[test]
+fn hurst_of_white_noise_is_near_half() {
+    let mut rng = SimRng::seed_from_u64(3);
+    let series: Vec<f64> = (0..4096).map(|_| rng.standard_normal()).collect();
+    let h = hurst_rs(&series).unwrap();
+    assert!((0.4..0.65).contains(&h), "white noise hurst {h}");
+}
+
+#[test]
+fn hurst_of_integrated_noise_is_high() {
+    // A random walk's increments are maximally persistent when the walk
+    // itself is fed to R/S analysis.
+    let mut rng = SimRng::seed_from_u64(4);
+    let mut level = 0.0;
+    let series: Vec<f64> = (0..4096)
+        .map(|_| {
+            level += rng.standard_normal();
+            level
+        })
+        .collect();
+    let h = hurst_rs(&series).unwrap();
+    assert!(h > 0.8, "random walk hurst {h}");
+}
+
+#[test]
+fn hurst_rejects_short_or_flat_series() {
+    assert_eq!(hurst_rs(&[1.0; 10]), None);
+    assert_eq!(hurst_rs(&[2.5; 64]), None);
+}
+
+#[test]
+fn pareto_on_off_rate_and_self_similarity() {
+    let mut rng = SimRng::seed_from_u64(6);
+    let model = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4);
+    assert!((model.mean_rate() - 64.0).abs() < 1e-9);
+    let arrivals = model.generate(SimDuration::from_secs(4096), &mut rng);
+    let rate = arrivals.len() as f64 / 4096.0;
+    assert!((rate / 64.0 - 1.0).abs() < 0.25, "rate {rate}");
+    let bins = bin_per_second(&arrivals, 4096);
+    let h = hurst_rs(&bins).unwrap();
+    // Theory: H = (3 − 1.4)/2 = 0.8; accept a generous band but insist
+    // it is clearly above the short-range 0.5.
+    assert!(h > 0.65, "hurst {h}");
+}
+
+#[test]
+fn poisson_hurst_is_lower_than_pareto_on_off() {
+    let mut rng = SimRng::seed_from_u64(7);
+    let poisson = PoissonArrivals::new(64.0).generate(SimDuration::from_secs(4096), &mut rng);
+    let onoff = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4)
+        .generate(SimDuration::from_secs(4096), &mut rng);
+    let hp = hurst_rs(&bin_per_second(&poisson, 4096)).unwrap();
+    let ho = hurst_rs(&bin_per_second(&onoff, 4096)).unwrap();
+    assert!(ho > hp + 0.1, "poisson {hp}, on/off {ho}");
+}
 
 fn syn_series(site: &SiteProfile, seed: u64) -> Vec<f64> {
     let mut rng = SimRng::seed_from_u64(seed);

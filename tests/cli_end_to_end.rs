@@ -92,6 +92,10 @@ fn unknown_command_fails_with_usage() {
     assert!(!output.status.success());
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("usage"), "{err}");
+    // The threaded `replay` front end is gone; `detect` covers it.
+    let err = run_rejected(&["replay", "--in", "s.bin", "--stub", "128.3.0.0/16"]);
+    assert!(err.contains("unknown command: replay"), "{err}");
+    assert!(err.contains("usage"), "{err}");
 }
 
 #[test]
@@ -130,20 +134,22 @@ fn unknown_flags_are_rejected_not_ignored() {
         "on",
     ]);
     assert!(err.contains("unknown flag --mitgate"), "{err}");
-    // replay has one sniffer thread per interface; there is no --shards.
-    let err = run_rejected(&[
-        "replay",
-        "--in",
-        "s.bin",
-        "--stub",
-        "128.3.0.0/16",
-        "--shards",
-        "4",
-    ]);
-    assert!(err.contains("unknown flag --shards"), "{err}");
+    // detect has no sniffer threads, so no queue to size or shed.
+    for flag in ["--capacity", "--batch-size"] {
+        let err = run_rejected(&[
+            "detect",
+            "--in",
+            "s.bin",
+            "--stub",
+            "128.3.0.0/16",
+            flag,
+            "8",
+        ]);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
 }
 
-/// The detection report block `detect`, `sniff` and `replay` share: the
+/// The detection report block `detect` and `sniff` share: the
 /// `N periods, K = .., max y_n = .., threshold N = ..` summary, the
 /// `FLOODING DETECTED` line and the alarm count.
 fn report_block(out: &str) -> Vec<&str> {
@@ -174,11 +180,11 @@ fn number_after(text: &str, prefix: &str) -> u64 {
 }
 
 #[test]
-fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
+fn detect_agrees_with_sniff_and_counts_every_record() {
     let dir = std::env::temp_dir();
-    let bg = dir.join("syndog_e2e_replay_bg.bin");
-    let flooded = dir.join("syndog_e2e_replay_flooded.bin");
-    let flooded_pcap = dir.join("syndog_e2e_replay_flooded.pcap");
+    let bg = dir.join("syndog_e2e_agree_bg.bin");
+    let flooded = dir.join("syndog_e2e_agree_flooded.bin");
+    let flooded_pcap = dir.join("syndog_e2e_agree_flooded.pcap");
     let bg_s = bg.to_str().unwrap();
     let out = run_ok(&["generate", "--site", "lbl", "--seed", "2", "--out", bg_s]);
     let background = number_after(&out, "(");
@@ -205,7 +211,6 @@ fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
         let stub = ["--in", input.to_str().unwrap(), "--stub", "128.3.0.0/16"];
         let detect_out = run_ok(&[&["detect"], &stub[..]].concat());
         let sniff_out = run_ok(&[&["sniff"], &stub[..]].concat());
-        let replay_out = run_ok(&[&["replay"], &stub[..]].concat());
         let detect = report_block(&detect_out);
         assert!(detect[2].ends_with(" alarm periods total"), "{detect_out}");
         assert_eq!(
@@ -213,30 +218,12 @@ fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
             detect,
             "sniff and detect close the same periods on {input:?}"
         );
-        assert_eq!(
-            report_block(&replay_out),
-            detect,
-            "replay and detect close the same periods on {input:?}"
-        );
 
-        // Every ingestion path reads the records inside the trace's
-        // declared span: the few handshake tails the generator writes past
-        // the end of a binary trace are skipped, exactly as `detect` skips
-        // them.
+        // Both read the records inside the trace's declared span: the few
+        // handshake tails the generator writes past the end of a binary
+        // trace are skipped.
         let records = number_after(&sniff_out, "sniffed ");
         assert!(records > 0 && records <= written, "{records} of {written}");
-        // Overflow shedding: whatever the sniffers did not count, the drop
-        // tally did — every record is accounted for exactly once.
-        let shed = ["--drop", "--capacity", "1", "--batch-size", "8"];
-        let out = run_ok(&[&["replay"], &stub[..], &shed[..]].concat());
-        let outbound = number_after(&out, "sniffer threads: ");
-        let inbound = number_after(&out, "outbound / ");
-        let dropped = if out.contains("overflow shed") {
-            number_after(&out, "batches / ")
-        } else {
-            0
-        };
-        assert_eq!(outbound + inbound + dropped, records, "{out}");
     }
 
     for file in [bg, flooded, flooded_pcap] {
@@ -244,9 +231,82 @@ fn replay_agrees_with_detect_and_sniff_and_conserves_frames() {
     }
 }
 
-/// `--faults` is one record pass on every front end: `detect`, `detect
-/// --mitigate` and `replay` print one report block and one fault ledger,
-/// and the ledger shows the reordering happened.
+/// Kill/resume at the CLI: `detect --checkpoint` on the head of a capture
+/// cut at a period boundary, then `detect --resume` over the whole
+/// capture, prints the report of one uninterrupted run — with
+/// fingerprint-keyed mitigation armed, its `MITIGATION` lines too, and
+/// whether the cut falls before the alarm or while throttles are engaged.
+#[test]
+fn resumed_detect_equals_an_uninterrupted_run() {
+    use syndog_net::pcap::{PcapReader, PcapWriter};
+
+    let dir = std::env::temp_dir().join(format!("syndog_e2e_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (bg, pcap, head, ck) = (
+        path("bg.bin"),
+        path("flood.pcap"),
+        path("head.pcap"),
+        path("head.ck"),
+    );
+    run_ok(&["generate", "--site", "lbl", "--seed", "1", "--out", &bg]);
+    run_ok(&["inject", "--in", &bg, "--out", &pcap, "--rate", "50"]);
+    let stub = ["--stub", "128.3.0.0/16"];
+    let mitigate = ["--mitigate", "--throttle-key", "fingerprint"];
+    // The report block and everything after it: the MITIGATION lines.
+    let tail = |out: &str| -> Vec<String> {
+        let lines: Vec<&str> = out.lines().collect();
+        report_block(out);
+        let at = lines.iter().position(|l| l.contains(" periods, K = "));
+        lines[at.unwrap()..].iter().map(|l| l.to_string()).collect()
+    };
+
+    // Cut at 200 s (period 10, before the flood) and at 400 s (period 20,
+    // after the alarm at period 15, with throttles engaged).
+    let capture = std::fs::read(&pcap).unwrap();
+    for cut_secs in [200u32, 400] {
+        let mut reader = PcapReader::new(capture.as_slice()).unwrap();
+        let mut writer = PcapWriter::new(Vec::new()).unwrap();
+        while let Some(packet) = reader.next_packet().unwrap() {
+            if packet.ts_sec < cut_secs {
+                writer.write_packet(&packet).unwrap();
+            }
+        }
+        writer.flush().unwrap();
+        std::fs::write(&head, writer.into_inner()).unwrap();
+
+        for armed in [&[][..], &mitigate[..]] {
+            let whole = run_ok(&[&["detect", "--in", &pcap], &stub[..], armed].concat());
+            let cut = [&["detect", "--in", &head], &stub[..], armed].concat();
+            run_ok(&[&cut[..], &["--checkpoint", &ck]].concat());
+            let resumed =
+                run_ok(&[&["detect", "--in", &pcap, "--resume", &ck], &stub[..]].concat());
+            let period = cut_secs / 20;
+            assert!(
+                resumed.starts_with(&format!("resumed from {ck} at period {period}\n")),
+                "{resumed}"
+            );
+            assert_eq!(
+                tail(&resumed),
+                tail(&whole),
+                "cut at {cut_secs} s, {armed:?}"
+            );
+            if !armed.is_empty() {
+                assert!(
+                    tail(&whole)
+                        .iter()
+                        .any(|l| l.starts_with("MITIGATION engaged")),
+                    "{whole}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--faults` is one record pass: `detect` and `detect --mitigate` print
+/// one report block and one fault ledger, and the ledger shows the
+/// reordering happened.
 #[test]
 fn faults_mean_the_same_on_every_front_end() {
     let dir = std::env::temp_dir();
@@ -267,17 +327,18 @@ fn faults_mean_the_same_on_every_front_end() {
     ];
     let detect = run_ok(&[&["detect"], &run[..]].concat());
     let mitigated = run_ok(&[&["detect"], &run[..], &["--mitigate"]].concat());
-    let replay = run_ok(&[&["replay"], &run[..]].concat());
     let ledger = |out: &str| {
         out.lines()
             .find(|line| line.starts_with("faults: "))
             .unwrap_or_else(|| panic!("no fault ledger: {out}"))
             .to_owned()
     };
-    for other in [&mitigated, &replay] {
-        assert_eq!(report_block(other), report_block(&detect), "{other}");
-        assert_eq!(ledger(other), ledger(&detect));
-    }
+    assert_eq!(
+        report_block(&mitigated),
+        report_block(&detect),
+        "{mitigated}"
+    );
+    assert_eq!(ledger(&mitigated), ledger(&detect));
     assert!(
         number_after(&ledger(&detect), "duplicated, ") > 0,
         "records were reordered: {detect}"
@@ -293,18 +354,6 @@ fn hostile_numeric_flags_exit_2_naming_the_flag() {
     // fleet: a huge range is checked against the fleet before expansion.
     let err = run_rejected(&["fleet", "--stubs", "4", "--attackers", "0-3000000000"]);
     assert!(err.contains("--attackers"), "{err}");
-    // replay: queue sizes are bounded before anything allocates.
-    let err = run_rejected(
-        &[
-            &["replay"],
-            &stub[..],
-            &["--batch-size", "18446744073709551615"],
-        ]
-        .concat(),
-    );
-    assert!(err.contains("--batch-size"), "{err}");
-    let err = run_rejected(&[&["replay"], &stub[..], &["--capacity", "1000000000000"]].concat());
-    assert!(err.contains("--capacity"), "{err}");
     // sniff reads a pcap in fixed batches: it has no queue to size.
     let err = run_rejected(&[&["sniff"], &stub[..], &["--batch-size", "256"]].concat());
     assert!(err.contains("unknown flag --batch-size"), "{err}");
@@ -313,7 +362,7 @@ fn hostile_numeric_flags_exit_2_naming_the_flag() {
     let err = run_rejected(&[&["detect"], &stub[..], &["--t0", "inf"]].concat());
     assert!(err.contains("--t0"), "{err}");
     // Below the clock's 1 µs resolution the period would round to zero.
-    for command in ["detect", "sniff", "replay"] {
+    for command in ["detect", "sniff"] {
         let err = run_rejected(&[&[command], &stub[..], &["--t0", "0.0000001"]].concat());
         assert!(err.contains("--t0"), "{command}: {err}");
     }
@@ -354,7 +403,7 @@ fn oversized_pcap_record_exits_2() {
         let mut file: Vec<u8> = words.flat_map(u32::to_le_bytes).collect();
         file.extend_from_slice(&vec![0xab; held]);
         std::fs::write(&path, &file).unwrap();
-        for command in ["sniff", "detect", "replay"] {
+        for command in ["sniff", "detect"] {
             let err = run_rejected(&[command, "--in", path_s, "--stub", "128.3.0.0/16"]);
             assert!(err.contains("pcap record"), "{command}: {err}");
             assert!(err.contains(message), "{command}: {err}");
@@ -375,7 +424,7 @@ fn hostile_binary_record_count_exits_2() {
     file.extend_from_slice(&60_000_000u64.to_be_bytes());
     file.extend_from_slice(&(1u64 << 32).to_be_bytes());
     std::fs::write(&path, &file).unwrap();
-    for command in ["detect", "sniff", "replay", "locate"] {
+    for command in ["detect", "sniff", "locate"] {
         let err = run_rejected(&[command, "--in", path_s, "--stub", "128.3.0.0/16"]);
         assert!(err.contains("truncated trace stream"), "{command}: {err}");
     }

@@ -1,9 +1,8 @@
-//! The one period rule, pinned on every front end. `detect`, `sniff`,
-//! `replay` and `locate` read a capture one record at a time, and close
-//! periods the same way: a record behind the period clock counts in the
-//! open period (and as late), a binary trace's declared span sets how
-//! many periods close, and a pcap's last period is the one holding its
-//! latest record.
+//! The one period rule, pinned on every front end. `detect`, `sniff` and
+//! `locate` read a capture one record at a time, and close periods the
+//! same way: a record behind the period clock counts in the open period
+//! (and as late), a binary trace's declared span sets how many periods
+//! close, and a pcap's last period is the one holding its latest record.
 
 use std::path::Path;
 use std::process::Command;
@@ -91,9 +90,7 @@ fn every_front_end_closes_the_same_periods_on_one_capture() {
     for input in [&bin, &pcap, &late] {
         let run = |command: &str| syndog(&[command, "--in", input, "--stub", "128.3.0.0/16"]);
         let detect = report(&run("detect"));
-        for command in ["sniff", "replay"] {
-            assert_eq!(report(&run(command)), detect, "{command} on {input}");
-        }
+        assert_eq!(report(&run("sniff")), detect, "sniff on {input}");
         let located = run("locate");
         let alarm = located
             .lines()

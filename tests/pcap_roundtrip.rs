@@ -8,7 +8,7 @@ use syndog_net::{Ipv4Net, MacAddr};
 use syndog_router::SynDogAgent;
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
-use syndog_traffic::Trace;
+use syndog_traffic::{RecordReader, Trace};
 
 fn roundtrip(trace: &Trace, stub: Ipv4Net) -> Trace {
     let mut file = Vec::new();
@@ -85,7 +85,9 @@ fn binary_format_equivalent_to_pcap_for_detection() {
     let trace = site.generate_trace(&mut rng);
     let mut bin = Vec::new();
     trace.write_binary(&mut bin).expect("export binary");
-    let from_binary = Trace::read_binary(bin.as_slice()).expect("import binary");
+    let from_binary = RecordReader::binary(bin.as_slice())
+        .and_then(RecordReader::into_trace)
+        .expect("import binary");
     // Binary preserves records exactly (including direction tags), so it
     // is strictly stronger than pcap (which re-infers direction).
     assert_eq!(from_binary, trace);
