@@ -885,8 +885,8 @@ mod tests {
         cmd_stats(&args(&["--in", &jsonl])).unwrap();
         cmd_stats(&args(&["--in", &jsonl, "--format", "prom"])).unwrap();
         let restored = export::parse_jsonl(&std::fs::read_to_string(&jsonl).unwrap()).unwrap();
-        assert!(restored.counter_total("syndog_periods_total") > 0);
-        assert!(restored.counter_total("syndog_frames_total") > 0);
+        assert!(restored.counter("syndog_periods_total", &[]) > Some(0));
+        assert!(restored.counter("syndog_frames_total", &[("interface", "outbound")]) > Some(0));
         assert!(restored
             .events
             .iter()

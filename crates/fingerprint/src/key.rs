@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use syndog_net::{PacketView, SegmentKind};
+
 /// Option-layout code: MSS (TCP option kind 2).
 pub const OPT_MSS: u8 = 1;
 /// Option-layout code: window scale (kind 3).
@@ -245,7 +247,9 @@ fn ttl_class_of(ttl: u8) -> u8 {
 /// fragment, non-TCP protocol, a flags byte with ACK/RST/FIN set, or a
 /// frame too short to hold the full TCP header its data offset claims.
 /// The parse reads only the bytes it needs — no allocation, no checksum —
-/// so it is cheap enough to run on every SYN as a capture is read.
+/// and, unlike [`PacketView::parse`], tolerates a lying `total_len` and a
+/// malformed option area. A frame that has already been parsed takes
+/// [`syn_key`] instead.
 pub fn extract_syn(frame: &[u8]) -> Option<FingerprintKey> {
     let ip = frame.get(14..)?;
     if frame[12] != 0x08 || frame[13] != 0x00 {
@@ -258,26 +262,38 @@ pub fn extract_syn(frame: &[u8]) -> Option<FingerprintKey> {
     if !(20..=60).contains(&ihl) || ip.len() < ihl + 20 {
         return None;
     }
-    if ip[9] != 6 {
+    if ip[9] != 6 || u16::from_be_bytes([ip[6], ip[7]]) & 0x1fff != 0 {
         return None;
     }
-    let flags_frag = u16::from_be_bytes([ip[6], ip[7]]);
-    if flags_frag & 0x1fff != 0 {
-        return None;
-    }
-    let tcp = &ip[ihl..];
-    let tcp_flags = tcp[13];
+    let (ip_header, tcp) = ip.split_at(ihl);
     // Pure SYN: SYN set, FIN/RST/ACK all clear (ECN bits allowed).
-    if tcp_flags & 0x02 == 0 || tcp_flags & (0x01 | 0x04 | 0x10) != 0 {
+    if tcp[13] & 0x02 == 0 || tcp[13] & (0x01 | 0x04 | 0x10) != 0 {
         return None;
     }
     let data_offset = usize::from(tcp[12] >> 4) * 4;
     if !(20..=60).contains(&data_offset) || tcp.len() < data_offset {
         return None;
     }
+    Some(key_of(ip_header, &tcp[..data_offset]))
+}
 
+/// The fingerprint of a parsed frame, when it is a *pure SYN* (its
+/// [`PacketView::kind`] is [`SegmentKind::Syn`]). Equal to [`extract_syn`]
+/// over the same bytes on every frame [`PacketView::parse`] accepts.
+#[inline]
+pub fn syn_key(view: &PacketView<'_>) -> Option<FingerprintKey> {
+    match view.tcp_header() {
+        Some(tcp) if view.kind() == SegmentKind::Syn => Some(key_of(view.ip_header(), tcp)),
+        _ => None,
+    }
+}
+
+/// Builds the key of a pure SYN from its IPv4 header (at least 20 bytes)
+/// and its TCP header (at least 20, options included).
+#[inline]
+fn key_of(ip: &[u8], tcp: &[u8]) -> FingerprintKey {
     let mut quirks = 0u16;
-    let df = flags_frag & 0x4000 != 0;
+    let df = u16::from_be_bytes([ip[6], ip[7]]) & 0x4000 != 0;
     let id = u16::from_be_bytes([ip[4], ip[5]]);
     if df {
         quirks |= QUIRK_DF;
@@ -287,6 +303,7 @@ pub fn extract_syn(frame: &[u8]) -> Option<FingerprintKey> {
     } else if id == 0 {
         quirks |= QUIRK_ZERO_ID;
     }
+    let tcp_flags = tcp[13];
     if tcp_flags & 0xc0 != 0 {
         quirks |= QUIRK_ECN;
     }
@@ -308,14 +325,14 @@ pub fn extract_syn(frame: &[u8]) -> Option<FingerprintKey> {
         quirks |= QUIRK_PUSH;
     }
 
-    let (layout, mss) = parse_options(&tcp[20..data_offset]);
-    Some(FingerprintKey {
+    let (layout, mss) = parse_options(&tcp[20..]);
+    FingerprintKey {
         window: u16::from_be_bytes([tcp[14], tcp[15]]),
         mss,
         layout,
         ttl_class: ttl_class_of(ip[8]),
         quirks,
-    })
+    }
 }
 
 /// Walks the TCP option area, recording the first four non-NOP option
@@ -372,7 +389,7 @@ mod tests {
     }
 
     fn syn_frame() -> Vec<u8> {
-        PacketBuilder::tcp_syn(addr("10.1.0.5:1025"), addr("192.0.2.80:80"))
+        PacketBuilder::tcp(addr("10.1.0.5:1025"), addr("192.0.2.80:80"), TcpFlags::SYN)
             .build()
             .unwrap()
     }
@@ -418,7 +435,7 @@ mod tests {
         foreign[12] = 0x86;
         foreign[13] = 0xdd;
         assert_eq!(extract_syn(&foreign), None, "non-IPv4 EtherType");
-        let fragment = PacketBuilder::tcp_syn(addr("1.1.1.1:1"), addr("2.2.2.2:2"))
+        let fragment = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
             .fragment_offset(3)
             .payload(vec![0u8; 32])
             .build()
@@ -428,7 +445,7 @@ mod tests {
 
     #[test]
     fn option_layout_follows_wire_order() {
-        let frame = PacketBuilder::tcp_syn(addr("10.1.0.5:1025"), addr("192.0.2.80:80"))
+        let frame = PacketBuilder::tcp(addr("10.1.0.5:1025"), addr("192.0.2.80:80"), TcpFlags::SYN)
             .tcp_options(vec![
                 TcpOption::Mss(1400),
                 TcpOption::Nop,
@@ -450,7 +467,7 @@ mod tests {
 
     #[test]
     fn unknown_options_code_as_other() {
-        let frame = PacketBuilder::tcp_syn(addr("10.1.0.5:1025"), addr("192.0.2.80:80"))
+        let frame = PacketBuilder::tcp(addr("10.1.0.5:1025"), addr("192.0.2.80:80"), TcpFlags::SYN)
             .tcp_options(vec![
                 TcpOption::Unknown(253, vec![9, 9]),
                 TcpOption::Mss(1460),
@@ -466,7 +483,7 @@ mod tests {
 
     #[test]
     fn quirk_extraction_matrix() {
-        let base = PacketBuilder::tcp_syn(addr("10.1.0.5:1025"), addr("192.0.2.80:80"));
+        let base = PacketBuilder::tcp(addr("10.1.0.5:1025"), addr("192.0.2.80:80"), TcpFlags::SYN);
         let frame = base
             .clone()
             .seq(7)

@@ -14,8 +14,10 @@
 //!
 //! - [`FingerprintKey`] — the compact, exactly-reversible 64-bit packing of
 //!   a SYN's header shape (TTL class, window, option layout, MSS, quirks),
-//! - [`extract_syn`] — the header parser that pulls a key from raw frame
-//!   bytes, run on each SYN as the capture is read,
+//! - [`syn_key`] — the key of a SYN frame that
+//!   [`PacketView`](syndog_net::PacketView) has already parsed, run on
+//!   each SYN as a capture is read, and [`extract_syn`], the same key
+//!   from raw frame bytes,
 //! - [`FingerprintTable`] — a per-stub frequency table with the
 //!   entropy/dominance statistics the throttle keying and the flash-crowd
 //!   exoneration rule consume.
@@ -24,9 +26,9 @@ mod key;
 mod table;
 
 pub use key::{
-    extract_syn, layout_codes, layout_from_codes, FingerprintKey, OPT_MSS, OPT_OTHER, OPT_SACKOK,
-    OPT_TS, OPT_WSCALE, QUIRK_ACK_NONZERO, QUIRK_DF, QUIRK_ECN, QUIRK_MASK, QUIRK_NONZERO_ID,
-    QUIRK_NONZERO_URG, QUIRK_PUSH, QUIRK_SEQ_ZERO, QUIRK_URG, QUIRK_ZERO_ID,
+    extract_syn, layout_codes, layout_from_codes, syn_key, FingerprintKey, OPT_MSS, OPT_OTHER,
+    OPT_SACKOK, OPT_TS, OPT_WSCALE, QUIRK_ACK_NONZERO, QUIRK_DF, QUIRK_ECN, QUIRK_MASK,
+    QUIRK_NONZERO_ID, QUIRK_NONZERO_URG, QUIRK_PUSH, QUIRK_SEQ_ZERO, QUIRK_URG, QUIRK_ZERO_ID,
 };
 pub use table::FingerprintTable;
 

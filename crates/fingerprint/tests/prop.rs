@@ -9,6 +9,7 @@ use syndog_fingerprint::{
     QUIRK_NONZERO_ID, QUIRK_NONZERO_URG, QUIRK_PUSH, QUIRK_SEQ_ZERO, QUIRK_URG, QUIRK_ZERO_ID,
 };
 use syndog_net::packet::PacketBuilder;
+use syndog_net::TcpFlags;
 
 /// A consistent quirk mask: one [`extract_syn`] itself can produce (the ID
 /// quirks agree with DF, `NONZERO_URG` excludes `URG`).
@@ -115,9 +116,10 @@ proptest! {
     #[test]
     fn extraction_inverts_synthesis(key in arb_key(), seq in 1u32..) {
         let frame = key
-            .apply(PacketBuilder::tcp_syn(
+            .apply(PacketBuilder::tcp(
                 "10.1.0.5:1025".parse().unwrap(),
                 "192.0.2.80:80".parse().unwrap(),
+                TcpFlags::SYN,
             ))
             .seq(if key.has_quirk(QUIRK_SEQ_ZERO) { 0 } else { seq })
             .build()

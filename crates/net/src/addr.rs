@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 /// use syndog_net::MacAddr;
 /// let mac: MacAddr = "02:00:5e:10:00:01".parse().unwrap();
 /// assert_eq!(mac.to_string(), "02:00:5e:10:00:01");
-/// assert!(mac.is_locally_administered());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MacAddr(pub [u8; 6]);
@@ -44,11 +43,6 @@ impl MacAddr {
     /// Returns the six octets in transmission order.
     pub const fn octets(&self) -> [u8; 6] {
         self.0
-    }
-
-    /// Returns `true` if the locally-administered (U/L) bit is set.
-    pub fn is_locally_administered(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 
     /// Derives a deterministic, locally-administered unicast MAC for host
@@ -165,11 +159,6 @@ impl Ipv4Net {
         self.prefix_len
     }
 
-    /// The netmask as an address, e.g. `255.255.0.0` for a `/16`.
-    pub fn netmask(&self) -> Ipv4Addr {
-        Ipv4Addr::from(Self::mask_bits(self.prefix_len))
-    }
-
     /// Returns `true` if `ip` falls inside this prefix.
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
         u32::from(ip) & Self::mask_bits(self.prefix_len) == u32::from(self.addr)
@@ -281,9 +270,10 @@ mod tests {
 
     #[test]
     fn mac_flag_bits() {
+        // The U/L bit (0x02) is set, the group bit (0x01) clear.
         let local = MacAddr::for_host(3, 77);
-        assert!(local.is_locally_administered());
-        assert!(!MacAddr::ZERO.is_locally_administered());
+        assert_eq!(local.octets()[0] & 0x03, 0x02);
+        assert_eq!(MacAddr::ZERO.octets()[0] & 0x02, 0);
     }
 
     #[test]
@@ -300,7 +290,7 @@ mod tests {
     #[test]
     fn net_contains_and_masks() {
         let net: Ipv4Net = "152.2.0.0/16".parse().unwrap();
-        assert_eq!(net.netmask(), Ipv4Addr::new(255, 255, 0, 0));
+        assert_eq!(Ipv4Net::mask_bits(net.prefix_len()), 0xffff_0000);
         assert!(net.contains(Ipv4Addr::new(152, 2, 255, 255)));
         assert!(!net.contains(Ipv4Addr::new(152, 3, 0, 0)));
         assert_eq!(net.size(), 65536);

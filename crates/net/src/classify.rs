@@ -251,7 +251,7 @@ mod tests {
         // Paper: "The IP packet that contains the TCP header must have zero
         // fragmentation offset." A fragmented middle piece whose first
         // payload byte happens to look like flags must be excluded.
-        let bytes = PacketBuilder::tcp_syn(addr("1.1.1.1:1"), addr("2.2.2.2:2"))
+        let bytes = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
             .fragment_offset(2)
             .payload(vec![0xff; 40])
             .build()
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn non_ipv4_ethertype_is_non_tcp() {
-        let mut bytes = PacketBuilder::tcp_syn(addr("1.1.1.1:1"), addr("2.2.2.2:2"))
+        let mut bytes = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
             .build()
             .unwrap();
         bytes[12] = 0x86;
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn truncated_frames_error() {
         assert!(classify(&[0u8; 5]).is_err());
-        let bytes = PacketBuilder::tcp_syn(addr("1.1.1.1:1"), addr("2.2.2.2:2"))
+        let bytes = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
             .build()
             .unwrap();
         // Cut inside the TCP header, before the flags byte.
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn classify_ipv4_without_link_layer() {
-        let bytes = PacketBuilder::tcp_syn(addr("1.1.1.1:1"), addr("2.2.2.2:2"))
+        let bytes = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
             .build()
             .unwrap();
         assert_eq!(classify_ipv4(&bytes[14..]).unwrap(), SegmentKind::Syn);

@@ -96,19 +96,21 @@ impl EthernetHeader {
                 available: bytes.len(),
             });
         }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&bytes[0..6]);
-        src.copy_from_slice(&bytes[6..12]);
-        let ethertype = u16::from_be_bytes([bytes[12], bytes[13]]).into();
+        let (header, payload) = bytes.split_at(HEADER_LEN);
         Ok((
-            EthernetHeader {
-                dst: MacAddr(dst),
-                src: MacAddr(src),
-                ethertype,
-            },
-            &bytes[HEADER_LEN..],
+            EthernetHeader::from_wire(header.try_into().expect("split at the header length")),
+            payload,
         ))
+    }
+
+    /// Reads the fields of a 14-byte header.
+    pub(crate) fn from_wire(header: &[u8; HEADER_LEN]) -> Self {
+        let [d0, d1, d2, d3, d4, d5, s0, s1, s2, s3, s4, s5, t0, t1] = *header;
+        EthernetHeader {
+            dst: MacAddr([d0, d1, d2, d3, d4, d5]),
+            src: MacAddr([s0, s1, s2, s3, s4, s5]),
+            ethertype: u16::from_be_bytes([t0, t1]).into(),
+        }
     }
 }
 

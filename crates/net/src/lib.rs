@@ -25,10 +25,12 @@
 //! ```
 //! use syndog_net::packet::PacketBuilder;
 //! use syndog_net::classify::{classify, SegmentKind};
+//! use syndog_net::TcpFlags;
 //!
 //! # fn main() -> Result<(), syndog_net::NetError> {
-//! let bytes = PacketBuilder::tcp_syn("10.0.0.7:1025".parse().unwrap(),
-//!                                    "192.0.2.80:80".parse().unwrap())
+//! let bytes = PacketBuilder::tcp("10.0.0.7:1025".parse().unwrap(),
+//!                                "192.0.2.80:80".parse().unwrap(),
+//!                                TcpFlags::SYN)
 //!     .build()?;
 //! assert_eq!(classify(&bytes)?, SegmentKind::Syn);
 //! # Ok(())

@@ -13,8 +13,9 @@ use std::fmt;
 use std::net::{Ipv4Addr, SocketAddrV4};
 
 use crate::addr::MacAddr;
+use crate::classify::{kind_of, SegmentKind};
 use crate::error::NetError;
-use crate::ethernet::{EtherType, EthernetHeader};
+use crate::ethernet::{self, EtherType, EthernetHeader};
 use crate::ipv4::{self, Ipv4Header};
 use crate::tcp::{self, OptionWalk, TcpFlags, TcpHeader, TcpOption};
 
@@ -106,8 +107,8 @@ impl fmt::Display for Packet {
 }
 
 /// A borrowed view of one decoded frame: the Ethernet header, the IPv4
-/// addresses and, when the datagram carries a TCP header, the ports — read
-/// from the frame's own bytes, with no allocation.
+/// header and, when the datagram carries one, the TCP header — read from
+/// the frame's own bytes, with no allocation.
 ///
 /// [`PacketView::parse`] is the workspace's one accept rule for a whole
 /// frame, and [`Packet::decode`] is this view plus an owned copy. The
@@ -119,12 +120,15 @@ impl fmt::Display for Packet {
 ///
 /// ```
 /// use syndog_net::packet::{PacketBuilder, PacketView};
+/// use syndog_net::{SegmentKind, TcpFlags};
 ///
 /// # fn main() -> Result<(), syndog_net::NetError> {
-/// let bytes = PacketBuilder::tcp_syn("10.0.0.7:1025".parse().unwrap(),
-///                                    "192.0.2.80:80".parse().unwrap())
+/// let bytes = PacketBuilder::tcp("10.0.0.7:1025".parse().unwrap(),
+///                                "192.0.2.80:80".parse().unwrap(),
+///                                TcpFlags::SYN)
 ///     .build()?;
 /// let view = PacketView::parse(&bytes)?;
+/// assert_eq!(view.kind(), SegmentKind::Syn);
 /// assert_eq!(view.src_socket(), Some("10.0.0.7:1025".parse().unwrap()));
 /// assert_eq!(view.dst().octets(), [192, 0, 2, 80]);
 /// # Ok(())
@@ -143,28 +147,59 @@ pub struct PacketView<'a> {
 }
 
 impl<'a> PacketView<'a> {
-    /// Parses the frame's headers in place.
+    /// Parses the frame's headers in place, in one pass over the bytes:
+    /// plain bounds and field checks, with an error built only for a frame
+    /// that fails them.
     ///
     /// # Errors
     ///
-    /// Returns an error if any present layer fails to decode.
+    /// Returns the error of the first layer decoder that rejects the frame
+    /// (`EthernetHeader::decode`, then the IPv4 and TCP header rules of
+    /// [`Ipv4Header::decode`] and [`TcpHeader::decode`]).
+    #[inline]
     pub fn parse(bytes: &'a [u8]) -> Result<Self, NetError> {
-        let (ethernet, rest) = EthernetHeader::decode(bytes)?;
-        let (ip_header, ip_payload) = ipv4::split_header(rest)?;
-        let later_fragment = u16::from_be_bytes([ip_header[6], ip_header[7]]) & 0x1fff != 0;
-        if ip_header[9] != ipv4::PROTO_TCP || later_fragment {
-            return Ok(PacketView {
+        match Self::walk(bytes) {
+            Some(view) => Ok(view),
+            None => Err(rejection(bytes)),
+        }
+    }
+
+    /// The accept rule: `Some` exactly when every layer decoder accepts.
+    #[inline(always)]
+    fn walk(bytes: &'a [u8]) -> Option<Self> {
+        let (link, ip) = bytes.split_first_chunk::<{ ethernet::HEADER_LEN }>()?;
+        if ip.len() < ipv4::MIN_HEADER_LEN || ip[0] >> 4 != 4 {
+            return None;
+        }
+        let ip_header_len = usize::from(ip[0] & 0x0f) * 4;
+        if ip_header_len < ipv4::MIN_HEADER_LEN || ip.len() < ip_header_len {
+            return None;
+        }
+        let total_len = usize::from(u16::from_be_bytes([ip[2], ip[3]]));
+        let ip_payload = &ip[ip_header_len..total_len.clamp(ip_header_len, ip.len())];
+        let ip_header = &ip[..ip_header_len];
+        let ethernet = EthernetHeader::from_wire(link);
+        let later_fragment = u16::from_be_bytes([ip[6], ip[7]]) & 0x1fff != 0;
+        if ip[9] != ipv4::PROTO_TCP || later_fragment {
+            return Some(PacketView {
                 ethernet,
                 ip_header,
                 tcp_header: None,
                 payload: ip_payload,
             });
         }
-        let (tcp_header, payload) = tcp::split_header(ip_payload)?;
-        for option in OptionWalk::new(&tcp_header[tcp::MIN_HEADER_LEN..]) {
-            option?;
+        if ip_payload.len() < tcp::MIN_HEADER_LEN {
+            return None;
         }
-        Ok(PacketView {
+        let tcp_header_len = usize::from(ip_payload[12] >> 4) * 4;
+        if tcp_header_len < tcp::MIN_HEADER_LEN || ip_payload.len() < tcp_header_len {
+            return None;
+        }
+        let (tcp_header, payload) = ip_payload.split_at(tcp_header_len);
+        if !OptionWalk::new(&tcp_header[tcp::MIN_HEADER_LEN..]).all(|option| option.is_ok()) {
+            return None;
+        }
+        Some(PacketView {
             ethernet,
             ip_header,
             tcp_header: Some(tcp_header),
@@ -172,19 +207,49 @@ impl<'a> PacketView<'a> {
         })
     }
 
+    /// The paper's classification of the frame: equal to
+    /// [`classify`](crate::classify::classify) on every frame
+    /// [`PacketView::parse`] accepts (each of which `classify` accepts
+    /// too).
+    #[inline]
+    pub fn kind(&self) -> SegmentKind {
+        match self.tcp_header {
+            Some(header) if self.ethernet.ethertype == EtherType::Ipv4 => {
+                kind_of(TcpFlags::from_bits_truncate(header[13]))
+            }
+            _ => SegmentKind::NonTcp,
+        }
+    }
+
+    /// The IPv4 header bytes, options included.
+    #[inline]
+    pub fn ip_header(&self) -> &'a [u8] {
+        self.ip_header
+    }
+
+    /// The TCP header bytes, options included, when the datagram carries
+    /// TCP. Its option area walks cleanly.
+    #[inline]
+    pub fn tcp_header(&self) -> Option<&'a [u8]> {
+        self.tcp_header
+    }
+
     /// The IPv4 source address.
+    #[inline]
     pub fn src(&self) -> Ipv4Addr {
         let h = self.ip_header;
         Ipv4Addr::new(h[12], h[13], h[14], h[15])
     }
 
     /// The IPv4 destination address.
+    #[inline]
     pub fn dst(&self) -> Ipv4Addr {
         let h = self.ip_header;
         Ipv4Addr::new(h[16], h[17], h[18], h[19])
     }
 
     /// The TCP source and destination ports, if the frame carries TCP.
+    #[inline]
     fn ports(&self) -> Option<(u16, u16)> {
         self.tcp_header.map(|h| {
             (
@@ -195,12 +260,14 @@ impl<'a> PacketView<'a> {
     }
 
     /// The source socket address, if the frame carries TCP.
+    #[inline]
     pub fn src_socket(&self) -> Option<SocketAddrV4> {
         self.ports()
             .map(|(src_port, _)| SocketAddrV4::new(self.src(), src_port))
     }
 
     /// The destination socket address, if the frame carries TCP.
+    #[inline]
     pub fn dst_socket(&self) -> Option<SocketAddrV4> {
         self.ports()
             .map(|(_, dst_port)| SocketAddrV4::new(self.dst(), dst_port))
@@ -225,6 +292,26 @@ impl<'a> PacketView<'a> {
     }
 }
 
+/// The error of a frame [`PacketView::parse`] rejects: the layer decoders'
+/// own splitters, re-run off the accept path.
+#[cold]
+#[inline(never)]
+fn rejection(bytes: &[u8]) -> NetError {
+    let layered = (|| {
+        let (_, rest) = EthernetHeader::decode(bytes)?;
+        let (ip_header, ip_payload) = ipv4::split_header(rest)?;
+        let later_fragment = u16::from_be_bytes([ip_header[6], ip_header[7]]) & 0x1fff != 0;
+        if ip_header[9] == ipv4::PROTO_TCP && !later_fragment {
+            let (tcp_header, _) = tcp::split_header(ip_payload)?;
+            for option in OptionWalk::new(&tcp_header[tcp::MIN_HEADER_LEN..]) {
+                option?;
+            }
+        }
+        Ok(())
+    })();
+    layered.expect_err("the header walk rejects only frames a layer decoder rejects")
+}
+
 /// Builder assembling Ethernet/IPv4/TCP packets into wire bytes.
 ///
 /// ```
@@ -232,8 +319,9 @@ impl<'a> PacketView<'a> {
 /// use syndog_net::{MacAddr, TcpFlags};
 ///
 /// # fn main() -> Result<(), syndog_net::NetError> {
-/// let bytes = PacketBuilder::tcp_syn("10.0.0.7:1025".parse().unwrap(),
-///                                    "192.0.2.80:80".parse().unwrap())
+/// let bytes = PacketBuilder::tcp("10.0.0.7:1025".parse().unwrap(),
+///                                "192.0.2.80:80".parse().unwrap(),
+///                                TcpFlags::SYN)
 ///     .src_mac(MacAddr::for_host(0, 7))
 ///     .seq(42)
 ///     .build()?;
@@ -283,11 +371,6 @@ impl PacketBuilder {
             non_tcp_protocol: None,
             fragment_offset: 0,
         }
-    }
-
-    /// Starts a connection-request (pure SYN) packet.
-    pub fn tcp_syn(src: SocketAddrV4, dst: SocketAddrV4) -> Self {
-        Self::tcp(src, dst, TcpFlags::SYN)
     }
 
     /// Starts a non-TCP IPv4 packet of the given protocol number; the
@@ -473,7 +556,7 @@ mod tests {
 
     #[test]
     fn build_decode_roundtrip_syn() {
-        let bytes = PacketBuilder::tcp_syn(addr("10.0.0.7:1025"), addr("192.0.2.80:80"))
+        let bytes = PacketBuilder::tcp(addr("10.0.0.7:1025"), addr("192.0.2.80:80"), TcpFlags::SYN)
             .src_mac(MacAddr::for_host(0, 7))
             .seq(1234)
             .build()
@@ -517,7 +600,7 @@ mod tests {
 
     #[test]
     fn later_fragment_skips_tcp_decode() {
-        let bytes = PacketBuilder::tcp_syn(addr("1.1.1.1:1"), addr("2.2.2.2:2"))
+        let bytes = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
             .fragment_offset(10)
             .payload(vec![0u8; 32])
             .build()

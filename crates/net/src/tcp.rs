@@ -243,6 +243,7 @@ impl<'a> OptionWalk<'a> {
 impl<'a> Iterator for OptionWalk<'a> {
     type Item = Result<(u8, &'a [u8]), NetError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let bytes = self.rest;
         let (&kind, rest) = bytes.split_first()?;

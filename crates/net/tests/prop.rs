@@ -68,12 +68,12 @@ fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
         }),
         // A valid frame truncated mid-header.
         (arb_socket(), arb_socket(), 0usize..54).prop_map(|(src, dst, keep)| {
-            let frame = PacketBuilder::tcp_syn(src, dst).build().unwrap();
+            let frame = PacketBuilder::tcp(src, dst, TcpFlags::SYN).build().unwrap();
             frame[..keep.min(frame.len())].to_vec()
         }),
         // A non-IPv4 ethertype (ARP, IPv6, VLAN...) over a TCP body.
         (arb_socket(), arb_socket(), any::<u16>()).prop_map(|(src, dst, ethertype)| {
-            let mut frame = PacketBuilder::tcp_syn(src, dst).build().unwrap();
+            let mut frame = PacketBuilder::tcp(src, dst, TcpFlags::SYN).build().unwrap();
             frame[12] = (ethertype >> 8) as u8;
             frame[13] = ethertype as u8;
             frame
@@ -120,6 +120,24 @@ proptest! {
             prop_assert_eq!(view.dst(), packet.ipv4.dst);
             prop_assert_eq!(view.src_socket(), packet.src_socket());
             prop_assert_eq!(view.dst_socket(), packet.dst_socket());
+        }
+    }
+
+    /// Every frame the view accepts, `classify` accepts too, and the view's
+    /// kind is the classifier's; frames as above.
+    #[test]
+    fn view_kind_equals_classify(
+        frame in arb_frame(),
+        at in any::<usize>(),
+        value in any::<u8>(),
+    ) {
+        let mut frame = frame;
+        if !frame.is_empty() {
+            let at = at % frame.len();
+            frame[at] = value;
+        }
+        if let Ok(view) = PacketView::parse(&frame) {
+            prop_assert_eq!(classify(&frame).ok(), Some(view.kind()));
         }
     }
 

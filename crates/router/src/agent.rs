@@ -653,7 +653,7 @@ mod tests {
 
         let snap = hub.snapshot();
         assert_eq!(
-            snap.counter_total("syndog_periods_total"),
+            snap.counter("syndog_periods_total", &[]).unwrap_or(0),
             agent.detections().len() as u64
         );
         // The telemetry totals must equal the trace's own period binning.
@@ -662,7 +662,10 @@ mod tests {
             .iter()
             .map(|s| s.syn)
             .sum();
-        assert_eq!(snap.counter_total("syndog_syn_total"), syn_total);
+        assert_eq!(
+            snap.counter("syndog_syn_total", &[]).unwrap_or(0),
+            syn_total
+        );
         // The flood ends mid-trace, so the CUSUM drains and the alarm
         // clears: the counter counts rising edges, the gauge tracks the
         // final state.
@@ -673,7 +676,10 @@ mod tests {
             .count() as u64
             + u64::from(agent.detections()[0].alarm);
         assert!(rising_edges >= 1);
-        assert_eq!(snap.counter_total("syndog_alarms_total"), rising_edges);
+        assert_eq!(
+            snap.counter("syndog_alarms_total", &[]).unwrap_or(0),
+            rising_edges
+        );
         assert_eq!(
             snap.gauge("syndog_alarm_active"),
             Some(f64::from(u8::from(

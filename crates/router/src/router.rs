@@ -360,9 +360,10 @@ mod tests {
         use syndog_net::classify;
         use syndog_net::packet::PacketBuilder;
         let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
-        let syn = PacketBuilder::tcp_syn(
+        let syn = PacketBuilder::tcp(
             "10.1.0.5:1025".parse().unwrap(),
             "192.0.2.80:80".parse().unwrap(),
+            TcpFlags::SYN,
         )
         .build()
         .unwrap();
@@ -512,9 +513,10 @@ mod tests {
     #[test]
     fn ingest_without_duration_closes_no_trailing_periods() {
         use crate::source::PcapSource;
-        let syn = syndog_net::packet::PacketBuilder::tcp_syn(
+        let syn = syndog_net::packet::PacketBuilder::tcp(
             "10.1.0.5:1025".parse().unwrap(),
             "192.0.2.80:80".parse().unwrap(),
+            TcpFlags::SYN,
         )
         .build()
         .unwrap();

@@ -251,9 +251,10 @@ mod tests {
         let mut sniffer = Sniffer::new(Direction::Outbound);
         let before = std::mem::size_of_val(&sniffer);
         for i in 0..10_000u32 {
-            let syn = PacketBuilder::tcp_syn(
+            let syn = PacketBuilder::tcp(
                 std::net::SocketAddrV4::new(std::net::Ipv4Addr::from(i), 1024),
                 "192.0.2.80:80".parse().unwrap(),
+                TcpFlags::SYN,
             )
             .build()
             .unwrap();

@@ -396,9 +396,9 @@ mod tests {
         agent.record_period(sig(50, 5), &Detection { period: 2, ..loud }, 60.0, 10);
         agent.record_period(sig(5, 5), &Detection { period: 3, ..quiet }, 80.0, 10);
         let snap = hub.snapshot();
-        assert_eq!(snap.counter_total("syndog_periods_total"), 4);
-        assert_eq!(snap.counter_total("syndog_syn_total"), 110);
-        assert_eq!(snap.counter_total("syndog_alarms_total"), 1);
+        assert_eq!(snap.counter("syndog_periods_total", &[]).unwrap_or(0), 4);
+        assert_eq!(snap.counter("syndog_syn_total", &[]).unwrap_or(0), 110);
+        assert_eq!(snap.counter("syndog_alarms_total", &[]).unwrap_or(0), 1);
         assert_eq!(snap.gauge("syndog_alarm_active"), Some(0.0));
         let kinds: Vec<&str> = snap.events.iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds.iter().filter(|k| **k == "alarm_raised").count(), 1);
@@ -622,17 +622,24 @@ mod tests {
         telemetry.sync(&engine);
         let snap = hub.snapshot();
         assert_eq!(snap.gauge("syndog_mitigation_engaged"), Some(1.0));
-        assert_eq!(snap.counter_total("syndog_mitigation_engagements_total"), 1);
         assert_eq!(
-            snap.counter_total("syndog_mitigation_throttled_syns_total"),
+            snap.counter("syndog_mitigation_engagements_total", &[])
+                .unwrap_or(0),
+            1
+        );
+        assert_eq!(
+            snap.counter("syndog_mitigation_throttled_syns_total", &[])
+                .unwrap_or(0),
             195
         );
         assert_eq!(
-            snap.counter_total("syndog_mitigation_passed_syns_total"),
+            snap.counter("syndog_mitigation_passed_syns_total", &[])
+                .unwrap_or(0),
             105
         );
         assert_eq!(
-            snap.counter_total("syndog_mitigation_collateral_syns_total"),
+            snap.counter("syndog_mitigation_collateral_syns_total", &[])
+                .unwrap_or(0),
             0
         );
     }

@@ -8,9 +8,8 @@
 //! - [`rng`] — seeded randomness plus the distributions the traffic models
 //!   need (exponential, Pareto, log-normal, normal), implemented by inverse
 //!   transform / Box–Muller so no external distribution crate is required,
-//! - [`stats`] — series statistics used by tests that validate the traffic
-//!   generators (autocorrelation) and the per-period [`stats::TimeSeries`]
-//!   behind every figure's CSV,
+//! - [`stats`] — the per-period [`stats::TimeSeries`] behind every
+//!   figure's CSV,
 //! - [`par`] — deterministic index-addressed parallelism for fleet runs and
 //!   experiment sweeps (results are bit-identical for any worker count).
 //!

@@ -12,8 +12,8 @@ use rand::{Rng, RngCore, SeedableRng};
 /// A deterministic random number generator for simulations.
 ///
 /// Wraps [`StdRng`]; cloning is deliberately not provided so two components
-/// can't accidentally share a stream — use [`SimRng::fork`] to derive an
-/// independent child generator instead.
+/// can't accidentally share a stream — seed each consumer its own
+/// generator instead (e.g. the run seed mixed with the stub's index).
 pub struct SimRng {
     inner: StdRng,
 }
@@ -29,14 +29,6 @@ impl SimRng {
     pub fn seed_from_u64(seed: u64) -> Self {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Derives an independent child generator, e.g. one per stub network,
-    /// so adding a consumer does not perturb the draws seen by others.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng {
-            inner: StdRng::seed_from_u64(self.inner.gen()),
         }
     }
 
@@ -239,19 +231,6 @@ mod tests {
         let mut b = SimRng::seed_from_u64(2);
         let same = (0..32).filter(|_| a.uniform() == b.uniform()).count();
         assert!(same < 4);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut parent1 = SimRng::seed_from_u64(7);
-        let mut parent2 = SimRng::seed_from_u64(7);
-        let mut child1 = parent1.fork();
-        let mut child2 = parent2.fork();
-        for _ in 0..10 {
-            assert_eq!(child1.uniform().to_bits(), child2.uniform().to_bits());
-        }
-        // Parent draws after the fork still match each other.
-        assert_eq!(parent1.uniform().to_bits(), parent2.uniform().to_bits());
     }
 
     #[test]

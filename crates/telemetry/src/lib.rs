@@ -35,7 +35,7 @@
 //! periods.inc();
 //! telemetry.events().emit(20.0, "period_closed", [("syn", FieldValue::U64(14))]);
 //! let snapshot = telemetry.snapshot();
-//! assert_eq!(snapshot.counter_total("syndog_periods_total"), 1);
+//! assert_eq!(snapshot.counter("syndog_periods_total", &[]), Some(1));
 //! assert_eq!(snapshot.events.len(), 1);
 //! let exposition = syndog_telemetry::export::render_prometheus(&snapshot);
 //! assert!(exposition.contains("syndog_periods_total 1"));
@@ -128,7 +128,7 @@ mod tests {
                 .emit(i as f64, "tick", [("i", FieldValue::U64(i))]);
         }
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter_total("c"), 5);
+        assert_eq!(snap.counter("c", &[]), Some(5));
         assert_eq!(snap.gauge("g"), Some(1.5));
         assert_eq!(snap.events.len(), 2);
         assert_eq!(snap.events_dropped, 1);

@@ -219,16 +219,6 @@ impl Deserialize for Snapshot {
 }
 
 impl Snapshot {
-    /// The value of a counter by name, summed over all label sets (what
-    /// most assertions want).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|c| c.name == name)
-            .map(|c| c.value)
-            .sum()
-    }
-
     /// The value of a counter with an exact label set, if present.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         let mut sorted: Vec<(String, String)> = labels
@@ -277,7 +267,7 @@ mod tests {
         };
         let restored = Snapshot::from_value(&snap.to_value()).unwrap();
         assert_eq!(restored, snap);
-        assert_eq!(restored.counter_total("syndog_periods_total"), 7);
+        assert_eq!(restored.counter("syndog_periods_total", &[]), Some(7));
         assert_eq!(restored.gauge("syndog_cusum_statistic"), Some(0.25));
     }
 
@@ -304,13 +294,19 @@ mod tests {
             ],
             ..Snapshot::default()
         };
-        assert_eq!(snap.counter_total("syndog_segments_total"), 8);
         assert_eq!(
             snap.counter(
                 "syndog_segments_total",
                 &[("kind", "syn"), ("interface", "outbound")]
             ),
             Some(5)
+        );
+        assert_eq!(
+            snap.counter(
+                "syndog_segments_total",
+                &[("interface", "inbound"), ("kind", "synack")]
+            ),
+            Some(3)
         );
         assert_eq!(snap.counter("syndog_segments_total", &[]), None);
     }

@@ -206,7 +206,20 @@ fn jsonl_snapshot_roundtrips_through_vendored_serde_json() {
     let restored = parse_jsonl(&text).expect("rendered JSONL must parse");
     assert_eq!(restored, snapshot, "round-trip must be lossless");
     // Spot-check that equality actually covered the interesting parts.
-    assert_eq!(restored.counter_total("syndog_segments_total"), 2300);
+    assert_eq!(
+        restored.counter(
+            "syndog_segments_total",
+            &[("interface", "outbound"), ("kind", "syn")]
+        ),
+        Some(1200)
+    );
+    assert_eq!(
+        restored.counter(
+            "syndog_segments_total",
+            &[("interface", "inbound"), ("kind", "synack")]
+        ),
+        Some(1100)
+    );
     assert_eq!(restored.gauge("syndog_cusum_statistic"), Some(0.75));
     assert_eq!(restored.events.len(), 8);
     assert_eq!(restored.events.last().unwrap().kind, "alarm_raised");

@@ -306,7 +306,6 @@ impl<M: ArrivalModel> ArrivalModel for DiurnalArrivals<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_sim::stats::autocorrelation;
 
     fn bin_per_second(arrivals: &[SimTime], duration_secs: usize) -> Vec<f64> {
         let mut bins = vec![0.0; duration_secs];
@@ -339,14 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_counts_are_uncorrelated() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let arrivals = PoissonArrivals::new(30.0).generate(SimDuration::from_secs(2000), &mut rng);
-        let bins = bin_per_second(&arrivals, 2000);
-        assert!(autocorrelation(&bins, 1).abs() < 0.05);
-    }
-
-    #[test]
     fn mmpp_mean_rate_matches_dwell_weighting() {
         let mut rng = SimRng::seed_from_u64(4);
         let model = MmppArrivals::bursty(20.0, 5.0, 30.0, 10.0);
@@ -355,17 +346,6 @@ mod tests {
         let arrivals = model.generate(SimDuration::from_secs(4000), &mut rng);
         let rate = arrivals.len() as f64 / 4000.0;
         assert!((rate - 40.0).abs() < 4.0, "rate {rate}");
-    }
-
-    #[test]
-    fn mmpp_counts_are_bursty() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let model = MmppArrivals::bursty(10.0, 10.0, 60.0, 20.0);
-        let arrivals = model.generate(SimDuration::from_secs(4000), &mut rng);
-        let bins = bin_per_second(&arrivals, 4000);
-        // Strong positive short-lag correlation distinguishes MMPP from
-        // Poisson.
-        assert!(autocorrelation(&bins, 1) > 0.4);
     }
 
     #[test]

@@ -14,9 +14,10 @@ use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
 use serde::{Deserialize, Serialize};
+use syndog_fingerprint::syn_key;
 use syndog_net::packet::PacketBuilder;
 use syndog_net::pcap::{PcapPacket, PcapReader, PcapWriter};
-use syndog_net::{classify, Ipv4Net, MacAddr, NetError, PacketView, SegmentKind, TcpFlags};
+use syndog_net::{Ipv4Net, MacAddr, NetError, PacketView, SegmentKind, TcpFlags};
 use syndog_sim::{SimDuration, SimTime};
 
 /// Which way a segment crossed the leaf router.
@@ -448,12 +449,14 @@ pub struct RecordReader<R> {
 }
 
 impl<R: Read> RecordReader<R> {
-    /// Opens a pcap capture, which declares no span. Each frame is decoded
-    /// once, in place in the pcap reader's block buffer: [`classify()`], then
-    /// [`PacketView::parse`], then `extract_syn` for SYNs; frames that fail
-    /// either are skipped. A packet addressed into `stub` is inbound,
-    /// anything else outbound: flood SYNs forge their *source*, so the
-    /// destination is the one field the routing fabric itself acts on.
+    /// Opens a pcap capture, which declares no span. Each frame's headers
+    /// are walked once, in place in the pcap reader's block buffer, by
+    /// [`PacketView::parse`]: the kind, the endpoints, the source MAC and,
+    /// for a SYN, the fingerprint ([`syn_key`]) all come from that one
+    /// view. Frames it rejects are skipped. A packet addressed into `stub`
+    /// is inbound, anything else outbound: flood SYNs forge their *source*,
+    /// so the destination is the one field the routing fabric itself acts
+    /// on.
     ///
     /// # Errors
     ///
@@ -474,12 +477,11 @@ impl<R: Read> RecordReader<R> {
     /// # Errors
     ///
     /// Returns [`TraceError::BadMagic`], [`TraceError::Truncated`] or
-    /// [`TraceError::InvalidRecord`] for a malformed header.
+    /// [`TraceError::InvalidRecord`] for a malformed header, and
+    /// [`TraceError::Io`] for a read that fails for any other reason.
     pub fn binary(mut reader: R) -> Result<Self, TraceError> {
         let mut head = [0u8; 4 + 2 + 8 + 8];
-        reader
-            .read_exact(&mut head)
-            .map_err(|_| TraceError::Truncated)?;
+        reader.read_exact(&mut head).map_err(read_error)?;
         let magic = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
         if magic != TRACE_MAGIC {
             return Err(TraceError::BadMagic(magic));
@@ -541,13 +543,10 @@ impl<R: Read> RecordReader<R> {
         match &mut self.format {
             Format::Pcap { pcap, stub } => {
                 while let Some(frame) = pcap.next_frame()? {
-                    let data = frame.data;
-                    let Ok(kind) = classify(data) else {
+                    let Ok(view) = PacketView::parse(frame.data) else {
                         continue;
                     };
-                    let Ok(view) = PacketView::parse(data) else {
-                        continue;
-                    };
+                    let kind = view.kind();
                     let (src, dst) = match (view.src_socket(), view.dst_socket()) {
                         (Some(s), Some(d)) => (s, d),
                         _ => (
@@ -560,11 +559,7 @@ impl<R: Read> RecordReader<R> {
                     } else {
                         Direction::Outbound
                     };
-                    let fp = if kind == SegmentKind::Syn {
-                        syndog_fingerprint::extract_syn(data).map_or(0, |key| key.to_bits())
-                    } else {
-                        0
-                    };
+                    let fp = syn_key(&view).map_or(0, |key| key.to_bits());
                     return Ok(Some(TraceRecord {
                         time: SimTime::from_micros(frame.timestamp_micros()),
                         direction,
@@ -589,7 +584,7 @@ impl<R: Read> RecordReader<R> {
                 let mut rec = [0u8; 36];
                 reader
                     .read_exact(&mut rec[..*record_len])
-                    .map_err(|_| TraceError::Truncated)?;
+                    .map_err(read_error)?;
                 let direction = match rec[8] {
                     0 => Direction::Inbound,
                     1 => Direction::Outbound,
@@ -618,11 +613,20 @@ impl<R: Read> RecordReader<R> {
     }
 }
 
+/// A failed `read_exact` on a binary trace: running out of bytes is a
+/// truncated stream, any other failure keeps its cause.
+fn read_error(err: std::io::Error) -> TraceError {
+    if err.kind() == std::io::ErrorKind::UnexpectedEof {
+        TraceError::Truncated
+    } else {
+        TraceError::Io(err)
+    }
+}
+
 impl<R: Read> Iterator for RecordReader<R> {
     type Item = TraceRecord;
 
-    // One call per record: inlined, the decode stays in the caller's loop
-    // (`read_pcap` runs ~8% slower without it).
+    // One call per record: inlined, the decode stays in the caller's loop.
     #[inline(always)]
     fn next(&mut self) -> Option<TraceRecord> {
         if self.error.is_some() {
@@ -644,6 +648,7 @@ impl Extend<TraceRecord> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syndog_net::classify;
 
     /// The binary format's reader, collected.
     fn read_binary(bytes: &[u8]) -> Result<Trace, TraceError> {
@@ -903,6 +908,60 @@ mod tests {
             read_binary(head.as_slice()),
             Err(TraceError::Truncated)
         ));
+    }
+
+    /// Hands out `good` bytes of `bytes`, then fails with a cause other
+    /// than running out.
+    #[derive(Debug)]
+    struct FailingReader<'a> {
+        bytes: &'a [u8],
+        good: usize,
+    }
+
+    impl Read for FailingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.good == 0 {
+                return Err(std::io::Error::other("device gone"));
+            }
+            let n = buf.len().min(self.good).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.good -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_failing_binary_read_is_an_io_error_not_a_truncation() {
+        let mut buf = Vec::new();
+        sample_trace().write_binary(&mut buf).unwrap();
+        // Mid-header.
+        let err = RecordReader::binary(FailingReader {
+            bytes: &buf,
+            good: 10,
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Io(e) if e.to_string() == "device gone"),
+            "{err}"
+        );
+        // Mid-record: the header and one record and a half read cleanly.
+        let mut reader = RecordReader::binary(FailingReader {
+            bytes: &buf,
+            good: 22 + 36 + 18,
+        })
+        .unwrap();
+        assert_eq!(reader.by_ref().count(), 1);
+        let err = reader.finish().unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Io(e) if e.to_string() == "device gone"),
+            "{err}"
+        );
+        // Running out of bytes is still a truncation.
+        let cut = &buf[..22 + 36 + 18];
+        let mut reader = RecordReader::binary(cut).unwrap();
+        assert_eq!(reader.by_ref().count(), 1);
+        assert!(matches!(reader.finish(), Err(TraceError::Truncated)));
     }
 
     #[test]

@@ -23,30 +23,65 @@ pub fn base_frame(shape: u8, inbound: bool, host: u16) -> Vec<u8> {
     } else {
         (inside, outside)
     };
-    let builder = match shape % 8 {
-        0 => PacketBuilder::tcp_syn(src, dst).tcp_options(vec![
+    let shape = shape % 10;
+    let builder = match shape {
+        0 => PacketBuilder::tcp(src, dst, TcpFlags::SYN).tcp_options(vec![
             TcpOption::Mss(1460),
             TcpOption::Nop,
             TcpOption::WindowScale(7),
             TcpOption::SackPermitted,
             TcpOption::Timestamps(1, 0),
         ]),
-        1 => PacketBuilder::tcp_syn(src, dst),
+        1 | 8 => PacketBuilder::tcp(src, dst, TcpFlags::SYN),
         2 => PacketBuilder::tcp(src, dst, TcpFlags::SYN | TcpFlags::ACK),
         3 => PacketBuilder::tcp(src, dst, TcpFlags::ACK | TcpFlags::PSH).payload(vec![7u8; 40]),
         4 => PacketBuilder::tcp(src, dst, TcpFlags::FIN | TcpFlags::ACK),
         5 => PacketBuilder::tcp(src, dst, TcpFlags::RST),
         6 => PacketBuilder::non_tcp(*src.ip(), *dst.ip(), syndog_net::ipv4::PROTO_UDP)
             .payload(vec![1u8; 24]),
-        _ => PacketBuilder::tcp_syn(src, dst)
+        7 => PacketBuilder::tcp(src, dst, TcpFlags::SYN)
             .fragment_offset(3)
             .payload(vec![0u8; 24]),
+        // Every quirk the fingerprint encodes: DF with a nonzero ID, ECN,
+        // URG and PSH on the SYN, a nonzero ACK field, a nonzero urgent
+        // pointer and (below) sequence number 0.
+        _ => PacketBuilder::tcp(
+            src,
+            dst,
+            TcpFlags::SYN | TcpFlags::URG | TcpFlags::PSH | TcpFlags::ECE | TcpFlags::CWR,
+        )
+        .dont_fragment(true)
+        .identification(0x4d2)
+        .ack(0x0102_0304)
+        .urgent(9),
     };
-    builder
+    let seq = if shape == 9 { 0 } else { u32::from(host) };
+    let mut frame = builder
         .src_mac(MacAddr::for_host(1, host.into()))
-        .seq(u32::from(host))
+        .seq(seq)
         .build()
-        .expect("builder frames encode")
+        .expect("builder frames encode");
+    if shape == 8 {
+        splice_ip_options(
+            &mut frame,
+            &[0x94, 0x04, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00],
+        );
+    }
+    frame
+}
+
+/// Inserts IPv4 options after a 20-byte IPv4 header, fixing up the IHL,
+/// `total_len` and the header checksum, so the TCP header starts past them.
+fn splice_ip_options(frame: &mut Vec<u8>, options: &[u8]) {
+    assert_eq!(options.len() % 4, 0, "options fill whole words");
+    frame.splice(34..34, options.iter().copied());
+    let header_len = 20 + options.len();
+    frame[14] = 0x40 | (header_len / 4) as u8;
+    let total_len = u16::from_be_bytes([frame[16], frame[17]]) + options.len() as u16;
+    frame[16..18].copy_from_slice(&total_len.to_be_bytes());
+    frame[24..26].copy_from_slice(&[0, 0]);
+    let checksum = syndog_net::ipv4::internet_checksum(&frame[14..14 + header_len]);
+    frame[24..26].copy_from_slice(&checksum.to_be_bytes());
 }
 
 /// Applies one mutation: `kind` picks it, `at` and `value` steer it.

@@ -7,15 +7,18 @@
 use std::net::SocketAddrV4;
 
 use proptest::prelude::*;
-use syndog_fingerprint::extract_syn;
+use syndog_fingerprint::{
+    extract_syn, syn_key, QUIRK_ACK_NONZERO, QUIRK_DF, QUIRK_ECN, QUIRK_NONZERO_ID, QUIRK_PUSH,
+    QUIRK_SEQ_ZERO, QUIRK_URG,
+};
 use syndog_net::pcap::PcapReader;
-use syndog_net::{classify, Ipv4Net, Packet, SegmentKind};
+use syndog_net::{classify, Ipv4Net, Packet, PacketView, SegmentKind};
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::trace::{Direction, Trace, TraceRecord};
 
 mod corpus;
 
-use corpus::{arb_frame, capture, FrameSpec, STUB};
+use corpus::{arb_frame, base_frame, capture, FrameSpec, STUB};
 
 /// The reference chain, assembling records exactly as the importer does:
 /// in arrival order, with the duration ending just past the latest record.
@@ -82,6 +85,34 @@ proptest! {
         prop_assert_eq!(imported.records(), expected.records());
         prop_assert_eq!(imported.duration(), expected.duration());
     }
+}
+
+/// The corpus reaches TCP past IPv4 options, and a SYN that carries every
+/// quirk the key encodes.
+#[test]
+fn corpus_covers_ip_options_and_every_quirk() {
+    let with_options = base_frame(8, false, 7);
+    let packet = Packet::decode(&with_options).unwrap();
+    assert_eq!(packet.ipv4.header_len(), 28);
+    assert_eq!(packet.tcp.unwrap().src_port, 80);
+    let view = PacketView::parse(&with_options).unwrap();
+    assert_eq!(view.kind(), SegmentKind::Syn);
+    assert_eq!(syn_key(&view), extract_syn(&with_options));
+    assert!(syn_key(&view).is_some());
+
+    let quirky = base_frame(9, false, 7);
+    let key = syn_key(&PacketView::parse(&quirky).unwrap()).unwrap();
+    assert_eq!(
+        key.quirks,
+        QUIRK_DF
+            | QUIRK_NONZERO_ID
+            | QUIRK_ECN
+            | QUIRK_URG
+            | QUIRK_PUSH
+            | QUIRK_ACK_NONZERO
+            | QUIRK_SEQ_ZERO
+    );
+    assert_eq!(Some(key), extract_syn(&quirky));
 }
 
 /// Wherever the pcap reader's 64 KiB block boundaries fall (a few

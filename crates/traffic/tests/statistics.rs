@@ -1,9 +1,8 @@
 //! Statistical validation of the traffic substrate: the properties the
 //! paper's argument rests on, measured on generated traffic at scale.
 
-use syndog_sim::stats::autocorrelation;
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::arrival::{ArrivalModel, ParetoOnOffArrivals, PoissonArrivals};
+use syndog_traffic::arrival::{ArrivalModel, MmppArrivals, ParetoOnOffArrivals, PoissonArrivals};
 use syndog_traffic::sites::SiteProfile;
 
 /// Estimates the Hurst exponent of a series by rescaled-range (R/S)
@@ -69,6 +68,25 @@ fn least_squares_slope(points: &[(f64, f64)]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
+/// Sample autocorrelation of a series at the given lag.
+///
+/// Returns 0 for series shorter than `lag + 2` or with zero variance.
+fn autocorrelation(series: &[f64], lag: usize) -> f64 {
+    if series.len() < lag + 2 {
+        return 0.0;
+    }
+    let n = series.len();
+    let mean = series.iter().sum::<f64>() / n as f64;
+    let denom: f64 = series.iter().map(|x| (x - mean).powi(2)).sum();
+    if denom == 0.0 {
+        return 0.0;
+    }
+    let numer: f64 = (0..n - lag)
+        .map(|i| (series[i] - mean) * (series[i + lag] - mean))
+        .sum();
+    numer / denom
+}
+
 fn bin_per_second(arrivals: &[SimTime], duration_secs: usize) -> Vec<f64> {
     let mut bins = vec![0.0; duration_secs];
     for t in arrivals {
@@ -78,6 +96,52 @@ fn bin_per_second(arrivals: &[SimTime], duration_secs: usize) -> Vec<f64> {
         }
     }
     bins
+}
+
+#[test]
+fn autocorrelation_of_iid_is_near_zero() {
+    let mut rng = SimRng::seed_from_u64(1);
+    let series: Vec<f64> = (0..5000).map(|_| rng.standard_normal()).collect();
+    assert!(autocorrelation(&series, 1).abs() < 0.05);
+    assert!(autocorrelation(&series, 10).abs() < 0.05);
+}
+
+#[test]
+fn autocorrelation_of_persistent_series_is_high() {
+    // AR(1) with phi = 0.9.
+    let mut rng = SimRng::seed_from_u64(2);
+    let mut series = vec![0.0f64];
+    for _ in 0..5000 {
+        let prev = *series.last().unwrap();
+        series.push(0.9 * prev + rng.standard_normal());
+    }
+    assert!(autocorrelation(&series, 1) > 0.85);
+}
+
+#[test]
+fn autocorrelation_degenerate_inputs() {
+    assert_eq!(autocorrelation(&[], 1), 0.0);
+    assert_eq!(autocorrelation(&[1.0, 1.0, 1.0, 1.0], 1), 0.0); // zero variance
+    assert_eq!(autocorrelation(&[1.0, 2.0], 5), 0.0); // lag too large
+}
+
+#[test]
+fn poisson_counts_are_uncorrelated() {
+    let mut rng = SimRng::seed_from_u64(3);
+    let arrivals = PoissonArrivals::new(30.0).generate(SimDuration::from_secs(2000), &mut rng);
+    let bins = bin_per_second(&arrivals, 2000);
+    assert!(autocorrelation(&bins, 1).abs() < 0.05);
+}
+
+#[test]
+fn mmpp_counts_are_bursty() {
+    let mut rng = SimRng::seed_from_u64(5);
+    let model = MmppArrivals::bursty(10.0, 10.0, 60.0, 20.0);
+    let arrivals = model.generate(SimDuration::from_secs(4000), &mut rng);
+    let bins = bin_per_second(&arrivals, 4000);
+    // Strong positive short-lag correlation distinguishes MMPP from
+    // Poisson.
+    assert!(autocorrelation(&bins, 1) > 0.4);
 }
 
 #[test]

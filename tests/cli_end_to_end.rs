@@ -415,6 +415,27 @@ fn oversized_pcap_record_exits_2() {
 /// A 22-byte binary trace whose header claims 2^32 records (160 GiB)
 /// and holds none is a truncated stream to every front end, not an
 /// allocation.
+/// A binary trace that cannot be read names the read's own cause, as a
+/// pcap does, instead of calling the stream truncated.
+#[test]
+fn unreadable_binary_trace_names_its_cause() {
+    let dir = std::env::temp_dir().join("syndog_e2e_directory.bin");
+    let _ = std::fs::create_dir(&dir);
+    let cause = std::fs::read(&dir).unwrap_err().to_string();
+    for command in ["detect", "sniff", "locate"] {
+        let err = run_rejected(&[
+            command,
+            "--in",
+            dir.to_str().unwrap(),
+            "--stub",
+            "128.3.0.0/16",
+        ]);
+        assert!(err.contains(&cause), "{command}: {err}");
+        assert!(!err.contains("truncated"), "{command}: {err}");
+    }
+    let _ = std::fs::remove_dir(dir);
+}
+
 #[test]
 fn hostile_binary_record_count_exits_2() {
     let path = std::env::temp_dir().join("syndog_e2e_hostile.bin");
