@@ -30,7 +30,7 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
             let agent = SynDogAgent::restore(&read_checkpoint(path)?)
                 .map_err(|e| format!("restore {path}: {e}"))?;
             let k = agent.router().current_period();
-            println!("resumed from {path} at period {k}");
+            outln!("resumed from {path} at period {k}");
             agent
         }
         None => SynDogAgent::with_detector(stub, opts.detector.build(opts.config)),
@@ -50,9 +50,9 @@ pub fn cmd_detect(args: &[String]) -> Result<(), String> {
         agent.run_trace_with(records, span, |_, _, _| {})
     })?;
     if let Some(ledger) = ledger {
-        println!("faults: {}", ledger.summary());
+        outln!("faults: {}", ledger.summary());
     }
-    print!("{}", detection_report(&agent, flags.has("verbose")));
+    out!("{}", detection_report(&agent, flags.has("verbose")));
     print_mitigation_report(&agent);
     if let Some(path) = &opts.checkpoint {
         write_checkpoint(&agent.checkpoint(), path)?;
@@ -73,13 +73,15 @@ fn print_mitigation_report(agent: &SynDogAgent) {
                 .released_at()
                 .map(|p| format!("released at period {p}"))
                 .unwrap_or_else(|| "still engaged".into());
-            println!(
+            outln!(
                 "MITIGATION engaged at period {engaged}, {released}: \
                  {} SYNs throttled, {} passed ({} collateral)",
-                stats.throttled_syns, stats.passed_syns, stats.collateral_syns
+                stats.throttled_syns,
+                stats.passed_syns,
+                stats.collateral_syns
             );
             if let Some(fraction) = stats.attack_drop_fraction() {
-                println!(
+                outln!(
                     "  attack SYNs: {} offered, {} forwarded ({:.1}% shed)",
                     stats.attack_syns_offered,
                     stats.attack_syns_forwarded,
@@ -87,7 +89,7 @@ fn print_mitigation_report(agent: &SynDogAgent) {
                 );
             }
         }
-        None => println!("mitigation armed; throttles never engaged"),
+        None => outln!("mitigation armed; throttles never engaged"),
     }
 }
 
@@ -131,13 +133,13 @@ pub fn cmd_sniff(args: &[String]) -> Result<(), String> {
         )?;
     }
     let router = agent.router();
-    println!(
+    outln!(
         "sniffed {} frames ({} malformed)",
         frames_seen(&agent),
         router.sniffer(Direction::Outbound).malformed()
             + router.sniffer(Direction::Inbound).malformed(),
     );
-    print!("{}", detection_report(&agent, flags.has("verbose")));
+    out!("{}", detection_report(&agent, flags.has("verbose")));
     metrics.finish()
 }
 
@@ -221,21 +223,21 @@ pub fn cmd_locate(args: &[String]) -> Result<(), String> {
         },
     )?;
     let Some(alarm) = agent.first_alarm() else {
-        println!("no flooding detected; nothing to locate");
+        outln!("no flooding detected; nothing to locate");
         return Ok(());
     };
-    println!(
+    outln!(
         "alarm at period {} — arming per-MAC accounting",
         alarm.period
     );
     let suspects = locator.suspects();
     if suspects.is_empty() {
-        println!("alarm raised but no spoofed-source SYNs observed afterwards");
+        outln!("alarm raised but no spoofed-source SYNs observed afterwards");
         return Ok(());
     }
-    println!("suspects (by spoofed-SYN count):");
+    outln!("suspects (by spoofed-SYN count):");
     for suspect in suspects.iter().take(5) {
-        println!(
+        outln!(
             "  {}  {:>8} spoofed SYNs  ({:.1}%)",
             suspect.mac,
             suspect.spoofed_syns,

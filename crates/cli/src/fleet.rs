@@ -138,7 +138,7 @@ pub fn cmd_fleet(args: &[String]) -> Result<(), String> {
                     csv_file.as_mut().map(|f| f as &mut dyn std::io::Write),
                 )
                 .map_err(|e| format!("correlated fleet run: {e}"))?;
-            print!("{}", run.render());
+            out!("{}", run.render());
         }
         None => {
             let report = if counts {
@@ -146,7 +146,7 @@ pub fn cmd_fleet(args: &[String]) -> Result<(), String> {
             } else {
                 fleet.run()
             };
-            print!("{}", report.render());
+            out!("{}", report.render());
             if let (Some(file), Some(path)) = (&mut csv_file, csv) {
                 report
                     .write_csv(file)
@@ -156,7 +156,7 @@ pub fn cmd_fleet(args: &[String]) -> Result<(), String> {
     }
     if let (Some(mut file), Some(path)) = (csv_file, csv) {
         file.flush().map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote fleet report to {path}");
+        outln!("wrote fleet report to {path}");
     }
     metrics.finish()
 }

@@ -12,6 +12,22 @@
 //! - [`serve`]: `serve` — the long-running daemon and its status plane.
 //! - [`tools`]: `generate`, `inject`, `stats`, `theory`.
 
+/// `print!` to stdout, ending quietly once the reader has gone: after a
+/// closed pipe (`syndog sniff … | head -1`) the rest of the output is
+/// dropped, and the command runs to its end and exits as it would have.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] with a newline, as `println!`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod detect;
 mod fleet;
 mod options;
@@ -37,7 +53,7 @@ fn main() -> ExitCode {
         "stats" => tools::cmd_stats(rest),
         "theory" => tools::cmd_theory(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => Err(format!("unknown command: {other}\n{USAGE}")),
@@ -48,6 +64,18 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::from(2)
         }
+    }
+}
+
+/// Writes to stdout: a closed pipe is the reader's choice, not an error,
+/// and any other failure panics as `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(err) = std::io::stdout().lock().write_fmt(args) {
+        assert!(
+            err.kind() == std::io::ErrorKind::BrokenPipe,
+            "failed printing to stdout: {err}"
+        );
     }
 }
 

@@ -237,7 +237,7 @@ impl RunOptions {
         if dest.parse::<SocketAddr>().is_ok() {
             let server = ScrapeServer::bind_with_routes(hub, dest, routes)
                 .map_err(|e| format!("bind metrics endpoint {dest}: {e}"))?;
-            println!("serving metrics at http://{}/metrics", server.addr());
+            outln!("serving metrics at http://{}/metrics", server.addr());
             metrics.server = Some(server);
         } else {
             metrics.file = Some((dest.clone(), *format));
@@ -273,12 +273,12 @@ impl Metrics {
     /// reports where it was. A no-op without `--metrics`.
     pub fn finish(self) -> Result<(), String> {
         if let Some(server) = &self.server {
-            println!("metrics served at http://{}/metrics", server.addr());
+            outln!("metrics served at http://{}/metrics", server.addr());
         }
         if let (Some((path, format)), Some(hub)) = (&self.file, &self.hub) {
             std::fs::write(path, format.render(&hub.snapshot()))
                 .map_err(|e| format!("write {path}: {e}"))?;
-            println!("wrote metrics snapshot to {path}");
+            outln!("wrote metrics snapshot to {path}");
         }
         Ok(())
     }
@@ -377,6 +377,6 @@ pub fn write_checkpoint(checkpoint: &Checkpoint, path: &str) -> Result<(), Strin
     checkpoint
         .write_atomic(std::path::Path::new(path))
         .map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote checkpoint to {path}");
+    outln!("wrote checkpoint to {path}");
     Ok(())
 }

@@ -165,7 +165,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
         ServeDaemon::new(spec, stubs).map_err(|e| format!("serve: {e}"))?
     };
     if daemon.resumed() {
-        println!(
+        outln!(
             "resumed from checkpoint at period {} (t = {:.0} s)",
             daemon.next_window(),
             daemon.sim_now().as_secs_f64()
@@ -178,16 +178,16 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
         daemon.attach_telemetry(&hub);
     }
     if let Some(addr) = metrics.addr() {
-        println!("serving status at http://{addr}/status");
+        outln!("serving status at http://{addr}/status");
     }
     daemon.run_for(periods);
     let snapshot = daemon.snapshot();
     if flags.has("status-json") {
-        println!("{}", snapshot.render_json());
+        outln!("{}", snapshot.render_json());
     } else {
-        print!("{}", snapshot.render_text());
+        out!("{}", snapshot.render_text());
     }
-    println!(
+    outln!(
         "served {periods} periods ({:.0} sim-seconds); missed={} reloads={}",
         period.as_secs_f64() * periods as f64,
         snapshot.missed_periods(),

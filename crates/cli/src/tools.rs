@@ -19,7 +19,7 @@ pub fn cmd_generate(args: &[String]) -> Result<(), String> {
     let mut rng = SimRng::seed_from_u64(seed);
     let trace = site.generate_trace(&mut rng);
     write_trace(&trace, out)?;
-    println!(
+    outln!(
         "generated {} ({} records, {:.0} s, stub {})",
         out,
         trace.len(),
@@ -66,7 +66,7 @@ pub fn cmd_inject(args: &[String]) -> Result<(), String> {
     let flood_trace = flood.generate_trace(&mut rng);
     trace.merge(&flood_trace);
     write_trace(&trace, out)?;
-    println!(
+    outln!(
         "injected {} flood SYNs ({rate}/s from t={start}s for {duration}s) into {out}",
         flood_trace.len()
     );
@@ -81,7 +81,7 @@ pub fn cmd_stats(args: &[String]) -> Result<(), String> {
     if let Some(name) = flags.get("format") {
         let format = ExportFormat::parse(name)
             .ok_or_else(|| format!("invalid --format: {name} (prom, jsonl, csv)"))?;
-        print!("{}", format.render(&snapshot));
+        out!("{}", format.render(&snapshot));
         return Ok(());
     }
     let labels = |pairs: &[(String, String)]| {
@@ -92,9 +92,9 @@ pub fn cmd_stats(args: &[String]) -> Result<(), String> {
             format!("{{{}}}", inner.join(","))
         }
     };
-    println!("{input}:");
+    outln!("{input}:");
     for counter in &snapshot.counters {
-        println!(
+        outln!(
             "  {}{}  {}",
             counter.name,
             labels(&counter.labels),
@@ -102,7 +102,7 @@ pub fn cmd_stats(args: &[String]) -> Result<(), String> {
         );
     }
     for gauge in &snapshot.gauges {
-        println!("  {}{}  {}", gauge.name, labels(&gauge.labels), gauge.value);
+        outln!("  {}{}  {}", gauge.name, labels(&gauge.labels), gauge.value);
     }
     for histogram in &snapshot.histograms {
         let mean = if histogram.count == 0 {
@@ -110,7 +110,7 @@ pub fn cmd_stats(args: &[String]) -> Result<(), String> {
         } else {
             histogram.sum as f64 / histogram.count as f64
         };
-        println!(
+        outln!(
             "  {}{}  count {}, mean {:.1}",
             histogram.name,
             labels(&histogram.labels),
@@ -118,7 +118,7 @@ pub fn cmd_stats(args: &[String]) -> Result<(), String> {
             mean
         );
     }
-    println!(
+    outln!(
         "  {} events retained ({} overwritten)",
         snapshot.events.len(),
         snapshot.events_dropped
@@ -129,7 +129,7 @@ pub fn cmd_stats(args: &[String]) -> Result<(), String> {
             .iter()
             .map(|(k, v)| format!("{k}={v}"))
             .collect();
-        println!(
+        outln!(
             "    [{:>5}] t={:.0}s {} {}",
             event.seq,
             event.t,
@@ -150,18 +150,18 @@ pub fn cmd_theory(args: &[String]) -> Result<(), String> {
     let t0 = flags.positive("t0", f64::MAX)?.unwrap_or(20.0);
     let total_rate: f64 = flags.parse_value("total-rate", 14_000.0)?;
     let f_min = theory::min_detectable_rate(a, c, k, t0);
-    println!("parameters: a = {a}, c = {c}, K = {k}/period, t0 = {t0} s");
-    println!("f_min (Eq. 8)          = {f_min:.2} SYN/s");
+    outln!("parameters: a = {a}, c = {c}, K = {k}/period, t0 = {t0} s");
+    outln!("f_min (Eq. 8)          = {f_min:.2} SYN/s");
     let h = 2.0 * a;
     match theory::threshold_for_delay(3.0, h, c, a) {
-        Some(n) => println!("N for 3-period delay   = {n:.2} (h = 2a = {h})"),
-        None => println!("N for 3-period delay   = undefined (h <= |c - a|)"),
+        Some(n) => outln!("N for 3-period delay   = {n:.2} (h = 2a = {h})"),
+        None => outln!("N for 3-period delay   = undefined (h <= |c - a|)"),
     }
     match theory::max_hidden_stub_networks(total_rate, f_min) {
         Some(stubs) => {
-            println!("max hidden stubs       = {stubs} at aggregate V = {total_rate} SYN/s")
+            outln!("max hidden stubs       = {stubs} at aggregate V = {total_rate} SYN/s")
         }
-        None => println!("max hidden stubs       = unbounded (f_min = 0)"),
+        None => outln!("max hidden stubs       = unbounded (f_min = 0)"),
     }
     let config = SynDogConfig::paper_default()
         .with_offset(a)
@@ -169,10 +169,10 @@ pub fn cmd_theory(args: &[String]) -> Result<(), String> {
     for rate_multiplier in [1.2, 2.0, 4.0] {
         let rate = f_min * rate_multiplier;
         match theory::expected_delay_periods(&config, rate, k, c) {
-            Some(delay) => println!(
+            Some(delay) => outln!(
                 "expected delay at {rate:>8.2} SYN/s ({rate_multiplier}x f_min) = {delay:.1} periods"
             ),
-            None => println!("expected delay at {rate:>8.2} SYN/s = not detectable"),
+            None => outln!("expected delay at {rate:>8.2} SYN/s = not detectable"),
         }
     }
     Ok(())

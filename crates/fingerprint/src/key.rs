@@ -149,18 +149,19 @@ impl FingerprintKey {
         self,
         builder: syndog_net::packet::PacketBuilder,
     ) -> syndog_net::packet::PacketBuilder {
-        use syndog_net::tcp::TcpOption;
+        use syndog_net::tcp::{OptionArea, TcpOption};
         use syndog_net::TcpFlags;
 
-        let mut options = Vec::new();
+        // Encoded in place: a fingerprinted SYN allocates nothing.
+        let mut options = OptionArea::default();
         for code in self.option_codes() {
-            options.push(match code {
-                OPT_MSS => TcpOption::Mss(self.mss),
-                OPT_WSCALE => TcpOption::WindowScale(7),
-                OPT_SACKOK => TcpOption::SackPermitted,
-                OPT_TS => TcpOption::Timestamps(1, 0),
-                _ => TcpOption::Unknown(253, vec![0, 0]),
-            });
+            match code {
+                OPT_MSS => options.push(&TcpOption::Mss(self.mss)),
+                OPT_WSCALE => options.push(&TcpOption::WindowScale(7)),
+                OPT_SACKOK => options.push(&TcpOption::SackPermitted),
+                OPT_TS => options.push(&TcpOption::Timestamps(1, 0)),
+                _ => options.push_raw(253, &[0, 0]),
+            }
         }
         let df = self.has_quirk(QUIRK_DF);
         let id_nonzero = if df {
@@ -446,7 +447,7 @@ mod tests {
     #[test]
     fn option_layout_follows_wire_order() {
         let frame = PacketBuilder::tcp(addr("10.1.0.5:1025"), addr("192.0.2.80:80"), TcpFlags::SYN)
-            .tcp_options(vec![
+            .tcp_options([
                 TcpOption::Mss(1400),
                 TcpOption::Nop,
                 TcpOption::WindowScale(7),
@@ -468,10 +469,7 @@ mod tests {
     #[test]
     fn unknown_options_code_as_other() {
         let frame = PacketBuilder::tcp(addr("10.1.0.5:1025"), addr("192.0.2.80:80"), TcpFlags::SYN)
-            .tcp_options(vec![
-                TcpOption::Unknown(253, vec![9, 9]),
-                TcpOption::Mss(1460),
-            ])
+            .tcp_options([TcpOption::Unknown(253, vec![9, 9]), TcpOption::Mss(1460)])
             .build()
             .unwrap();
         let key = extract_syn(&frame).unwrap();

@@ -9,13 +9,13 @@
 //! little-endian files, which every tool accepts.
 //!
 //! ```
-//! use syndog_net::pcap::{PcapReader, PcapWriter, PcapPacket};
+//! use syndog_net::pcap::{PcapFrame, PcapReader, PcapWriter};
 //! use std::io::Cursor;
 //!
 //! # fn main() -> Result<(), syndog_net::NetError> {
 //! let mut file = Vec::new();
 //! let mut writer = PcapWriter::new(&mut file)?;
-//! writer.write_packet(&PcapPacket { ts_sec: 10, ts_nanos: 500, data: vec![1, 2, 3] })?;
+//! writer.write_frame(&PcapFrame { ts_sec: 10, ts_nanos: 500, data: &[1, 2, 3] })?;
 //! writer.flush()?;
 //!
 //! let mut reader = PcapReader::new(Cursor::new(file))?;
@@ -70,8 +70,9 @@ pub struct PcapHeader {
     pub big_endian: bool,
 }
 
-/// One packet record lent by [`PcapReader::next_frame`]: the body is a
-/// slice of the reader's block buffer, valid until the next read.
+/// One packet record lent by [`PcapReader::next_frame`] (the body is a
+/// slice of the reader's block buffer, valid until the next read) or to
+/// [`PcapWriter::write_frame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcapFrame<'a> {
     /// Seconds since the Unix epoch.
@@ -300,20 +301,21 @@ impl<W: Write> PcapWriter<W> {
         Ok(PcapWriter { inner, snaplen })
     }
 
-    /// Appends one packet record, truncating `data` to the snaplen.
+    /// Appends one packet record, truncating `data` to the snaplen: the
+    /// 16-byte record header, then the body as lent.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn write_packet(&mut self, packet: &PcapPacket) -> Result<(), NetError> {
-        let caplen = packet.data.len().min(self.snaplen as usize) as u32;
-        self.inner.write_all(&packet.ts_sec.to_le_bytes())?;
-        self.inner
-            .write_all(&(packet.ts_nanos / 1000).to_le_bytes())?;
-        self.inner.write_all(&caplen.to_le_bytes())?;
-        self.inner
-            .write_all(&(packet.data.len() as u32).to_le_bytes())?;
-        self.inner.write_all(&packet.data[..caplen as usize])?;
+    pub fn write_frame(&mut self, frame: &PcapFrame<'_>) -> Result<(), NetError> {
+        let caplen = frame.data.len().min(self.snaplen as usize);
+        let mut header = [0u8; RECORD_HEADER_LEN];
+        header[0..4].copy_from_slice(&frame.ts_sec.to_le_bytes());
+        header[4..8].copy_from_slice(&(frame.ts_nanos / 1000).to_le_bytes());
+        header[8..12].copy_from_slice(&(caplen as u32).to_le_bytes());
+        header[12..16].copy_from_slice(&(frame.data.len() as u32).to_le_bytes());
+        self.inner.write_all(&header)?;
+        self.inner.write_all(&frame.data[..caplen])?;
         Ok(())
     }
 
@@ -358,11 +360,19 @@ mod tests {
         ]
     }
 
+    fn frame(packet: &PcapPacket) -> PcapFrame<'_> {
+        PcapFrame {
+            ts_sec: packet.ts_sec,
+            ts_nanos: packet.ts_nanos,
+            data: &packet.data,
+        }
+    }
+
     fn write_all(packets: &[PcapPacket]) -> Vec<u8> {
         let mut file = Vec::new();
         let mut writer = PcapWriter::new(&mut file).unwrap();
         for packet in packets {
-            writer.write_packet(packet).unwrap();
+            writer.write_frame(&frame(packet)).unwrap();
         }
         writer.flush().unwrap();
         file
@@ -450,10 +460,10 @@ mod tests {
         let mut file = Vec::new();
         let mut writer = PcapWriter::with_options(&mut file, 8, LINKTYPE_ETHERNET).unwrap();
         writer
-            .write_packet(&PcapPacket {
+            .write_frame(&PcapFrame {
                 ts_sec: 0,
                 ts_nanos: 0,
-                data: vec![0xaa; 64],
+                data: &[0xaa; 64],
             })
             .unwrap();
         writer.flush().unwrap();
@@ -513,9 +523,9 @@ mod tests {
         let long: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
         let mut file = Vec::new();
         let mut writer = PcapWriter::with_options(&mut file, 1 << 20, LINKTYPE_ETHERNET).unwrap();
-        for data in [long.clone(), vec![7; 3]] {
+        for data in [&long[..], &[7; 3]] {
             writer
-                .write_packet(&PcapPacket {
+                .write_frame(&PcapFrame {
                     ts_sec: 1,
                     ts_nanos: 0,
                     data,

@@ -56,6 +56,12 @@ pub struct SourceLocator {
     armed: bool,
     by_mac: HashMap<MacAddr, MacActivity>,
     attack_fps: FingerprintTable,
+    /// Spoofed SYNs over every MAC.
+    spoofed: u64,
+    /// The head of [`SourceLocator::suspects`] as `(mac, spoofed SYNs)`,
+    /// kept as counts are added: counts only grow until `disarm`, so only
+    /// the MAC just counted can take the lead.
+    leader: Option<(MacAddr, u64)>,
 }
 
 impl SourceLocator {
@@ -65,9 +71,7 @@ impl SourceLocator {
     pub fn new(stub: Ipv4Net) -> Self {
         SourceLocator {
             stub: Some(stub),
-            armed: false,
-            by_mac: HashMap::new(),
-            attack_fps: FingerprintTable::new(),
+            ..SourceLocator::default()
         }
     }
 
@@ -79,11 +83,29 @@ impl SourceLocator {
         by_mac: HashMap<MacAddr, MacActivity>,
         attack_fps: FingerprintTable,
     ) -> Self {
-        SourceLocator {
+        let mut locator = SourceLocator {
             stub,
             armed,
-            by_mac,
             attack_fps,
+            ..SourceLocator::default()
+        };
+        for (&mac, activity) in &by_mac {
+            locator.spoofed += activity.spoofed_syns;
+            locator.offer_lead(mac, activity.spoofed_syns);
+        }
+        locator.by_mac = by_mac;
+        locator
+    }
+
+    /// Offers the lead to `mac`, now at `count` spoofed SYNs: the most
+    /// lead, a tie goes to the lowest MAC, and none is no lead at all.
+    fn offer_lead(&mut self, mac: MacAddr, count: u64) {
+        if count > 0
+            && self
+                .leader
+                .is_none_or(|(lead, most)| count > most || (count == most && mac < lead))
+        {
+            self.leader = Some((mac, count));
         }
     }
 
@@ -107,6 +129,8 @@ impl SourceLocator {
         self.armed = false;
         self.by_mac.clear();
         self.attack_fps.clear();
+        self.spoofed = 0;
+        self.leader = None;
     }
 
     /// The ingress-filtering spoof test: an outbound packet is spoofed if
@@ -138,6 +162,9 @@ impl SourceLocator {
         let entry = self.by_mac.entry(record.src_mac).or_default();
         if spoofed {
             entry.spoofed_syns += 1;
+            let count = entry.spoofed_syns;
+            self.spoofed += 1;
+            self.offer_lead(record.src_mac, count);
             // fp == 0 means "no fingerprint captured" (count-level traces),
             // not a real key — keep it out of the attribution table.
             if record.fp != 0 {
@@ -150,7 +177,7 @@ impl SourceLocator {
 
     /// Total spoofed SYNs seen while armed.
     pub fn total_spoofed(&self) -> u64 {
-        self.by_mac.values().map(|a| a.spoofed_syns).sum()
+        self.spoofed
     }
 
     /// The accounting table.
@@ -174,8 +201,8 @@ impl SourceLocator {
         (share >= min_share).then_some((key, share))
     }
 
-    /// Ranks suspects by spoofed-SYN count, descending. MACs that emitted
-    /// no spoofed SYNs are not suspects.
+    /// Ranks suspects by spoofed-SYN count, descending, ties by MAC. MACs
+    /// that emitted no spoofed SYNs are not suspects.
     pub fn suspects(&self) -> Vec<Suspect> {
         let total = self.total_spoofed();
         if total == 0 {
@@ -195,13 +222,17 @@ impl SourceLocator {
         suspects
     }
 
-    /// The dominant suspect, if one MAC accounts for at least
-    /// `min_share` of the spoofed SYNs.
+    /// The dominant suspect — the head of [`SourceLocator::suspects`],
+    /// kept as SYNs are counted, so asking costs nothing — if that MAC
+    /// accounts for at least `min_share` of the spoofed SYNs.
     pub fn prime_suspect(&self, min_share: f64) -> Option<Suspect> {
-        self.suspects()
-            .into_iter()
-            .next()
-            .filter(|s| s.share >= min_share)
+        let (mac, spoofed_syns) = self.leader?;
+        let share = spoofed_syns as f64 / self.spoofed as f64;
+        (share >= min_share).then_some(Suspect {
+            mac,
+            spoofed_syns,
+            share,
+        })
     }
 }
 
@@ -373,5 +404,48 @@ mod tests {
             .expect("one attacker, one suspect");
         assert_eq!(prime.mac, attacker_mac);
         assert!(prime.spoofed_syns > 2500);
+    }
+
+    proptest::proptest! {
+        /// The lead kept as SYNs are counted is the head of `suspects()`
+        /// and the full scan over `activity()`, on streams over a few MACs
+        /// (so counts tie) with disarms and checkpoint restores between.
+        #[test]
+        fn the_kept_lead_is_the_ranked_head(
+            steps in proptest::collection::vec((0u8..12, 0u32..5, proptest::prelude::any::<bool>()), 0..300),
+        ) {
+            let mut locator = SourceLocator::new(stub());
+            locator.arm();
+            for (op, host, spoofed) in steps {
+                match op {
+                    0 => locator.disarm(),
+                    1 => locator.arm(),
+                    2 => {
+                        locator = SourceLocator::from_parts(
+                            locator.stub(),
+                            locator.is_armed(),
+                            locator.activity().clone(),
+                            locator.attack_fingerprints().clone(),
+                        )
+                    }
+                    _ => {
+                        let src = if spoofed { "10.0.0.1:6000" } else { "130.216.4.9:1025" };
+                        locator.observe(&syn(src, MacAddr::for_host(1, host)));
+                    }
+                }
+                let head = locator.suspects().into_iter().next();
+                proptest::prop_assert_eq!(locator.prime_suspect(0.0), head);
+                let scan = locator
+                    .activity()
+                    .iter()
+                    .filter(|(_, a)| a.spoofed_syns > 0)
+                    .max_by(|a, b| a.1.spoofed_syns.cmp(&b.1.spoofed_syns).then(b.0.cmp(a.0)))
+                    .map(|(mac, a)| (*mac, a.spoofed_syns));
+                let lead = locator.prime_suspect(0.0).map(|s| (s.mac, s.spoofed_syns));
+                proptest::prop_assert_eq!(lead, scan);
+                let total: u64 = locator.activity().values().map(|a| a.spoofed_syns).sum();
+                proptest::prop_assert_eq!(locator.total_spoofed(), total);
+            }
+        }
     }
 }

@@ -426,14 +426,14 @@ mod tests {
 
     /// A pcap capture holding `frames` at microsecond timestamps.
     fn pcap(frames: &[(u64, Vec<u8>)]) -> Vec<u8> {
-        use syndog_net::pcap::{PcapPacket, PcapWriter};
+        use syndog_net::pcap::{PcapFrame, PcapWriter};
         let mut writer = PcapWriter::new(Vec::new()).unwrap();
         for (micros, data) in frames {
             writer
-                .write_packet(&PcapPacket {
+                .write_frame(&PcapFrame {
                     ts_sec: (micros / 1_000_000) as u32,
                     ts_nanos: (micros % 1_000_000) as u32 * 1000,
-                    data: data.clone(),
+                    data,
                 })
                 .unwrap();
         }

@@ -299,8 +299,13 @@ impl SiteProfile {
 
     /// Full path: a complete [`Trace`] with addresses and MACs, suitable
     /// for the router simulation, pcap export and source localization.
+    ///
+    /// The records come out in time order, ties in the order generated
+    /// (what a stable sort of the whole stream gives), with no global
+    /// sort: each record is binned by observation period as it is
+    /// generated, and only the small bins are sorted.
     pub fn generate_trace(&self, rng: &mut SimRng) -> Trace {
-        let mut trace = Trace::new(self.duration);
+        let mut trace = PeriodBins::new(self.duration);
         let arrivals = self.arrivals.generate(self.duration, rng);
         for start in arrivals {
             let inbound_initiated = self.bidirectional && rng.chance(self.inbound_fraction);
@@ -375,8 +380,40 @@ impl SiteProfile {
                 );
             }
         }
-        trace.sort();
-        trace
+        trace.into_trace(self.duration)
+    }
+}
+
+/// Records binned by the observation period they fall in, with one more
+/// bin for handshake tails past the span, each bin in the order its
+/// records were generated. Bins are disjoint time ranges in time order,
+/// so sorting each small bin by time and concatenating them orders the
+/// whole stream exactly as a stable sort would, ties included.
+struct PeriodBins {
+    bins: Vec<Vec<TraceRecord>>,
+}
+
+impl PeriodBins {
+    fn new(span: SimDuration) -> Self {
+        let periods = span.as_micros().div_ceil(OBSERVATION_PERIOD.as_micros()) as usize;
+        PeriodBins {
+            bins: vec![Vec::new(); periods + 1],
+        }
+    }
+
+    fn push(&mut self, record: TraceRecord) {
+        let last = self.bins.len() - 1;
+        let bin = (record.time.period_index(OBSERVATION_PERIOD) as usize).min(last);
+        self.bins[bin].push(record);
+    }
+
+    fn into_trace(self, span: SimDuration) -> Trace {
+        let mut records = Vec::with_capacity(self.bins.iter().map(Vec::len).sum());
+        for mut bin in self.bins {
+            bin.sort_by_key(|r| r.time);
+            records.extend_from_slice(&bin);
+        }
+        Trace::from_time_ordered(records, span)
     }
 }
 

@@ -16,7 +16,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use serde::{Deserialize, Serialize};
 use syndog_fingerprint::syn_key;
 use syndog_net::packet::PacketBuilder;
-use syndog_net::pcap::{PcapPacket, PcapReader, PcapWriter};
+use syndog_net::pcap::{PcapFrame, PcapReader, PcapWriter};
 use syndog_net::{Ipv4Net, MacAddr, NetError, PacketView, SegmentKind, TcpFlags};
 use syndog_sim::{SimDuration, SimTime};
 
@@ -229,6 +229,12 @@ impl Trace {
         Trace { records, duration }
     }
 
+    /// A trace over records already in time order.
+    pub(crate) fn from_time_ordered(records: Vec<TraceRecord>, duration: SimDuration) -> Self {
+        debug_assert!(records.windows(2).all(|pair| pair[0].time <= pair[1].time));
+        Trace { records, duration }
+    }
+
     /// Appends a record. Callers appending out of order must call
     /// [`Trace::sort`] before consuming the trace.
     pub fn push(&mut self, record: TraceRecord) {
@@ -354,9 +360,8 @@ impl Trace {
     }
 
     /// Synthesizes one real Ethernet frame for a record (flags chosen to
-    /// match the record's classification) — shared by pcap export and the
-    /// frame-batch bridge.
-    fn synthesize_frame(r: &TraceRecord) -> Result<Vec<u8>, NetError> {
+    /// match the record's classification), appending it to `frame`.
+    fn synthesize_frame(r: &TraceRecord, frame: &mut Vec<u8>) -> Result<(), NetError> {
         let flags = match r.kind {
             SegmentKind::Syn => TcpFlags::SYN,
             SegmentKind::SynAck => TcpFlags::SYN | TcpFlags::ACK,
@@ -369,42 +374,44 @@ impl Trace {
         if r.kind == SegmentKind::NonTcp {
             PacketBuilder::non_tcp(*r.src.ip(), *r.dst.ip(), syndog_net::ipv4::PROTO_UDP)
                 .src_mac(r.src_mac)
-                .build()
+                .build_into(frame)
         } else if r.kind == SegmentKind::Syn && r.fp != 0 {
-            // Shape the SYN's headers so re-extraction (pcap import, the
-            // batched classifier's sink) recovers the record's fingerprint.
-            // The nonzero default seq keeps the SEQ_ZERO quirk under the
-            // key's control.
+            // Shape the SYN's headers so pcap import re-extracts the
+            // record's fingerprint. The nonzero default seq keeps the
+            // SEQ_ZERO quirk under the key's control.
             syndog_fingerprint::FingerprintKey::from_bits(r.fp)
                 .apply(
                     PacketBuilder::tcp(r.src, r.dst, flags)
                         .src_mac(r.src_mac)
                         .seq(1),
                 )
-                .build()
+                .build_into(frame)
         } else {
             PacketBuilder::tcp(r.src, r.dst, flags)
                 .src_mac(r.src_mac)
-                .build()
+                .build_into(frame)
         }
     }
 
     /// Exports the trace as a pcap capture by synthesizing one real
     /// Ethernet/IPv4/TCP packet per record (flags chosen to match the
-    /// record's classification).
+    /// record's classification). Every frame is encoded into one reused
+    /// buffer and written from there.
     ///
     /// # Errors
     ///
     /// Propagates packet-encoding and I/O errors.
     pub fn write_pcap<W: Write>(&self, writer: W) -> Result<(), TraceError> {
         let mut pcap = PcapWriter::new(writer)?;
+        let mut frame = Vec::new();
         for r in &self.records {
-            let bytes = Self::synthesize_frame(r)?;
+            frame.clear();
+            Self::synthesize_frame(r, &mut frame)?;
             let micros = r.time.as_micros();
-            pcap.write_packet(&PcapPacket {
+            pcap.write_frame(&PcapFrame {
                 ts_sec: (micros / 1_000_000) as u32,
                 ts_nanos: ((micros % 1_000_000) * 1000) as u32,
-                data: bytes,
+                data: &frame,
             })?;
         }
         pcap.flush()?;
@@ -729,10 +736,15 @@ mod tests {
     #[test]
     fn synthesized_frames_classify_back_to_record_kinds() {
         let t = sample_trace();
+        let mut frame = Vec::new();
         let kinds: Vec<SegmentKind> = t
             .records()
             .iter()
-            .map(|r| classify(&Trace::synthesize_frame(r).unwrap()).unwrap())
+            .map(|r| {
+                frame.clear();
+                Trace::synthesize_frame(r, &mut frame).unwrap();
+                classify(&frame).unwrap()
+            })
             .collect();
         let expected: Vec<SegmentKind> = t.records().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, expected);

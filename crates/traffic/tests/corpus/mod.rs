@@ -5,7 +5,7 @@
 use std::net::SocketAddrV4;
 
 use proptest::prelude::*;
-use syndog_net::pcap::{PcapPacket, PcapWriter};
+use syndog_net::pcap::{PcapFrame, PcapWriter};
 use syndog_net::tcp::TcpOption;
 use syndog_net::{MacAddr, PacketBuilder, TcpFlags};
 
@@ -25,7 +25,7 @@ pub fn base_frame(shape: u8, inbound: bool, host: u16) -> Vec<u8> {
     };
     let shape = shape % 10;
     let builder = match shape {
-        0 => PacketBuilder::tcp(src, dst, TcpFlags::SYN).tcp_options(vec![
+        0 => PacketBuilder::tcp(src, dst, TcpFlags::SYN).tcp_options([
             TcpOption::Mss(1460),
             TcpOption::Nop,
             TcpOption::WindowScale(7),
@@ -161,10 +161,10 @@ pub fn capture(frames: &[FrameSpec]) -> Vec<u8> {
             mutate(&mut data, kind, at, value);
         }
         writer
-            .write_packet(&PcapPacket {
+            .write_frame(&PcapFrame {
                 ts_sec: *ts_sec,
                 ts_nanos: ts_micros * 1000,
-                data,
+                data: &data,
             })
             .expect("in-memory write");
     }

@@ -79,6 +79,45 @@ fn pcap_path_works_through_the_binary() {
     let _ = std::fs::remove_file(pcap);
 }
 
+/// A reader that leaves early (`syndog sniff … | head -1`) ends the
+/// output, not the command: with stdout a pipe whose read end is already
+/// closed, every write fails, and each subcommand still does its work and
+/// exits 0 without a panic.
+#[test]
+fn a_closed_stdout_pipe_ends_output_quietly() {
+    let dir = std::env::temp_dir();
+    let bin = dir.join("syndog_e2e_closed_pipe.bin");
+    let pcap = dir.join("syndog_e2e_closed_pipe.pcap");
+    let (bin_s, pcap_s) = (bin.to_str().unwrap(), pcap.to_str().unwrap());
+    let stub = "128.3.0.0/16";
+    let runs: [&[&str]; 7] = [
+        &["generate", "--site", "lbl", "--seed", "1", "--out", bin_s],
+        &["inject", "--in", bin_s, "--out", pcap_s, "--rate", "50"],
+        &["sniff", "--in", pcap_s, "--stub", stub, "--verbose"],
+        &["detect", "--in", pcap_s, "--stub", stub, "--mitigate"],
+        &["locate", "--in", pcap_s, "--stub", stub],
+        &["theory", "--k", "100"],
+        &["--help"],
+    ];
+    for args in runs {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = syndog()
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn syndog");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "syndog {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "syndog {args:?}: {stderr}");
+    }
+    // The commands did their work: the capture was written whole.
+    let out = run_ok(&["sniff", "--in", pcap_s, "--stub", stub]);
+    assert!(out.contains("FLOODING DETECTED"), "{out}");
+    let _ = std::fs::remove_file(bin);
+    let _ = std::fs::remove_file(pcap);
+}
+
 #[test]
 fn theory_subcommand_reports_paper_numbers() {
     let out = run_ok(&["theory", "--k", "2114"]);
@@ -267,9 +306,9 @@ fn resumed_detect_equals_an_uninterrupted_run() {
     for cut_secs in [200u32, 400] {
         let mut reader = PcapReader::new(capture.as_slice()).unwrap();
         let mut writer = PcapWriter::new(Vec::new()).unwrap();
-        while let Some(packet) = reader.next_packet().unwrap() {
-            if packet.ts_sec < cut_secs {
-                writer.write_packet(&packet).unwrap();
+        while let Some(frame) = reader.next_frame().unwrap() {
+            if frame.ts_sec < cut_secs {
+                writer.write_frame(&frame).unwrap();
             }
         }
         writer.flush().unwrap();

@@ -9,7 +9,7 @@ use std::process::Command;
 
 use proptest::prelude::*;
 use syndog::SynDogConfig;
-use syndog_net::pcap::{PcapReader, PcapWriter};
+use syndog_net::pcap::{PcapFrame, PcapPacket, PcapReader, PcapWriter};
 use syndog_net::Ipv4Net;
 use syndog_router::{KeyMode, MitigationPolicy, SynDogAgent};
 use syndog_traffic::{RecordReader, Trace};
@@ -56,12 +56,21 @@ fn out_of_order(pcap: &[u8]) -> Vec<u8> {
         due[(moved + 1_000).min(n - 1)].push(moved);
     }
     let mut writer = PcapWriter::new(Vec::new()).unwrap();
+    let mut write = |packet: &PcapPacket| {
+        writer
+            .write_frame(&PcapFrame {
+                ts_sec: packet.ts_sec,
+                ts_nanos: packet.ts_nanos,
+                data: &packet.data,
+            })
+            .unwrap();
+    };
     for (i, packet) in packets.iter().enumerate() {
         if i % 50 != 49 {
-            writer.write_packet(packet).unwrap();
+            write(packet);
         }
         for &moved in &due[i] {
-            writer.write_packet(&packets[moved]).unwrap();
+            write(&packets[moved]);
         }
     }
     writer.flush().unwrap();
