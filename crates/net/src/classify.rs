@@ -52,17 +52,10 @@ impl SegmentKind {
         SegmentKind::NonTcp,
     ];
 
-    /// This kind's position in [`SegmentKind::ALL`].
+    /// This kind's position in [`SegmentKind::ALL`]: its declaration
+    /// order.
     pub fn index(self) -> usize {
-        match self {
-            SegmentKind::Syn => 0,
-            SegmentKind::SynAck => 1,
-            SegmentKind::Rst => 2,
-            SegmentKind::Fin => 3,
-            SegmentKind::Ack => 4,
-            SegmentKind::OtherTcp => 5,
-            SegmentKind::NonTcp => 6,
-        }
+        self as usize
     }
 
     /// A stable lowercase name, used as the `kind` label on telemetry
@@ -164,22 +157,40 @@ pub fn classify_ipv4(ip: &[u8]) -> Result<SegmentKind, NetError> {
 }
 
 /// Maps flag bits to a [`SegmentKind`]. RST dominates, then the SYN forms,
-/// then FIN, matching how endpoints interpret simultaneous flags.
+/// then FIN, matching how endpoints interpret simultaneous flags. URG, ECE
+/// and CWR never decide a kind, so this is one load from a table indexed by
+/// the low five bits (FIN, SYN, RST, PSH, ACK): no branch for a mixed
+/// stream of kinds to mispredict.
 #[inline]
 pub fn kind_of(flags: TcpFlags) -> SegmentKind {
-    if flags.contains(TcpFlags::RST) {
-        SegmentKind::Rst
-    } else if flags.is_syn_ack() {
-        SegmentKind::SynAck
-    } else if flags.is_pure_syn() {
-        SegmentKind::Syn
-    } else if flags.contains(TcpFlags::FIN) {
-        SegmentKind::Fin
-    } else if flags.contains(TcpFlags::ACK) {
-        SegmentKind::Ack
-    } else {
-        SegmentKind::OtherTcp
+    KINDS[usize::from(flags.bits() & 0x1f)]
+}
+
+/// [`kind_of`] for every value of the low five flag bits, built at compile
+/// time from the one rule.
+const KINDS: [SegmentKind; 32] = kinds();
+
+const fn kinds() -> [SegmentKind; 32] {
+    let mut table = [SegmentKind::OtherTcp; 32];
+    let mut bits = 0;
+    while bits < table.len() {
+        let flags = TcpFlags::from_raw_bits(bits as u8);
+        table[bits] = if flags.contains(TcpFlags::RST) {
+            SegmentKind::Rst
+        } else if flags.is_syn_ack() {
+            SegmentKind::SynAck
+        } else if flags.is_pure_syn() {
+            SegmentKind::Syn
+        } else if flags.contains(TcpFlags::FIN) {
+            SegmentKind::Fin
+        } else if flags.contains(TcpFlags::ACK) {
+            SegmentKind::Ack
+        } else {
+            SegmentKind::OtherTcp
+        };
+        bits += 1;
     }
+    table
 }
 
 #[cfg(test)]
@@ -222,6 +233,39 @@ mod tests {
             classify_built(TcpFlags::PSH | TcpFlags::ACK),
             SegmentKind::Ack
         );
+    }
+
+    #[test]
+    fn kind_of_follows_the_rule_on_every_flag_byte() {
+        for byte in 0..=u8::MAX {
+            let set = |bit: u8| byte & bit != 0;
+            let (fin, syn, rst, ack) = (set(0x01), set(0x02), set(0x04), set(0x10));
+            let expected = if rst {
+                SegmentKind::Rst
+            } else if syn && ack {
+                SegmentKind::SynAck
+            } else if syn && !ack && !rst && !fin {
+                SegmentKind::Syn
+            } else if fin {
+                SegmentKind::Fin
+            } else if ack {
+                SegmentKind::Ack
+            } else {
+                SegmentKind::OtherTcp
+            };
+            let kind = kind_of(TcpFlags::from_raw_bits(byte));
+            assert_eq!(kind, expected, "flags {byte:#010b}");
+            // PSH, URG, ECE and CWR never change a kind.
+            assert_eq!(kind, kind_of(TcpFlags::from_raw_bits(byte & 0x1f)));
+            assert_eq!(kind, kind_of(TcpFlags::from_bits_truncate(byte)));
+        }
+    }
+
+    #[test]
+    fn all_lists_the_kinds_in_index_order() {
+        for (i, kind) in SegmentKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
     }
 
     #[test]

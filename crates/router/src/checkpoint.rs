@@ -43,7 +43,7 @@
 //! rest of the trace → detections identical to an uninterrupted run) is
 //! exercised in `tests/faults.rs`.
 
-use syndog::{AnyDetector, Detection};
+use syndog::{AnyDetector, Detection, PeriodSignals};
 use syndog_net::{Ipv4Net, SegmentKind};
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::trace::Direction;
@@ -175,15 +175,13 @@ impl SnifferState {
                     SegmentKind::ALL.len()
                 ))
             })?;
-        sniffer.restore_counts(
-            self.syn,
-            self.synack,
-            self.fin,
-            self.rst,
-            self.frames_seen,
-            self.malformed,
-            kinds,
-        );
+        let pending = PeriodSignals {
+            syn: self.syn,
+            synack: self.synack,
+            fin: self.fin,
+            rst: self.rst,
+        };
+        sniffer.restore_counts(pending, self.frames_seen, self.malformed, kinds);
         Ok(())
     }
 }

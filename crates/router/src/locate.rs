@@ -154,8 +154,15 @@ impl SourceLocator {
     /// Inspects one outbound record (no-op unless armed and the record is
     /// an outbound SYN).
     pub fn observe(&mut self, record: &TraceRecord) {
-        if !self.armed || record.direction != Direction::Outbound || record.kind != SegmentKind::Syn
-        {
+        if record.direction == Direction::Outbound && record.kind == SegmentKind::Syn {
+            self.observe_syn(record);
+        }
+    }
+
+    /// [`SourceLocator::observe`] for a record already known to be an
+    /// outbound SYN: a no-op unless armed.
+    pub(crate) fn observe_syn(&mut self, record: &TraceRecord) {
+        if !self.armed {
             return;
         }
         let spoofed = self.is_spoofed_source(*record.src.ip());

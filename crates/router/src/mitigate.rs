@@ -672,24 +672,23 @@ impl MitigationEngine {
     /// token. Disengaged, the verdict is always
     /// [`MitigationDecision::Forward`].
     pub fn process(&mut self, record: &TraceRecord) -> MitigationDecision {
-        match (record.direction, record.kind) {
-            (Direction::Outbound, SegmentKind::Syn) => {
-                self.window_syn += 1;
-                if record.fp != 0 {
-                    self.syn_fps.observe_bits(record.fp);
-                    self.period_fps.observe_bits(record.fp);
-                }
-            }
-            (Direction::Inbound, SegmentKind::SynAck) => self.window_synack += 1,
-            _ => {}
+        let outbound_syn =
+            record.direction == Direction::Outbound && record.kind == SegmentKind::Syn;
+        let inbound_synack =
+            record.direction == Direction::Inbound && record.kind == SegmentKind::SynAck;
+        self.window_syn += u64::from(outbound_syn);
+        self.window_synack += u64::from(inbound_synack);
+        if !outbound_syn {
+            return MitigationDecision::Forward;
+        }
+        if record.fp != 0 {
+            self.syn_fps.observe_bits(record.fp);
+            self.period_fps.observe_bits(record.fp);
         }
         if self.engagement.is_none() {
             return MitigationDecision::Forward;
         }
-        self.locator.observe(record);
-        if record.direction != Direction::Outbound || record.kind != SegmentKind::Syn {
-            return MitigationDecision::Forward;
-        }
+        self.locator.observe_syn(record);
         let spoofed = self.locator.is_spoofed_source(*record.src.ip());
         if spoofed {
             self.stats.attack_syns_offered += 1;

@@ -35,8 +35,10 @@ use crate::source::{EventBatch, FrameEvent, FrameSource};
 pub struct LeafRouter {
     stub: Ipv4Net,
     period: SimDuration,
-    outbound: Sniffer,
-    inbound: Sniffer,
+    /// The two interfaces' sniffers, indexed by [`Direction`]'s
+    /// declaration order (inbound, outbound), so a record picks its
+    /// sniffer without a branch.
+    sniffers: [Sniffer; 2],
     current_period: u64,
     /// A per-run tally, not checkpointed.
     late: u64,
@@ -53,8 +55,7 @@ impl LeafRouter {
         LeafRouter {
             stub,
             period,
-            outbound: Sniffer::new(Direction::Outbound),
-            inbound: Sniffer::new(Direction::Inbound),
+            sniffers: Default::default(),
             current_period: 0,
             late: 0,
         }
@@ -83,18 +84,13 @@ impl LeafRouter {
 
     /// The sniffer on the given interface.
     pub fn sniffer(&self, direction: Direction) -> &Sniffer {
-        match direction {
-            Direction::Outbound => &self.outbound,
-            Direction::Inbound => &self.inbound,
-        }
+        &self.sniffers[direction as usize]
     }
 
-    /// Mutable sniffer access for checkpoint restore.
+    /// The sniffer on the given interface, mutably: for the tally and for
+    /// checkpoint restore.
     pub(crate) fn sniffer_mut(&mut self, direction: Direction) -> &mut Sniffer {
-        match direction {
-            Direction::Outbound => &mut self.outbound,
-            Direction::Inbound => &mut self.inbound,
-        }
+        &mut self.sniffers[direction as usize]
     }
 
     /// Rewinds/forwards the period clock to an absolute index — only
@@ -128,8 +124,9 @@ impl LeafRouter {
     /// outbound SYNs paired with inbound SYN/ACKs per §3.1, plus the
     /// outbound FIN/RST closes the SYN–FIN strategy pairs against.
     pub fn take_period_sample(&mut self) -> PeriodSignals {
-        let out_counts = self.outbound.take_counts();
-        let in_counts = self.inbound.take_counts();
+        let [inbound, outbound] = &mut self.sniffers;
+        let in_counts = inbound.take_counts();
+        let out_counts = outbound.take_counts();
         self.current_period += 1;
         PeriodSignals {
             syn: out_counts.syn,
@@ -144,19 +141,13 @@ impl LeafRouter {
     /// (or use [`LeafRouter::run_trace`], which does both); the clock only
     /// moves forward, so a record older than the open period counts there.
     pub fn observe_record(&mut self, record: &TraceRecord) {
-        match record.direction {
-            Direction::Outbound => self.outbound.observe_kind(record.kind),
-            Direction::Inbound => self.inbound.observe_kind(record.kind),
-        }
+        self.sniffer_mut(record.direction).observe_kind(record.kind);
     }
 
     /// Routes one classified event to the right sniffer (malformed events
     /// are tallied without touching the period counts).
     pub fn observe_event(&mut self, event: &FrameEvent) {
-        let sniffer = match event.direction {
-            Direction::Outbound => &mut self.outbound,
-            Direction::Inbound => &mut self.inbound,
-        };
+        let sniffer = self.sniffer_mut(event.direction);
         match event.kind {
             Some(kind) => sniffer.observe_kind(kind),
             None => sniffer.observe_malformed(),

@@ -1,74 +1,48 @@
-//! The per-interface sniffer: a stateless pair of counters.
+//! The per-interface sniffer: a stateless set of counters.
 //!
 //! "Neither state nor state computation is involved in our SYN-dog. Only
 //! two new variables are introduced to measure the number of received SYN
 //! and SYN/ACK packets at the inbound and outbound interfaces" (§1). A
-//! [`Sniffer`] is exactly that: it takes each frame's §2 classification
-//! and bumps one of two counters. Its memory footprint is
+//! [`Sniffer`] is that, widened to one counter per [`SegmentKind`]: it
+//! takes each frame's §2 classification and bumps the counter at the
+//! kind's index, with no branch on the kind. Its memory footprint is
 //! constant no matter how hard it is flooded — the property that makes
 //! SYN-dog itself immune to the attacks it detects.
 
 use syndog::PeriodSignals;
 use syndog_net::classify::SegmentKind;
-use syndog_traffic::trace::Direction;
 
-/// A stateless SYN / SYN-ACK / FIN / RST counter for one router interface.
+/// Counts per [`SegmentKind`], indexed by [`SegmentKind::index`].
+type KindCounts = [u64; SegmentKind::ALL.len()];
+
+/// A stateless per-kind segment counter for one router interface.
 ///
-/// The two close-side counters (`fin`, `rst`) exist so the SYN–FIN pairing
-/// strategy sees real per-period [`syndog::SynFinCounts`]; they cost two
-/// more words, so the constant-memory property is untouched.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// By the paper's arrangement, the *outbound* sniffer's SYN count and the
+/// *inbound* sniffer's SYN/ACK count are what the detector consumes; both
+/// counters exist on both interfaces so bidirectional sites (LBL,
+/// Harvard) can be measured too. The FIN and RST counts give the SYN–FIN
+/// pairing strategy real per-period [`syndog::SynFinCounts`]. The other
+/// kinds are counted too, because a flat increment is cheaper than
+/// deciding not to.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Sniffer {
-    direction: Direction,
-    syn: u64,
-    synack: u64,
-    fin: u64,
-    rst: u64,
+    /// The open period's counts, reset by [`Sniffer::take_counts`].
+    period: KindCounts,
     frames_seen: u64,
     malformed: u64,
     /// Lifetime tally per [`SegmentKind`] — the telemetry subsystem reads
     /// these at period close to keep `syndog_segments_total` current.
     /// Still constant-size: the statelessness claim holds.
-    kinds: [u64; SegmentKind::ALL.len()],
+    kinds: KindCounts,
 }
 
 impl Sniffer {
-    /// Creates a sniffer for the given interface direction.
-    ///
-    /// By the paper's arrangement, the *outbound* sniffer's SYN count and
-    /// the *inbound* sniffer's SYN/ACK count are what the detector
-    /// consumes; both counters exist on both interfaces so bidirectional
-    /// sites (LBL, Harvard) can be measured too.
-    pub fn new(direction: Direction) -> Self {
-        Sniffer {
-            direction,
-            syn: 0,
-            synack: 0,
-            fin: 0,
-            rst: 0,
-            frames_seen: 0,
-            malformed: 0,
-            kinds: [0; SegmentKind::ALL.len()],
-        }
-    }
-
-    /// The interface this sniffer watches.
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
     /// Records one classified segment (a trace record, or a frame the
     /// capture front end classified with the §2 algorithm).
     pub fn observe_kind(&mut self, kind: SegmentKind) {
         self.frames_seen += 1;
+        self.period[kind.index()] += 1;
         self.kinds[kind.index()] += 1;
-        match kind {
-            SegmentKind::Syn => self.syn += 1,
-            SegmentKind::SynAck => self.synack += 1,
-            SegmentKind::Fin => self.fin += 1,
-            SegmentKind::Rst => self.rst += 1,
-            _ => {}
-        }
     }
 
     /// Records a frame that failed classification. Malformed frames are
@@ -81,22 +55,22 @@ impl Sniffer {
 
     /// Current SYN count since the last [`Sniffer::take_counts`].
     pub fn syn_count(&self) -> u64 {
-        self.syn
+        self.period[SegmentKind::Syn.index()]
     }
 
     /// Current SYN/ACK count since the last [`Sniffer::take_counts`].
     pub fn synack_count(&self) -> u64 {
-        self.synack
+        self.period[SegmentKind::SynAck.index()]
     }
 
     /// Current FIN count since the last [`Sniffer::take_counts`].
     pub fn fin_count(&self) -> u64 {
-        self.fin
+        self.period[SegmentKind::Fin.index()]
     }
 
     /// Current RST count since the last [`Sniffer::take_counts`].
     pub fn rst_count(&self) -> u64 {
-        self.rst
+        self.period[SegmentKind::Rst.index()]
     }
 
     /// Total frames observed (lifetime, not reset by `take_counts`).
@@ -116,24 +90,21 @@ impl Sniffer {
     }
 
     /// Overwrites every counter from a captured checkpoint — the restore
-    /// half of [`crate::checkpoint`]. `syn`/`synack`/`fin`/`rst` are the
-    /// *pending* (since last [`Sniffer::take_counts`]) counts; the rest
-    /// are lifetime tallies.
-    #[allow(clippy::too_many_arguments)]
+    /// half of [`crate::checkpoint`]. `signals` are the *pending* (since
+    /// last [`Sniffer::take_counts`]) counts; the rest are lifetime
+    /// tallies.
     pub(crate) fn restore_counts(
         &mut self,
-        syn: u64,
-        synack: u64,
-        fin: u64,
-        rst: u64,
+        signals: PeriodSignals,
         frames_seen: u64,
         malformed: u64,
-        kinds: [u64; SegmentKind::ALL.len()],
+        kinds: KindCounts,
     ) {
-        self.syn = syn;
-        self.synack = synack;
-        self.fin = fin;
-        self.rst = rst;
+        self.period = [0; SegmentKind::ALL.len()];
+        self.period[SegmentKind::Syn.index()] = signals.syn;
+        self.period[SegmentKind::SynAck.index()] = signals.synack;
+        self.period[SegmentKind::Fin.index()] = signals.fin;
+        self.period[SegmentKind::Rst.index()] = signals.rst;
         self.frames_seen = frames_seen;
         self.malformed = malformed;
         self.kinds = kinds;
@@ -142,17 +113,13 @@ impl Sniffer {
     /// Returns the period's counts and resets them — the "periodically
     /// exchange the counting information" step.
     pub fn take_counts(&mut self) -> PeriodSignals {
-        let sample = PeriodSignals {
-            syn: self.syn,
-            synack: self.synack,
-            fin: self.fin,
-            rst: self.rst,
-        };
-        self.syn = 0;
-        self.synack = 0;
-        self.fin = 0;
-        self.rst = 0;
-        sample
+        let period = std::mem::take(&mut self.period);
+        PeriodSignals {
+            syn: period[SegmentKind::Syn.index()],
+            synack: period[SegmentKind::SynAck.index()],
+            fin: period[SegmentKind::Fin.index()],
+            rst: period[SegmentKind::Rst.index()],
+        }
     }
 }
 
@@ -183,7 +150,7 @@ mod tests {
 
     #[test]
     fn counts_only_handshake_signals() {
-        let mut sniffer = Sniffer::new(Direction::Outbound);
+        let mut sniffer = Sniffer::default();
         observe(&mut sniffer, &frame(TcpFlags::SYN));
         observe(&mut sniffer, &frame(TcpFlags::SYN | TcpFlags::ACK));
         observe(&mut sniffer, &frame(TcpFlags::ACK));
@@ -209,7 +176,7 @@ mod tests {
 
     #[test]
     fn take_counts_resets_period_counters_only() {
-        let mut sniffer = Sniffer::new(Direction::Inbound);
+        let mut sniffer = Sniffer::default();
         for _ in 0..3 {
             observe(&mut sniffer, &frame(TcpFlags::SYN));
         }
@@ -235,7 +202,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_never_panic_or_count_as_handshake() {
-        let mut sniffer = Sniffer::new(Direction::Outbound);
+        let mut sniffer = Sniffer::default();
         observe(&mut sniffer, &[0u8; 3]);
         observe(&mut sniffer, &[]);
         let truncated = &frame(TcpFlags::SYN)[..20];
@@ -248,7 +215,7 @@ mod tests {
     fn state_size_is_constant_under_flood() {
         // The statelessness claim, made concrete: the sniffer's size does
         // not depend on how many packets (or distinct sources) it has seen.
-        let mut sniffer = Sniffer::new(Direction::Outbound);
+        let mut sniffer = Sniffer::default();
         let before = std::mem::size_of_val(&sniffer);
         for i in 0..10_000u32 {
             let syn = PacketBuilder::tcp(

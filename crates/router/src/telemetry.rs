@@ -410,8 +410,8 @@ mod tests {
     fn sniffer_sync_publishes_deltas_not_absolutes() {
         let hub = Arc::new(Telemetry::new());
         let mut agent = AgentTelemetry::new(Arc::clone(&hub));
-        let mut outbound = Sniffer::new(Direction::Outbound);
-        let inbound = Sniffer::new(Direction::Inbound);
+        let mut outbound = Sniffer::default();
+        let inbound = Sniffer::default();
         outbound.observe_kind(SegmentKind::Syn);
         outbound.observe_kind(SegmentKind::Syn);
         agent.sync_sniffers(&outbound, &inbound);
