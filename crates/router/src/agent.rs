@@ -337,9 +337,8 @@ impl SynDogAgent {
     /// period clock only moves forward: a record older than the open
     /// period (reordered or jittered) is counted in the open period.
     pub fn filter_record(&mut self, record: &TraceRecord) -> MitigationDecision {
-        let mut closed = Vec::new();
-        self.router.advance_to(record.time, &mut closed);
-        for sample in closed {
+        for _ in 0..self.router.periods_due(record.time) {
+            let sample = self.router.take_period_sample();
             self.observe_period(sample);
         }
         self.router.observe_record(record);

@@ -15,9 +15,11 @@
 //! Period boundaries are handled exactly: a record at `t` lands in period
 //! `⌊t / t0⌋`, and [`LeafRouter::advance_to`] closes every period that
 //! ends at or before the new time, emitting one [`PeriodSignals`] each.
-//! The clock only moves forward: a record older than the open period
-//! (reordered or jittered) is counted in the open period, and tallied as
-//! late ([`LeafRouter::late`]). Where a stream ends is the span rule's
+//! A record inside the open period's µs bounds is placed by two compares;
+//! any other takes a cold path that applies `⌊t / t0⌋` itself. The clock
+//! only moves forward: a record older than the open period (reordered or
+//! jittered) is counted in the open period, and tallied as late
+//! ([`LeafRouter::late`]). Where a stream ends is the span rule's
 //! business: a declared span (a binary trace's duration) closes
 //! `⌈span / t0⌉` periods and skips the records past it; without one (a
 //! pcap), the last period closed is the one holding the latest record.
@@ -40,6 +42,8 @@ pub struct LeafRouter {
     /// sniffer without a branch.
     sniffers: [Sniffer; 2],
     current_period: u64,
+    /// The open period's bounds in µs; empty where they overflow a `u64`.
+    open: std::ops::Range<u64>,
     /// A per-run tally, not checkpointed.
     late: u64,
 }
@@ -57,6 +61,7 @@ impl LeafRouter {
             period,
             sniffers: Default::default(),
             current_period: 0,
+            open: 0..period.as_micros(),
             late: 0,
         }
     }
@@ -98,11 +103,22 @@ impl LeafRouter {
     /// through [`LeafRouter::advance_to`] / [`LeafRouter::take_period_sample`].
     pub(crate) fn set_current_period(&mut self, period: u64) {
         self.current_period = period;
+        self.open_bounds();
+    }
+
+    fn open_bounds(&mut self) {
+        let t0 = self.period.as_micros();
+        let until = self
+            .current_period
+            .checked_add(1)
+            .and_then(|n| n.checked_mul(t0));
+        self.open = until.map_or(0..0, |until| until - t0..until);
     }
 
     /// Advances the router clock to `now`, closing every period that ends
     /// at or before it and pushing one sample per closed period into
     /// `out` (empty periods included — silence is data).
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime, out: &mut Vec<PeriodSignals>) {
         for _ in 0..self.periods_due(now) {
             out.push(self.take_period_sample());
@@ -112,7 +128,16 @@ impl LeafRouter {
     /// How many open periods end at or before `now`: the ones a record at
     /// `now` closes. A `now` in a period already closed closes none and is
     /// counted late.
+    #[inline]
     pub(crate) fn periods_due(&mut self, now: SimTime) -> u64 {
+        if self.open.contains(&now.as_micros()) {
+            return 0;
+        }
+        self.periods_due_outside(now)
+    }
+
+    #[cold]
+    fn periods_due_outside(&mut self, now: SimTime) -> u64 {
         let target = now.period_index(self.period);
         if target < self.current_period {
             self.late += 1;
@@ -128,6 +153,7 @@ impl LeafRouter {
         let in_counts = inbound.take_counts();
         let out_counts = outbound.take_counts();
         self.current_period += 1;
+        self.open_bounds();
         PeriodSignals {
             syn: out_counts.syn,
             synack: in_counts.synack,
@@ -205,8 +231,10 @@ impl LeafRouter {
 /// forward-only clock, the one open when the stream ends.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SpanRule {
-    period: SimDuration,
     end: Option<u64>,
+    /// `end · t0` in µs (`⌊t / t0⌋ < end` is `t < end · t0`); `None`
+    /// without a span, or where it overflows and every time lies inside.
+    limit: Option<u64>,
     admitted: bool,
 }
 
@@ -215,17 +243,15 @@ impl SpanRule {
     pub fn new(span: Option<SimDuration>, period: SimDuration) -> SpanRule {
         let end = span.map(|span| span.as_micros().div_ceil(period.as_micros()));
         SpanRule {
-            period,
             end,
+            limit: end.and_then(|end| end.checked_mul(period.as_micros())),
             admitted: false,
         }
     }
 
     /// Whether a record at `time` lies inside the span.
     pub fn admits(&mut self, time: SimTime) -> bool {
-        let inside = self
-            .end
-            .is_none_or(|end| time.period_index(self.period) < end);
+        let inside = self.limit.is_none_or(|limit| time.as_micros() < limit);
         self.admitted |= inside;
         inside
     }
@@ -407,6 +433,41 @@ mod tests {
         assert_eq!(open.last(7), 7, "no record, no period");
         assert!(open.admits(SimTime::from_secs(1_000_000)));
         assert_eq!(open.last(7), 8);
+    }
+
+    #[test]
+    fn span_rule_admits_exactly_the_periods_before_its_end() {
+        // 2⁶⁴ − 1 ≡ 1 (mod 7), so for the span `MAX` in 7 µs periods
+        // `end · t0` overflows and every time is admitted, `MAX` included.
+        for t0 in [1, 3, 7, 20_000_000, u64::MAX / 2 + 1, u64::MAX] {
+            for span in [0, 1, t0 - 1, t0, 41_000_000, u64::MAX - 1, u64::MAX] {
+                let end = span.div_ceil(t0);
+                let edge = end.wrapping_mul(t0);
+                let mut rule = SpanRule::new(
+                    Some(SimDuration::from_micros(span)),
+                    SimDuration::from_micros(t0),
+                );
+                for t in [
+                    0,
+                    1,
+                    t0 - 1,
+                    t0,
+                    span.saturating_sub(1),
+                    span,
+                    span.saturating_add(1),
+                ]
+                .into_iter()
+                .chain([edge.wrapping_sub(1), edge, edge.wrapping_add(1)])
+                .chain([u64::MAX - 1, u64::MAX])
+                {
+                    assert_eq!(
+                        rule.admits(SimTime::from_micros(t)),
+                        t / t0 < end,
+                        "t0 {t0}, span {span}, t {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

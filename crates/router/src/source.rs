@@ -53,6 +53,7 @@ impl EventBatch {
     }
 
     /// Appends one event.
+    #[inline]
     pub fn push(&mut self, event: FrameEvent) {
         self.events.push(event);
     }

@@ -61,6 +61,93 @@ fn arb_tally_op() -> impl Strategy<Value = TallyOp> {
     })
 }
 
+/// How a record's time follows the previous one in a period-clock run.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Forward by at most a third of a period: a monotone run.
+    After(u64),
+    /// Forward by whole periods plus a fraction of one.
+    Jump(u64, u64),
+    /// Back by up to three periods: a reordered or jittered record.
+    Before(u64),
+    /// To within two periods of `u64::MAX`, where that is at most 256
+    /// periods from zero (otherwise as `After`).
+    NearMax(u64),
+}
+
+/// One step of a period-clock run.
+#[derive(Debug, Clone, Copy)]
+enum ClockOp {
+    Record(Step, Direction, SegmentKind),
+    /// `take_period_sample`: the clock runs ahead of the records.
+    Close,
+    /// A checkpoint capture, through JSON, then a restore.
+    Checkpoint,
+}
+
+fn arb_clock_op() -> impl Strategy<Value = ClockOp> {
+    (0u8..20, any::<u64>(), 1u64..4, arb_direction(), arb_kind()).prop_map(
+        |(pick, x, periods, d, k)| match pick {
+            0..=9 => ClockOp::Record(Step::After(x), d, k),
+            10..=12 => ClockOp::Record(Step::Jump(periods, x), d, k),
+            13..=15 => ClockOp::Record(Step::Before(x), d, k),
+            16 => ClockOp::Record(Step::NearMax(x), d, k),
+            17 | 18 => ClockOp::Close,
+            _ => ClockOp::Checkpoint,
+        },
+    )
+}
+
+/// Periods in µs: tiny ones (records land on boundaries), small ones,
+/// the paper's 20 s, and ones so long that `u64::MAX` is at most 256
+/// periods away. Few of them divide 2⁶⁴.
+fn arb_period_micros() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1u64..8,
+        8u64..2_000_000,
+        Just(20_000_000u64),
+        (1u64..256, 0u64..1_000_000).prop_map(|(k, r)| (u64::MAX / k).saturating_sub(r)),
+    ]
+}
+
+/// The period clock as the rule states it: a record at `t` belongs to
+/// period `⌊t / t0⌋`; reaching a later period closes every one before
+/// it, and a record in a period already closed counts in the open one
+/// and as late.
+#[derive(Debug)]
+struct ClockModel {
+    t0: u64,
+    current: u64,
+    late: u64,
+    pending: PeriodSignals,
+    closed: Vec<PeriodSignals>,
+}
+
+impl ClockModel {
+    fn record(&mut self, t: u64, direction: Direction, kind: SegmentKind) {
+        let target = t / self.t0;
+        if target < self.current {
+            self.late += 1;
+        }
+        while self.current < target {
+            self.close();
+        }
+        let count = match (direction, kind) {
+            (Direction::Outbound, SegmentKind::Syn) => &mut self.pending.syn,
+            (Direction::Inbound, SegmentKind::SynAck) => &mut self.pending.synack,
+            (Direction::Outbound, SegmentKind::Fin) => &mut self.pending.fin,
+            (Direction::Outbound, SegmentKind::Rst) => &mut self.pending.rst,
+            _ => return,
+        };
+        *count += 1;
+    }
+
+    fn close(&mut self) {
+        self.closed.push(std::mem::take(&mut self.pending));
+        self.current += 1;
+    }
+}
+
 /// The sniffers' counts, tallied the obvious way: one named entry per
 /// interface and kind.
 #[derive(Debug, Default)]
@@ -269,6 +356,88 @@ proptest! {
             }
         }
         prop_assert_eq!(router.take_period_sample(), naive.close());
+    }
+
+    /// The period clock places every record as `⌊t / t0⌋` does, for time
+    /// streams with monotone runs, late records, multi-period jumps,
+    /// times near `u64::MAX` and periods that do not divide 2⁶⁴, across
+    /// checkpoint round-trips: the router's closed signals and `late()`
+    /// (through `advance_to`), and the agent's detections (through
+    /// `filter_record`), equal the reference's.
+    #[test]
+    fn the_period_clock_equals_the_division_rule(
+        t0 in arb_period_micros(),
+        ops in proptest::collection::vec(arb_clock_op(), 0..300),
+    ) {
+        let period = SimDuration::from_micros(t0);
+        let mut router = LeafRouter::new(stub(), period);
+        let mut start = SynDogAgent::new(stub(), SynDogConfig::paper_default()).checkpoint();
+        start.period_micros = t0;
+        let mut agent = SynDogAgent::restore(&start).unwrap();
+        let detector = DetectorKind::Syndog.build(SynDogConfig::paper_default());
+        let mut model = ClockModel {
+            t0,
+            current: 0,
+            late: 0,
+            pending: PeriodSignals::default(),
+            closed: Vec::new(),
+        };
+        let (mut closed, mut router_late, mut agent_late) = (Vec::new(), 0, 0);
+        let mut t = 0u64;
+        for op in ops {
+            match op {
+                ClockOp::Record(step, direction, kind) => {
+                    t = match step {
+                        Step::After(x) => t.saturating_add(x % (t0 / 3 + 1)),
+                        Step::Jump(k, x) => {
+                            t.saturating_add(t0.saturating_mul(k)).saturating_add(x % t0)
+                        }
+                        Step::Before(x) => t.saturating_sub(x % t0.saturating_mul(3)),
+                        Step::NearMax(x) if u64::MAX / t0 <= 256 => {
+                            u64::MAX - x % t0.saturating_mul(2)
+                        }
+                        Step::NearMax(x) => t.saturating_add(x % (t0 / 3 + 1)),
+                    };
+                    let record = TraceRecord::new(
+                        SimTime::from_micros(t),
+                        direction,
+                        kind,
+                        "10.0.0.5:1025".parse().unwrap(),
+                        "192.0.2.80:80".parse().unwrap(),
+                    );
+                    model.record(t, direction, kind);
+                    router.advance_to(record.time, &mut closed);
+                    router.observe_record(&record);
+                    agent.filter_record(&record);
+                }
+                ClockOp::Close => {
+                    model.close();
+                    closed.push(router.take_period_sample());
+                    agent.close_periods_to(agent.router().current_period() + 1);
+                }
+                ClockOp::Checkpoint => {
+                    router_late += router.late();
+                    agent_late += agent.router().late();
+                    let json = Checkpoint::capture(&router, 0, &detector, &[], &[], None).to_json();
+                    router = SynDogAgent::restore(&Checkpoint::from_json(&json).unwrap())
+                        .unwrap()
+                        .router()
+                        .clone();
+                    let json = agent.checkpoint().to_json();
+                    agent = SynDogAgent::restore(&Checkpoint::from_json(&json).unwrap()).unwrap();
+                }
+            }
+        }
+        prop_assert_eq!(&closed, &model.closed);
+        prop_assert_eq!(router_late + router.late(), model.late);
+        prop_assert_eq!(router.current_period(), model.current);
+        prop_assert_eq!(agent_late + agent.router().late(), model.late);
+        prop_assert_eq!(agent.router().current_period(), model.current);
+        let mut expected = SynDogAgent::new(stub(), SynDogConfig::paper_default());
+        for sample in &model.closed {
+            expected.observe_period(*sample);
+        }
+        prop_assert_eq!(agent.detections(), expected.detections());
     }
 
     /// Every detection strategy's learned state survives a checkpoint
