@@ -587,7 +587,13 @@ impl Fleet {
                     && record.kind == SegmentKind::Syn
                     && decision.forwarded()
                 {
-                    let p = record.time.period_index(period) as usize;
+                    // The record is in the open period unless it is late.
+                    let open = agent.router().current_period();
+                    let p = if record.time.as_micros() >= open * period.as_micros() {
+                        open
+                    } else {
+                        record.time.period_index(period)
+                    } as usize;
                     if forwarded_syns.len() <= p {
                         forwarded_syns.resize(p + 1, 0);
                     }

@@ -4,12 +4,15 @@
 use std::sync::Arc;
 
 use syndog::SynDogConfig;
+use syndog_net::SegmentKind;
 use syndog_router::fleet::{Fleet, Scenario};
 use syndog_router::mitigate::MitigationPolicy;
+use syndog_router::FaultSpec;
 use syndog_sim::par::Parallelism;
-use syndog_sim::{SimDuration, SimTime};
+use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_telemetry::Telemetry;
 use syndog_traffic::sites::SiteProfile;
+use syndog_traffic::Direction;
 
 fn victim() -> std::net::SocketAddrV4 {
     "199.0.0.80:80".parse().unwrap()
@@ -64,6 +67,46 @@ fn fleet_report_is_identical_across_worker_counts() {
     assert_eq!(count_runs[0], count_runs[1]);
     assert_eq!(count_runs[0], count_runs[2]);
     assert_eq!(count_runs[0].to_csv(), count_runs[2].to_csv());
+}
+
+/// Trace-level victim rates bin each forwarded SYN in its own period
+/// `⌊t/t0⌋`, jittered records that arrive behind the clock included. With
+/// no engine armed every outbound SYN is forwarded, so the rates follow
+/// from the faulted trace alone.
+#[test]
+fn victim_rates_bin_late_syns_in_their_own_period() {
+    let faults = FaultSpec::parse("reorder=64,jitter_ms=5000").unwrap();
+    let scenario = ddos_scenario(11).with_faults(faults);
+    let report = Fleet::new(scenario.clone()).run();
+    let period = SimDuration::from_secs(20);
+    for (index, (spec, row)) in scenario.stubs.iter().zip(&report.stubs).enumerate() {
+        let mut rng = SimRng::seed_from_u64(scenario.stub_seed(index));
+        let mut trace = spec.site.generate_trace(&mut rng);
+        if let Some(flood) = &spec.attack {
+            trace.merge(&flood.generate_trace(&mut rng));
+        }
+        let faults = scenario.stub_faults(index).unwrap();
+        let mut syns = vec![0u64; row.periods as usize];
+        for record in faults.apply_to_trace(&trace).0.records() {
+            let p = record.time.period_index(period) as usize;
+            if record.direction == Direction::Outbound && record.kind == SegmentKind::Syn {
+                if let Some(count) = syns.get_mut(p) {
+                    *count += 1;
+                }
+            }
+        }
+        let rate =
+            |w: &[u64]| w.iter().sum::<u64>() as f64 / (w.len() as f64 * period.as_secs_f64());
+        let (before, after) = match row.first_alarm_period {
+            Some(a) if (a as usize) + 1 < syns.len() => {
+                let (before, after) = syns.split_at(a as usize + 1);
+                (rate(before), rate(after))
+            }
+            _ => (rate(&syns), rate(&syns)),
+        };
+        assert_eq!(row.victim_syn_rate_before, before, "stub {index}");
+        assert_eq!(row.victim_syn_rate_after, after, "stub {index}");
+    }
 }
 
 /// The paper's DDoS case, end to end: the aggregate flood is split so

@@ -15,7 +15,9 @@
 
 use proptest::prelude::*;
 use syndog::SynDogConfig;
-use syndog_router::{AlarmOnset, CollectorConfig, Fleet, FleetCorrelator, Scenario};
+use syndog_router::{
+    AlarmOnset, CollectorConfig, Fleet, FleetCorrelator, MitigationPolicy, Scenario, StubRow,
+};
 use syndog_sim::par::Parallelism;
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::SiteProfile;
@@ -95,6 +97,74 @@ fn two_thousand_stub_distributed_flood_reconstructs_exactly() {
     assert!(rendered.contains("campaign topology cross-check: MATCH"));
     // The top-K spotlight is bounded and names only implicated stubs.
     assert_eq!(run.top.len(), CollectorConfig::default().top_k);
+}
+
+/// 64-bit FNV-1a over `words`, each hashed as its little-endian bytes.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// Every field the count-level fold fills in, as digest words: an
+/// optional value hashes as a presence flag and the value, a rate as its
+/// bits.
+fn row_words(row: &StubRow) -> Vec<u64> {
+    let r = &row.report;
+    let opt = |v: Option<u64>| [u64::from(v.is_some()), v.unwrap_or(0)];
+    let mut words = vec![row.index as u64, r.periods, u64::from(r.attacked)];
+    words.push(r.attack_rate.to_bits());
+    words.extend(opt(r.attack_start_period));
+    words.push(u64::from(r.implicated));
+    words.extend(opt(r.first_alarm_period));
+    words.extend(opt(r.first_alarm_secs.map(f64::to_bits)));
+    words.extend(opt(r.detection_delay_periods));
+    words.push(r.false_alarm_periods);
+    words.push(u64::from(r.mitigated));
+    words.extend(opt(r.engaged_period));
+    words.extend(opt(r.release_period));
+    words.extend([r.throttled_syns, r.collateral_syns]);
+    words.extend([r.attack_syns_offered, r.attack_syns_forwarded]);
+    words.push(r.victim_syn_rate_before.to_bits());
+    words.push(r.victim_syn_rate_after.to_bits());
+    for onset in &row.onsets {
+        words.extend([onset.stub as u64, onset.onset_period, onset.alarm_period]);
+        words.push(onset.est_rate.to_bits());
+    }
+    words
+}
+
+/// Pins the count-level fold bit for bit: site counts, each slave's
+/// `SynFlood::period_counts`, the detector and the count throttle, over a
+/// 40-stub one-hour LBL fleet with mitigation armed and a 6 SYN/s slave
+/// on every 20th stub.
+#[test]
+fn count_level_fleet_fold_is_pinned() {
+    let attacked: Vec<usize> = (0..40).step_by(20).collect();
+    let scenario = Scenario::distributed_flood(
+        "pinned",
+        &SiteProfile::lbl(),
+        40,
+        &attacked,
+        6.0 * attacked.len() as f64,
+        SimTime::from_secs(600),
+        victim(),
+        SynDogConfig::paper_default(),
+        1,
+    )
+    .with_mitigation(MitigationPolicy::paper_default());
+    let (words, engaged) = Fleet::new(scenario).fold_counts(
+        (Vec::new(), 0),
+        |(words, engaged): &mut (Vec<u64>, usize), row| {
+            *engaged += usize::from(row.report.engaged_period.is_some());
+            words.extend(row_words(&row));
+        },
+    );
+    assert!(engaged > 0, "the digest must cover an engaged throttle");
+    let got = fnv1a(words);
+    assert_eq!(got, 0x81b3e4f0b0840aa1, "fleet fold digest: {got:#018x}");
 }
 
 proptest! {

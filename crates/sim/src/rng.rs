@@ -152,6 +152,15 @@ impl SimRng {
 /// `sqrt(-2 ln 2^-53) ≈ 8.5716`, reached when `1 - U` takes its least value.
 const BOX_MULLER_BOUND: f64 = 8.6;
 
+/// `e^-4.5`: a draw with `u1 = 1 - U` at or above it has
+/// `|z| ≤ sqrt(-2 ln u1) ≤ 3`, which is 98.9% of draws.
+const CLEAN_U1: f64 = 0.011_108_996_538_242_306;
+
+/// A bound on the Box–Muller magnitude of a draw with `u1 ≥ CLEAN_U1`: 3,
+/// plus room for the ulps of `ln`, `sqrt`, `cos` and `exp`, as 8.6 leaves
+/// room above 8.5716.
+const CLEAN_BOUND: f64 = 3.01;
+
 /// Box–Muller of `u1 = 1 - U ∈ [2^-53, 1]`, which keeps `ln(0)` out, and `u2 = U`.
 fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -163,6 +172,7 @@ fn box_muller(u1: f64, u2: f64) -> f64 {
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
+    clean_max: f64,
     max: f64,
 }
 
@@ -175,6 +185,7 @@ impl LogNormal {
         LogNormal {
             mu,
             sigma,
+            clean_max: (mu + sigma * CLEAN_BOUND).exp(),
             max: (mu + sigma * BOX_MULLER_BOUND).exp(),
         }
     }
@@ -195,11 +206,16 @@ impl LogNormalDraw {
         (self.dist.mu + self.dist.sigma * box_muller(self.u1, self.u2)).exp()
     }
 
-    /// An upper bound on every value a draw from this distribution can
-    /// take, `exp(mu + sigma·8.6)`, computed once by [`LogNormal::new`].
+    /// An upper bound on [`LogNormalDraw::value`], found with one compare
+    /// on the drawn `u1`: `exp(mu + sigma·3.01)` when `u1 ≥ e^-4.5`, else
+    /// `exp(mu + sigma·8.6)`. Both are computed once by [`LogNormal::new`].
     #[inline]
     pub fn max(&self) -> f64 {
-        self.dist.max
+        if self.u1 >= CLEAN_U1 {
+            self.dist.clean_max
+        } else {
+            self.dist.max
+        }
     }
 }
 
@@ -289,6 +305,49 @@ mod tests {
             let spare = BOX_MULLER_BOUND - z.abs();
             assert!((0.0..0.1).contains(&spare), "|z| = {}", z.abs());
         }
+    }
+
+    #[test]
+    fn the_clean_bound_covers_every_draw_near_its_threshold() {
+        let mut rng = SimRng::seed_from_u64(13);
+        let mut u1 = CLEAN_U1;
+        for _ in 0..8 {
+            u1 = u1.next_down();
+        }
+        for _ in 0..17 {
+            let mut u2s = vec![0.0, 0.25, 0.5, 1.0 - 2f64.powi(-53)];
+            u2s.extend((0..64).map(|_| rng.uniform()));
+            for u2 in u2s {
+                for (mu, sigma) in [((0.12f64).ln(), 0.35), (0.0, 1.0), (-6.0, 2.0)] {
+                    let draw = LogNormalDraw {
+                        dist: LogNormal::new(mu, sigma),
+                        u1,
+                        u2,
+                    };
+                    assert!(draw.value() <= draw.max(), "u1 {u1:e}, u2 {u2}");
+                }
+                if u1 >= CLEAN_U1 {
+                    assert!(box_muller(u1, u2).abs() <= CLEAN_BOUND);
+                }
+            }
+            u1 = u1.next_up();
+        }
+        // Across the whole range of u1, at cos = ±1 and at random angles.
+        for k in 0..=5_300 {
+            let u1 = 2f64.powf(-f64::from(k) / 100.0);
+            for u2 in [0.0, 0.5, rng.uniform()] {
+                let draw = LogNormalDraw {
+                    dist: LogNormal::new(0.0, 1.0),
+                    u1,
+                    u2,
+                };
+                assert!(draw.value() <= draw.max(), "u1 {u1:e}, u2 {u2}");
+            }
+        }
+        // The threshold is e^-4.5 to the ulp, so |z| reaches 3 just above it.
+        assert_eq!(CLEAN_U1, (-4.5f64).exp());
+        let spare = CLEAN_BOUND - box_muller(CLEAN_U1, 0.0);
+        assert!((0.0..0.011).contains(&spare), "spare {spare}");
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! run. Wrapping both instants ([`SimTime`]) and spans ([`SimDuration`]) in
 //! newtypes keeps "20 seconds" (an observation period) from ever being
 //! confused with "20 seconds into the trace".
+//!
+//! Fractional seconds round to the nearest microsecond exactly as
+//! `f64::round` does, but the rounding is written out: trace and count
+//! generation convert every segment time, and on x86-64 without SSE4.1
+//! `f64::round` is a libm call, as costly as the `ln` of a draw.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -12,6 +17,30 @@ use serde::{Deserialize, Serialize};
 
 /// Microseconds per second.
 const MICROS_PER_SEC: u64 = 1_000_000;
+
+/// `2^52`: below it an `f64`'s fractional part is exact, and from it on
+/// every `f64` is a whole number.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// Equal to `micros.round() as u64` for every `f64`: ties round away from
+/// zero, negatives and NaN give 0, values past `u64::MAX` saturate.
+///
+/// Below `2^52` the fraction left by truncation is exact, so one compare
+/// rounds it without a branch. (`(x + 0.5) as u64` is wrong at
+/// 0.49999999999999994, where the sum rounds up to 1, and at odd whole
+/// numbers above `2^52`; a branch on the fraction mispredicts half the
+/// time.) From `2^52` on, `micros` is already whole and the cold `round`
+/// only saturates.
+#[inline]
+fn round_micros(micros: f64) -> u64 {
+    let micros = micros.max(0.0);
+    if micros < TWO_POW_52 {
+        let whole = micros as i64;
+        whole as u64 + u64::from(micros - whole as f64 >= 0.5)
+    } else {
+        micros.round() as u64
+    }
+}
 
 /// An instant in simulated time, measured from the start of the run.
 #[derive(
@@ -38,8 +67,9 @@ impl SimTime {
 
     /// Creates an instant from fractional seconds, rounding to the nearest
     /// microsecond. Negative values clamp to zero.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime((secs.max(0.0) * MICROS_PER_SEC as f64).round() as u64)
+        SimTime(round_micros(secs * MICROS_PER_SEC as f64))
     }
 
     /// The instant as whole microseconds.
@@ -104,8 +134,9 @@ impl SimDuration {
 
     /// Creates a span from fractional seconds, rounding to the nearest
     /// microsecond. Negative values clamp to zero.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs.max(0.0) * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(round_micros(secs * MICROS_PER_SEC as f64))
     }
 
     /// The span as whole microseconds.
@@ -200,6 +231,7 @@ impl Div<u64> for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_agree() {
@@ -215,6 +247,74 @@ mod tests {
     fn negative_fractional_seconds_clamp_to_zero() {
         assert_eq!(SimTime::from_secs_f64(-5.0), SimTime::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-0.1), SimDuration::ZERO);
+    }
+
+    /// The reference conversion, through `f64::round`.
+    fn reference_micros(secs: f64) -> u64 {
+        (secs.max(0.0) * MICROS_PER_SEC as f64).round() as u64
+    }
+
+    fn assert_rounds_like_libm(micros: f64) {
+        assert_eq!(round_micros(micros), micros.round() as u64, "{micros:e}");
+        let secs = micros / MICROS_PER_SEC as f64;
+        let want = reference_micros(secs);
+        assert_eq!(SimTime::from_secs_f64(secs).as_micros(), want, "{secs:e} s");
+        assert_eq!(
+            SimDuration::from_secs_f64(secs).as_micros(),
+            want,
+            "{secs:e} s"
+        );
+    }
+
+    #[test]
+    fn rounding_equals_libm_round_at_the_edges() {
+        let mut cases = vec![
+            0.499_999_999_999_999_94,
+            TWO_POW_52 - 0.5,
+            TWO_POW_52 - 1.5,
+            TWO_POW_52,
+            TWO_POW_52 + 1.0,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.0,
+            0.0,
+            -0.5,
+            -1.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+        ];
+        // Ties k + 0.5 and their neighbours, small and large.
+        for k in (0u64..64).chain([999_999, 1 << 30, (1 << 51) - 1]) {
+            let tie = k as f64 + 0.5;
+            cases.extend([tie, tie.next_up(), tie.next_down(), -tie]);
+        }
+        for micros in cases {
+            assert_rounds_like_libm(micros);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rounding_equals_libm_round_for_any_bits(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            assert_rounds_like_libm(x);
+            prop_assert_eq!(SimTime::from_secs_f64(x).as_micros(), reference_micros(x));
+            prop_assert_eq!(SimDuration::from_secs_f64(x).as_micros(), reference_micros(x));
+        }
+
+        #[test]
+        fn rounding_equals_libm_round_on_trace_times(micros in 0.0f64..1e13) {
+            assert_rounds_like_libm(micros);
+        }
     }
 
     #[test]

@@ -164,6 +164,7 @@ fn stays_in_period(sent: SimTime, rtt: &LogNormalDraw, period: SimDuration) -> b
 /// The client is inside the stub network (SYNs travel outbound) and the
 /// server outside (SYN/ACKs travel inbound), matching the paper's Figure 6
 /// topology.
+#[inline]
 pub fn simulate_handshake(
     start: SimTime,
     params: &ConnectionParams,
@@ -339,7 +340,8 @@ mod tests {
 
     #[test]
     fn most_clean_path_rtts_are_never_evaluated_for_a_20_s_period() {
-        // Every RTT is below ~2.4 s: only SYNs sent later in a period need it.
+        // 98.9% of RTTs are bounded by ~0.34 s and the rest by ~2.4 s: only
+        // SYNs sent in a period's last fraction of a second need theirs.
         let mut rng = SimRng::seed_from_u64(8);
         let skipped = (0..20_000)
             .filter(|_| {
@@ -348,7 +350,7 @@ mod tests {
                 stays_in_period(sent, &rtt, SimDuration::from_secs(20))
             })
             .count();
-        assert!((17_200..18_000).contains(&skipped), "skipped {skipped}");
+        assert!((19_400..19_800).contains(&skipped), "skipped {skipped}");
     }
 
     proptest! {
@@ -365,14 +367,21 @@ mod tests {
             let period = SimDuration::from_secs(period_secs);
             let dist = LogNormal::new(mu, sigma);
             let mut rng = SimRng::seed_from_u64(seed);
+            // The clean-path bound, which most draws' `max()` returns.
+            let clean = SimDuration::from_secs_f64((mu + sigma * 3.01).exp()).as_micros();
             for i in 0..64 {
                 let rtt = rng.log_normal_draw(&dist);
                 // Every other SYN is sent anywhere; the rest within twice the
-                // largest RTT before a boundary, every fourth within 1 µs of it.
+                // draw's bound before a boundary, or within 1 µs of that
+                // bound or of the clean-path bound.
                 let max = SimDuration::from_secs_f64(rtt.max()).as_micros();
-                let back = match i % 4 {
-                    1 => rng.uniform_u64(0, max.saturating_mul(2).max(1)),
-                    _ => max.saturating_add(rng.uniform_u64(0, 3)).saturating_sub(1),
+                let near = |bound: u64, rng: &mut SimRng| {
+                    bound.saturating_add(rng.uniform_u64(0, 3)).saturating_sub(1)
+                };
+                let back = match i % 8 {
+                    1 | 5 => rng.uniform_u64(0, max.saturating_mul(2).max(1)),
+                    7 => near(clean, &mut rng),
+                    _ => near(max, &mut rng),
                 };
                 let boundary = boundary * period.as_micros();
                 let sent = SimTime::from_micros(match i % 2 {
