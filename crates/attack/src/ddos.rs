@@ -11,10 +11,19 @@
 
 use std::net::SocketAddrV4;
 
+use syndog_fingerprint::FingerprintKey;
 use syndog_net::MacAddr;
 use syndog_sim::{SimDuration, SimTime};
 
 use crate::flood::{FloodPattern, SpoofStrategy, SynFlood};
+
+/// The SYN header template of TFN2K, the tool every slave runs: a bare,
+/// option-less SYN off a raw socket (TTL 255, window 1024). Real flooding
+/// tools craft SYNs from a fixed template rather than a kernel TCP stack,
+/// so every packet shares this one fingerprint.
+fn tfn2k_template() -> FingerprintKey {
+    FingerprintKey::new(255, 1024, 0, 0, 0)
+}
 
 /// A coordinated multi-source SYN-flood campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,9 +99,7 @@ impl DdosCampaign {
             // slave's SYNs carry the same header template — which is what
             // lets fingerprint-keyed throttling and cross-stub campaign
             // correlation tie the sources together.
-            fp: crate::tools::AttackTool::Tfn2k
-                .fingerprint()
-                .map_or(0, |key| key.to_bits()),
+            fp: tfn2k_template().to_bits(),
             mac_rotation: 0,
         }
     }

@@ -11,7 +11,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 
 use syndog_net::{MacAddr, SegmentKind};
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::trace::{Direction, PeriodSample, Trace, TraceRecord};
+use syndog_traffic::{Direction, PeriodSample, Trace, TraceRecord};
 
 /// Temporal shape of the flood.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,8 +114,7 @@ pub struct SynFlood {
     /// localization ultimately finds.
     pub attacker_mac: MacAddr,
     /// Packed SYN fingerprint every flood packet carries (the tool's
-    /// constant header template), or 0 for no fingerprint. See
-    /// [`AttackTool::fingerprint`](crate::tools::AttackTool::fingerprint).
+    /// constant header template), or 0 for no fingerprint.
     pub fp: u64,
     /// When nonzero, the flooder forges a different source MAC per packet,
     /// cycling through this many addresses — defeating both prime-suspect
@@ -148,12 +147,6 @@ impl SynFlood {
     /// Returns a copy with a different temporal pattern.
     pub fn with_pattern(mut self, pattern: FloodPattern) -> Self {
         self.pattern = pattern;
-        self
-    }
-
-    /// Returns a copy with a different spoofing strategy.
-    pub fn with_spoof(mut self, spoof: SpoofStrategy) -> Self {
-        self.spoof = spoof;
         self
     }
 
@@ -289,7 +282,7 @@ impl SynFlood {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_net::addr::is_unroutable_source;
+    use syndog_net::is_unroutable_source;
 
     fn victim() -> SocketAddrV4 {
         "192.0.2.80:80".parse().unwrap()

@@ -2,22 +2,18 @@
 //!
 //! Models the attacker side of the paper's §4.2 experiments:
 //!
-//! - [`flood`] — a single flooding source with configurable temporal
+//! - `flood` — a single flooding source with configurable temporal
 //!   pattern (constant, on/off bursty, ramping, pulsed) and source-address
 //!   spoofing strategy; produces either full [`Trace`]s or fast per-period
 //!   counts,
-//! - [`ddos`] — the master/slave coordination of a distributed attack:
+//! - `ddos` — the master/slave coordination of a distributed attack:
 //!   aggregate rate `V` split evenly across `A` stub networks so each
-//!   SYN-dog sees only `f_i = V/A`, the paper's "hiding" strategy,
-//! - [`tools`] — parameter presets named after the era's attack tools
-//!   (TFN, TFN2K, Trinity, Shaft, Plague), which the paper notes all share
-//!   the same continuously-sent-SYN behaviour.
+//!   SYN-dog sees only `f_i = V/A`, the paper's "hiding" strategy.
 //!
 //! [`Trace`]: syndog_traffic::Trace
 
-pub mod ddos;
-pub mod flood;
-pub mod tools;
+mod ddos;
+mod flood;
 
 pub use ddos::DdosCampaign;
 pub use flood::{FloodPattern, SpoofStrategy, SynFlood};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use syndog_attack::{DdosCampaign, FloodPattern, SpoofStrategy, SynFlood};
-use syndog_net::addr::is_unroutable_source;
+use syndog_net::is_unroutable_source;
 use syndog_sim::{SimDuration, SimRng, SimTime};
 
 fn victim() -> std::net::SocketAddrV4 {

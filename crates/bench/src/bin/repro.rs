@@ -39,7 +39,7 @@ fn main() {
                     eprintln!("invalid job count: {value}");
                     std::process::exit(2);
                 });
-                syndog_sim::par::set_max_jobs(jobs);
+                syndog_sim::set_max_jobs(jobs);
             }
             "list" => {
                 for id in EXPERIMENT_IDS {

@@ -15,23 +15,23 @@
 
 use std::path::PathBuf;
 
-use syndog::change::{ChangeDetector, EwmaChart, ShewhartChart, SlidingZTest};
-use syndog::metrics::{DetectionSummary, FalseAlarmReport, TrialOutcome};
 use syndog::{
-    theory, Detection, DetectorKind, NonParametricCusum, PeriodCounts, PeriodSignals, SynDogConfig,
-    SynDogDetector,
+    max_hidden_stub_networks, min_detectable_rate, Detection, DetectorKind, NonParametricCusum,
+    PeriodCounts, PeriodSignals, SynDogConfig, SynDogDetector,
 };
+use syndog::{ChangeDetector, EwmaChart, ShewhartChart, SlidingZTest};
+use syndog::{DetectionSummary, FalseAlarmReport, TrialOutcome};
 use syndog_attack::{FloodPattern, SpoofStrategy, SynFlood};
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
 use syndog_router::{
     CollectorConfig, Fleet, KeyMode, MitigationEngine, MitigationPolicy, Scenario, SourceLocator,
     SynDogAgent,
 };
-use syndog_sim::par::{run_indexed, Parallelism};
-use syndog_sim::stats::TimeSeries;
+use syndog_sim::TimeSeries;
+use syndog_sim::{run_indexed, Parallelism};
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
-use syndog_traffic::trace::{Direction, PeriodSample, TraceRecord};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
+use syndog_traffic::{Direction, PeriodSample, TraceRecord};
 
 use crate::report::{opt_f64, write_result, TextTable};
 
@@ -113,7 +113,7 @@ pub fn attack_trial(
 /// Sweeps flooding rates, aggregating `trials` seeded trials per rate.
 ///
 /// Trials are independent, so they fan out on the shared deterministic
-/// runner ([`syndog_sim::par::run_indexed`], which honours the `--jobs`
+/// runner ([`syndog_sim::run_indexed`], which honours the `--jobs`
 /// cap); results are identical for any worker count because every trial's
 /// seed is a pure function of `(seed_base, rate, t)`.
 pub fn detection_sweep(
@@ -535,8 +535,8 @@ pub fn disc(seed: u64) -> ExperimentOutput {
     let mut table = TextTable::new(&["Site", "K̄", "f_min (SYN/s)", "max hidden stubs A"]);
     for site in [SiteProfile::unc(), SiteProfile::auckland()] {
         let k = site.expected_k();
-        let f_min = theory::min_detectable_rate(0.35, 0.0, k, 20.0);
-        let a = theory::max_hidden_stub_networks(v, f_min).expect("positive f_min");
+        let f_min = min_detectable_rate(0.35, 0.0, k, 20.0);
+        let a = max_hidden_stub_networks(v, f_min).expect("positive f_min");
         table.row(vec![
             site.name().to_string(),
             format!("{k:.0}"),
@@ -635,8 +635,7 @@ pub fn fleet(seed: u64) -> ExperimentOutput {
     );
     let per_stub = total_rate / attacked.len() as f64;
     let single_k = SiteProfile::unc().expected_k();
-    let f_min =
-        theory::min_detectable_rate(config.offset, 0.0, single_k, config.observation_period_secs);
+    let f_min = min_detectable_rate(config.offset, 0.0, single_k, config.observation_period_secs);
     let report = Fleet::new(scenario).run();
     let check = report.topology_cross_check();
     let mut body = report.render();
@@ -694,8 +693,7 @@ pub fn fleet_scale(seed: u64) -> ExperimentOutput {
     );
     let per_stub = total_rate / attacked.len() as f64;
     let single_k = SiteProfile::unc().expected_k();
-    let f_min =
-        theory::min_detectable_rate(config.offset, 0.0, single_k, config.observation_period_secs);
+    let f_min = min_detectable_rate(config.offset, 0.0, single_k, config.observation_period_secs);
     let fleet = Fleet::new(scenario);
     let mut csv = Vec::new();
     let run = fleet
@@ -782,7 +780,7 @@ fn shed_pct(offered: u64, forwarded: u64) -> f64 {
 /// (engagements, exonerated periods, throttled SYNs).
 fn flash_crowd_run(policy: MitigationPolicy, seed: u64) -> (u64, u64, u64) {
     use std::net::SocketAddrV4;
-    use syndog_traffic::trace::Trace;
+    use syndog_traffic::Trace;
 
     let config = SynDogConfig::paper_default();
     let site = SiteProfile::auckland().with_duration(SimDuration::from_secs(1800));
@@ -870,11 +868,11 @@ fn engaged_engine(stub: Ipv4Net) -> MitigationEngine {
 pub fn mitigation(seed: u64) -> ExperimentOutput {
     use std::collections::VecDeque;
     use std::net::{Ipv4Addr, SocketAddrV4};
-    use syndog_defense::cookies::SynCookieServer;
-    use syndog_defense::proxy::{ProxyConfig, SynProxy};
-    use syndog_defense::resource::HALF_OPEN_ENTRY_BYTES;
-    use syndog_defense::synkill::{Synkill, SynkillConfig};
     use syndog_defense::Defense;
+    use syndog_defense::SynCookieServer;
+    use syndog_defense::HALF_OPEN_ENTRY_BYTES;
+    use syndog_defense::{ProxyConfig, SynProxy};
+    use syndog_defense::{Synkill, SynkillConfig};
 
     let config = SynDogConfig::paper_default();
     let template = SiteProfile::auckland().with_duration(SimDuration::from_secs(1800));
@@ -1491,10 +1489,10 @@ pub fn ablate_alpha(seed: u64) -> ExperimentOutput {
 /// SYN-dog agent face the same 2,000 SYN/s spoofed flood mixed with
 /// legitimate clients.
 pub fn ablate_defenses(seed: u64) -> ExperimentOutput {
-    use syndog_defense::cookies::SynCookieServer;
-    use syndog_defense::proxy::{ProxyConfig, SynProxy};
-    use syndog_defense::synkill::{Synkill, SynkillConfig};
+    use syndog_defense::SynCookieServer;
     use syndog_defense::{Defense, DefenseVerdict};
+    use syndog_defense::{ProxyConfig, SynProxy};
+    use syndog_defense::{Synkill, SynkillConfig};
 
     let mut rng = SimRng::seed_from_u64(seed);
     // Workload: 60 s of 2,000 SYN/s spoofed flood + 50 legitimate
@@ -1553,7 +1551,7 @@ pub fn ablate_defenses(seed: u64) -> ExperimentOutput {
                     let ack = if d.name() == "syn cookies" {
                         // The legit client echoes the cookie: recompute it
                         // the way the server did.
-                        syndog_defense::cookies::make_cookie(
+                        syndog_defense::make_cookie(
                             0x5EED ^ seed,
                             *addr,
                             t.as_micros() / 1_000_000 / 64,
@@ -1615,9 +1613,9 @@ pub fn ablate_defenses(seed: u64) -> ExperimentOutput {
 /// one packet but charges every router digest memory for all traffic,
 /// forever. SYN-dog localizes at the alarm, for three floats.
 pub fn ablate_traceback(seed: u64) -> ExperimentOutput {
-    use syndog_traceback::ppm::{expected_packets_to_converge, packets_until_traced};
-    use syndog_traceback::spie::SpieNetwork;
     use syndog_traceback::AttackPath;
+    use syndog_traceback::SpieNetwork;
+    use syndog_traceback::{expected_packets_to_converge, packets_until_traced};
 
     let mut rng = SimRng::seed_from_u64(seed);
     let mut body = String::new();
@@ -1693,10 +1691,10 @@ pub fn ablate_traceback(seed: u64) -> ExperimentOutput {
 /// zero-offset rule; the stateless RFC 1858 filter restores soundness,
 /// and reassembly restores it at a state cost.
 pub fn ext_evasion(seed: u64) -> ExperimentOutput {
-    use syndog_net::classify::{classify_ipv4, SegmentKind};
-    use syndog_net::frag::{fragment_ipv4, tiny_fragment_filter, Reassembler};
-    use syndog_net::packet::PacketBuilder;
+    use syndog_net::PacketBuilder;
     use syndog_net::TcpFlags;
+    use syndog_net::{classify_ipv4, SegmentKind};
+    use syndog_net::{fragment_ipv4, tiny_fragment_filter, Reassembler};
 
     let mut rng = SimRng::seed_from_u64(seed);
     let flood_syns = 10_000usize;
@@ -1711,7 +1709,7 @@ pub fn ext_evasion(seed: u64) -> ExperimentOutput {
             let frame = PacketBuilder::tcp(src, victim(), TcpFlags::SYN)
                 .build()
                 .expect("static");
-            frame[syndog_net::ethernet::HEADER_LEN..].to_vec()
+            frame[syndog_net::HEADER_LEN..].to_vec()
         })
         .collect();
 
@@ -1939,7 +1937,7 @@ fn bakeoff_trace(
     rate: f64,
     ramp_rate: f64,
     seed: u64,
-) -> syndog_traffic::trace::Trace {
+) -> syndog_traffic::Trace {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut trace = site.generate_trace(&mut rng);
     let start_time = SimTime::ZERO + OBSERVATION_PERIOD * BAKEOFF_START;
@@ -1958,7 +1956,7 @@ fn bakeoff_trace(
                     .filter(|_| !rng.chance(0.10))
                     .cloned()
                     .collect();
-                trace = syndog_traffic::trace::Trace::from_records(kept, duration);
+                trace = syndog_traffic::Trace::from_records(kept, duration);
             }
         }
         "slow-ramp" => {
@@ -2011,9 +2009,7 @@ fn bakeoff_trace(
                 ));
             }
             let duration = trace.duration();
-            trace.merge(&syndog_traffic::trace::Trace::from_records(
-                records, duration,
-            ));
+            trace.merge(&syndog_traffic::Trace::from_records(records, duration));
         }
         other => unreachable!("unknown bake-off scenario {other}"),
     }
@@ -2038,8 +2034,7 @@ pub fn bakeoff(seed: u64) -> ExperimentOutput {
     let config = SynDogConfig::paper_default();
     let rate = 10.0;
     let k_avg = site.mean_arrival_rate() * config.observation_period_secs;
-    let ramp_rate =
-        theory::min_detectable_rate(config.offset, 0.0, k_avg, config.observation_period_secs);
+    let ramp_rate = min_detectable_rate(config.offset, 0.0, k_avg, config.observation_period_secs);
     let combos: Vec<(DetectorKind, f64)> = DetectorKind::ALL
         .iter()
         .flat_map(|&kind| BAKEOFF_MULTIPLIERS.iter().map(move |&m| (kind, m)))

@@ -6,7 +6,7 @@
 //! writes CSV series under `results/`. See EXPERIMENTS.md for the
 //! paper-vs-measured record.
 
-pub mod experiments;
-pub mod report;
+mod experiments;
+mod report;
 
-pub use experiments::*;
+pub use experiments::{all_experiments, run_experiment, EXPERIMENT_IDS};

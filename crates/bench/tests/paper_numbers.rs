@@ -1,7 +1,7 @@
 //! The reproduction's paper numbers, pinned at the default seed
-//! (20020701). Every table value from Table 1 through §4.2.3 is read from
-//! a "Measured" cell of EXPERIMENTS.md and compared with what `repro`
-//! prints, so the document and the code cannot drift apart: a change to
+//! (20020701). Every table value from Table 1 through §4.2.3, and the
+//! fleet's, is read from a "Measured" cell of EXPERIMENTS.md and compared
+//! with what `repro` prints, so the document and the code cannot drift apart: a change to
 //! any of these numbers is a change in what the repository reproduces and
 //! must land in both. The mitigation headline is pinned literally.
 
@@ -25,6 +25,7 @@ fn output() -> &'static str {
                 "table2",
                 "table3",
                 "disc",
+                "fleet",
                 "mitigation",
                 "--seed",
                 "20020701",
@@ -322,6 +323,101 @@ fn disc_coverage_and_localization() {
         "localization share of spoofed SYNs",
         &format!("{}%", share(localization)),
         &format!("{repro_share}%"),
+    );
+}
+
+#[test]
+fn fleet_implicates_every_hosting_stub_and_names_its_slave() {
+    let table = DocTable::read("Fleet — multi-stub");
+    // Name, prefix, attacked, alarm@, delay, false alarms, suspect MAC,
+    // "(attacker," and "1.000)" — the last two only for a named suspect.
+    let stubs: Vec<Vec<&str>> = section("fleet")
+        .lines()
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|cells| cells.len() >= 7 && matches!(cells[2], "yes" | "no"))
+        .collect();
+    let hosting: Vec<_> = stubs.iter().filter(|s| s[2] == "yes").collect();
+    let clean: Vec<_> = stubs.iter().filter(|s| s[2] == "no").collect();
+    let implicated = |stub: &&&Vec<&str>| {
+        section("fleet")
+            .lines()
+            .any(|line| line.strip_prefix("IMPLICATED ") == Some(stub[1]))
+    };
+    let tally = |group: &[&Vec<&str>]| {
+        format!(
+            "{}/{}",
+            group.iter().filter(implicated).count(),
+            group.len()
+        )
+    };
+    // "3/3, first alarm in the attack's own start period (delay `<1`)"
+    let attacked = table.measured("Attacked stubs implicated");
+    table.pin(
+        "attacked stubs implicated",
+        lead(attacked).trim_end_matches(','),
+        &tally(&hosting),
+    );
+    let worst_delay = hosting
+        .iter()
+        .map(|s| s[4].parse::<u64>().unwrap())
+        .max()
+        .unwrap();
+    let delay = if worst_delay == 0 {
+        "<1".to_string()
+    } else {
+        worst_delay.to_string()
+    };
+    table.pin(
+        "first-alarm delay",
+        attacked.split('`').nth(1).unwrap_or(""),
+        &delay,
+    );
+    // "0/3, zero false-alarm periods"
+    let spared = table.measured("Clean stubs implicated");
+    table.pin(
+        "clean stubs implicated",
+        lead(spared).trim_end_matches(','),
+        &tally(&clean),
+    );
+    let false_alarms: u64 = stubs.iter().map(|s| s[5].parse::<u64>().unwrap()).sum();
+    let doc_false_alarms = spared.ends_with("zero false-alarm periods").then_some("0");
+    table.pin(
+        "false-alarm periods",
+        doc_false_alarms.unwrap_or(spared),
+        &false_alarms.to_string(),
+    );
+    // "per-stub suspect MAC = planted slave MAC, 100% of spoofed SYNs"
+    let source = table.measured("Source named");
+    let doc_suspect = if source.starts_with("per-stub suspect MAC = planted slave MAC") {
+        "attacker"
+    } else {
+        "other"
+    };
+    let doc_share = lead(source.rsplit(", ").next().unwrap());
+    for stub in &hosting {
+        // "02:ff:00:00:00:00 (attacker, 1.000)"
+        let named = stub
+            .get(7)
+            .map_or("-", |cell| cell.trim_matches(['(', ',']));
+        table.pin(&format!("{} suspect MAC", stub[0]), doc_suspect, named);
+        let share: f64 = stub
+            .get(8)
+            .map_or("0)", |cell| cell)
+            .trim_end_matches(')')
+            .parse()
+            .unwrap();
+        table.pin(
+            &format!("{} suspect share", stub[0]),
+            doc_share,
+            &format!("{}%", share * 100.0),
+        );
+    }
+    // "implicated leaf set == attack-tree source leaves (cross-check MATCH)"
+    let doc_check = table.measured("Agreement with traceback");
+    table.pin(
+        "traceback cross-check",
+        doc_check.rsplit(' ').next().unwrap().trim_end_matches(')'),
+        lead(line_after("fleet", "topology cross-check: ")),
     );
 }
 

@@ -4,7 +4,7 @@ use std::io::Write as _;
 
 use syndog::SynDogConfig;
 use syndog_router::{CollectorConfig, Fleet, Scenario};
-use syndog_sim::par::Parallelism;
+use syndog_sim::Parallelism;
 use syndog_sim::{SimDuration, SimTime};
 use syndog_telemetry::LabelBudget;
 

@@ -179,7 +179,7 @@ mod tests {
     use syndog_attack::SynFlood;
     use syndog_router::KeyMode;
     use syndog_sim::{SimDuration, SimRng, SimTime};
-    use syndog_telemetry::export;
+    use syndog_telemetry::parse_jsonl;
     use syndog_traffic::{SiteProfile, Trace, TraceRecord};
 
     use crate::detect::{cmd_detect, cmd_sniff};
@@ -912,7 +912,7 @@ mod tests {
         .unwrap();
         cmd_stats(&args(&["--in", &jsonl])).unwrap();
         cmd_stats(&args(&["--in", &jsonl, "--format", "prom"])).unwrap();
-        let restored = export::parse_jsonl(&std::fs::read_to_string(&jsonl).unwrap()).unwrap();
+        let restored = parse_jsonl(&std::fs::read_to_string(&jsonl).unwrap()).unwrap();
         assert!(restored.counter("syndog_periods_total", &[]) > Some(0));
         assert!(restored.counter("syndog_frames_total", &[("interface", "outbound")]) > Some(0));
         assert!(restored

@@ -3,11 +3,14 @@
 
 use std::net::Ipv4Addr;
 
-use syndog::{theory, SynDogConfig};
+use syndog::{
+    expected_delay_periods, max_hidden_stub_networks, min_detectable_rate, threshold_for_delay,
+    SynDogConfig,
+};
 use syndog_attack::SynFlood;
 use syndog_net::Ipv4Net;
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_telemetry::{export, ExportFormat};
+use syndog_telemetry::{parse_jsonl, ExportFormat};
 
 use crate::options::{read_trace, site_by_name, victim, write_trace, Flags};
 
@@ -77,7 +80,7 @@ pub fn cmd_stats(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &[], &["in", "format"])?;
     let input = flags.require("in")?;
     let text = std::fs::read_to_string(input).map_err(|e| format!("open {input}: {e}"))?;
-    let snapshot = export::parse_jsonl(&text).map_err(|e| format!("parse {input}: {e}"))?;
+    let snapshot = parse_jsonl(&text).map_err(|e| format!("parse {input}: {e}"))?;
     if let Some(name) = flags.get("format") {
         let format = ExportFormat::parse(name)
             .ok_or_else(|| format!("invalid --format: {name} (prom, jsonl, csv)"))?;
@@ -149,15 +152,15 @@ pub fn cmd_theory(args: &[String]) -> Result<(), String> {
     let c: f64 = flags.parse_value("c", 0.0)?;
     let t0 = flags.positive("t0", f64::MAX)?.unwrap_or(20.0);
     let total_rate: f64 = flags.parse_value("total-rate", 14_000.0)?;
-    let f_min = theory::min_detectable_rate(a, c, k, t0);
+    let f_min = min_detectable_rate(a, c, k, t0);
     outln!("parameters: a = {a}, c = {c}, K = {k}/period, t0 = {t0} s");
     outln!("f_min (Eq. 8)          = {f_min:.2} SYN/s");
     let h = 2.0 * a;
-    match theory::threshold_for_delay(3.0, h, c, a) {
+    match threshold_for_delay(3.0, h, c, a) {
         Some(n) => outln!("N for 3-period delay   = {n:.2} (h = 2a = {h})"),
         None => outln!("N for 3-period delay   = undefined (h <= |c - a|)"),
     }
-    match theory::max_hidden_stub_networks(total_rate, f_min) {
+    match max_hidden_stub_networks(total_rate, f_min) {
         Some(stubs) => {
             outln!("max hidden stubs       = {stubs} at aggregate V = {total_rate} SYN/s")
         }
@@ -168,7 +171,7 @@ pub fn cmd_theory(args: &[String]) -> Result<(), String> {
         .with_observation_period_secs(t0);
     for rate_multiplier in [1.2, 2.0, 4.0] {
         let rate = f_min * rate_multiplier;
-        match theory::expected_delay_periods(&config, rate, k, c) {
+        match expected_delay_periods(&config, rate, k, c) {
             Some(delay) => outln!(
                 "expected delay at {rate:>8.2} SYN/s ({rate_multiplier}x f_min) = {delay:.1} periods"
             ),

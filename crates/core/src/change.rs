@@ -4,8 +4,7 @@
 //! asymptotic optimality; the ablation benchmarks need something to compare
 //! it against. [`ChangeDetector`] abstracts "feed one observation, maybe
 //! alarm", and is implemented by the paper's CUSUM plus three classical
-//! control-chart baselines and a parametric CUSUM that must be told the
-//! pre/post-change means.
+//! control-chart baselines.
 //!
 //! All baselines consume the same normalized series `X_n` that SYN-dog's
 //! CUSUM does, so comparisons isolate the *decision rule*, not the input
@@ -47,70 +46,6 @@ impl ChangeDetector for NonParametricCusum {
 
     fn name(&self) -> &'static str {
         "non-parametric cusum"
-    }
-}
-
-/// Parametric (Page's) CUSUM for a Gaussian mean shift from `mu0` to `mu1`
-/// with known standard deviation.
-///
-/// Accumulates the log-likelihood ratio increments
-/// `(mu1 − mu0)/σ² · (x − (mu0 + mu1)/2)`, clamped at zero. Asymptotically
-/// optimal *when the model is right* — the ablation shows how it degrades
-/// when traffic violates the Gaussian i.i.d. assumption.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParametricCusum {
-    mu0: f64,
-    mu1: f64,
-    sigma: f64,
-    threshold: f64,
-    statistic: f64,
-}
-
-impl ParametricCusum {
-    /// Creates a detector for a shift from mean `mu0` to `mu1 > mu0` with
-    /// common standard deviation `sigma`, alarming when the accumulated
-    /// log-likelihood ratio reaches `threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mu1 > mu0`, `sigma > 0` and `threshold > 0`.
-    pub fn new(mu0: f64, mu1: f64, sigma: f64, threshold: f64) -> Self {
-        assert!(mu1 > mu0, "post-change mean must exceed pre-change mean");
-        assert!(sigma > 0.0, "sigma must be positive, got {sigma}");
-        assert!(
-            threshold > 0.0,
-            "threshold must be positive, got {threshold}"
-        );
-        ParametricCusum {
-            mu0,
-            mu1,
-            sigma,
-            threshold,
-            statistic: 0.0,
-        }
-    }
-}
-
-impl ChangeDetector for ParametricCusum {
-    fn update(&mut self, x: f64) -> bool {
-        if x.is_finite() {
-            let z = (self.mu1 - self.mu0) / (self.sigma * self.sigma)
-                * (x - (self.mu0 + self.mu1) / 2.0);
-            self.statistic = (self.statistic + z).max(0.0);
-        }
-        self.statistic >= self.threshold
-    }
-
-    fn statistic(&self) -> f64 {
-        self.statistic
-    }
-
-    fn reset(&mut self) {
-        self.statistic = 0.0;
-    }
-
-    fn name(&self) -> &'static str {
-        "parametric cusum"
     }
 }
 
@@ -321,23 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn parametric_cusum_detects_known_shift() {
-        let mut d = ParametricCusum::new(0.0, 1.0, 0.5, 4.0);
-        let series = step_series(0.0, 1.0, 30, 60);
-        let idx = first_alarm_index(&mut d, &series).unwrap();
-        assert!((30..35).contains(&idx), "alarmed at {idx}");
-    }
-
-    #[test]
-    fn parametric_cusum_ignores_below_midpoint_noise() {
-        let mut d = ParametricCusum::new(0.0, 1.0, 0.5, 4.0);
-        for _ in 0..1000 {
-            assert!(!d.update(0.3)); // below (mu0+mu1)/2
-        }
-        assert_eq!(d.statistic(), 0.0);
-    }
-
-    #[test]
     fn ewma_chart_lags_then_detects() {
         let mut d = EwmaChart::new(0.2, 0.5);
         let series = step_series(0.0, 1.0, 20, 60);
@@ -399,7 +317,6 @@ mod tests {
     fn detectors_tolerate_nan() {
         let mut bank: Vec<Box<dyn ChangeDetector>> = vec![
             Box::new(NonParametricCusum::new(0.35, 1.05)),
-            Box::new(ParametricCusum::new(0.0, 1.0, 1.0, 5.0)),
             Box::new(EwmaChart::new(0.3, 1.0)),
             Box::new(ShewhartChart::new(1.0)),
             Box::new(SlidingZTest::new(5, 4.0)),
@@ -408,12 +325,6 @@ mod tests {
             assert!(!d.update(f64::NAN), "{} alarmed on NaN", d.name());
             assert!(d.statistic().is_finite() || d.statistic() == 0.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
-    fn parametric_cusum_rejects_non_increasing_shift() {
-        let _ = ParametricCusum::new(1.0, 1.0, 1.0, 5.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::detector::SynDogConfig;
 use crate::normalize::SynAckEstimator;
 
 /// Counter triple for one observation period at a SYN–FIN detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynFinCounts {
     /// SYN segments observed (the opens).
     pub syn: u64,
@@ -40,7 +40,7 @@ pub struct SynFinCounts {
 }
 
 /// Per-period output of the SYN–FIN detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FinPairDetection {
     /// 0-based observation period index.
     pub period: u64,
@@ -57,18 +57,18 @@ pub struct FinPairDetection {
 /// The SYN–FIN pair flooding detector.
 ///
 /// ```
-/// use syndog::fin_pair::{FinPairDetector, SynFinCounts};
-/// use syndog::SynDogConfig;
+/// use syndog::{DetectorKind, PeriodSignals, SynDogConfig};
 ///
-/// let mut fds = FinPairDetector::new(SynDogConfig::paper_default());
+/// let mut fds = DetectorKind::FinPair.build(SynDogConfig::paper_default());
+/// let normal = PeriodSignals { syn: 500, synack: 0, fin: 470, rst: 20 };
 /// for _ in 0..20 {
-///     let d = fds.observe(SynFinCounts { syn: 500, fin: 470, rst: 20 });
-///     assert!(!d.alarm);
+///     assert!(!fds.observe(normal).alarm);
 /// }
 /// // Flood: opens with no closes.
+/// let flood = PeriodSignals { syn: 1100, ..normal };
 /// let mut alarmed = false;
 /// for _ in 0..6 {
-///     alarmed |= fds.observe(SynFinCounts { syn: 1100, fin: 470, rst: 20 }).alarm;
+///     alarmed |= fds.observe(flood).alarm;
 /// }
 /// assert!(alarmed);
 /// ```

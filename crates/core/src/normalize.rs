@@ -20,14 +20,17 @@ use serde::{Deserialize, Serialize};
 /// Exponentially-weighted recursive estimator of the average number of
 /// SYN/ACKs per observation period.
 ///
-/// ```
-/// use syndog::SynAckEstimator;
+/// The [`SynDogDetector`](crate::SynDogDetector) runs one and reports its
+/// estimate:
 ///
-/// let mut k = SynAckEstimator::new(0.9);
-/// k.update(100.0);
-/// assert_eq!(k.average(), Some(100.0)); // first sample seeds the estimate
-/// k.update(200.0);
-/// assert_eq!(k.average(), Some(110.0)); // 0.9·100 + 0.1·200
+/// ```
+/// use syndog::{PeriodCounts, SynDogConfig, SynDogDetector};
+///
+/// let mut dog = SynDogDetector::new(SynDogConfig::paper_default().with_alpha(0.9));
+/// dog.observe(PeriodCounts { syn: 100, synack: 100 });
+/// assert_eq!(dog.k_average(), Some(100.0)); // first sample seeds the estimate
+/// dog.observe(PeriodCounts { syn: 200, synack: 200 });
+/// assert_eq!(dog.k_average(), Some(110.0)); // 0.9·100 + 0.1·200
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SynAckEstimator {
@@ -51,11 +54,6 @@ impl SynAckEstimator {
             alpha,
             average: None,
         }
-    }
-
-    /// The memory constant `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// The current estimate `K̄`, or `None` before the first sample.

@@ -79,11 +79,11 @@ pub enum DetectorKind {
     /// The paper's SYN − SYN/ACK CUSUM ([`SynDogDetector`]).
     #[default]
     Syndog,
-    /// Zhang's SYN-count CUSUM ([`SynCountCusum`]).
+    /// Zhang's SYN-count CUSUM (`SynCountCusum`).
     SynCusum,
-    /// Adaptive-threshold EWMA on SYN counts ([`EwmaDetector`]).
+    /// Adaptive-threshold EWMA on SYN counts (`EwmaDetector`).
     Ewma,
-    /// SYN − FIN(/RST) pairing ([`FinPairDetector`]).
+    /// SYN − FIN(/RST) pairing (`FinPairDetector`).
     FinPair,
 }
 

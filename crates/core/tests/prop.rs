@@ -2,9 +2,8 @@
 
 use proptest::prelude::*;
 
-use syndog::cusum::NonParametricCusum;
-use syndog::detector::{PeriodCounts, SynDogConfig, SynDogDetector};
-use syndog::normalize::SynAckEstimator;
+use syndog::NonParametricCusum;
+use syndog::{PeriodCounts, SynDogConfig, SynDogDetector};
 
 /// Reference implementation of Eq. 3: `y_n = S_n − min_{0≤k≤n} S_k` over
 /// the offset series `X̃_k = X_k − a`, from the raw `X` series.
@@ -76,14 +75,15 @@ proptest! {
     /// The K estimator stays within the range of its inputs.
     #[test]
     fn estimator_stays_in_input_hull(
-        inputs in proptest::collection::vec(0.0f64..1e6, 1..100),
+        inputs in proptest::collection::vec(0u64..1_000_000, 1..100),
         alpha in 0.01f64..0.99,
     ) {
-        let mut k = SynAckEstimator::new(alpha);
-        let lo = inputs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = inputs.iter().copied().fold(0.0f64, f64::max);
-        for &x in &inputs {
-            let est = k.update(x);
+        let mut dog = SynDogDetector::new(SynDogConfig::paper_default().with_alpha(alpha));
+        let lo = inputs.iter().copied().min().unwrap() as f64;
+        let hi = inputs.iter().copied().max().unwrap() as f64;
+        for &synack in &inputs {
+            dog.observe(PeriodCounts { syn: synack, synack });
+            let est = dog.k_average().unwrap();
             prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9);
         }
     }

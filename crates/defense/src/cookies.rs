@@ -160,6 +160,7 @@ impl Defense for SynCookieServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn client(n: u16) -> SocketAddrV4 {
         SocketAddrV4::new(
@@ -249,5 +250,27 @@ mod tests {
             DefenseVerdict::RstSent
         );
         assert_eq!(server.rejected_acks(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The cookie hands back the MSS it was minted with, for arbitrary
+        /// keys, clients and counters, at every age inside the window.
+        #[test]
+        fn cookie_roundtrip_recovers_mss(
+            key in any::<u64>(),
+            ip in any::<u32>(),
+            port in 1u16..,
+            counter in 0u64..1_000_000,
+            mss_index in 0u8..4,
+            age in 0..=COUNTER_WINDOW,
+        ) {
+            let client = SocketAddrV4::new(std::net::Ipv4Addr::from(ip), port);
+            let isn = make_cookie(key, client, counter, mss_index);
+            prop_assert_eq!(
+                check_cookie(key, client, counter + age, isn),
+                Some(MSS_TABLE[mss_index as usize])
+            );
+        }
     }
 }

@@ -10,22 +10,22 @@
 //!
 //! This crate implements those baselines so the claim is measurable:
 //!
-//! - [`cookies`] — Linux-style SYN cookies: connection state folded into
+//! - `cookies` — Linux-style SYN cookies: connection state folded into
 //!   the server's initial sequence number, recovered from the final ACK,
-//! - [`proxy`] — a SYN proxy / SynDefender-style firewall that completes
+//! - `proxy` — a SYN proxy / SynDefender-style firewall that completes
 //!   handshakes on the server's behalf and keeps per-connection state,
-//! - [`synkill`] — a Synkill-style active monitor classifying source
+//! - `synkill` — a Synkill-style active monitor classifying source
 //!   addresses and RST-ing half-open connections from bad ones,
-//! - [`resource`] — the [`resource::Defense`] trait and memory
+//! - `resource` — the [`Defense`] trait and memory
 //!   accounting used by the `ablate-defenses` experiment to plot state
 //!   growth against flood volume (SYN-dog: O(1); proxy/synkill: O(flood)).
 
-pub mod cookies;
-pub mod proxy;
-pub mod resource;
-pub mod synkill;
+mod cookies;
+mod proxy;
+mod resource;
+mod synkill;
 
-pub use cookies::SynCookieServer;
-pub use proxy::SynProxy;
-pub use resource::{Defense, DefenseVerdict};
-pub use synkill::Synkill;
+pub use cookies::{make_cookie, SynCookieServer};
+pub use proxy::{ProxyConfig, SynProxy};
+pub use resource::{Defense, DefenseVerdict, HALF_OPEN_ENTRY_BYTES};
+pub use synkill::{Synkill, SynkillConfig};

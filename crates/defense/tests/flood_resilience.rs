@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 use syndog_attack::SynFlood;
-use syndog_defense::cookies::{check_cookie, make_cookie, SynCookieServer, MSS_TABLE};
-use syndog_defense::proxy::{ProxyConfig, SynProxy};
-use syndog_defense::synkill::{Synkill, SynkillConfig};
+use syndog_defense::{make_cookie, SynCookieServer};
 use syndog_defense::{Defense, DefenseVerdict};
+use syndog_defense::{ProxyConfig, SynProxy};
+use syndog_defense::{Synkill, SynkillConfig};
 use syndog_sim::{SimDuration, SimRng, SimTime};
 
 fn spoofed(i: usize) -> std::net::SocketAddrV4 {
@@ -77,6 +77,13 @@ fn synkill_eventually_rsts_flood_addresses_that_repeat() {
     }
 }
 
+/// The verdict of a cookie server keyed `key` on the handshake-completing
+/// ACK (`isn + 1`) from `client` during cookie counter tick `counter`.
+fn ack_at(key: u64, client: std::net::SocketAddrV4, counter: u64, isn: u32) -> DefenseVerdict {
+    let now = SimTime::from_secs(counter * 64);
+    SynCookieServer::new(key).on_ack(now, client, isn.wrapping_add(1))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Cookies round-trip for arbitrary clients, counters and MSS
@@ -92,8 +99,10 @@ proptest! {
     ) {
         let client = std::net::SocketAddrV4::new(std::net::Ipv4Addr::from(ip), port);
         let isn = make_cookie(key, client, counter, mss_index);
-        let result = check_cookie(key, client, counter + age, isn);
-        prop_assert_eq!(result, Some(MSS_TABLE[mss_index as usize]));
+        prop_assert_eq!(
+            ack_at(key, client, counter + age, isn),
+            DefenseVerdict::Established
+        );
     }
 
     /// Once the counter advances past the acceptance window the cookie
@@ -112,7 +121,10 @@ proptest! {
     ) {
         let client = std::net::SocketAddrV4::new(std::net::Ipv4Addr::from(ip), port);
         let isn = make_cookie(key, client, counter, mss_index);
-        prop_assert_eq!(check_cookie(key, client, counter + staleness, isn), None);
+        prop_assert_eq!(
+            ack_at(key, client, counter + staleness, isn),
+            DefenseVerdict::RstSent
+        );
     }
 
     /// A cookie minted under one key never validates under another.
@@ -127,7 +139,7 @@ proptest! {
         prop_assume!(key != other_key);
         let client = std::net::SocketAddrV4::new(std::net::Ipv4Addr::from(ip), 443);
         let isn = make_cookie(key, client, counter, mss_index);
-        prop_assert_eq!(check_cookie(other_key, client, counter, isn), None);
+        prop_assert_eq!(ack_at(other_key, client, counter, isn), DefenseVerdict::RstSent);
     }
 
     /// A cookie never validates for a different client address.
@@ -142,6 +154,6 @@ proptest! {
         let client = std::net::SocketAddrV4::new(std::net::Ipv4Addr::from(ip), 1000);
         let other = std::net::SocketAddrV4::new(std::net::Ipv4Addr::from(other_ip), 1000);
         let isn = make_cookie(key, client, counter, 1);
-        prop_assert_eq!(check_cookie(key, other, counter, isn), None);
+        prop_assert_eq!(ack_at(key, other, counter, isn), DefenseVerdict::RstSent);
     }
 }

@@ -78,7 +78,7 @@ pub struct FingerprintKey {
     pub window: u16,
     /// MSS option value, 0 when the option is absent.
     pub mss: u16,
-    /// Option layout word (see [`layout_from_codes`]).
+    /// Option layout word (see `layout_from_codes`).
     pub layout: u16,
     /// Initial-TTL class index into the `<=32/<=64/<=128/<=255` ladder.
     pub ttl_class: u8,
@@ -136,7 +136,7 @@ impl FingerprintKey {
         self.quirks & quirk == quirk
     }
 
-    /// Configures a [`PacketBuilder`](syndog_net::packet::PacketBuilder) so
+    /// Configures a [`PacketBuilder`](syndog_net::PacketBuilder) so
     /// the built SYN frame extracts back to this key: TTL, window, option
     /// list and every quirk-implied header field are set to match.
     ///
@@ -145,12 +145,9 @@ impl FingerprintKey {
     /// and `QUIRK_DF`). The caller's sequence number is preserved unless
     /// the key carries `QUIRK_SEQ_ZERO`; pass a nonzero one for keys
     /// without that quirk.
-    pub fn apply(
-        self,
-        builder: syndog_net::packet::PacketBuilder,
-    ) -> syndog_net::packet::PacketBuilder {
-        use syndog_net::tcp::{OptionArea, TcpOption};
+    pub fn apply(self, builder: syndog_net::PacketBuilder) -> syndog_net::PacketBuilder {
         use syndog_net::TcpFlags;
+        use syndog_net::{OptionArea, TcpOption};
 
         // Encoded in place: a fingerprinted SYN allocates nothing.
         let mut options = OptionArea::default();
@@ -381,9 +378,9 @@ fn parse_options(mut bytes: &[u8]) -> (u16, u16) {
 mod tests {
     use super::*;
     use std::net::SocketAddrV4;
-    use syndog_net::packet::PacketBuilder;
-    use syndog_net::tcp::TcpOption;
+    use syndog_net::PacketBuilder;
     use syndog_net::TcpFlags;
+    use syndog_net::TcpOption;
 
     fn addr(s: &str) -> SocketAddrV4 {
         s.parse().unwrap()
@@ -550,5 +547,117 @@ mod tests {
         assert_eq!(key.to_string(), "t64:w64240:m1460:oMSTW:q001");
         let bare = FingerprintKey::new(255, 512, 0, 0, QUIRK_SEQ_ZERO);
         assert_eq!(bare.to_string(), "t255:w512:m0:o-:q010");
+    }
+
+    use proptest::prelude::*;
+
+    /// A consistent quirk mask: one [`extract_syn`] itself can produce (the ID
+    /// quirks agree with DF, `NONZERO_URG` excludes `URG`).
+    fn arb_quirks() -> impl Strategy<Value = u16> {
+        (any::<bool>(), any::<bool>(), any::<u8>()).prop_map(|(df, id_nonzero, rest)| {
+            let mut quirks = 0u16;
+            if df {
+                quirks |= QUIRK_DF;
+                if id_nonzero {
+                    quirks |= QUIRK_NONZERO_ID;
+                }
+            } else if !id_nonzero {
+                quirks |= QUIRK_ZERO_ID;
+            }
+            if rest & 0x01 != 0 {
+                quirks |= QUIRK_ECN;
+            }
+            if rest & 0x02 != 0 {
+                quirks |= QUIRK_SEQ_ZERO;
+            }
+            if rest & 0x04 != 0 {
+                quirks |= QUIRK_ACK_NONZERO;
+            }
+            if rest & 0x08 != 0 {
+                quirks |= QUIRK_PUSH;
+            }
+            match rest & 0x30 {
+                0x10 => quirks |= QUIRK_URG,
+                0x20 => quirks |= QUIRK_NONZERO_URG,
+                _ => {}
+            }
+            quirks
+        })
+    }
+
+    /// An option layout: up to four codes, each a real option-code value.
+    fn arb_layout() -> impl Strategy<Value = u16> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(OPT_MSS),
+                Just(OPT_WSCALE),
+                Just(OPT_SACKOK),
+                Just(OPT_TS),
+                Just(OPT_OTHER),
+            ],
+            0usize..5,
+        )
+        .prop_map(|codes| layout_from_codes(&codes))
+    }
+
+    /// A consistent fingerprint key: the MSS field is populated exactly when
+    /// the layout carries the MSS option (mirroring what extraction sees).
+    fn arb_key() -> impl Strategy<Value = FingerprintKey> {
+        (
+            any::<u8>(),
+            any::<u16>(),
+            any::<u16>(),
+            arb_layout(),
+            arb_quirks(),
+        )
+            .prop_map(|(ttl, window, mss, layout, quirks)| {
+                let has_mss = layout_codes(layout).contains(&OPT_MSS);
+                FingerprintKey::new(
+                    ttl.max(1),
+                    window,
+                    if has_mss { mss } else { 0 },
+                    layout,
+                    quirks,
+                )
+            })
+    }
+
+    proptest! {
+        /// Constructor fields survive the packing unchanged (quirks masked to
+        /// the 14 representable bits, TTL to its class).
+        #[test]
+        fn constructed_key_roundtrips_through_bits(key in arb_key()) {
+            let back = FingerprintKey::from_bits(key.to_bits());
+            prop_assert_eq!(back, key);
+            prop_assert_eq!(back.window, key.window);
+            prop_assert_eq!(back.mss, key.mss);
+            prop_assert_eq!(back.layout, key.layout);
+            prop_assert_eq!(back.ttl_class, key.ttl_class);
+            prop_assert_eq!(back.quirks, key.quirks);
+        }
+
+        /// Layout words and code slots convert back and forth exactly.
+        #[test]
+        fn layout_words_roundtrip(layout in any::<u16>()) {
+            prop_assert_eq!(layout_from_codes(&layout_codes(layout)), layout);
+        }
+
+        /// Synthesis → extraction is the identity on consistent keys: a frame
+        /// built by [`FingerprintKey::apply`] extracts back to the same key.
+        /// This is what guarantees attack tools and site OS mixes fingerprint
+        /// as configured after a full encode/decode cycle.
+        #[test]
+        fn extraction_inverts_synthesis(key in arb_key(), seq in 1u32..) {
+            let frame = key
+                .apply(PacketBuilder::tcp(
+                    "10.1.0.5:1025".parse().unwrap(),
+                    "192.0.2.80:80".parse().unwrap(),
+                    TcpFlags::SYN,
+                ))
+                .seq(if key.has_quirk(QUIRK_SEQ_ZERO) { 0 } else { seq })
+                .build()
+                .unwrap();
+            prop_assert_eq!(extract_syn(&frame), Some(key));
+        }
     }
 }

@@ -25,11 +25,7 @@
 mod key;
 mod table;
 
-pub use key::{
-    extract_syn, layout_codes, layout_from_codes, syn_key, FingerprintKey, OPT_MSS, OPT_OTHER,
-    OPT_SACKOK, OPT_TS, OPT_WSCALE, QUIRK_ACK_NONZERO, QUIRK_DF, QUIRK_ECN, QUIRK_MASK,
-    QUIRK_NONZERO_ID, QUIRK_NONZERO_URG, QUIRK_PUSH, QUIRK_SEQ_ZERO, QUIRK_URG, QUIRK_ZERO_ID,
-};
+pub use key::{extract_syn, syn_key, FingerprintKey, QUIRK_SEQ_ZERO};
 pub use table::FingerprintTable;
 
 /// Canonical operating-system fingerprints for synthetic site workloads.
@@ -39,12 +35,14 @@ pub use table::FingerprintTable;
 /// weights so a stub's legitimate SYN mix has high fingerprint entropy —
 /// exactly what separates it from a tool's constant template.
 pub mod os_mix {
-    use super::{layout_from_codes, FingerprintKey};
-    use super::{OPT_MSS, OPT_SACKOK, OPT_TS, OPT_WSCALE, QUIRK_DF, QUIRK_NONZERO_ID};
+    use crate::key::{
+        layout_from_codes, FingerprintKey, OPT_MSS, OPT_SACKOK, OPT_TS, OPT_WSCALE, QUIRK_DF,
+        QUIRK_NONZERO_ID,
+    };
 
     /// Linux: TTL 64, 64240 window, `MSS,SACKOK,TS,WSCALE`, DF with zero IP
     /// ID.
-    pub fn linux() -> FingerprintKey {
+    pub(crate) fn linux() -> FingerprintKey {
         FingerprintKey::new(
             64,
             64240,
@@ -56,7 +54,7 @@ pub mod os_mix {
 
     /// Windows: TTL 128, 64240 window, `MSS,WSCALE,SACKOK`, DF with a
     /// nonzero IP ID.
-    pub fn windows() -> FingerprintKey {
+    pub(crate) fn windows() -> FingerprintKey {
         FingerprintKey::new(
             128,
             64240,
@@ -67,7 +65,7 @@ pub mod os_mix {
     }
 
     /// macOS / iOS: TTL 64, 65535 window, `MSS,WSCALE,TS,SACKOK`, DF.
-    pub fn apple() -> FingerprintKey {
+    pub(crate) fn apple() -> FingerprintKey {
         FingerprintKey::new(
             64,
             65535,
@@ -79,7 +77,7 @@ pub mod os_mix {
 
     /// Android (Linux family, mobile MTU): TTL 64, 65535 window,
     /// `MSS,SACKOK,TS,WSCALE`, DF.
-    pub fn android() -> FingerprintKey {
+    pub(crate) fn android() -> FingerprintKey {
         FingerprintKey::new(
             64,
             65535,
@@ -90,12 +88,12 @@ pub mod os_mix {
     }
 
     /// Legacy / embedded stacks: TTL 255, 16384 window, bare `MSS`, no DF.
-    pub fn embedded() -> FingerprintKey {
+    pub(crate) fn embedded() -> FingerprintKey {
         FingerprintKey::new(255, 16384, 1460, layout_from_codes(&[OPT_MSS]), 0)
     }
 
     /// The weighted site mix, most common first. Weights sum to 100.
-    pub fn weighted() -> [(FingerprintKey, u32); 5] {
+    pub(crate) fn weighted() -> [(FingerprintKey, u32); 5] {
         [
             (windows(), 41),
             (linux(), 27),

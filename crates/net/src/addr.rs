@@ -230,7 +230,7 @@ impl FromStr for Ipv4Net {
 /// (`240.0.0.0/4` including `255.255.255.255`).
 ///
 /// ```
-/// use syndog_net::addr::is_unroutable_source;
+/// use syndog_net::is_unroutable_source;
 /// assert!(is_unroutable_source("10.1.2.3".parse().unwrap()));
 /// assert!(is_unroutable_source("240.0.0.1".parse().unwrap()));
 /// assert!(!is_unroutable_source("152.2.9.41".parse().unwrap()));

@@ -49,20 +49,23 @@ impl From<u16> for EtherType {
 
 /// A decoded Ethernet II header.
 ///
-/// ```
-/// use syndog_net::ethernet::EthernetHeader;
-/// use syndog_net::{EtherType, MacAddr};
+/// A [`Packet`](crate::Packet) carries one:
 ///
-/// let hdr = EthernetHeader {
-///     dst: MacAddr::BROADCAST,
-///     src: MacAddr::for_host(1, 2),
-///     ethertype: EtherType::Ipv4,
-/// };
-/// let mut buf = Vec::new();
-/// hdr.encode(&mut buf);
-/// let (decoded, rest) = EthernetHeader::decode(&buf).unwrap();
-/// assert_eq!(decoded, hdr);
-/// assert!(rest.is_empty());
+/// ```
+/// use syndog_net::{MacAddr, Packet, PacketBuilder, TcpFlags};
+///
+/// let frame = PacketBuilder::tcp(
+///     "10.0.0.7:1025".parse().unwrap(),
+///     "192.0.2.80:80".parse().unwrap(),
+///     TcpFlags::SYN,
+/// )
+/// .src_mac(MacAddr::for_host(1, 2))
+/// .dst_mac(MacAddr::BROADCAST)
+/// .build()
+/// .unwrap();
+/// let hdr = Packet::decode(&frame).unwrap().ethernet;
+/// assert_eq!(hdr.src, MacAddr::for_host(1, 2));
+/// assert_eq!(hdr.dst, MacAddr::BROADCAST);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EthernetHeader {

@@ -42,7 +42,7 @@ pub type FragmentBytes = Vec<u8>;
 ///
 /// `malicious_first_len`, when set, forces the first fragment's payload
 /// to that many bytes (must be a multiple of 8 and less than
-/// [`MIN_FIRST_FRAGMENT_TRANSPORT_BYTES`] to enact the tiny-fragment
+/// `MIN_FIRST_FRAGMENT_TRANSPORT_BYTES` to enact the tiny-fragment
 /// attack).
 ///
 /// # Errors
@@ -215,8 +215,8 @@ impl Reassembler {
     }
 
     /// Trains evicted for exceeding a per-train cap
-    /// ([`MAX_FRAGMENTS_PER_DATAGRAM`], [`MAX_BUFFERED_BYTES_PER_DATAGRAM`])
-    /// or claiming bytes beyond [`MAX_DATAGRAM_PAYLOAD`] — duplicate or
+    /// (`MAX_FRAGMENTS_PER_DATAGRAM`, `MAX_BUFFERED_BYTES_PER_DATAGRAM`)
+    /// or claiming bytes beyond `MAX_DATAGRAM_PAYLOAD` — duplicate or
     /// oversize fragment floods.
     pub fn evicted_oversize(&self) -> u64 {
         self.evicted_oversize

@@ -24,9 +24,6 @@ pub const PROTO_TCP: u8 = 6;
 /// IANA protocol number for UDP.
 pub const PROTO_UDP: u8 = 17;
 
-/// IANA protocol number for ICMP.
-pub const PROTO_ICMP: u8 = 1;
-
 /// Computes the RFC 1071 Internet checksum over `data`.
 ///
 /// The ones'-complement sum is folded until it fits 16 bits and then

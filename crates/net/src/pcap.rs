@@ -30,16 +30,16 @@ use std::io::{Read, Write};
 use crate::error::NetError;
 
 /// Microsecond-resolution magic, as written in native byte order.
-pub const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
+pub(crate) const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
 
 /// Nanosecond-resolution magic.
-pub const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
+pub(crate) const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
 
 /// Link type for Ethernet frames (LINKTYPE_ETHERNET).
-pub const LINKTYPE_ETHERNET: u32 = 1;
+pub(crate) const LINKTYPE_ETHERNET: u32 = 1;
 
 /// Default snapshot length: capture whole packets.
-pub const DEFAULT_SNAPLEN: u32 = 65535;
+pub(crate) const DEFAULT_SNAPLEN: u32 = 65535;
 
 /// One captured packet record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub struct PcapPacket {
 
 /// File-level metadata from the global header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PcapHeader {
+pub(crate) struct PcapHeader {
     /// Major format version (2 for all files in the wild).
     pub version_major: u16,
     /// Minor format version (4 for all files in the wild).
@@ -148,11 +148,6 @@ impl<R: Read> PcapReader<R> {
             start: 0,
             end: 0,
         })
-    }
-
-    /// The parsed global header.
-    pub fn header(&self) -> &PcapHeader {
-        &self.header
     }
 
     /// Reads the next packet record into an owned [`PcapPacket`], or
@@ -290,7 +285,11 @@ impl<W: Write> PcapWriter<W> {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn with_options(mut inner: W, snaplen: u32, linktype: u32) -> Result<Self, NetError> {
+    pub(crate) fn with_options(
+        mut inner: W,
+        snaplen: u32,
+        linktype: u32,
+    ) -> Result<Self, NetError> {
         inner.write_all(&MAGIC_MICROS.to_le_bytes())?;
         inner.write_all(&2u16.to_le_bytes())?; // version major
         inner.write_all(&4u16.to_le_bytes())?; // version minor
@@ -383,10 +382,10 @@ mod tests {
         let original = sample_packets();
         let file = write_all(&original);
         let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-        assert!(!reader.header().nanosecond);
-        assert!(!reader.header().big_endian);
-        assert_eq!(reader.header().linktype, LINKTYPE_ETHERNET);
-        assert_eq!(reader.header().version_major, 2);
+        assert!(!reader.header.nanosecond);
+        assert!(!reader.header.big_endian);
+        assert_eq!(reader.header.linktype, LINKTYPE_ETHERNET);
+        assert_eq!(reader.header.version_major, 2);
         for b in &original {
             let a = reader.next_packet().unwrap().unwrap();
             assert_eq!(a.ts_sec, b.ts_sec);
@@ -415,9 +414,9 @@ mod tests {
         file.extend_from_slice(&3u32.to_be_bytes()); // origlen
         file.extend_from_slice(&[9, 8, 7]);
         let mut reader = PcapReader::new(Cursor::new(file)).unwrap();
-        assert!(reader.header().big_endian);
-        assert!(reader.header().nanosecond);
-        assert_eq!(reader.header().snaplen, 1500);
+        assert!(reader.header.big_endian);
+        assert!(reader.header.nanosecond);
+        assert_eq!(reader.header.snaplen, 1500);
         let packet = reader.next_packet().unwrap().unwrap();
         assert_eq!(packet.ts_sec, 7);
         assert_eq!(packet.ts_nanos, 123_456_789);

@@ -276,7 +276,7 @@ pub(crate) const MAX_OPTIONS_LEN: usize = MAX_HEADER_LEN - MIN_HEADER_LEN;
 /// encoder to reject.
 ///
 /// ```
-/// use syndog_net::tcp::{OptionArea, TcpOption};
+/// use syndog_net::{OptionArea, TcpOption};
 ///
 /// let mut area = OptionArea::from([TcpOption::Mss(1460), TcpOption::Nop]);
 /// area.push_raw(253, &[0, 0]);

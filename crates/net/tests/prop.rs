@@ -4,13 +4,10 @@ use proptest::prelude::*;
 use std::io::{Cursor, Read};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use syndog_net::classify::{classify, kind_of};
-use syndog_net::ethernet::EthernetHeader;
-use syndog_net::ipv4::{internet_checksum, Ipv4Header, PROTO_TCP};
-use syndog_net::packet::{Packet, PacketBuilder, PacketView};
+use syndog_net::classify;
 use syndog_net::pcap::{PcapFrame, PcapReader, PcapWriter};
-use syndog_net::tcp::{TcpFlags, TcpHeader};
 use syndog_net::{Ipv4Net, MacAddr};
+use syndog_net::{Packet, PacketBuilder, TcpFlags};
 
 fn arb_ipv4() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
@@ -20,127 +17,7 @@ fn arb_socket() -> impl Strategy<Value = SocketAddrV4> {
     (arb_ipv4(), any::<u16>()).prop_map(|(ip, port)| SocketAddrV4::new(ip, port))
 }
 
-/// A hand-assembled IPv4/TCP frame with an arbitrary IHL (including the
-/// odd option-bearing lengths `PacketBuilder` never emits) and an
-/// arbitrary version nibble.
-fn raw_ihl_frame(version: u8, ihl_words: u8, flag_bits: u8, tail: usize) -> Vec<u8> {
-    let ihl = usize::from(ihl_words) * 4;
-    let mut frame = vec![0u8; 14 + ihl + 14 + tail];
-    frame[12] = 0x08;
-    frame[13] = 0x00;
-    frame[14] = (version << 4) | ihl_words;
-    frame[14 + 9] = 6; // protocol: TCP
-    let flags_offset = 14 + ihl + 13;
-    if flags_offset < frame.len() {
-        frame[flags_offset] = flag_bits;
-    }
-    frame
-}
-
-/// An arbitrary frame drawn from every shape the sniffer can meet on the
-/// wire: TCP with any of the 64 flag combinations, later IP fragments,
-/// non-TCP protocols, truncated frames, foreign ethertypes, odd IHLs,
-/// raw garbage.
-fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
-    prop_oneof![
-        // Hand-built IPv4/TCP with arbitrary IHL nibble (0..=15: bad,
-        // minimal, and option-bearing) and version nibble 4 or not.
-        (prop_oneof![Just(4u8), 0u8..16], 0u8..16, 0u8..64, 0usize..8).prop_map(
-            |(version, ihl_words, bits, tail)| raw_ihl_frame(version, ihl_words, bits, tail)
-        ),
-        // Well-formed TCP, all 64 flag combinations.
-        (arb_socket(), arb_socket(), 0u8..64).prop_map(|(src, dst, bits)| {
-            PacketBuilder::tcp(src, dst, TcpFlags::from_bits_truncate(bits))
-                .build()
-                .unwrap()
-        }),
-        // A later fragment: protocol 6 but no TCP header to read.
-        (arb_socket(), arb_socket(), 1u16..2048).prop_map(|(src, dst, offset)| {
-            PacketBuilder::tcp(src, dst, TcpFlags::SYN)
-                .fragment_offset(offset)
-                .payload(vec![0u8; 32])
-                .build()
-                .unwrap()
-        }),
-        // Non-TCP IPv4 (UDP, ICMP, anything).
-        (arb_ipv4(), arb_ipv4(), any::<u8>()).prop_map(|(src, dst, proto)| {
-            PacketBuilder::non_tcp(src, dst, proto).build().unwrap()
-        }),
-        // A valid frame truncated mid-header.
-        (arb_socket(), arb_socket(), 0usize..54).prop_map(|(src, dst, keep)| {
-            let frame = PacketBuilder::tcp(src, dst, TcpFlags::SYN).build().unwrap();
-            frame[..keep.min(frame.len())].to_vec()
-        }),
-        // A non-IPv4 ethertype (ARP, IPv6, VLAN...) over a TCP body.
-        (arb_socket(), arb_socket(), any::<u16>()).prop_map(|(src, dst, ethertype)| {
-            let mut frame = PacketBuilder::tcp(src, dst, TcpFlags::SYN).build().unwrap();
-            frame[12] = (ethertype >> 8) as u8;
-            frame[13] = ethertype as u8;
-            frame
-        }),
-        // Raw garbage bytes.
-        proptest::collection::vec(any::<u8>(), 0..64),
-    ]
-}
-
 proptest! {
-    /// `Packet::decode` — the borrowed view plus an owned copy — accepts
-    /// and rejects exactly what the layer decoders composed by hand do
-    /// (IPv4 whatever the EtherType, TCP only for unfragmented protocol
-    /// 6), with the same error, and the view's accessors agree with the
-    /// owned packet; frames are arbitrary shapes with one byte corrupted.
-    #[test]
-    fn packet_view_equals_layer_by_layer_decode(
-        frame in arb_frame(),
-        at in any::<usize>(),
-        value in any::<u8>(),
-    ) {
-        let mut frame = frame;
-        if !frame.is_empty() {
-            let at = at % frame.len();
-            frame[at] = value;
-        }
-        let layered = (|| {
-            let (ethernet, rest) = EthernetHeader::decode(&frame)?;
-            let (ipv4, ip_payload) = Ipv4Header::decode(rest, false)?;
-            let (tcp, payload) = if ipv4.protocol == PROTO_TCP && ipv4.fragment_offset == 0 {
-                let (tcp, payload) = TcpHeader::decode(ip_payload, None)?;
-                (Some(tcp), payload)
-            } else {
-                (None, ip_payload)
-            };
-            Ok::<_, syndog_net::NetError>(Packet { ethernet, ipv4, tcp, payload: payload.to_vec() })
-        })();
-        let decoded = Packet::decode(&frame);
-        prop_assert_eq!(format!("{decoded:?}"), format!("{layered:?}"));
-        if let Ok(packet) = decoded {
-            let view = PacketView::parse(&frame).unwrap();
-            prop_assert_eq!(view.ethernet, packet.ethernet);
-            prop_assert_eq!(view.src(), packet.ipv4.src);
-            prop_assert_eq!(view.dst(), packet.ipv4.dst);
-            prop_assert_eq!(view.src_socket(), packet.src_socket());
-            prop_assert_eq!(view.dst_socket(), packet.dst_socket());
-        }
-    }
-
-    /// Every frame the view accepts, `classify` accepts too, and the view's
-    /// kind is the classifier's; frames as above.
-    #[test]
-    fn view_kind_equals_classify(
-        frame in arb_frame(),
-        at in any::<usize>(),
-        value in any::<u8>(),
-    ) {
-        let mut frame = frame;
-        if !frame.is_empty() {
-            let at = at % frame.len();
-            frame[at] = value;
-        }
-        if let Ok(view) = PacketView::parse(&frame) {
-            prop_assert_eq!(classify(&frame).ok(), Some(view.kind()));
-        }
-    }
-
     /// Any built TCP packet decodes back to the same endpoints, flags,
     /// sequence numbers and payload.
     #[test]
@@ -169,65 +46,6 @@ proptest! {
         prop_assert_eq!(tcp.seq, seq);
         prop_assert_eq!(tcp.ack, ack);
         prop_assert_eq!(&packet.payload, &payload);
-    }
-
-    /// The fast-path classifier agrees with the full decoder on every
-    /// generated packet.
-    #[test]
-    fn classifier_agrees_with_full_decode(
-        src in arb_socket(),
-        dst in arb_socket(),
-        bits in 0u8..64,
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let flags = TcpFlags::from_bits_truncate(bits);
-        let bytes = PacketBuilder::tcp(src, dst, flags)
-            .payload(payload)
-            .build()
-            .unwrap();
-        let fast = classify(&bytes).unwrap();
-        let full = Packet::decode(&bytes).unwrap();
-        prop_assert_eq!(fast, kind_of(full.tcp.unwrap().flags));
-    }
-
-    /// Encoded IPv4 headers always checksum to zero, and any single-bit
-    /// corruption of the header is detected.
-    #[test]
-    fn ipv4_checksum_detects_single_bit_flips(
-        src in arb_ipv4(),
-        dst in arb_ipv4(),
-        payload_len in 0usize..64,
-        flip_bit in 0usize..(20 * 8),
-    ) {
-        let hdr = Ipv4Header::for_tcp(src, dst, payload_len);
-        let mut buf = Vec::new();
-        hdr.encode(&mut buf).unwrap();
-        prop_assert_eq!(internet_checksum(&buf), 0);
-        let byte = flip_bit / 8;
-        buf[byte] ^= 1 << (flip_bit % 8);
-        // Flipping a bit may make it a non-v4 version or bad IHL (decode
-        // error) or fail the checksum; it must never verify cleanly...
-        // unless the flip produced the identical header (impossible for xor).
-        prop_assert!(Ipv4Header::decode(&buf, true).is_err());
-    }
-
-    /// TCP pseudo-header checksums verify after encode and detect payload
-    /// corruption.
-    #[test]
-    fn tcp_checksum_roundtrip_and_corruption(
-        src in arb_ipv4(),
-        dst in arb_ipv4(),
-        seq in any::<u32>(),
-        payload in proptest::collection::vec(any::<u8>(), 1..128),
-        flip in 0usize..8,
-    ) {
-        let hdr = TcpHeader::syn(1025, 80, seq);
-        let mut buf = Vec::new();
-        hdr.encode(src, dst, &payload, &mut buf).unwrap();
-        prop_assert!(TcpHeader::decode(&buf, Some((src, dst))).is_ok());
-        let idx = buf.len() - 1 - (flip % payload.len().min(8));
-        buf[idx] ^= 0x10;
-        prop_assert!(TcpHeader::decode(&buf, Some((src, dst))).is_err());
     }
 
     /// pcap files round-trip arbitrary packet sequences.

@@ -15,7 +15,7 @@ use syndog::{AnyDetector, Detection, DetectorKind, PeriodSignals, SynDogConfig};
 use syndog_net::Ipv4Net;
 use syndog_sim::{SimDuration, SimTime};
 use syndog_telemetry::Telemetry;
-use syndog_traffic::trace::{Direction, Trace, TraceRecord};
+use syndog_traffic::{Direction, Trace, TraceRecord};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::mitigate::{MitigationDecision, MitigationEngine, MitigationPolicy};
@@ -78,7 +78,7 @@ impl SynDogAgent {
 
     /// Attaches a telemetry hub: every subsequent period close reports
     /// detector series, alarm transitions, and per-interface sniffer
-    /// tallies into it (see [`crate::telemetry`] for the series names).
+    /// tallies into it (see `crate::telemetry` for the series names).
     pub fn set_telemetry(&mut self, hub: Arc<Telemetry>) {
         self.telemetry = Some(AgentTelemetry::new(hub));
         self.sync_mitigation_telemetry();
@@ -108,7 +108,7 @@ impl SynDogAgent {
     }
 
     /// Attaches *pre-registered* telemetry handles without touching the
-    /// registry. [`AgentTelemetry::with_labels`] takes the registry's
+    /// registry. `AgentTelemetry::with_labels` takes the registry's
     /// construction lock once per series; a fleet spinning up thousands
     /// of agents inside its parallel runner must not pay (or serialize
     /// on) that per stub, so the runner registers one bundle per label
@@ -134,7 +134,7 @@ impl SynDogAgent {
     /// Arms source-end mitigation: the agent gains a
     /// [`MitigationEngine`] that engages keyed SYN throttles when the
     /// detector's statistic crosses the threshold and releases them by
-    /// hysteresis (see [`crate::mitigate`]). The record-level paths
+    /// hysteresis (see `crate::mitigate`). The record-level paths
     /// ([`SynDogAgent::filter_record`]) drop traffic per keyed bucket;
     /// [`SynDogAgent::close_count_period`] sheds aggregate SYN excess; and
     /// [`SynDogAgent::observe_period`] alone only tracks engage/release
@@ -300,7 +300,7 @@ impl SynDogAgent {
     }
 
     /// The record loop, for any record stream: every record the span
-    /// rule of `span` admits (see [`crate::router`]) goes, in stream
+    /// rule of `span` admits (see `crate::router`) goes, in stream
     /// order, through [`SynDogAgent::filter_record`] (so an armed engine
     /// judges it; a record behind the clock counts in the open period and
     /// as late, [`LeafRouter::late`]) and then to `on_record` with the
@@ -332,8 +332,8 @@ impl SynDogAgent {
     /// the detector) as simulated time passes, and through the mitigation
     /// engine: the record is always counted (the detector measures the
     /// offered load, so throttling cannot drain the statistic that
-    /// justifies it — see [`crate::mitigate`]), then judged. Without an
-    /// armed engine the decision is [`MitigationDecision::Forward`]. The
+    /// justifies it — see `crate::mitigate`), then judged. Without an
+    /// armed engine the decision is `MitigationDecision::Forward`. The
     /// period clock only moves forward: a record older than the open
     /// period (reordered or jittered) is counted in the open period.
     pub fn filter_record(&mut self, record: &TraceRecord) -> MitigationDecision {
@@ -441,8 +441,8 @@ mod tests {
     use syndog_attack::SynFlood;
     use syndog_net::SegmentKind;
     use syndog_sim::SimRng;
-    use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
     use syndog_traffic::Direction;
+    use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
     fn sig(syn: u64, synack: u64) -> PeriodSignals {
         PeriodSignals {

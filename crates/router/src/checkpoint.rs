@@ -25,7 +25,7 @@
 //! A checkpoint file is a JSON envelope:
 //!
 //! ```json
-//! {"magic":"syndog-checkpoint","version":4,"crc32":3735928559,"payload":"{…}"}
+//! {"magic":"syndog-checkpoint","version":5,"crc32":3735928559,"payload":"{…}"}
 //! ```
 //!
 //! The `payload` string is the serialized [`Checkpoint`]; `crc32` is the
@@ -46,7 +46,7 @@
 use syndog::{AnyDetector, Detection, PeriodSignals};
 use syndog_net::{Ipv4Net, SegmentKind};
 use syndog_sim::{SimDuration, SimTime};
-use syndog_traffic::trace::Direction;
+use syndog_traffic::Direction;
 
 use serde::{Deserialize, Serialize};
 
@@ -65,8 +65,10 @@ use crate::sniffer::Sniffer;
 /// `fin`/`rst` counts; 4 — the mitigation state gains the SYN
 /// fingerprint subsystem (lifetime and per-period fingerprint tables,
 /// the locator's attack-fingerprint tallies, the flash-crowd exoneration
-/// window and tally, and the policy's key-mode/exoneration knobs).
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// window and tally, and the policy's key-mode/exoneration knobs); 5 —
+/// the policy keeps only those knobs (its bucket size, burst, release
+/// periods and suspect share became constants).
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The envelope magic string.
 const MAGIC: &str = "syndog-checkpoint";
@@ -208,7 +210,7 @@ impl AlarmState {
     }
 
     /// Rebuilds the [`Alarm`].
-    pub fn to_alarm(&self) -> Alarm {
+    pub fn to_alarm(self) -> Alarm {
         Alarm {
             period: self.period,
             time: SimTime::from_micros(self.time_micros),
@@ -218,7 +220,7 @@ impl AlarmState {
 }
 
 /// The complete captured state of a detection pipeline (see the
-/// [module docs](crate::checkpoint) for what is covered and why).
+/// module docs for what is covered and why).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// The router's stub prefix, in CIDR notation.
@@ -336,7 +338,7 @@ impl Checkpoint {
     }
 
     /// Parses and validates a JSON envelope (magic, then version, then
-    /// CRC, then payload — see the [module docs](crate::checkpoint)).
+    /// CRC, then payload — see the module docs).
     ///
     /// # Errors
     ///
@@ -555,7 +557,7 @@ mod tests {
         use crate::mitigate::{KeyMode, MitigationEngine, MitigationPolicy, ThrottleKey};
         use std::net::SocketAddrV4;
         use syndog_net::MacAddr;
-        use syndog_traffic::trace::TraceRecord;
+        use syndog_traffic::TraceRecord;
 
         let tool = syndog_fingerprint::FingerprintKey::new(255, 512, 0, 0, 0).to_bits();
         let syn = |ms: u64, src: &str, host: u32| {
@@ -600,7 +602,7 @@ mod tests {
         checkpoint.mitigation = Some(engine.snapshot());
         let json = checkpoint.to_json();
         let envelope: Envelope = serde_json::from_str(&json).unwrap();
-        assert_eq!(envelope.version, 4, "fingerprint state is a v4 payload");
+        assert_eq!(envelope.version, CHECKPOINT_VERSION);
         let parsed = Checkpoint::from_json(&json).unwrap();
         assert_eq!(parsed, checkpoint);
         let mut restored = parsed

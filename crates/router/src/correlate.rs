@@ -141,16 +141,6 @@ impl RegionalCollector {
         self.onsets.push(onset);
     }
 
-    /// How many edges this region has seen.
-    pub fn len(&self) -> usize {
-        self.onsets.len()
-    }
-
-    /// Whether the region is silent.
-    pub fn is_empty(&self) -> bool {
-        self.onsets.is_empty()
-    }
-
     /// Clusters the collected onsets: sorted by `(onset_period, stub)`,
     /// then greedily chained — an onset joins the open cluster while it
     /// is within `window_periods` of the cluster's latest onset.
@@ -358,11 +348,6 @@ impl FleetCorrelator {
                 .collect(),
             meta: vec![None; stub_count],
         }
-    }
-
-    /// Number of regional collectors actually in play.
-    pub fn regions(&self) -> usize {
-        self.collectors.len()
     }
 
     /// Ingests one stub's fold row: captures its metadata and routes its
@@ -603,7 +588,7 @@ mod tests {
     use crate::fleet::Scenario;
     use syndog::SynDogConfig;
     use syndog_sim::{SimDuration, SimTime};
-    use syndog_traffic::sites::SiteProfile;
+    use syndog_traffic::SiteProfile;
 
     fn onset(stub: usize, period: u64) -> AlarmOnset {
         AlarmOnset {
@@ -732,5 +717,49 @@ mod tests {
         // The spill matches the in-memory writer byte for byte.
         assert_eq!(text, fleet.run_counts().to_csv());
         assert_eq!(run.implicated, 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Collector clustering is a pure function of the onset *set*:
+        /// permuting the arrival order (and hence which worker/stub order
+        /// delivered the edges) never changes the campaign report.
+        #[test]
+        fn clustering_is_invariant_under_onset_permutation(
+            onsets in proptest::collection::vec(
+                (0usize..64, 0u64..120, 0.5f64..20.0),
+                1..40,
+            ),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let build = |order: &[(usize, u64, f64)]| {
+                let mut correlator =
+                    FleetCorrelator::new(CollectorConfig::with_regions(4), 64);
+                for &(stub, onset_period, est_rate) in order {
+                    correlator.observe_onset(AlarmOnset {
+                        stub,
+                        onset_period,
+                        alarm_period: onset_period + 3,
+                        est_rate,
+                    });
+                }
+                correlator.finish("perm", 11)
+            };
+            let forward = build(&onsets);
+            let mut shuffled = onsets.clone();
+            // Deterministic Fisher–Yates driven by the proptest seed.
+            let mut state = seed | 1;
+            for i in (1..shuffled.len()).rev() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let j = (state >> 33) as usize % (i + 1);
+                shuffled.swap(i, j);
+            }
+            let permuted = build(&shuffled);
+            proptest::prop_assert_eq!(forward.render(), permuted.render());
+            proptest::prop_assert_eq!(forward, permuted);
+        }
     }
 }

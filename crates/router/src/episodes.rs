@@ -13,11 +13,10 @@
 //! - the **peak** statistic bounds the flood's cumulative excess volume:
 //!   `peak · K̄` unanswered SYNs above the `a`-allowance.
 
-use serde::{Deserialize, Serialize};
 use syndog::Detection;
 
 /// One contiguous flooding episode recovered from the detection series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackEpisode {
     /// Estimated first attack period: the last zero-statistic period
     /// before the climb that alarmed.
@@ -84,33 +83,28 @@ impl EpisodeTracker {
         }
         edge
     }
-
-    /// The episode still in progress, if any.
-    pub fn open(&self) -> Option<AttackEpisode> {
-        self.open
-    }
-}
-
-/// Extracts attack episodes from a per-period detection series: the
-/// closed episodes an [`EpisodeTracker`] reports, then the one still open
-/// at the end of the series (with `end_period: None`).
-pub fn extract_episodes(detections: &[Detection]) -> Vec<AttackEpisode> {
-    let mut tracker = EpisodeTracker::default();
-    let mut episodes: Vec<AttackEpisode> = detections
-        .iter()
-        .filter_map(|d| match tracker.observe(d)? {
-            EpisodeEdge::Closed(episode) => Some(episode),
-            EpisodeEdge::Opened(_) => None,
-        })
-        .collect();
-    episodes.extend(tracker.open());
-    episodes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use syndog::{PeriodCounts, SynDogConfig, SynDogDetector};
+
+    /// The episodes of a whole detection series: the closed ones the
+    /// tracker reports, then the one still open at the end (with
+    /// `end_period: None`).
+    fn extract_episodes(detections: &[Detection]) -> Vec<AttackEpisode> {
+        let mut tracker = EpisodeTracker::default();
+        let mut episodes: Vec<AttackEpisode> = detections
+            .iter()
+            .filter_map(|d| match tracker.observe(d)? {
+                EpisodeEdge::Closed(episode) => Some(episode),
+                EpisodeEdge::Opened(_) => None,
+            })
+            .collect();
+        episodes.extend(tracker.open);
+        episodes
+    }
 
     fn run(series: &[(u64, u64)]) -> Vec<Detection> {
         let mut dog = SynDogDetector::new(SynDogConfig::paper_default());
@@ -193,7 +187,7 @@ mod tests {
                 }),
             ]
         );
-        assert_eq!(tracker.open(), Some(episodes[1]));
+        assert_eq!(tracker.open, Some(episodes[1]));
     }
 
     #[test]
@@ -206,7 +200,7 @@ mod tests {
     fn episode_end_to_end_with_site_traffic() {
         use syndog_attack::SynFlood;
         use syndog_sim::{SimDuration, SimRng, SimTime};
-        use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+        use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
         let site = SiteProfile::auckland();
         let mut rng = SimRng::seed_from_u64(9);

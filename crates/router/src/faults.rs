@@ -32,7 +32,11 @@ use std::collections::VecDeque;
 
 use syndog_net::SegmentKind;
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::trace::{Trace, TraceRecord};
+use syndog_traffic::{Trace, TraceRecord};
+
+/// The largest jitter `--faults` accepts, in µs: the span `2j + 1` of a
+/// jitter draw must fit in an `i64`, with `j` itself.
+const MAX_JITTER_MICROS: u64 = i64::MAX as u64 / 2;
 
 /// A seeded fault configuration. Construct via [`FaultSpec::parse`] (the
 /// CLI `--faults` syntax) or struct update from [`FaultSpec::off`].
@@ -92,7 +96,8 @@ impl FaultSpec {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown keys, non-numeric
-    /// values, or probabilities outside `[0, 1]`.
+    /// values, probabilities outside `[0, 1]`, or a jitter that is negative,
+    /// not finite, or wider than `MAX_JITTER_MICROS`.
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
         fn probability(key: &str, raw: &str) -> Result<f64, String> {
             let p: f64 = raw
@@ -126,10 +131,19 @@ impl FaultSpec {
                     let ms: f64 = value
                         .parse()
                         .map_err(|_| format!("fault jitter_ms={value}: not a number"))?;
+                    if !ms.is_finite() {
+                        return Err(format!("fault jitter_ms={value}: not a finite number"));
+                    }
                     if ms < 0.0 {
                         return Err(format!("fault jitter_ms={value}: negative"));
                     }
                     spec.jitter = SimDuration::from_secs_f64(ms / 1000.0);
+                    if spec.jitter.as_micros() > MAX_JITTER_MICROS {
+                        return Err(format!(
+                            "fault jitter_ms={value}: above the {} ms a timestamp offset can span",
+                            MAX_JITTER_MICROS / 1000
+                        ));
+                    }
                 }
                 "seed" => {
                     spec.seed = value
@@ -354,7 +368,7 @@ fn spill_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_traffic::trace::Direction;
+    use syndog_traffic::Direction;
 
     fn sample_trace(n: u64) -> Trace {
         let records = (0..n)
@@ -538,6 +552,14 @@ mod tests {
     }
 
     #[test]
+    fn the_widest_accepted_jitter_draws_without_overflow() {
+        let spec = FaultSpec::parse("jitter_ms=4e15,seed=1").unwrap();
+        let (faulted, ledger) = spec.apply_to_trace(&sample_trace(100));
+        assert_eq!(faulted.records().len(), 100);
+        assert!(ledger.jittered > 0);
+    }
+
+    #[test]
     fn spec_parser_round_trips_and_rejects_garbage() {
         let spec = FaultSpec::parse(
             "drop=0.05, dup=0.01,reorder=8,truncate=0.02,corrupt=0.03,jitter_ms=5,seed=42",
@@ -558,14 +580,17 @@ mod tests {
             "long key accepted"
         );
         for bad in [
-            "drop",         // not key=value
-            "drop=1.5",     // probability out of range
-            "drop=-0.1",    // negative probability
-            "drop=abc",     // not a number
-            "reorder=-1",   // not a window
-            "jitter_ms=-2", // negative jitter
-            "seed=1.5",     // not an integer
-            "explode=0.5",  // unknown key
+            "drop",           // not key=value
+            "drop=1.5",       // probability out of range
+            "drop=-0.1",      // negative probability
+            "drop=abc",       // not a number
+            "reorder=-1",     // not a window
+            "jitter_ms=-2",   // negative jitter
+            "jitter_ms=inf",  // an unbounded jitter
+            "jitter_ms=NaN",  // not a jitter at all
+            "jitter_ms=1e17", // a span no timestamp offset holds
+            "seed=1.5",       // not an integer
+            "explode=0.5",    // unknown key
         ] {
             assert!(FaultSpec::parse(bad).is_err(), "`{bad}` must be rejected");
         }

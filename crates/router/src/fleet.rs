@@ -48,12 +48,12 @@ use std::sync::Arc;
 use syndog::{Detection, DetectorKind, PeriodSignals, SynDogConfig};
 use syndog_attack::{DdosCampaign, SynFlood};
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
-use syndog_sim::par::{run_indexed, run_indexed_fold, Parallelism};
+use syndog_sim::{run_indexed, run_indexed_fold, Parallelism};
 use syndog_sim::{SimRng, SimTime};
 use syndog_telemetry::{LabelBudget, LabelMode, Telemetry};
 use syndog_traceback::{AttackPath, RouterId};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
-use syndog_traffic::trace::{Direction, Trace};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
+use syndog_traffic::{Direction, Trace};
 
 use crate::agent::SynDogAgent;
 use crate::correlate::AlarmOnset;
@@ -141,7 +141,7 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// An empty scenario; push [`StubSpec`]s onto `stubs`.
+    /// An empty scenario; push `StubSpec`s onto `stubs`.
     pub fn new(name: impl Into<String>, config: SynDogConfig, master_seed: u64) -> Self {
         Scenario {
             name: name.into(),
@@ -377,7 +377,7 @@ impl Fleet {
     /// own `stub="<cidr>"` series exactly as [`Fleet::with_telemetry`];
     /// past it, agents share per-region rollup series labelled
     /// `region="r<k>"` (contiguous stub-index blocks — the same blocks
-    /// the [`crate::correlate`] tier uses), and the correlated runner
+    /// the `crate::correlate` tier uses), and the correlated runner
     /// additionally publishes a bounded top-K spotlight of alarmed
     /// stubs. Per-stub labels at 10k stubs are a cardinality bomb; this
     /// is the pressure valve.
@@ -487,11 +487,11 @@ impl Fleet {
     }
 
     /// Count-level streaming run: executes every stub and folds its
-    /// compact [`StubRow`] into `acc` strictly in stub-index order (so
+    /// compact `StubRow` into `acc` strictly in stub-index order (so
     /// the result is byte-identical for any worker count). Peak memory
     /// is the accumulator plus in-flight per-stub state bounded by the
     /// worker count — this is the path that carries 1,000–10,000-stub
-    /// scenarios. The correlation tier ([`crate::correlate`]) and the
+    /// scenarios. The correlation tier (`crate::correlate`) and the
     /// spill-to-CSV writer both build on it.
     pub fn fold_counts<A>(&self, acc: A, mut fold: impl FnMut(&mut A, StubRow)) -> A {
         let prepared = self.prepare_telemetry();

@@ -23,9 +23,9 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use syndog_fingerprint::{FingerprintKey, FingerprintTable};
-use syndog_net::addr::is_unroutable_source;
+use syndog_net::is_unroutable_source;
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
-use syndog_traffic::trace::{Direction, TraceRecord};
+use syndog_traffic::{Direction, TraceRecord};
 
 use crate::agent::SynDogAgent;
 
@@ -336,10 +336,7 @@ mod tests {
         use syndog_fingerprint::os_mix;
         let mut locator = SourceLocator::new(stub());
         locator.arm();
-        let tool_fp = syndog_attack::tools::AttackTool::Tfn
-            .fingerprint()
-            .unwrap()
-            .to_bits();
+        let tool_fp = syndog_traffic::load::attack_fingerprint().to_bits();
         // The attacker rotates MACs: 40 spoofed SYNs over 8 addresses.
         for i in 0..40u32 {
             locator

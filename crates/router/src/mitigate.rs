@@ -13,7 +13,7 @@
 //!   ([`ThrottleKey::Mac`]); spoofed-source SYNs not attributable to a
 //!   dominant MAC fall back to per-/24 prefix keys
 //!   ([`ThrottleKey::Prefix`]). Buckets are sized from the stub's own
-//!   calibrated `K̄` at engagement ([`MitigationPolicy::bucket_fraction`]),
+//!   calibrated `K̄` at engagement (`BUCKET_FRACTION`),
 //!   so the same policy adapts from LBL-scale to UNC-scale stubs.
 //! * **Throttle** — while engaged, every outbound SYN that maps to an
 //!   installed key must win a token; everything else forwards untouched.
@@ -22,7 +22,7 @@
 //!   mitigating.
 //! * **Release** — via hysteresis: the engine tracks a threshold-clamped
 //!   copy of the CUSUM recursion (`gate`), and releases after the gate has
-//!   stayed below `N` for [`MitigationPolicy::release_periods`] consecutive
+//!   stayed below `N` for `RELEASE_PERIODS` (`M`) consecutive
 //!   periods. The clamp matters: the detector's own `y_n` is unbounded (it
 //!   keeps climbing for as long as a flood runs, which is what makes its
 //!   detection delay optimal) and would take `y_peak / (a − c)` periods to
@@ -54,7 +54,7 @@ use syndog::{Detection, SynDogConfig};
 use syndog_fingerprint::{FingerprintKey, FingerprintTable};
 use syndog_net::{Ipv4Net, MacAddr, SegmentKind};
 use syndog_sim::SimTime;
-use syndog_traffic::trace::{Direction, TraceRecord};
+use syndog_traffic::{Direction, TraceRecord};
 
 use crate::locate::{MacActivity, SourceLocator, Suspect};
 
@@ -112,32 +112,31 @@ impl fmt::Display for KeyMode {
     }
 }
 
+/// Per-key SYN allowance per observation period, as a fraction of the
+/// calibrated `K̄` at engagement. `K̄` is the stub's expected SYN/ACK
+/// volume per period, so a throttled key may emit at most 5% of the stub's
+/// normal handshake volume.
+const BUCKET_FRACTION: f64 = 0.05;
+
+/// Floor on the per-period allowance, so a key on a nearly idle stub (`K̄`
+/// clamps at 1.0) is never starved to zero tokens.
+const MIN_TOKENS_PER_PERIOD: f64 = 1.0;
+
+/// `M`: consecutive periods the release gate must stay below the flooding
+/// threshold before throttles release.
+const RELEASE_PERIODS: u32 = 3;
+
+/// Minimum spoofed-SYN share before a MAC becomes a throttle key; below it
+/// the engine falls back to /24 prefix keys. The same bound gates the
+/// dominant attack fingerprint in [`KeyMode::Fingerprint`].
+const SUSPECT_MIN_SHARE: f64 = 0.5;
+
 /// Tuning knobs for the source-end mitigation subsystem.
 ///
 /// Construct via [`MitigationPolicy::paper_default`] and adjust with the
 /// builder methods.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MitigationPolicy {
-    /// Per-key SYN allowance per observation period, as a fraction of the
-    /// calibrated `K̄` at engagement. `K̄` is the stub's expected SYN/ACK
-    /// volume per period, so `0.05` means a throttled key may emit at most
-    /// 5% of the stub's normal handshake volume.
-    pub bucket_fraction: f64,
-    /// Floor on the per-period allowance, so a key on a nearly idle stub
-    /// (`K̄` clamps at 1.0) is never starved to zero tokens.
-    pub min_tokens_per_period: f64,
-    /// Bucket capacity, in periods' worth of allowance. Buckets start full,
-    /// so this is also the burst a fresh key may emit before refill-rate
-    /// limiting takes over.
-    pub burst_periods: f64,
-    /// `M`: consecutive periods the release gate must stay below the
-    /// flooding threshold before throttles release.
-    pub release_periods: u32,
-    /// Minimum spoofed-SYN share before a MAC becomes a throttle key;
-    /// below it the engine falls back to /24 prefix keys. The same bound
-    /// gates the dominant attack fingerprint in
-    /// [`KeyMode::Fingerprint`].
-    pub suspect_min_share: f64,
     /// The key family throttle buckets are installed under.
     pub key_mode: KeyMode,
     /// Flash-crowd exoneration: minimum Shannon entropy (bits) of the
@@ -151,17 +150,12 @@ pub struct MitigationPolicy {
 }
 
 impl MitigationPolicy {
-    /// Defaults matched to the paper's universal detector parameters:
-    /// a 5% of `K̄` allowance per key, one period of burst, `M = 3`
-    /// release periods, and the simple-majority suspect rule the
-    /// localization experiments use.
+    /// Defaults: throttles keyed on the prime suspect's MAC, and the
+    /// flash-crowd exoneration thresholds below. (The bucket size, burst,
+    /// `M = 3` release periods and the simple-majority suspect rule the
+    /// localization experiments use are fixed.)
     pub fn paper_default() -> Self {
         MitigationPolicy {
-            bucket_fraction: 0.05,
-            min_tokens_per_period: 1.0,
-            burst_periods: 1.0,
-            release_periods: 3,
-            suspect_min_share: 0.5,
             key_mode: KeyMode::Mac,
             // A realistic OS mix carries ~2 bits of fingerprint entropy;
             // a tool's template carries ~0. 1.5 splits them with margin.
@@ -453,7 +447,7 @@ struct Engagement {
 
 /// The detect→act loop for one leaf router: consumes the detector's
 /// per-period [`Detection`]s to engage and release, and judges every
-/// outbound SYN while engaged. See the [module docs](self) for the model.
+/// outbound SYN while engaged. See the module docs for the model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MitigationEngine {
     policy: MitigationPolicy,
@@ -549,7 +543,7 @@ impl MitigationEngine {
         self.released_at
     }
 
-    /// The threshold-clamped release gate (see the [module docs](self)).
+    /// The threshold-clamped release gate (see the module docs).
     pub fn gate(&self) -> f64 {
         self.gate
     }
@@ -566,11 +560,10 @@ impl MitigationEngine {
     }
 
     /// The dominant attack fingerprint the armed locator has attributed,
-    /// gated by [`MitigationPolicy::suspect_min_share`] — what
+    /// gated by `SUSPECT_MIN_SHARE` — what
     /// [`KeyMode::Fingerprint`] keys buckets on.
     pub fn suspect_fingerprint(&self) -> Option<(FingerprintKey, f64)> {
-        self.locator
-            .dominant_fingerprint(self.policy.suspect_min_share)
+        self.locator.dominant_fingerprint(SUSPECT_MIN_SHARE)
     }
 
     /// Approximate resident memory of the mitigation state: the engine,
@@ -598,12 +591,12 @@ impl MitigationEngine {
         self.gate = (self.gate + x_tilde).clamp(0.0, self.threshold);
         if self.engagement.is_some() {
             self.stats.engaged_periods += 1;
-            if let Some(suspect) = self.locator.prime_suspect(self.policy.suspect_min_share) {
+            if let Some(suspect) = self.locator.prime_suspect(SUSPECT_MIN_SHARE) {
                 self.suspect = Some(suspect);
             }
             if self.gate < self.threshold {
                 self.calm_streak += 1;
-                if self.calm_streak >= self.policy.release_periods {
+                if self.calm_streak >= RELEASE_PERIODS {
                     self.release(absolute_period);
                 }
             } else {
@@ -643,8 +636,7 @@ impl MitigationEngine {
     }
 
     fn engage(&mut self, detection: &Detection, absolute_period: u64) {
-        let allowance = (self.policy.bucket_fraction * detection.k_average)
-            .max(self.policy.min_tokens_per_period);
+        let allowance = (BUCKET_FRACTION * detection.k_average).max(MIN_TOKENS_PER_PERIOD);
         self.engagement = Some(Engagement {
             allowance,
             buckets: BTreeMap::new(),
@@ -670,7 +662,7 @@ impl MitigationEngine {
     /// engaged this additionally feeds the locator, picks the record's
     /// throttle key per [`MitigationPolicy::key_mode`], and draws a
     /// token. Disengaged, the verdict is always
-    /// [`MitigationDecision::Forward`].
+    /// `MitigationDecision::Forward`.
     pub fn process(&mut self, record: &TraceRecord) -> MitigationDecision {
         let outbound_syn =
             record.direction == Direction::Outbound && record.kind == SegmentKind::Syn;
@@ -700,7 +692,7 @@ impl MitigationEngine {
                 if engagement.buckets.contains_key(&mac_key)
                     || self
                         .locator
-                        .prime_suspect(self.policy.suspect_min_share)
+                        .prime_suspect(SUSPECT_MIN_SHARE)
                         .is_some_and(|s| s.mac == record.src_mac)
                 {
                     Some(mac_key)
@@ -730,7 +722,10 @@ impl MitigationEngine {
         let engagement = self.engagement.as_mut().expect("engagement checked above");
         let allowance = engagement.allowance;
         let refill = allowance / self.period_secs;
-        let capacity = (allowance * self.policy.burst_periods).max(1.0);
+        // Buckets hold one period's allowance and start full, so that is
+        // also the burst a fresh key may emit before refill-rate limiting
+        // takes over.
+        let capacity = allowance.max(1.0);
         let bucket = engagement
             .buckets
             .entry(key)
@@ -1073,7 +1068,6 @@ mod tests {
 
     #[test]
     fn release_uses_hysteresis_and_the_clamped_gate() {
-        let policy = MitigationPolicy::paper_default();
         let mut engine = engine();
         // A long flood: the real CUSUM would climb to ~50 here; the gate
         // clamps at N so it can drain promptly.
@@ -1084,7 +1078,7 @@ mod tests {
         assert!(engine.gate() <= SynDogConfig::paper_default().threshold + 1e-12);
         // Attack over: background x ≈ 0.05 drains the gate below N on the
         // first calm period; M consecutive calm periods release.
-        for p in 30..30 + u64::from(policy.release_periods) - 1 {
+        for p in 30..30 + u64::from(RELEASE_PERIODS) - 1 {
             engine.on_detection(&detection(0.05, 100.0), p);
             assert!(engine.is_engaged(), "released too early at period {p}");
         }
@@ -1328,14 +1322,10 @@ mod tests {
     /// One period's worth of flash-crowd evidence: many distinct OS-stack
     /// fingerprints on the SYNs, and most handshakes completing.
     fn feed_crowd_period(engine: &mut MitigationEngine, base_ms: u64) {
-        use syndog_fingerprint::os_mix;
-        let stacks = [
-            os_mix::windows(),
-            os_mix::linux(),
-            os_mix::apple(),
-            os_mix::android(),
-            os_mix::embedded(),
-        ];
+        // Five stacks that differ only in their initial window.
+        let stacks: Vec<FingerprintKey> = (1..=5)
+            .map(|k| FingerprintKey::new(64, 8192 * k, 1460, 0, 0))
+            .collect();
         for i in 0..20u64 {
             let syn = syn_at(
                 base_ms + i * 10,

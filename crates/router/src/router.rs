@@ -27,7 +27,7 @@
 use syndog::PeriodSignals;
 use syndog_net::Ipv4Net;
 use syndog_sim::{SimDuration, SimTime};
-use syndog_traffic::trace::{Direction, Trace, TraceRecord};
+use syndog_traffic::{Direction, Trace, TraceRecord};
 
 use crate::sniffer::Sniffer;
 use crate::source::{EventBatch, FrameEvent, FrameSource};
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn run_trace_agrees_with_trace_period_counts() {
         use syndog_sim::SimRng;
-        use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+        use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
         let site = SiteProfile::auckland();
         let mut rng = SimRng::seed_from_u64(17);
         let trace = site.generate_trace(&mut rng);
@@ -323,7 +323,7 @@ mod tests {
         let by_trace = trace.period_counts(OBSERVATION_PERIOD);
         let handshake_only: Vec<_> = by_router
             .iter()
-            .map(|s| syndog_traffic::trace::PeriodSample {
+            .map(|s| syndog_traffic::PeriodSample {
                 syn: s.syn,
                 synack: s.synack,
             })
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn frame_driven_input() {
         use syndog_net::classify;
-        use syndog_net::packet::PacketBuilder;
+        use syndog_net::PacketBuilder;
         let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
         let syn = PacketBuilder::tcp(
             "10.1.0.5:1025".parse().unwrap(),
@@ -496,7 +496,7 @@ mod tests {
     fn ingest_from_pcap_matches_run_trace() {
         use crate::source::PcapSource;
         use syndog_sim::SimRng;
-        use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+        use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
         let site = SiteProfile::auckland();
         let mut rng = SimRng::seed_from_u64(23);
         let mut file = Vec::new();
@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn ingest_from_raw_frames_matches_run_trace() {
         use crate::source::PcapSource;
-        use syndog_net::packet::PacketBuilder;
+        use syndog_net::PacketBuilder;
         // 300 records, so the frames cross the source's 256-frame batches.
         let records = (0..300)
             .map(|i| match i % 3 {
@@ -565,7 +565,7 @@ mod tests {
     #[test]
     fn ingest_without_duration_closes_no_trailing_periods() {
         use crate::source::PcapSource;
-        let syn = syndog_net::packet::PacketBuilder::tcp(
+        let syn = syndog_net::PacketBuilder::tcp(
             "10.1.0.5:1025".parse().unwrap(),
             "192.0.2.80:80".parse().unwrap(),
             TcpFlags::SYN,
@@ -584,5 +584,128 @@ mod tests {
         // The event's own period is still open: a stream declares no end.
         assert!(samples.is_empty());
         assert_eq!(router.take_period_sample().syn, 1);
+    }
+
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    use syndog::{DetectorKind, PeriodSignals, SynDogConfig};
+
+    use crate::agent::SynDogAgent;
+    use crate::checkpoint::Checkpoint;
+
+    fn arb_direction() -> impl Strategy<Value = Direction> {
+        prop_oneof![Just(Direction::Inbound), Just(Direction::Outbound)]
+    }
+
+    /// One step of a sniffer tally run.
+    #[derive(Debug, Clone, Copy)]
+    enum TallyOp {
+        /// A classified record on an interface.
+        Record(Direction, SegmentKind),
+        /// A frame the classifier rejected.
+        Malformed(Direction),
+        /// `take_period_sample`.
+        Close,
+        /// A checkpoint capture, through JSON, then a restore.
+        Checkpoint,
+    }
+
+    fn arb_tally_op() -> impl Strategy<Value = TallyOp> {
+        // Mostly records, with a close or a checkpoint every dozen or so.
+        (0u8..16, arb_direction(), 0..SegmentKind::ALL.len()).prop_map(|(pick, d, k)| match pick {
+            0..=12 => TallyOp::Record(d, SegmentKind::ALL[k]),
+            13 => TallyOp::Malformed(d),
+            14 => TallyOp::Close,
+            _ => TallyOp::Checkpoint,
+        })
+    }
+
+    /// The sniffers' counts, tallied the obvious way: one named entry per
+    /// interface and kind.
+    #[derive(Debug, Default)]
+    struct NaiveTally {
+        pending: HashMap<(Direction, SegmentKind), u64>,
+        lifetime: HashMap<(Direction, SegmentKind), u64>,
+        frames_seen: HashMap<Direction, u64>,
+        malformed: HashMap<Direction, u64>,
+    }
+
+    impl NaiveTally {
+        fn pending(&self, direction: Direction, kind: SegmentKind) -> u64 {
+            self.pending.get(&(direction, kind)).copied().unwrap_or(0)
+        }
+
+        fn close(&mut self) -> PeriodSignals {
+            let signals = PeriodSignals {
+                syn: self.pending(Direction::Outbound, SegmentKind::Syn),
+                synack: self.pending(Direction::Inbound, SegmentKind::SynAck),
+                fin: self.pending(Direction::Outbound, SegmentKind::Fin),
+                rst: self.pending(Direction::Outbound, SegmentKind::Rst),
+            };
+            self.pending.clear();
+            signals
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-kind sniffer arrays count exactly what a naive tally of
+        /// named counters does: every closed period's signals, every pending
+        /// and lifetime per-kind count, `frames_seen` and `malformed`, with
+        /// period closes and checkpoint round-trips at arbitrary points.
+        #[test]
+        fn sniffer_counts_equal_a_naive_tally(
+            ops in proptest::collection::vec(arb_tally_op(), 0..400),
+        ) {
+            let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
+            let detector = DetectorKind::Syndog.build(SynDogConfig::paper_default());
+            let mut naive = NaiveTally::default();
+            for op in ops {
+                match op {
+                    TallyOp::Record(direction, kind) => {
+                        router.observe_record(&rec(0.0, direction, kind));
+                        *naive.pending.entry((direction, kind)).or_default() += 1;
+                        *naive.lifetime.entry((direction, kind)).or_default() += 1;
+                        *naive.frames_seen.entry(direction).or_default() += 1;
+                    }
+                    TallyOp::Malformed(direction) => {
+                        router.observe_event(&FrameEvent {
+                            time: SimTime::ZERO,
+                            direction,
+                            kind: None,
+                        });
+                        *naive.malformed.entry(direction).or_default() += 1;
+                        *naive.frames_seen.entry(direction).or_default() += 1;
+                    }
+                    TallyOp::Close => prop_assert_eq!(router.take_period_sample(), naive.close()),
+                    TallyOp::Checkpoint => {
+                        let json = Checkpoint::capture(&router, 0, &detector, &[], &[], None).to_json();
+                        let restored =
+                            SynDogAgent::restore(&Checkpoint::from_json(&json).unwrap()).unwrap();
+                        router = restored.router().clone();
+                    }
+                }
+                for direction in [Direction::Inbound, Direction::Outbound] {
+                    let sniffer = router.sniffer(direction);
+                    for kind in SegmentKind::ALL {
+                        let lifetime = naive.lifetime.get(&(direction, kind)).copied().unwrap_or(0);
+                        prop_assert_eq!(sniffer.kind_count(kind), lifetime);
+                    }
+                    prop_assert_eq!(sniffer.syn_count(), naive.pending(direction, SegmentKind::Syn));
+                    prop_assert_eq!(
+                        sniffer.synack_count(),
+                        naive.pending(direction, SegmentKind::SynAck)
+                    );
+                    prop_assert_eq!(sniffer.fin_count(), naive.pending(direction, SegmentKind::Fin));
+                    prop_assert_eq!(sniffer.rst_count(), naive.pending(direction, SegmentKind::Rst));
+                    let count = |tally: &HashMap<Direction, u64>| tally.get(&direction).copied();
+                    prop_assert_eq!(sniffer.frames_seen(), count(&naive.frames_seen).unwrap_or(0));
+                    prop_assert_eq!(sniffer.malformed(), count(&naive.malformed).unwrap_or(0));
+                }
+            }
+            prop_assert_eq!(router.take_period_sample(), naive.close());
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! SYN-dog itself immune to the attacks it detects.
 
 use syndog::PeriodSignals;
-use syndog_net::classify::SegmentKind;
+use syndog_net::SegmentKind;
 
 /// Counts per [`SegmentKind`], indexed by [`SegmentKind::index`].
 type KindCounts = [u64; SegmentKind::ALL.len()];
@@ -126,8 +126,8 @@ impl Sniffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_net::classify::classify;
-    use syndog_net::packet::PacketBuilder;
+    use syndog_net::classify;
+    use syndog_net::PacketBuilder;
     use syndog_net::TcpFlags;
 
     /// Classifies one frame and counts it, as the capture front ends do.

@@ -7,19 +7,19 @@
 //! it cares *where* frames come from. [`PcapSource`] is the one frame
 //! source: `syndog sniff` streams a pcap through it, classifying frames
 //! without decoding records. Every other input is a record stream
-//! ([`RecordReader`](syndog_traffic::trace::RecordReader) or a
-//! [`Trace`](syndog_traffic::trace::Trace)) and goes through the record
+//! ([`RecordReader`](syndog_traffic::RecordReader) or a
+//! [`Trace`](syndog_traffic::Trace)) and goes through the record
 //! loop,
 //! [`SynDogAgent::run_trace_with`](crate::agent::SynDogAgent::run_trace_with),
 //! instead.
 
 use std::io::Read;
 
-use syndog_net::classify::{classify, SegmentKind};
 use syndog_net::pcap::{PcapFrame, PcapReader};
+use syndog_net::{classify, SegmentKind};
 use syndog_net::{Ipv4Net, NetError};
 use syndog_sim::SimTime;
-use syndog_traffic::trace::Direction;
+use syndog_traffic::Direction;
 
 /// Number of events per [`PcapSource`] batch; large enough to amortize
 /// per-batch overhead, small enough to stay cache-resident.
@@ -38,7 +38,7 @@ pub struct FrameEvent {
     pub kind: Option<SegmentKind>,
 }
 
-/// A reusable buffer of [`FrameEvent`]s — the unit a [`FrameSource`]
+/// A reusable buffer of `FrameEvent`s — the unit a [`FrameSource`]
 /// produces per call. Recycling one `EventBatch` across calls means the
 /// steady-state ingest loop performs no allocation per batch.
 #[derive(Debug, Clone, Default)]
@@ -102,7 +102,7 @@ pub trait FrameSource {
 /// classified with the §2 algorithm straight into the output batch (no
 /// per-packet copy or allocation), and direction-tagged by the
 /// *destination* address against the stub prefix — the same inference
-/// [`RecordReader::pcap`](syndog_traffic::trace::RecordReader::pcap) uses, and
+/// [`RecordReader::pcap`](syndog_traffic::RecordReader::pcap) uses, and
 /// for the same reason: flood SYNs carry forged source addresses, so the
 /// destination is the one trustworthy field.
 #[derive(Debug)]
@@ -170,7 +170,7 @@ impl<R: Read> FrameSource for PcapSource<R> {
 mod tests {
     use super::*;
     use syndog_sim::SimDuration;
-    use syndog_traffic::trace::{Trace, TraceRecord};
+    use syndog_traffic::{Trace, TraceRecord};
 
     fn rec(secs: f64, direction: Direction, kind: SegmentKind) -> TraceRecord {
         TraceRecord::new(

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use syndog::{Detection, PeriodSignals};
 use syndog_net::SegmentKind;
 use syndog_telemetry::{Counter, FieldValue, Gauge, Histogram, Telemetry};
-use syndog_traffic::trace::Direction;
+use syndog_traffic::Direction;
 
 use crate::faults::FaultLedger;
 use crate::mitigate::{MitigationEngine, MitigationStats};
@@ -482,7 +482,7 @@ mod tests {
             snap.counter("syndog_syn_total", &[("stub", "130.216.0.0/16")]),
             Some(7)
         );
-        let prom = syndog_telemetry::export::render_prometheus(&snap);
+        let prom = syndog_telemetry::ExportFormat::Prometheus.render(&snap);
         assert!(
             prom.contains(r#"syndog_alarms_total{stub="128.3.0.0/16"} 1"#),
             "missing labeled alarm series:\n{prom}"
@@ -547,7 +547,7 @@ mod tests {
             ),
             Some(0)
         );
-        let prom = syndog_telemetry::export::render_prometheus(&snap);
+        let prom = syndog_telemetry::ExportFormat::Prometheus.render(&snap);
         assert!(
             prom.contains(r#"detector="syndog""#) && prom.contains(r#"detector="ewma""#),
             "both detector label sets must export:\n{prom}"

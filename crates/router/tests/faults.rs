@@ -14,8 +14,8 @@ use syndog::SynDogConfig;
 use syndog_attack::SynFlood;
 use syndog_router::{Checkpoint, FaultSpec, SynDogAgent};
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::SiteProfile;
-use syndog_traffic::trace::Trace;
+use syndog_traffic::SiteProfile;
+use syndog_traffic::Trace;
 
 /// Auckland background traffic with a 10 SYN/s flood starting at period
 /// 40 — the fixture the agent-level detection-delay tests use.

@@ -5,14 +5,14 @@ use std::sync::Arc;
 
 use syndog::SynDogConfig;
 use syndog_net::SegmentKind;
-use syndog_router::fleet::{Fleet, Scenario};
-use syndog_router::mitigate::MitigationPolicy;
 use syndog_router::FaultSpec;
-use syndog_sim::par::Parallelism;
+use syndog_router::MitigationPolicy;
+use syndog_router::{Fleet, Scenario};
+use syndog_sim::Parallelism;
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_telemetry::Telemetry;
-use syndog_traffic::sites::SiteProfile;
 use syndog_traffic::Direction;
+use syndog_traffic::SiteProfile;
 
 fn victim() -> std::net::SocketAddrV4 {
     "199.0.0.80:80".parse().unwrap()
@@ -122,7 +122,7 @@ fn distributed_flood_below_single_point_threshold_is_localized() {
     // big aggregation point (UNC-scale K̄) cannot see that rate...
     let config = SynDogConfig::paper_default();
     let unc_k_avg = SiteProfile::unc().mean_arrival_rate() * config.observation_period_secs;
-    let single_point_f_min = syndog::theory::min_detectable_rate(
+    let single_point_f_min = syndog::min_detectable_rate(
         config.offset,
         0.0,
         unc_k_avg,
@@ -137,7 +137,7 @@ fn distributed_flood_below_single_point_threshold_is_localized() {
     );
     // ...but each Auckland-scale stub's own f_min is far lower.
     let stub_k_avg = SiteProfile::auckland().mean_arrival_rate() * config.observation_period_secs;
-    let stub_f_min = syndog::theory::min_detectable_rate(
+    let stub_f_min = syndog::min_detectable_rate(
         config.offset,
         0.0,
         stub_k_avg,

@@ -10,15 +10,13 @@
 //!    slave stays below a single big vantage's `f_min` is reconstructed
 //!    as exactly one campaign: all attacked stubs implicated, zero false
 //!    implications, topology cross-check MATCH.
-//! 3. **Invariance** — collector clustering does not depend on the order
-//!    alarm edges arrive in (stub-index permutations included).
+//!
+//! That collector clustering does not depend on the order alarm edges
+//! arrive in is a unit test of the correlation tier.
 
-use proptest::prelude::*;
 use syndog::SynDogConfig;
-use syndog_router::{
-    AlarmOnset, CollectorConfig, Fleet, FleetCorrelator, MitigationPolicy, Scenario, StubRow,
-};
-use syndog_sim::par::Parallelism;
+use syndog_router::{CollectorConfig, Fleet, MitigationPolicy, Scenario};
+use syndog_sim::Parallelism;
 use syndog_sim::{SimDuration, SimTime};
 use syndog_traffic::SiteProfile;
 
@@ -108,34 +106,6 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     hash
 }
 
-/// Every field the count-level fold fills in, as digest words: an
-/// optional value hashes as a presence flag and the value, a rate as its
-/// bits.
-fn row_words(row: &StubRow) -> Vec<u64> {
-    let r = &row.report;
-    let opt = |v: Option<u64>| [u64::from(v.is_some()), v.unwrap_or(0)];
-    let mut words = vec![row.index as u64, r.periods, u64::from(r.attacked)];
-    words.push(r.attack_rate.to_bits());
-    words.extend(opt(r.attack_start_period));
-    words.push(u64::from(r.implicated));
-    words.extend(opt(r.first_alarm_period));
-    words.extend(opt(r.first_alarm_secs.map(f64::to_bits)));
-    words.extend(opt(r.detection_delay_periods));
-    words.push(r.false_alarm_periods);
-    words.push(u64::from(r.mitigated));
-    words.extend(opt(r.engaged_period));
-    words.extend(opt(r.release_period));
-    words.extend([r.throttled_syns, r.collateral_syns]);
-    words.extend([r.attack_syns_offered, r.attack_syns_forwarded]);
-    words.push(r.victim_syn_rate_before.to_bits());
-    words.push(r.victim_syn_rate_after.to_bits());
-    for onset in &row.onsets {
-        words.extend([onset.stub as u64, onset.onset_period, onset.alarm_period]);
-        words.push(onset.est_rate.to_bits());
-    }
-    words
-}
-
 /// Pins the count-level fold bit for bit: site counts, each slave's
 /// `SynFlood::period_counts`, the detector and the count throttle, over a
 /// 40-stub one-hour LBL fleet with mitigation armed and a 6 SYN/s slave
@@ -159,54 +129,33 @@ fn count_level_fleet_fold_is_pinned() {
         (Vec::new(), 0),
         |(words, engaged): &mut (Vec<u64>, usize), row| {
             *engaged += usize::from(row.report.engaged_period.is_some());
-            words.extend(row_words(&row));
+            // Every field the count-level fold fills in, as digest words:
+            // an optional value hashes as a presence flag and the value, a
+            // rate as its bits.
+            let r = &row.report;
+            let opt = |v: Option<u64>| [u64::from(v.is_some()), v.unwrap_or(0)];
+            words.extend([row.index as u64, r.periods, u64::from(r.attacked)]);
+            words.push(r.attack_rate.to_bits());
+            words.extend(opt(r.attack_start_period));
+            words.push(u64::from(r.implicated));
+            words.extend(opt(r.first_alarm_period));
+            words.extend(opt(r.first_alarm_secs.map(f64::to_bits)));
+            words.extend(opt(r.detection_delay_periods));
+            words.push(r.false_alarm_periods);
+            words.push(u64::from(r.mitigated));
+            words.extend(opt(r.engaged_period));
+            words.extend(opt(r.release_period));
+            words.extend([r.throttled_syns, r.collateral_syns]);
+            words.extend([r.attack_syns_offered, r.attack_syns_forwarded]);
+            words.push(r.victim_syn_rate_before.to_bits());
+            words.push(r.victim_syn_rate_after.to_bits());
+            for onset in &row.onsets {
+                words.extend([onset.stub as u64, onset.onset_period, onset.alarm_period]);
+                words.push(onset.est_rate.to_bits());
+            }
         },
     );
     assert!(engaged > 0, "the digest must cover an engaged throttle");
     let got = fnv1a(words);
     assert_eq!(got, 0x81b3e4f0b0840aa1, "fleet fold digest: {got:#018x}");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Collector clustering is a pure function of the onset *set*:
-    /// permuting the arrival order (and hence which worker/stub order
-    /// delivered the edges) never changes the campaign report.
-    #[test]
-    fn clustering_is_invariant_under_onset_permutation(
-        onsets in proptest::collection::vec(
-            (0usize..64, 0u64..120, 0.5f64..20.0),
-            1..40,
-        ),
-        seed in any::<u64>(),
-    ) {
-        let build = |order: &[(usize, u64, f64)]| {
-            let mut correlator =
-                FleetCorrelator::new(CollectorConfig::with_regions(4), 64);
-            for &(stub, onset_period, est_rate) in order {
-                correlator.observe_onset(AlarmOnset {
-                    stub,
-                    onset_period,
-                    alarm_period: onset_period + 3,
-                    est_rate,
-                });
-            }
-            correlator.finish("perm", 11)
-        };
-        let forward = build(&onsets);
-        let mut shuffled = onsets.clone();
-        // Deterministic Fisher–Yates driven by the proptest seed.
-        let mut state = seed | 1;
-        for i in (1..shuffled.len()).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            shuffled.swap(i, j);
-        }
-        let permuted = build(&shuffled);
-        prop_assert_eq!(forward.render(), permuted.render());
-        prop_assert_eq!(forward, permuted);
-    }
 }

@@ -1,13 +1,12 @@
 //! Property-based tests for the router and agent.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 use syndog::{DetectorKind, PeriodCounts, PeriodSignals, SynDogConfig, SynDogDetector};
 use syndog_net::SegmentKind;
-use syndog_router::{Checkpoint, FrameEvent, LeafRouter, PcapSource, SynDogAgent};
+use syndog_router::{Checkpoint, LeafRouter, PcapSource, SynDogAgent};
 use syndog_sim::{SimDuration, SimTime};
-use syndog_traffic::trace::{Direction, Trace, TraceRecord};
+use syndog_traffic::{Direction, Trace, TraceRecord};
 
 fn stub() -> syndog_net::Ipv4Net {
     "10.0.0.0/8".parse().unwrap()
@@ -36,29 +35,6 @@ fn arb_kind() -> impl Strategy<Value = SegmentKind> {
 
 fn arb_direction() -> impl Strategy<Value = Direction> {
     prop_oneof![Just(Direction::Inbound), Just(Direction::Outbound)]
-}
-
-/// One step of a sniffer tally run.
-#[derive(Debug, Clone, Copy)]
-enum TallyOp {
-    /// A classified record on an interface.
-    Record(Direction, SegmentKind),
-    /// A frame the classifier rejected.
-    Malformed(Direction),
-    /// `take_period_sample`.
-    Close,
-    /// A checkpoint capture, through JSON, then a restore.
-    Checkpoint,
-}
-
-fn arb_tally_op() -> impl Strategy<Value = TallyOp> {
-    // Mostly records, with a close or a checkpoint every dozen or so.
-    (0u8..16, arb_direction(), 0..SegmentKind::ALL.len()).prop_map(|(pick, d, k)| match pick {
-        0..=12 => TallyOp::Record(d, SegmentKind::ALL[k]),
-        13 => TallyOp::Malformed(d),
-        14 => TallyOp::Close,
-        _ => TallyOp::Checkpoint,
-    })
 }
 
 /// How a record's time follows the previous one in a period-clock run.
@@ -145,33 +121,6 @@ impl ClockModel {
     fn close(&mut self) {
         self.closed.push(std::mem::take(&mut self.pending));
         self.current += 1;
-    }
-}
-
-/// The sniffers' counts, tallied the obvious way: one named entry per
-/// interface and kind.
-#[derive(Debug, Default)]
-struct NaiveTally {
-    pending: HashMap<(Direction, SegmentKind), u64>,
-    lifetime: HashMap<(Direction, SegmentKind), u64>,
-    frames_seen: HashMap<Direction, u64>,
-    malformed: HashMap<Direction, u64>,
-}
-
-impl NaiveTally {
-    fn pending(&self, direction: Direction, kind: SegmentKind) -> u64 {
-        self.pending.get(&(direction, kind)).copied().unwrap_or(0)
-    }
-
-    fn close(&mut self) -> PeriodSignals {
-        let signals = PeriodSignals {
-            syn: self.pending(Direction::Outbound, SegmentKind::Syn),
-            synack: self.pending(Direction::Inbound, SegmentKind::SynAck),
-            fin: self.pending(Direction::Outbound, SegmentKind::Fin),
-            rst: self.pending(Direction::Outbound, SegmentKind::Rst),
-        };
-        self.pending.clear();
-        signals
     }
 }
 
@@ -299,63 +248,6 @@ proptest! {
             by_records.router().current_period(),
             by_source.router().current_period()
         );
-    }
-
-    /// The per-kind sniffer arrays count exactly what a naive tally of
-    /// named counters does: every closed period's signals, every pending
-    /// and lifetime per-kind count, `frames_seen` and `malformed`, with
-    /// period closes and checkpoint round-trips at arbitrary points.
-    #[test]
-    fn sniffer_counts_equal_a_naive_tally(
-        ops in proptest::collection::vec(arb_tally_op(), 0..400),
-    ) {
-        let mut router = LeafRouter::new(stub(), SimDuration::from_secs(20));
-        let detector = DetectorKind::Syndog.build(SynDogConfig::paper_default());
-        let mut naive = NaiveTally::default();
-        for op in ops {
-            match op {
-                TallyOp::Record(direction, kind) => {
-                    router.observe_record(&record(0, direction, kind));
-                    *naive.pending.entry((direction, kind)).or_default() += 1;
-                    *naive.lifetime.entry((direction, kind)).or_default() += 1;
-                    *naive.frames_seen.entry(direction).or_default() += 1;
-                }
-                TallyOp::Malformed(direction) => {
-                    router.observe_event(&FrameEvent {
-                        time: SimTime::ZERO,
-                        direction,
-                        kind: None,
-                    });
-                    *naive.malformed.entry(direction).or_default() += 1;
-                    *naive.frames_seen.entry(direction).or_default() += 1;
-                }
-                TallyOp::Close => prop_assert_eq!(router.take_period_sample(), naive.close()),
-                TallyOp::Checkpoint => {
-                    let json = Checkpoint::capture(&router, 0, &detector, &[], &[], None).to_json();
-                    let restored =
-                        SynDogAgent::restore(&Checkpoint::from_json(&json).unwrap()).unwrap();
-                    router = restored.router().clone();
-                }
-            }
-            for direction in [Direction::Inbound, Direction::Outbound] {
-                let sniffer = router.sniffer(direction);
-                for kind in SegmentKind::ALL {
-                    let lifetime = naive.lifetime.get(&(direction, kind)).copied().unwrap_or(0);
-                    prop_assert_eq!(sniffer.kind_count(kind), lifetime);
-                }
-                prop_assert_eq!(sniffer.syn_count(), naive.pending(direction, SegmentKind::Syn));
-                prop_assert_eq!(
-                    sniffer.synack_count(),
-                    naive.pending(direction, SegmentKind::SynAck)
-                );
-                prop_assert_eq!(sniffer.fin_count(), naive.pending(direction, SegmentKind::Fin));
-                prop_assert_eq!(sniffer.rst_count(), naive.pending(direction, SegmentKind::Rst));
-                let count = |tally: &HashMap<Direction, u64>| tally.get(&direction).copied();
-                prop_assert_eq!(sniffer.frames_seen(), count(&naive.frames_seen).unwrap_or(0));
-                prop_assert_eq!(sniffer.malformed(), count(&naive.malformed).unwrap_or(0));
-            }
-        }
-        prop_assert_eq!(router.take_period_sample(), naive.close());
     }
 
     /// The period clock places every record as `⌊t / t0⌋` does, for time

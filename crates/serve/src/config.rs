@@ -26,7 +26,7 @@
 use std::path::{Path, PathBuf};
 
 use syndog::{AnyDetector, DetectorKind, SynDogConfig};
-use syndog_router::checkpoint::crc32;
+use syndog_router::crc32;
 use syndog_router::{KeyMode, MitigationPolicy};
 
 /// The hot-reloadable operator settings.
@@ -54,7 +54,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Parses the `key = value` format (see the [module docs](self)).
+    /// Parses the `key = value` format (see the module docs).
     ///
     /// # Errors
     ///
@@ -153,11 +153,6 @@ impl ConfigWatcher {
             reloads: 0,
             reload_errors: 0,
         }
-    }
-
-    /// The config currently in force.
-    pub fn config(&self) -> ServeConfig {
-        self.config
     }
 
     /// Successful reloads so far.
@@ -265,7 +260,7 @@ mod tests {
         assert!(watcher.poll().is_some());
         std::fs::write(&path, "threshold = oops\n").unwrap();
         assert_eq!(watcher.poll(), None);
-        assert_eq!(watcher.config().threshold, 2.0, "old config survives");
+        assert_eq!(watcher.config.threshold, 2.0, "old config survives");
         assert_eq!(watcher.reload_errors(), 1);
         // The bad content is only counted once…
         assert_eq!(watcher.poll(), None);

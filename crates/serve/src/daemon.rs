@@ -307,7 +307,7 @@ impl ServeDaemon {
     }
 
     /// Runs one observation period for every stub. See the
-    /// [module docs](self) for the step's phases.
+    /// module docs for the step's phases.
     pub fn step_period(&mut self) {
         // (1) Hot-reload at the period boundary.
         if let Some(watcher) = &mut self.watcher {

@@ -56,11 +56,6 @@ impl CheckpointRotation {
         })
     }
 
-    /// The rotation directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Distinct generation sequence numbers on disk, ascending.
     fn scan(dir: &Path) -> std::io::Result<Vec<u64>> {
         let mut seqs: Vec<u64> = std::fs::read_dir(dir)?

@@ -21,7 +21,7 @@ use std::net::SocketAddrV4;
 use syndog_net::SegmentKind;
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_traffic::load::{attack_fingerprint, attack_mac};
-use syndog_traffic::trace::{Direction, Trace, TraceRecord};
+use syndog_traffic::{Direction, Trace, TraceRecord};
 use syndog_traffic::{LoadPlan, SiteProfile};
 
 /// A deterministic, window-addressed record source.
@@ -34,7 +34,7 @@ pub trait RecordSupply: Send {
     fn describe(&self) -> String;
 }
 
-/// [`RecordSupply`] over a scripted [`LoadPlan`] driving a
+/// `RecordSupply` over a scripted [`LoadPlan`] driving a
 /// [`SiteProfile`].
 #[derive(Debug, Clone)]
 pub struct PlanSupply {
@@ -75,7 +75,7 @@ impl RecordSupply for PlanSupply {
     }
 }
 
-/// [`RecordSupply`] replaying an owned [`Trace`] in an endless loop.
+/// `RecordSupply` replaying an owned [`Trace`] in an endless loop.
 #[derive(Debug, Clone)]
 pub struct LoopingTraceSupply {
     trace: Trace,
@@ -228,7 +228,6 @@ impl RecordSupply for FloodOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndog_traffic::LoadPhase;
 
     const T0: SimDuration = SimDuration::from_secs(20);
 
@@ -272,12 +271,7 @@ mod tests {
 
     #[test]
     fn flood_overlay_injects_only_inside_its_interval() {
-        let plan = LoadPlan::new(vec![LoadPhase::steady(
-            "quiet",
-            SimDuration::from_secs(3600),
-            0.0,
-            0.0,
-        )]);
+        let plan = LoadPlan::parse("phase quiet 3600s benign=0 attack=0").unwrap();
         let inner = PlanSupply::new(plan, SiteProfile::lbl(), 1);
         let mut supply = FloodOverlay::new(
             Box::new(inner),

@@ -4,13 +4,13 @@
 //! The paper evaluates SYN-dog with trace-driven simulation; this crate
 //! holds the pieces every generator and experiment shares:
 //!
-//! - [`time`] — microsecond-resolution [`SimTime`]/[`SimDuration`] newtypes,
-//! - [`rng`] — seeded randomness plus the distributions the traffic models
+//! - `time` — microsecond-resolution [`SimTime`]/[`SimDuration`] newtypes,
+//! - `rng` — seeded randomness plus the distributions the traffic models
 //!   need (exponential, Pareto, log-normal, normal), implemented by inverse
 //!   transform / Box–Muller so no external distribution crate is required,
-//! - [`stats`] — the per-period [`stats::TimeSeries`] behind every
+//! - `stats` — the per-period [`TimeSeries`] behind every
 //!   figure's CSV,
-//! - [`par`] — deterministic index-addressed parallelism for fleet runs and
+//! - `par` — deterministic index-addressed parallelism for fleet runs and
 //!   experiment sweeps (results are bit-identical for any worker count).
 //!
 //! # Example
@@ -25,11 +25,12 @@
 //! assert_eq!(t.as_secs_f64(), 45.0);
 //! ```
 
-pub mod par;
-pub mod rng;
-pub mod stats;
-pub mod time;
+mod par;
+mod rng;
+mod stats;
+mod time;
 
-pub use par::Parallelism;
+pub use par::{run_indexed, run_indexed_fold, set_max_jobs, Parallelism};
 pub use rng::{LogNormal, LogNormalDraw, SimRng};
+pub use stats::TimeSeries;
 pub use time::{SimDuration, SimTime};

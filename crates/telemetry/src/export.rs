@@ -237,7 +237,7 @@ pub fn render_jsonl(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Parses text produced by [`render_jsonl`] back into a [`Snapshot`].
+/// Parses text produced by `render_jsonl` back into a `Snapshot`.
 ///
 /// # Errors
 ///

@@ -7,18 +7,18 @@
 //! pieces:
 //!
 //! - **metrics** ([`Counter`], [`Gauge`], [`Histogram`] in a
-//!   [`Registry`]) — the record path is relaxed atomics only, safe to
+//!   `Registry`) — the record path is relaxed atomics only, safe to
 //!   call from the fleet's worker threads sharing one hub while a scrape
 //!   reads it;
-//! - **events** ([`EventLog`]) — a bounded ring of structured
-//!   [`Event`]s (alarm transitions, period closes) with sequence numbers
+//! - **events** (`EventLog`) — a bounded ring of structured
+//!   `Event`s (alarm transitions, period closes) with sequence numbers
 //!   and an explicit overwrite-loss counter, so dropped history is
 //!   observable rather than silent;
-//! - **exporters** ([`export`]) — Prometheus text exposition, JSON
-//!   Lines and CSV over one shared [`Snapshot`] shape, plus a std-only
+//! - **exporters** (`export`) — Prometheus text exposition, JSON
+//!   Lines and CSV over one shared `Snapshot` shape, plus a std-only
 //!   [`ScrapeServer`] HTTP endpoint.
 //!
-//! For fleet-scale deployments, [`budget`] adds label-cardinality
+//! For fleet-scale deployments, `budget` adds label-cardinality
 //! control: a [`LabelBudget`] decides when per-item labels give way to
 //! grouped rollup series plus a bounded [`TopK`] spotlight, so a
 //! 10k-agent fleet cannot explode a scrape.
@@ -37,30 +37,32 @@
 //! let snapshot = telemetry.snapshot();
 //! assert_eq!(snapshot.counter("syndog_periods_total", &[]), Some(1));
 //! assert_eq!(snapshot.events.len(), 1);
-//! let exposition = syndog_telemetry::export::render_prometheus(&snapshot);
+//! let exposition = syndog_telemetry::ExportFormat::Prometheus.render(&snapshot);
 //! assert!(exposition.contains("syndog_periods_total 1"));
 //! ```
 
-pub mod budget;
-pub mod events;
-pub mod export;
-pub mod metrics;
-pub mod registry;
-pub mod scrape;
-pub mod snapshot;
+mod budget;
+mod events;
+mod export;
+mod metrics;
+mod registry;
+mod scrape;
+mod snapshot;
 
 pub use budget::{LabelBudget, LabelMode, TopK};
-pub use events::{Event, EventLog, FieldValue};
-pub use export::ExportFormat;
+pub use events::FieldValue;
+pub use export::{parse_jsonl, ExportFormat};
 pub use metrics::{Counter, Gauge, Histogram};
-pub use registry::Registry;
 pub use scrape::{RouteHandler, ScrapeServer};
-pub use snapshot::{HistogramSnapshot, MetricValue, Snapshot};
+
+use events::EventLog;
+use registry::Registry;
+use snapshot::Snapshot;
 
 /// Default number of events retained by [`Telemetry::new`] — three hours
 /// of 20 s periods with room for transition events, small enough to stay
 /// memory-bounded under event storms.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
+const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 /// One registry plus one event log: the unit the whole stack reports
 /// into, shared behind an `Arc`.
@@ -86,7 +88,7 @@ impl Telemetry {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero (see [`EventLog::new`]).
+    /// Panics if `capacity` is zero (see `EventLog::new`).
     pub fn with_event_capacity(capacity: usize) -> Self {
         Telemetry {
             registry: Registry::new(),
@@ -104,7 +106,7 @@ impl Telemetry {
         &self.events
     }
 
-    /// Reads metrics and the retained event tail into one [`Snapshot`].
+    /// Reads metrics and the retained event tail into one `Snapshot`.
     pub fn snapshot(&self) -> Snapshot {
         let mut snapshot = self.registry.snapshot();
         snapshot.events = self.events.tail();

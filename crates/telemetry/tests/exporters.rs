@@ -2,8 +2,7 @@
 //! the exposition grammar (not just contain substrings), and JSONL
 //! snapshots must round-trip losslessly through the vendored serde_json.
 
-use syndog_telemetry::export::{parse_jsonl, render_jsonl, render_prometheus};
-use syndog_telemetry::{FieldValue, Snapshot, Telemetry};
+use syndog_telemetry::{parse_jsonl, ExportFormat, FieldValue, Telemetry};
 
 /// Builds a telemetry hub with every metric shape the stack registers.
 fn populated_telemetry() -> Telemetry {
@@ -131,7 +130,7 @@ fn parse_prometheus(text: &str) -> Result<Vec<Sample>, String> {
 #[test]
 fn prometheus_output_parses_by_the_exposition_grammar() {
     let telemetry = populated_telemetry();
-    let text = render_prometheus(&telemetry.snapshot());
+    let text = ExportFormat::Prometheus.render(&telemetry.snapshot());
     let samples = parse_prometheus(&text).expect("exposition must parse");
 
     let find = |name: &str| {
@@ -193,7 +192,7 @@ fn jsonl_snapshot_roundtrips_through_vendored_serde_json() {
     let snapshot = telemetry.snapshot();
     assert_eq!(snapshot.events_dropped, 6, "14 emitted, 8 retained");
 
-    let text = render_jsonl(&snapshot);
+    let text = ExportFormat::JsonLines.render(&snapshot);
     // One metrics line + one line per retained event.
     assert_eq!(text.lines().count(), 1 + snapshot.events.len());
     for line in text.lines() {
@@ -231,17 +230,17 @@ fn jsonl_parser_rejects_garbage() {
     assert!(parse_jsonl("{\"type\":\"event\"}").is_err());
     assert!(parse_jsonl("not json at all").is_err());
     let telemetry = Telemetry::new();
-    let line = render_jsonl(&telemetry.snapshot());
+    let line = ExportFormat::JsonLines.render(&telemetry.snapshot());
     let doubled = format!("{line}{line}");
     assert!(parse_jsonl(&doubled).is_err(), "duplicate snapshot line");
 }
 
 #[test]
 fn empty_snapshot_still_renders_everywhere() {
-    let snapshot = Snapshot::default();
-    let prom = render_prometheus(&snapshot);
+    let snapshot = Telemetry::new().snapshot();
+    let prom = ExportFormat::Prometheus.render(&snapshot);
     assert!(parse_prometheus(&prom).is_ok());
     assert!(prom.contains("syndog_events_dropped_total 0"));
-    let restored = parse_jsonl(&render_jsonl(&snapshot)).unwrap();
+    let restored = parse_jsonl(&ExportFormat::JsonLines.render(&snapshot)).unwrap();
     assert_eq!(restored, snapshot);
 }

@@ -15,7 +15,6 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     m: usize,
     k: u32,
-    inserted: u64,
 }
 
 fn mix64(mut x: u64) -> u64 {
@@ -50,7 +49,6 @@ impl BloomFilter {
             bits: vec![0; m.div_ceil(64)],
             m,
             k,
-            inserted: 0,
         }
     }
 
@@ -72,11 +70,6 @@ impl BloomFilter {
         Self::new(m.max(64), k)
     }
 
-    /// Items inserted so far.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
     /// Memory footprint of the bit array in bytes.
     pub fn byte_size(&self) -> usize {
         self.bits.len() * 8
@@ -94,7 +87,6 @@ impl BloomFilter {
         for pos in positions {
             self.bits[pos / 64] |= 1u64 << (pos % 64);
         }
-        self.inserted += 1;
     }
 
     /// Membership query: `false` is definitive, `true` may be a false
@@ -103,22 +95,16 @@ impl BloomFilter {
         self.positions(data)
             .all(|pos| self.bits[pos / 64] & (1u64 << (pos % 64)) != 0)
     }
-
-    /// Clears all bits (reuse across SPIE time windows).
-    pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|w| *w = 0);
-        self.inserted = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The classical false-positive estimate at the filter's load:
+    /// The classical false-positive estimate after `n` inserts:
     /// `(1 − e^{−kn/m})^k`.
-    fn estimated_fp_rate(bloom: &BloomFilter) -> f64 {
-        let exponent = -(f64::from(bloom.k) * bloom.inserted as f64) / bloom.m as f64;
+    fn estimated_fp_rate(bloom: &BloomFilter, n: u64) -> f64 {
+        let exponent = -(f64::from(bloom.k) * n as f64) / bloom.m as f64;
         (1.0 - exponent.exp()).powi(bloom.k as i32)
     }
 
@@ -131,7 +117,6 @@ mod tests {
         for i in 0..1000u32 {
             assert!(bloom.contains(&i.to_be_bytes()), "lost item {i}");
         }
-        assert_eq!(bloom.inserted(), 1000);
     }
 
     #[test]
@@ -150,7 +135,7 @@ mod tests {
             "fp rate {rate} suspiciously low — hashes broken?"
         );
         // The analytic estimate agrees with the design point.
-        let estimate = estimated_fp_rate(&bloom);
+        let estimate = estimated_fp_rate(&bloom, 10_000);
         assert!((0.002..0.03).contains(&estimate), "estimate {estimate}");
     }
 
@@ -161,17 +146,7 @@ mod tests {
             .filter(|i| bloom.contains(&i.to_be_bytes()))
             .count();
         assert_eq!(hits, 0);
-        assert_eq!(estimated_fp_rate(&bloom), 0.0);
-    }
-
-    #[test]
-    fn clear_resets_completely() {
-        let mut bloom = BloomFilter::new(512, 3);
-        bloom.insert(b"packet digest");
-        assert!(bloom.contains(b"packet digest"));
-        bloom.clear();
-        assert!(!bloom.contains(b"packet digest"));
-        assert_eq!(bloom.inserted(), 0);
+        assert_eq!(estimated_fp_rate(&bloom, 0), 0.0);
     }
 
     #[test]

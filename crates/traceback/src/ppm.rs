@@ -91,8 +91,6 @@ pub fn send_packet(path: &AttackPath, router: PpmRouter, rng: &mut SimRng) -> Op
 pub struct PpmCollector {
     /// Observed marks, keyed by distance, with observation counts.
     edges: HashMap<u8, HashMap<EdgeMark, u64>>,
-    packets_seen: u64,
-    marked_seen: u64,
 }
 
 impl PpmCollector {
@@ -103,9 +101,7 @@ impl PpmCollector {
 
     /// Records one arriving packet's mark field.
     pub fn collect(&mut self, mark: Option<EdgeMark>) {
-        self.packets_seen += 1;
         if let Some(mark) = mark {
-            self.marked_seen += 1;
             *self
                 .edges
                 .entry(mark.distance)
@@ -113,16 +109,6 @@ impl PpmCollector {
                 .entry(mark)
                 .or_insert(0) += 1;
         }
-    }
-
-    /// Packets observed so far.
-    pub fn packets_seen(&self) -> u64 {
-        self.packets_seen
-    }
-
-    /// Marked packets observed so far.
-    pub fn marked_seen(&self) -> u64 {
-        self.marked_seen
     }
 
     /// Attempts to reconstruct a single attack path of length `d` (hops):
@@ -290,8 +276,6 @@ mod tests {
         }));
         // Only distance 0 observed; a 3-hop path cannot reconstruct.
         assert!(collector.reconstruct(3).is_none());
-        assert_eq!(collector.marked_seen(), 1);
-        assert_eq!(collector.packets_seen(), 1);
     }
 
     #[test]

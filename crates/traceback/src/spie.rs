@@ -29,7 +29,6 @@ pub struct SpieRouter {
     digests: Vec<(u64, BloomFilter)>,
     capacity_per_window: usize,
     fp_rate: f64,
-    packets_digested: u64,
 }
 
 impl SpieRouter {
@@ -57,7 +56,6 @@ impl SpieRouter {
             digests: Vec::new(),
             capacity_per_window,
             fp_rate,
-            packets_digested: 0,
         }
     }
 
@@ -69,11 +67,6 @@ impl SpieRouter {
     /// Total digest memory currently held, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.digests.iter().map(|(_, b)| b.byte_size()).sum()
-    }
-
-    /// Packets digested over this router's lifetime.
-    pub fn packets_digested(&self) -> u64 {
-        self.packets_digested
     }
 
     fn window_index(&self, at: SimTime) -> u64 {
@@ -99,7 +92,6 @@ impl SpieRouter {
     pub fn digest(&mut self, at: SimTime, packet: &[u8]) {
         let index = self.window_index(at);
         self.filter_for(index).insert(packet);
-        self.packets_digested += 1;
     }
 
     /// Answers a traceback query: was `packet` forwarded here during the
@@ -241,7 +233,6 @@ mod tests {
         assert!(router.query(SimTime::from_secs(9 * 60 + 1), &9u64.to_be_bytes()));
         assert!(router.query(SimTime::from_secs(8 * 60 + 1), &8u64.to_be_bytes()));
         assert!(!router.query(SimTime::from_secs(60 + 1), &1u64.to_be_bytes()));
-        assert_eq!(router.packets_digested(), 10);
         let two_windows = router.memory_bytes();
         // Memory stays bounded by the retention limit.
         for minute in 10..50u64 {

@@ -11,9 +11,7 @@
 //!   switches create burstiness on the timescale of its dwell times,
 //! - [`ParetoOnOffArrivals`] — a superposition of heavy-tailed on/off
 //!   sources, the standard construction of self-similar traffic (validated
-//!   by a Hurst-exponent test),
-//! - [`DiurnalArrivals`] — any base model modulated by a time-of-day
-//!   profile, for the slow large-timescale variation the paper notes.
+//!   by a Hurst-exponent test).
 //!
 //! All models generate full arrival *timestamp* sequences so the handshake
 //! simulator can place every SYN precisely; all randomness flows through a
@@ -247,65 +245,10 @@ impl ArrivalModel for ParetoOnOffArrivals {
     }
 }
 
-/// Wraps a base model with a sinusoidal time-of-day modulation applied by
-/// thinning: arrivals are kept with probability
-/// `1 + depth·sin(2π(t + phase)/period)` normalized to ≤ 1.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiurnalArrivals<M> {
-    base: M,
-    depth: f64,
-    period_secs: f64,
-    phase_secs: f64,
-}
-
-impl<M: ArrivalModel> DiurnalArrivals<M> {
-    /// Modulates `base` with relative amplitude `depth` in `[0, 1)` and the
-    /// given cycle period. The base model should be over-provisioned by
-    /// `1/(1 − depth)` if the peak rate matters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ depth < 1` and `period_secs > 0`.
-    pub fn new(base: M, depth: f64, period_secs: f64, phase_secs: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&depth),
-            "depth must lie in [0, 1), got {depth}"
-        );
-        assert!(
-            period_secs > 0.0,
-            "period must be positive, got {period_secs}"
-        );
-        DiurnalArrivals {
-            base,
-            depth,
-            period_secs,
-            phase_secs,
-        }
-    }
-}
-
-impl<M: ArrivalModel> ArrivalModel for DiurnalArrivals<M> {
-    fn generate(&self, duration: SimDuration, rng: &mut SimRng) -> Vec<SimTime> {
-        self.base
-            .generate(duration, rng)
-            .into_iter()
-            .filter(|t| {
-                let phase = (t.as_secs_f64() + self.phase_secs) / self.period_secs;
-                let factor =
-                    (1.0 + self.depth * (std::f64::consts::TAU * phase).sin()) / (1.0 + self.depth);
-                rng.chance(factor)
-            })
-            .collect()
-    }
-
-    fn mean_rate(&self) -> f64 {
-        self.base.mean_rate() / (1.0 + self.depth)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{autocorrelation, hurst_rs};
 
     fn bin_per_second(arrivals: &[SimTime], duration_secs: usize) -> Vec<f64> {
         let mut bins = vec![0.0; duration_secs];
@@ -349,19 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_modulation_shifts_volume_across_the_cycle() {
-        let mut rng = SimRng::seed_from_u64(8);
-        let model = DiurnalArrivals::new(PoissonArrivals::new(100.0), 0.6, 1000.0, 0.0);
-        let arrivals = model.generate(SimDuration::from_secs(1000), &mut rng);
-        let bins = bin_per_second(&arrivals, 1000);
-        // First half-cycle (sin > 0) must carry more than the second.
-        let first: f64 = bins[..500].iter().sum();
-        let second: f64 = bins[500..].iter().sum();
-        assert!(first > second * 1.5, "first {first}, second {second}");
-        assert!((model.mean_rate() - 62.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn determinism_under_fixed_seed() {
         let model = MmppArrivals::bursty(20.0, 4.0, 30.0, 10.0);
         let a = model.generate(SimDuration::from_secs(100), &mut SimRng::seed_from_u64(99));
@@ -379,5 +309,50 @@ mod tests {
     #[should_panic(expected = "two states")]
     fn mmpp_rejects_single_state() {
         let _ = MmppArrivals::new(vec![(1.0, 1.0)]);
+    }
+
+    #[test]
+    fn poisson_counts_are_uncorrelated() {
+        let mut rng = SimRng::seed_from_u64(3);
+        let arrivals = PoissonArrivals::new(30.0).generate(SimDuration::from_secs(2000), &mut rng);
+        let bins = bin_per_second(&arrivals, 2000);
+        assert!(autocorrelation(&bins, 1).abs() < 0.05);
+    }
+
+    #[test]
+    fn mmpp_counts_are_bursty() {
+        let mut rng = SimRng::seed_from_u64(5);
+        let model = MmppArrivals::bursty(10.0, 10.0, 60.0, 20.0);
+        let arrivals = model.generate(SimDuration::from_secs(4000), &mut rng);
+        let bins = bin_per_second(&arrivals, 4000);
+        // Strong positive short-lag correlation distinguishes MMPP from
+        // Poisson.
+        assert!(autocorrelation(&bins, 1) > 0.4);
+    }
+
+    #[test]
+    fn pareto_on_off_rate_and_self_similarity() {
+        let mut rng = SimRng::seed_from_u64(6);
+        let model = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4);
+        assert!((model.mean_rate() - 64.0).abs() < 1e-9);
+        let arrivals = model.generate(SimDuration::from_secs(4096), &mut rng);
+        let rate = arrivals.len() as f64 / 4096.0;
+        assert!((rate / 64.0 - 1.0).abs() < 0.25, "rate {rate}");
+        let bins = bin_per_second(&arrivals, 4096);
+        let h = hurst_rs(&bins).unwrap();
+        // Theory: H = (3 − 1.4)/2 = 0.8; accept a generous band but insist
+        // it is clearly above the short-range 0.5.
+        assert!(h > 0.65, "hurst {h}");
+    }
+
+    #[test]
+    fn poisson_hurst_is_lower_than_pareto_on_off() {
+        let mut rng = SimRng::seed_from_u64(7);
+        let poisson = PoissonArrivals::new(64.0).generate(SimDuration::from_secs(4096), &mut rng);
+        let onoff = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4)
+            .generate(SimDuration::from_secs(4096), &mut rng);
+        let hp = hurst_rs(&bin_per_second(&poisson, 4096)).unwrap();
+        let ho = hurst_rs(&bin_per_second(&onoff, 4096)).unwrap();
+        assert!(ho > hp + 0.1, "poisson {hp}, on/off {ho}");
     }
 }

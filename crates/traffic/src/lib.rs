@@ -6,16 +6,15 @@
 //! redistributable, so this crate provides calibrated synthetic equivalents
 //! plus everything needed to generate them:
 //!
-//! - [`arrival`] — connection arrival models: Poisson, Markov-modulated
-//!   (MMPP), heavy-tailed Pareto on/off superposition (self-similar), and
-//!   diurnal modulation,
-//! - [`connection`] — the TCP three-way-handshake state machine with SYN
+//! - `arrival` — connection arrival models: Poisson, Markov-modulated
+//!   (MMPP) and a heavy-tailed Pareto on/off superposition (self-similar),
+//! - `connection` — the TCP three-way-handshake state machine with SYN
 //!   loss, exponential-backoff retransmission and SYN/ACK loss — the
 //!   mechanics behind the SYN–SYN/ACK pairing SYN-dog relies on,
-//! - [`server`] — a victim TCP server with a finite backlog of half-open
+//! - `server` — a victim TCP server with a finite backlog of half-open
 //!   connections and the 75 s handshake timeout, for demonstrating what a
 //!   flood actually does,
-//! - [`trace`] — timestamped segment records, per-period aggregation,
+//! - `trace` — timestamped segment records, per-period aggregation,
 //!   binary/CSV serialization, and a pcap bridge that synthesizes real
 //!   packets,
 //! - [`sites`] — the four calibrated site profiles ([`sites::SiteProfile`])
@@ -26,7 +25,7 @@
 //!
 //! ```
 //! use syndog_sim::SimRng;
-//! use syndog_traffic::sites::SiteProfile;
+//! use syndog_traffic::SiteProfile;
 //!
 //! let mut rng = SimRng::seed_from_u64(7);
 //! let unc = SiteProfile::unc();
@@ -37,15 +36,18 @@
 //! assert!((1800.0..2500.0).contains(&mean));
 //! ```
 
-pub mod arrival;
-pub mod connection;
+mod arrival;
+mod connection;
 pub mod load;
-pub mod server;
+mod server;
 pub mod sites;
-pub mod trace;
+mod trace;
 
-pub use arrival::ArrivalModel;
-pub use connection::ConnectionParams;
-pub use load::{LoadPhase, LoadPlan};
+pub use load::LoadPlan;
+pub use server::{BacklogConfig, SynVerdict, VictimServer};
 pub use sites::SiteProfile;
 pub use trace::{Direction, PeriodSample, RecordReader, Trace, TraceRecord};
+
+#[cfg(test)]
+#[path = "tests/stats.rs"]
+mod stats;

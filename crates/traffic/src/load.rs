@@ -75,7 +75,7 @@ pub struct LoadPhase {
 
 impl LoadPhase {
     /// A steady phase: constant benign scale and attack rate throughout.
-    pub fn steady(name: &str, duration: SimDuration, benign: f64, attack: f64) -> Self {
+    pub(crate) fn steady(name: &str, duration: SimDuration, benign: f64, attack: f64) -> Self {
         LoadPhase {
             name: name.to_string(),
             duration,
@@ -117,7 +117,7 @@ impl LoadPlan {
     ///
     /// Panics if `phases` is empty or any phase has zero duration — a
     /// cyclic plan must advance time every cycle.
-    pub fn new(phases: Vec<LoadPhase>) -> Self {
+    pub(crate) fn new(phases: Vec<LoadPhase>) -> Self {
         assert!(!phases.is_empty(), "a load plan needs at least one phase");
         assert!(
             phases.iter().all(|p| p.duration > SimDuration::ZERO),
@@ -151,11 +151,6 @@ impl LoadPlan {
         &self.phases
     }
 
-    /// The victim address attack SYNs are aimed at.
-    pub fn attack_target(&self) -> SocketAddrV4 {
-        self.attack_target
-    }
-
     /// One full cycle through every phase.
     pub fn cycle_duration(&self) -> SimDuration {
         self.phases
@@ -165,7 +160,7 @@ impl LoadPlan {
 
     /// The `(phase index, benign scale, attack rate)` in force at `at`,
     /// wrapping past the last phase back to the first.
-    pub fn at(&self, at: SimTime) -> (usize, f64, f64) {
+    pub(crate) fn at(&self, at: SimTime) -> (usize, f64, f64) {
         let cycle = self.cycle_duration().as_micros();
         let mut offset = (at - SimTime::ZERO).as_micros() % cycle;
         for (index, phase) in self.phases.iter().enumerate() {
@@ -277,28 +272,6 @@ impl LoadPlan {
             return Err(format!("phase {} has zero duration", phase.name));
         }
         Ok(LoadPlan::new(phases))
-    }
-
-    /// Renders the plan back to its text format; `parse ∘ render = id`.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for phase in &self.phases {
-            let ramp = |a: f64, b: f64| {
-                if (a - b).abs() < f64::EPSILON {
-                    format!("{a}")
-                } else {
-                    format!("{a}..{b}")
-                }
-            };
-            out.push_str(&format!(
-                "phase {} {}s benign={} attack={}\n",
-                phase.name,
-                phase.duration.as_secs_f64(),
-                ramp(phase.benign_start, phase.benign_end),
-                ramp(phase.attack_start, phase.attack_end),
-            ));
-        }
-        out
     }
 }
 
@@ -455,7 +428,7 @@ mod tests {
         assert_eq!(attack.len(), 720);
         assert!(attack
             .iter()
-            .all(|r| r.kind == SegmentKind::Syn && r.dst == plan.attack_target()));
+            .all(|r| r.kind == SegmentKind::Syn && r.dst == plan.attack_target));
         // Quiet windows have none.
         let quiet = plan.window_records(&profile, 0, T0, 7);
         assert!(quiet.iter().all(|r| r.src_mac != attack_mac()));
@@ -512,8 +485,6 @@ phase flood 300s benign=2 attack=0..40
         assert_eq!(plan.phases().len(), 3);
         assert_eq!(plan.phases()[1].benign_end, 2.0);
         assert_eq!(plan.phases()[2].attack_end, 40.0);
-        let rendered = plan.render();
-        assert_eq!(LoadPlan::parse(&rendered).unwrap(), plan);
     }
 
     #[test]

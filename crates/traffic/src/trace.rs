@@ -15,8 +15,8 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 
 use serde::{Deserialize, Serialize};
 use syndog_fingerprint::syn_key;
-use syndog_net::packet::PacketBuilder;
 use syndog_net::pcap::{PcapFrame, PcapReader, PcapWriter};
+use syndog_net::PacketBuilder;
 use syndog_net::{Ipv4Net, MacAddr, NetError, PacketView, SegmentKind, TcpFlags};
 use syndog_sim::{SimDuration, SimTime};
 
@@ -372,7 +372,7 @@ impl Trace {
             SegmentKind::NonTcp => TcpFlags::EMPTY,
         };
         if r.kind == SegmentKind::NonTcp {
-            PacketBuilder::non_tcp(*r.src.ip(), *r.dst.ip(), syndog_net::ipv4::PROTO_UDP)
+            PacketBuilder::non_tcp(*r.src.ip(), *r.dst.ip(), syndog_net::PROTO_UDP)
                 .src_mac(r.src_mac)
                 .build_into(frame)
         } else if r.kind == SegmentKind::Syn && r.fp != 0 {
@@ -483,9 +483,9 @@ impl<R: Read> RecordReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::BadMagic`], [`TraceError::Truncated`] or
-    /// [`TraceError::InvalidRecord`] for a malformed header, and
-    /// [`TraceError::Io`] for a read that fails for any other reason.
+    /// Returns `TraceError::BadMagic`, `TraceError::Truncated` or
+    /// `TraceError::InvalidRecord` for a malformed header, and
+    /// `TraceError::Io` for a read that fails for any other reason.
     pub fn binary(mut reader: R) -> Result<Self, TraceError> {
         let mut head = [0u8; 4 + 2 + 8 + 8];
         reader.read_exact(&mut head).map_err(read_error)?;
@@ -844,7 +844,7 @@ mod tests {
 
     #[test]
     fn fingerprint_survives_binary_and_pcap() {
-        let fp = syndog_fingerprint::os_mix::windows().to_bits();
+        let fp = syndog_fingerprint::os_mix::for_host(0, 0).to_bits();
         let t = Trace::from_records(
             vec![
                 rec(0.5, Direction::Outbound, SegmentKind::Syn)

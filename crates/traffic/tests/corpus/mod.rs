@@ -6,7 +6,7 @@ use std::net::SocketAddrV4;
 
 use proptest::prelude::*;
 use syndog_net::pcap::{PcapFrame, PcapWriter};
-use syndog_net::tcp::TcpOption;
+use syndog_net::TcpOption;
 use syndog_net::{MacAddr, PacketBuilder, TcpFlags};
 
 /// The stub prefix the corpus addresses inbound frames into.
@@ -37,7 +37,7 @@ pub fn base_frame(shape: u8, inbound: bool, host: u16) -> Vec<u8> {
         3 => PacketBuilder::tcp(src, dst, TcpFlags::ACK | TcpFlags::PSH).payload(vec![7u8; 40]),
         4 => PacketBuilder::tcp(src, dst, TcpFlags::FIN | TcpFlags::ACK),
         5 => PacketBuilder::tcp(src, dst, TcpFlags::RST),
-        6 => PacketBuilder::non_tcp(*src.ip(), *dst.ip(), syndog_net::ipv4::PROTO_UDP)
+        6 => PacketBuilder::non_tcp(*src.ip(), *dst.ip(), syndog_net::PROTO_UDP)
             .payload(vec![1u8; 24]),
         7 => PacketBuilder::tcp(src, dst, TcpFlags::SYN)
             .fragment_offset(3)
@@ -80,7 +80,7 @@ fn splice_ip_options(frame: &mut Vec<u8>, options: &[u8]) {
     let total_len = u16::from_be_bytes([frame[16], frame[17]]) + options.len() as u16;
     frame[16..18].copy_from_slice(&total_len.to_be_bytes());
     frame[24..26].copy_from_slice(&[0, 0]);
-    let checksum = syndog_net::ipv4::internet_checksum(&frame[14..14 + header_len]);
+    let checksum = internet_checksum(&frame[14..14 + header_len]);
     frame[24..26].copy_from_slice(&checksum.to_be_bytes());
 }
 
@@ -170,4 +170,14 @@ pub fn capture(frames: &[FrameSpec]) -> Vec<u8> {
     }
     writer.flush().expect("in-memory flush");
     file
+}
+
+/// The RFC 1071 Internet checksum of `data` (an even-length header).
+fn internet_checksum(data: &[u8]) -> u16 {
+    let sum = data
+        .chunks(2)
+        .map(|pair| u32::from(u16::from_be_bytes([pair[0], pair[1]])))
+        .sum::<u32>();
+    let folded = (sum & 0xffff) + (sum >> 16);
+    !((folded & 0xffff) + (folded >> 16)) as u16
 }

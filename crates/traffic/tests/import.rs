@@ -7,14 +7,11 @@
 use std::net::SocketAddrV4;
 
 use proptest::prelude::*;
-use syndog_fingerprint::{
-    extract_syn, syn_key, QUIRK_ACK_NONZERO, QUIRK_DF, QUIRK_ECN, QUIRK_NONZERO_ID, QUIRK_PUSH,
-    QUIRK_SEQ_ZERO, QUIRK_URG,
-};
+use syndog_fingerprint::{extract_syn, syn_key};
 use syndog_net::pcap::PcapReader;
 use syndog_net::{classify, Ipv4Net, Packet, PacketView, SegmentKind};
 use syndog_sim::{SimDuration, SimTime};
-use syndog_traffic::trace::{Direction, Trace, TraceRecord};
+use syndog_traffic::{Direction, Trace, TraceRecord};
 
 mod corpus;
 
@@ -102,16 +99,9 @@ fn corpus_covers_ip_options_and_every_quirk() {
 
     let quirky = base_frame(9, false, 7);
     let key = syn_key(&PacketView::parse(&quirky).unwrap()).unwrap();
-    assert_eq!(
-        key.quirks,
-        QUIRK_DF
-            | QUIRK_NONZERO_ID
-            | QUIRK_ECN
-            | QUIRK_URG
-            | QUIRK_PUSH
-            | QUIRK_ACK_NONZERO
-            | QUIRK_SEQ_ZERO
-    );
+    // DF, a nonzero IP ID, ECN, URG, PSH, a nonzero ACK field and a zero
+    // sequence number: bits 0, 1, 3, 7, 8, 5 and 4 of the quirk mask.
+    assert_eq!(key.quirks, 0x1bb);
     assert_eq!(Some(key), extract_syn(&quirky));
 }
 

@@ -1,102 +1,12 @@
 //! Statistical validation of the traffic substrate: the properties the
 //! paper's argument rests on, measured on generated traffic at scale.
 
-use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::arrival::{ArrivalModel, MmppArrivals, ParetoOnOffArrivals, PoissonArrivals};
-use syndog_traffic::sites::SiteProfile;
+use syndog_sim::SimRng;
+use syndog_traffic::SiteProfile;
 
-/// Estimates the Hurst exponent of a series by rescaled-range (R/S)
-/// analysis.
-///
-/// The series is divided into blocks of several sizes; for each size the
-/// mean R/S statistic is computed, and the exponent is the slope of
-/// log(R/S) against log(size) by least squares. Values near 0.5 indicate
-/// short-range dependence; self-similar traffic shows 0.7–0.9.
-///
-/// Returns `None` for series shorter than 32 points or without variation.
-fn hurst_rs(series: &[f64]) -> Option<f64> {
-    if series.len() < 32 {
-        return None;
-    }
-    let mut points = Vec::new();
-    let mut size = 8usize;
-    while size <= series.len() / 2 {
-        let mut rs_values = Vec::new();
-        for block in series.chunks_exact(size) {
-            if let Some(rs) = rescaled_range(block) {
-                rs_values.push(rs);
-            }
-        }
-        if !rs_values.is_empty() {
-            let mean_rs = rs_values.iter().sum::<f64>() / rs_values.len() as f64;
-            if mean_rs > 0.0 {
-                points.push(((size as f64).ln(), mean_rs.ln()));
-            }
-        }
-        size *= 2;
-    }
-    if points.len() < 2 {
-        return None;
-    }
-    Some(least_squares_slope(&points))
-}
-
-fn rescaled_range(block: &[f64]) -> Option<f64> {
-    let n = block.len() as f64;
-    let mean = block.iter().sum::<f64>() / n;
-    let std = (block.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
-    if std == 0.0 {
-        return None;
-    }
-    let mut cumulative = 0.0;
-    let mut max_dev: f64 = f64::NEG_INFINITY;
-    let mut min_dev: f64 = f64::INFINITY;
-    for &x in block {
-        cumulative += x - mean;
-        max_dev = max_dev.max(cumulative);
-        min_dev = min_dev.min(cumulative);
-    }
-    Some((max_dev - min_dev) / std)
-}
-
-fn least_squares_slope(points: &[(f64, f64)]) -> f64 {
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|(x, _)| x).sum();
-    let sy: f64 = points.iter().map(|(_, y)| y).sum();
-    let sxx: f64 = points.iter().map(|(x, _)| x * x).sum();
-    let sxy: f64 = points.iter().map(|(x, y)| x * y).sum();
-    (n * sxy - sx * sy) / (n * sxx - sx * sx)
-}
-
-/// Sample autocorrelation of a series at the given lag.
-///
-/// Returns 0 for series shorter than `lag + 2` or with zero variance.
-fn autocorrelation(series: &[f64], lag: usize) -> f64 {
-    if series.len() < lag + 2 {
-        return 0.0;
-    }
-    let n = series.len();
-    let mean = series.iter().sum::<f64>() / n as f64;
-    let denom: f64 = series.iter().map(|x| (x - mean).powi(2)).sum();
-    if denom == 0.0 {
-        return 0.0;
-    }
-    let numer: f64 = (0..n - lag)
-        .map(|i| (series[i] - mean) * (series[i + lag] - mean))
-        .sum();
-    numer / denom
-}
-
-fn bin_per_second(arrivals: &[SimTime], duration_secs: usize) -> Vec<f64> {
-    let mut bins = vec![0.0; duration_secs];
-    for t in arrivals {
-        let idx = t.as_secs_f64() as usize;
-        if idx < bins.len() {
-            bins[idx] += 1.0;
-        }
-    }
-    bins
-}
+#[path = "../src/tests/stats.rs"]
+mod stats;
+use stats::{autocorrelation, hurst_rs};
 
 #[test]
 fn autocorrelation_of_iid_is_near_zero() {
@@ -123,25 +33,6 @@ fn autocorrelation_degenerate_inputs() {
     assert_eq!(autocorrelation(&[], 1), 0.0);
     assert_eq!(autocorrelation(&[1.0, 1.0, 1.0, 1.0], 1), 0.0); // zero variance
     assert_eq!(autocorrelation(&[1.0, 2.0], 5), 0.0); // lag too large
-}
-
-#[test]
-fn poisson_counts_are_uncorrelated() {
-    let mut rng = SimRng::seed_from_u64(3);
-    let arrivals = PoissonArrivals::new(30.0).generate(SimDuration::from_secs(2000), &mut rng);
-    let bins = bin_per_second(&arrivals, 2000);
-    assert!(autocorrelation(&bins, 1).abs() < 0.05);
-}
-
-#[test]
-fn mmpp_counts_are_bursty() {
-    let mut rng = SimRng::seed_from_u64(5);
-    let model = MmppArrivals::bursty(10.0, 10.0, 60.0, 20.0);
-    let arrivals = model.generate(SimDuration::from_secs(4000), &mut rng);
-    let bins = bin_per_second(&arrivals, 4000);
-    // Strong positive short-lag correlation distinguishes MMPP from
-    // Poisson.
-    assert!(autocorrelation(&bins, 1) > 0.4);
 }
 
 #[test]
@@ -172,32 +63,6 @@ fn hurst_of_integrated_noise_is_high() {
 fn hurst_rejects_short_or_flat_series() {
     assert_eq!(hurst_rs(&[1.0; 10]), None);
     assert_eq!(hurst_rs(&[2.5; 64]), None);
-}
-
-#[test]
-fn pareto_on_off_rate_and_self_similarity() {
-    let mut rng = SimRng::seed_from_u64(6);
-    let model = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4);
-    assert!((model.mean_rate() - 64.0).abs() < 1e-9);
-    let arrivals = model.generate(SimDuration::from_secs(4096), &mut rng);
-    let rate = arrivals.len() as f64 / 4096.0;
-    assert!((rate / 64.0 - 1.0).abs() < 0.25, "rate {rate}");
-    let bins = bin_per_second(&arrivals, 4096);
-    let h = hurst_rs(&bins).unwrap();
-    // Theory: H = (3 − 1.4)/2 = 0.8; accept a generous band but insist
-    // it is clearly above the short-range 0.5.
-    assert!(h > 0.65, "hurst {h}");
-}
-
-#[test]
-fn poisson_hurst_is_lower_than_pareto_on_off() {
-    let mut rng = SimRng::seed_from_u64(7);
-    let poisson = PoissonArrivals::new(64.0).generate(SimDuration::from_secs(4096), &mut rng);
-    let onoff = ParetoOnOffArrivals::new(64, 4.0, 2.0, 6.0, 1.4)
-        .generate(SimDuration::from_secs(4096), &mut rng);
-    let hp = hurst_rs(&bin_per_second(&poisson, 4096)).unwrap();
-    let ho = hurst_rs(&bin_per_second(&onoff, 4096)).unwrap();
-    assert!(ho > hp + 0.1, "poisson {hp}, on/off {ho}");
 }
 
 fn syn_series(site: &SiteProfile, seed: u64) -> Vec<f64> {

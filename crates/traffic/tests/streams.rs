@@ -9,7 +9,7 @@ use syndog_fingerprint::extract_syn;
 use syndog_net::{MacAddr, SegmentKind};
 use syndog_sim::{SimDuration, SimRng, SimTime};
 use syndog_traffic::load::attack_fingerprint;
-use syndog_traffic::sites::SiteProfile;
+use syndog_traffic::SiteProfile;
 use syndog_traffic::{Direction, Trace, TraceRecord};
 
 // Only the frame shapes are used here; the rest serves the importer tests.

@@ -14,7 +14,7 @@
 use syndog::{PeriodCounts, SynDogConfig, SynDogDetector};
 use syndog_attack::DdosCampaign;
 use syndog_sim::{SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
 fn main() {
     let site = SiteProfile::auckland();

@@ -10,7 +10,9 @@
 //! (a = 0.2, N = 0.6) empirically: better sensitivity, still zero false
 //! alarms.
 
-use syndog::{theory, PeriodCounts, SynDogConfig, SynDogDetector};
+use syndog::{
+    expected_delay_periods, min_detectable_rate, PeriodCounts, SynDogConfig, SynDogDetector,
+};
 use syndog_sim::SimRng;
 use syndog_traffic::SiteProfile;
 
@@ -29,11 +31,11 @@ fn main() {
         (0.5, 1.5),
         (0.7, 2.1),
     ] {
-        let f_min = theory::min_detectable_rate(a, c, k, 20.0);
+        let f_min = min_detectable_rate(a, c, k, 20.0);
         let config = SynDogConfig::paper_default()
             .with_offset(a)
             .with_threshold(n);
-        let bound = theory::expected_delay_periods(&config, 2.0 * f_min, k, c);
+        let bound = expected_delay_periods(&config, 2.0 * f_min, k, c);
         println!(
             "{a:>6.2} {n:>6.2}  {f_min:>13.1}   {}",
             bound

@@ -15,8 +15,8 @@ use syndog_attack::SynFlood;
 use syndog_net::{Ipv4Net, MacAddr};
 use syndog_router::{SourceLocator, SynDogAgent};
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
 use syndog_traffic::RecordReader;
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let site = SiteProfile::auckland();

@@ -11,7 +11,7 @@
 use syndog::{PeriodCounts, SynDogConfig, SynDogDetector};
 use syndog_attack::SynFlood;
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
 fn main() {
     let site = SiteProfile::unc();

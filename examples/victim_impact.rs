@@ -14,8 +14,8 @@
 use syndog::{PeriodCounts, SynDogConfig, SynDogDetector};
 use syndog_attack::SynFlood;
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::server::{BacklogConfig, SynVerdict, VictimServer};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
+use syndog_traffic::{BacklogConfig, SynVerdict, VictimServer};
 
 fn main() {
     // --- Victim side -----------------------------------------------------

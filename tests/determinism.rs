@@ -5,7 +5,7 @@
 use syndog::{PeriodCounts, SynDogConfig, SynDogDetector};
 use syndog_attack::SynFlood;
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
 #[test]
 fn site_traces_are_seed_deterministic() {

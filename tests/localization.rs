@@ -7,7 +7,7 @@ use syndog_attack::{SpoofStrategy, SynFlood};
 use syndog_net::MacAddr;
 use syndog_router::{SourceLocator, SynDogAgent};
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
 fn flood(rate: f64, mac: MacAddr, start_period: u64) -> SynFlood {
     SynFlood::constant(
@@ -77,7 +77,10 @@ fn fully_random_spoofing_still_attributed_by_mac() {
     let site = SiteProfile::auckland();
     let mut rng = SimRng::seed_from_u64(23);
     let attacker = MacAddr::for_host(0xdd, 4);
-    let f = flood(20.0, attacker, 0).with_spoof(SpoofStrategy::RandomAny);
+    let f = SynFlood {
+        spoof: SpoofStrategy::RandomAny,
+        ..flood(20.0, attacker, 0)
+    };
     let trace = f.generate_trace(&mut rng);
     let mut locator = SourceLocator::new(site.stub());
     locator.arm();

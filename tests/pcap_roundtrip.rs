@@ -7,7 +7,7 @@ use syndog_attack::SynFlood;
 use syndog_net::{Ipv4Net, MacAddr};
 use syndog_router::SynDogAgent;
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 use syndog_traffic::{RecordReader, Trace};
 
 fn roundtrip(trace: &Trace, stub: Ipv4Net) -> Trace {

@@ -1,12 +1,12 @@
 //! Full-pipeline integration: traffic generation → flood injection →
 //! leaf router → sniffers → normalization → CUSUM → alarm → localization.
 
-use syndog::{theory, SynDogConfig};
+use syndog::{expected_delay_periods, SynDogConfig};
 use syndog_attack::{DdosCampaign, SynFlood};
 use syndog_net::MacAddr;
 use syndog_router::{SourceLocator, SynDogAgent};
 use syndog_sim::{SimDuration, SimRng, SimTime};
-use syndog_traffic::sites::{SiteProfile, OBSERVATION_PERIOD};
+use syndog_traffic::{sites::OBSERVATION_PERIOD, SiteProfile};
 
 fn flooded_trace(
     site: &SiteProfile,
@@ -71,9 +71,8 @@ fn unc_flood_detection_delay_matches_theory() {
     agent.run_trace(&trace);
     let alarm = agent.first_alarm().expect("60 SYN/s at UNC must be caught");
     let delay = alarm.period - 20;
-    let predicted =
-        theory::expected_delay_periods(&config, rate, site.expected_k(), site.residual_mean())
-            .expect("rate above f_min");
+    let predicted = expected_delay_periods(&config, rate, site.expected_k(), site.residual_mean())
+        .expect("rate above f_min");
     // Measured delay within ±2 periods of the Eq. 7 estimate.
     assert!(
         (delay as f64 - predicted).abs() <= 2.0,

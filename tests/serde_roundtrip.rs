@@ -2,10 +2,8 @@
 //! records and summaries survive JSON serialization bit-for-bit, so
 //! experiment results can be archived and replayed.
 
-use syndog::fin_pair::SynFinCounts;
-use syndog::metrics::{DetectionSummary, TrialOutcome};
 use syndog::{Detection, PeriodCounts, SynDogConfig, SynDogDetector};
-use syndog_router::AttackEpisode;
+use syndog::{DetectionSummary, TrialOutcome};
 use syndog_sim::{SimDuration, SimTime};
 
 fn roundtrip<T>(value: &T) -> T
@@ -70,13 +68,6 @@ fn metrics_and_episodes_roundtrip() {
     assert_eq!(roundtrip(&outcome), outcome);
     let summary = DetectionSummary::from_trials(&[outcome]);
     assert_eq!(roundtrip(&summary), summary);
-    let episode = AttackEpisode {
-        onset_period: 14,
-        alarm_period: 19,
-        end_period: Some(60),
-        peak_statistic: 3.5,
-    };
-    assert_eq!(roundtrip(&episode), episode);
 }
 
 #[test]
@@ -88,14 +79,4 @@ fn sim_time_types_roundtrip_as_integers() {
     // The representation is the raw microsecond count — stable across
     // versions.
     assert_eq!(serde_json::to_string(&d).unwrap(), "20500000");
-}
-
-#[test]
-fn fin_pair_counts_roundtrip() {
-    let counts = SynFinCounts {
-        syn: 100,
-        fin: 90,
-        rst: 8,
-    };
-    assert_eq!(roundtrip(&counts), counts);
 }
