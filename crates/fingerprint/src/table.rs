@@ -6,8 +6,8 @@ use crate::key::FingerprintKey;
 
 /// A frequency table of SYN fingerprints observed at one stub.
 ///
-/// Keys are the packed [`FingerprintKey`] bits so the table serializes,
-/// merges and iterates deterministically (`BTreeMap` order). The table
+/// Keys are the packed [`FingerprintKey`] bits so the table serializes
+/// and iterates deterministically (`BTreeMap` order). The table
 /// answers the two questions the mitigation layer asks: *is one shape
 /// dominating* (attack-tool template → throttle on it) and *how diverse is
 /// the mix* (high entropy → flash crowd, exonerate).
@@ -105,14 +105,6 @@ impl FingerprintTable {
         table
     }
 
-    /// Folds another table into this one.
-    pub fn merge(&mut self, other: &FingerprintTable) {
-        for (&bits, &count) in &other.counts {
-            *self.counts.entry(bits).or_insert(0) += count;
-        }
-        self.total += other.total;
-    }
-
     /// Drops all observations.
     pub fn clear(&mut self) {
         self.counts.clear();
@@ -178,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_round_trip_and_merge() {
+    fn entries_round_trip() {
         let mut table = FingerprintTable::new();
         for _ in 0..5 {
             table.observe(os_mix::apple());
@@ -187,12 +179,6 @@ mod tests {
         let rebuilt = FingerprintTable::from_entries(table.entries());
         assert_eq!(rebuilt, table);
         assert_eq!(rebuilt.total(), 6);
-
-        let mut merged = FingerprintTable::new();
-        merged.observe(os_mix::apple());
-        merged.merge(&table);
-        assert_eq!(merged.count(os_mix::apple()), 6);
-        assert_eq!(merged.total(), 7);
 
         // Zero-count entries are dropped on restore.
         let sparse = FingerprintTable::from_entries([(1u64, 0u64), (2, 2)]);

@@ -78,13 +78,6 @@ pub struct EthernetHeader {
 }
 
 impl EthernetHeader {
-    /// Appends the 14-byte wire representation to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.dst.octets());
-        buf.extend_from_slice(&self.src.octets());
-        buf.extend_from_slice(&self.ethertype.as_u16().to_be_bytes());
-    }
-
     /// Decodes a header from the front of `bytes`, returning the header and
     /// the remaining payload slice.
     ///
@@ -115,6 +108,14 @@ impl EthernetHeader {
             ethertype: u16::from_be_bytes([t0, t1]).into(),
         }
     }
+
+    /// The one Ethernet header writer: the 14-byte wire representation.
+    #[inline]
+    pub(crate) fn to_wire(self) -> [u8; HEADER_LEN] {
+        let ([d0, d1, d2, d3, d4, d5], [s0, s1, s2, s3, s4, s5]) = (self.dst.0, self.src.0);
+        let [t0, t1] = self.ethertype.as_u16().to_be_bytes();
+        [d0, d1, d2, d3, d4, d5, s0, s1, s2, s3, s4, s5, t0, t1]
+    }
 }
 
 #[cfg(test)]
@@ -132,9 +133,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let hdr = sample();
-        let mut buf = Vec::new();
-        hdr.encode(&mut buf);
-        assert_eq!(buf.len(), HEADER_LEN);
+        let buf = hdr.to_wire();
         let (decoded, rest) = EthernetHeader::decode(&buf).unwrap();
         assert_eq!(decoded, hdr);
         assert!(rest.is_empty());
@@ -143,8 +142,7 @@ mod tests {
     #[test]
     fn decode_leaves_payload_intact() {
         let hdr = sample();
-        let mut buf = Vec::new();
-        hdr.encode(&mut buf);
+        let mut buf = hdr.to_wire().to_vec();
         buf.extend_from_slice(b"payload");
         let (_, rest) = EthernetHeader::decode(&buf).unwrap();
         assert_eq!(rest, b"payload");
@@ -176,9 +174,7 @@ mod tests {
 
     #[test]
     fn wire_layout_matches_spec() {
-        let hdr = sample();
-        let mut buf = Vec::new();
-        hdr.encode(&mut buf);
+        let buf = sample().to_wire();
         // dst | src | ethertype, big endian.
         assert_eq!(&buf[0..6], &[1, 2, 3, 4, 5, 6]);
         assert_eq!(&buf[6..12], &[7, 8, 9, 10, 11, 12]);

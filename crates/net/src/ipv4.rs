@@ -28,27 +28,33 @@ pub const PROTO_UDP: u8 = 17;
 ///
 /// The ones'-complement sum is folded until it fits 16 bits and then
 /// complemented. A trailing odd byte is padded with zero, per the RFC.
+#[inline]
 pub fn internet_checksum(data: &[u8]) -> u16 {
     checksum_finish(checksum_accumulate(0, data))
 }
 
 /// Adds `data` into a running ones'-complement accumulator.
 ///
+/// The bytes are summed as big-endian 32-bit words, a trailing partial
+/// word padded with zeros: since `2^16 ≡ 1 (mod 0xffff)`, that is the
+/// RFC's sum of 16-bit words once folded, with half the additions. Every
+/// part but the last of a chained sum must have an even length.
 /// Exposed so the TCP layer can chain the pseudo-header and segment without
 /// copying them into one buffer.
-pub fn checksum_accumulate(mut acc: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(2);
-    for chunk in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+#[inline]
+pub fn checksum_accumulate(mut acc: u64, data: &[u8]) -> u64 {
+    let mut words = data.chunks_exact(4);
+    for word in &mut words {
+        acc += u64::from(u32::from_be_bytes([word[0], word[1], word[2], word[3]]));
     }
-    if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    acc
+    let tail = words.remainder();
+    let byte = |i: usize| u32::from(tail.get(i).copied().unwrap_or(0)) << (24 - 8 * i);
+    acc + u64::from(byte(0) | byte(1) | byte(2))
 }
 
 /// Folds and complements a checksum accumulator into the 16-bit field value.
-pub fn checksum_finish(mut acc: u32) -> u16 {
+#[inline]
+pub fn checksum_finish(mut acc: u64) -> u16 {
     while acc > 0xffff {
         acc = (acc & 0xffff) + (acc >> 16);
     }
@@ -122,15 +128,16 @@ impl Ipv4Header {
         (self.header_len() / 4) as u8
     }
 
-    /// Appends the wire representation to `buf`, computing the header
-    /// checksum. Updates `self.header_checksum` is *not* performed; the
-    /// computed checksum is written into the output only.
+    /// The one IPv4 header writer: fills `out` with the wire header, its
+    /// options padded with End-of-Options (0) and its checksum computed,
+    /// then zeros, and returns the header length.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Oversize`] if options exceed 40 bytes and
     /// [`NetError::InvalidField`] if `fragment_offset` exceeds 13 bits.
-    pub fn encode(&self, buf: &mut Vec<u8>) -> Result<(), NetError> {
+    #[inline]
+    pub(crate) fn write(&self, out: &mut [u8; MAX_HEADER_LEN]) -> Result<usize, NetError> {
         if padded_options_len(&self.options) > MAX_HEADER_LEN - MIN_HEADER_LEN {
             return Err(NetError::Oversize {
                 layer: "ipv4 options",
@@ -145,31 +152,41 @@ impl Ipv4Header {
                 value: u64::from(self.fragment_offset),
             });
         }
-        let start = buf.len();
-        buf.push(0x40 | self.ihl());
-        buf.push(self.tos);
-        buf.extend_from_slice(&self.total_len.to_be_bytes());
-        buf.extend_from_slice(&self.identification.to_be_bytes());
-        let mut flags_frag = self.fragment_offset;
-        if self.dont_fragment {
-            flags_frag |= 0x4000;
+        let flags_frag = self.fragment_offset
+            | u16::from(self.dont_fragment) << 14
+            | u16::from(self.more_fragments) << 13;
+        // RFC 791's five 32-bit rows; the checksum is zero while it is
+        // computed.
+        let rows = [
+            u32::from(0x40 | self.ihl()) << 24
+                | u32::from(self.tos) << 16
+                | u32::from(self.total_len),
+            u32::from(self.identification) << 16 | u32::from(flags_frag),
+            u32::from(self.ttl) << 24 | u32::from(self.protocol) << 16,
+            self.src.to_bits(),
+            self.dst.to_bits(),
+        ];
+        *out = [0; MAX_HEADER_LEN];
+        for (slot, row) in out.chunks_exact_mut(4).zip(rows) {
+            slot.copy_from_slice(&row.to_be_bytes());
         }
-        if self.more_fragments {
-            flags_frag |= 0x2000;
-        }
-        buf.extend_from_slice(&flags_frag.to_be_bytes());
-        buf.push(self.ttl);
-        buf.push(self.protocol);
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&self.src.octets());
-        buf.extend_from_slice(&self.dst.octets());
-        buf.extend_from_slice(&self.options);
-        // Pad options to a 32-bit boundary with End-of-Options (0).
-        while !(buf.len() - start).is_multiple_of(4) {
-            buf.push(0);
-        }
-        let checksum = internet_checksum(&buf[start..]);
-        buf[start + 10..start + 12].copy_from_slice(&checksum.to_be_bytes());
+        out[MIN_HEADER_LEN..][..self.options.len()].copy_from_slice(&self.options);
+        // The zeros past the header add nothing to the sum.
+        let checksum = internet_checksum(out);
+        out[10..12].copy_from_slice(&checksum.to_be_bytes());
+        Ok(self.header_len())
+    }
+
+    /// Appends the wire representation to `buf`: `Ipv4Header::write`,
+    /// then one copy.
+    ///
+    /// # Errors
+    ///
+    /// As `Ipv4Header::write`; `buf` is then left as it was.
+    pub fn encode(&self, buf: &mut Vec<u8>) -> Result<(), NetError> {
+        let mut header = [0; MAX_HEADER_LEN];
+        let len = self.write(&mut header)?;
+        buf.extend_from_slice(&header[..len]);
         Ok(())
     }
 

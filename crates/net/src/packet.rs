@@ -50,16 +50,17 @@ impl Packet {
     ///
     /// Propagates layer encoding errors (oversize options and the like).
     pub fn encode(&self) -> Result<Vec<u8>, NetError> {
-        let transport_len = self.tcp.as_ref().map_or(0, TcpHeader::header_len) + self.payload.len();
+        let options = self
+            .tcp
+            .as_ref()
+            .map(|tcp| OptionArea::from(tcp.options.as_slice()));
+        let tcp_len = options.map_or(0, |area| tcp::MIN_HEADER_LEN + area.padded_len());
         let mut ip = self.ipv4.clone();
-        ip.total_len = (ip.header_len() + transport_len) as u16;
-        let mut buf = Vec::with_capacity(ethernet::HEADER_LEN + usize::from(ip.total_len));
-        self.ethernet.encode(&mut buf);
-        ip.encode(&mut buf)?;
-        match &self.tcp {
-            Some(tcp) => tcp.encode(self.ipv4.src, self.ipv4.dst, &self.payload, &mut buf)?,
-            None => buf.extend_from_slice(&self.payload),
-        }
+        ip.total_len = (ip.header_len() + tcp_len + self.payload.len()) as u16;
+        let fields = self.tcp.as_ref().map(TcpHeader::fixed_fields);
+        let tcp = fields.as_ref().zip(options.as_ref());
+        let mut buf = Vec::new();
+        write_frame(&self.ethernet, &ip, tcp, &self.payload, &mut buf)?;
         Ok(buf)
     }
 
@@ -489,27 +490,25 @@ impl PacketBuilder {
         Ok(buf)
     }
 
-    /// The frame encoder: appends the packet's wire bytes to `buf`, each
-    /// header written in place (the TCP checksum over the bytes just
-    /// appended), with no allocation of its own. On an error `buf` may hold
-    /// a partial frame.
+    /// The frame encoder: writes the headers into one stack image,
+    /// checksums included, and appends them and the payload to `buf`,
+    /// with no allocation of its own.
     ///
     /// # Errors
     ///
-    /// Propagates layer encoding errors.
+    /// Propagates layer encoding errors; `buf` is then left as it was.
+    #[inline]
     pub fn build_into(&self, buf: &mut Vec<u8>) -> Result<(), NetError> {
         // A later fragment carries a slice of the segment, not a header;
         // it and a non-TCP datagram carry the payload raw.
-        let tcp_options =
-            (self.non_tcp_protocol.is_none() && self.fragment_offset == 0).then(|| {
-                match self.tcp_options {
-                    Some(options) => options,
-                    None if self.flags.is_pure_syn() || self.flags.is_syn_ack() => {
-                        OptionArea::from([TcpOption::Mss(1460)])
-                    }
-                    None => OptionArea::default(),
-                }
-            });
+        let tcp_options = match &self.tcp_options {
+            _ if self.non_tcp_protocol.is_some() || self.fragment_offset != 0 => None,
+            Some(options) => Some(options),
+            None if self.flags.is_pure_syn() || self.flags.is_syn_ack() => {
+                Some(&OptionArea::DEFAULT_SYN)
+            }
+            None => Some(&OptionArea::NONE),
+        };
         let header_len =
             tcp_options.map_or(0, |options| tcp::MIN_HEADER_LEN + options.padded_len());
         let mut ip = Ipv4Header::for_tcp(
@@ -522,18 +521,12 @@ impl PacketBuilder {
         ip.identification = self.identification;
         ip.dont_fragment = self.dont_fragment && self.fragment_offset == 0;
         ip.fragment_offset = self.fragment_offset;
-        EthernetHeader {
+        let ethernet = EthernetHeader {
             dst: self.dst_mac,
             src: self.src_mac,
             ethertype: EtherType::Ipv4,
-        }
-        .encode(buf);
-        ip.encode(buf)?;
-        let Some(options) = tcp_options else {
-            buf.extend_from_slice(&self.payload);
-            return Ok(());
         };
-        tcp::FixedFields {
+        let fields = tcp::FixedFields {
             src_port: self.src.port(),
             dst_port: self.dst.port(),
             seq: self.seq,
@@ -541,9 +534,44 @@ impl PacketBuilder {
             flags: self.flags,
             window: self.window,
             urgent: self.urgent,
-        }
-        .encode(&options, *self.src.ip(), *self.dst.ip(), &self.payload, buf)
+        };
+        let tcp = tcp_options.map(|options| (&fields, options));
+        write_frame(&ethernet, &ip, tcp, &self.payload, buf)
     }
+}
+
+/// The one frame writer, shared by [`Packet::encode`] and
+/// [`PacketBuilder::build_into`]: each layer's writer fills its part of
+/// one stack image (Ethernet at 0, IPv4 at 14, TCP after the IPv4
+/// header), checksums included, and the frame is appended once, headers
+/// then `payload`. On an error `buf` is left as it was.
+#[inline]
+fn write_frame(
+    ethernet: &EthernetHeader,
+    ip: &Ipv4Header,
+    tcp: Option<(&tcp::FixedFields, &OptionArea)>,
+    payload: &[u8],
+    buf: &mut Vec<u8>,
+) -> Result<(), NetError> {
+    const IP_AT: usize = ethernet::HEADER_LEN;
+    let mut image = [0u8; IP_AT + ipv4::MAX_HEADER_LEN + tcp::MAX_HEADER_LEN];
+    image[..IP_AT].copy_from_slice(&ethernet.to_wire());
+    let ip_image = image[IP_AT..].first_chunk_mut();
+    let mut end = IP_AT + ip.write(ip_image.expect("room for a whole IPv4 header"))?;
+    if let Some((fields, options)) = tcp {
+        let tcp_image = image[end..].first_chunk_mut();
+        end += fields.write(
+            options,
+            ip.src,
+            ip.dst,
+            payload,
+            tcp_image.expect("room for a whole TCP header"),
+        )?;
+    }
+    buf.reserve(end + payload.len());
+    buf.extend_from_slice(&image[..end]);
+    buf.extend_from_slice(payload);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -608,6 +636,88 @@ mod tests {
         let packet = Packet::decode(&bytes).unwrap();
         assert!(packet.tcp.is_none());
         assert_eq!(packet.ipv4.fragment_offset, 10);
+    }
+
+    #[test]
+    fn fragment_offset_past_13_bits_is_an_invalid_field() {
+        let mut buf = b"kept".to_vec();
+        let err = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
+            .fragment_offset(0x2000)
+            .build_into(&mut buf)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NetError::InvalidField {
+                    layer: "ipv4",
+                    field: "fragment_offset",
+                    value: 0x2000,
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(buf, b"kept", "a rejected frame leaves the buffer as it was");
+    }
+
+    #[test]
+    fn option_area_past_40_bytes_is_oversize() {
+        // 42 option bytes, padded to 44.
+        let err = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
+            .tcp_options([TcpOption::Unknown(253, vec![0; 40])])
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NetError::Oversize {
+                    layer: "tcp options",
+                    limit: 40,
+                    requested: 44,
+                }
+            ),
+            "{err:?}"
+        );
+        // The same list through `Packet::encode`, and IPv4 options past 40
+        // bytes, which that encoder reports first.
+        let bytes = PacketBuilder::tcp(addr("1.1.1.1:1"), addr("2.2.2.2:2"), TcpFlags::SYN)
+            .build()
+            .unwrap();
+        let mut packet = Packet::decode(&bytes).unwrap();
+        packet.tcp.as_mut().unwrap().options = vec![TcpOption::Unknown(253, vec![0; 40])];
+        let err = packet.encode().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NetError::Oversize {
+                    layer: "tcp options",
+                    limit: 40,
+                    requested: 44,
+                }
+            ),
+            "{err:?}"
+        );
+        packet.ipv4.options = vec![1; 41];
+        let err = packet.encode().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NetError::Oversize {
+                    layer: "ipv4 options",
+                    limit: 40,
+                    requested: 41,
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn default_syn_options_are_mss_1460() {
+        assert_eq!(
+            OptionArea::DEFAULT_SYN,
+            OptionArea::from([TcpOption::Mss(1460)])
+        );
+        assert_eq!(OptionArea::NONE, OptionArea::from([]));
     }
 
     #[test]
@@ -823,9 +933,16 @@ mod tests {
             payload in proptest::collection::vec(any::<u8>(), 1..128),
             flip in 0usize..8,
         ) {
-            let hdr = TcpHeader::syn(1025, 80, seq);
-            let mut buf = Vec::new();
-            hdr.encode(src, dst, &payload, &mut buf).unwrap();
+            let frame = PacketBuilder::tcp(
+                SocketAddrV4::new(src, 1025),
+                SocketAddrV4::new(dst, 80),
+                TcpFlags::SYN,
+            )
+            .seq(seq)
+            .payload(payload.clone())
+            .build()
+            .unwrap();
+            let mut buf = frame[ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN..].to_vec();
             prop_assert!(TcpHeader::decode(&buf, Some((src, dst))).is_ok());
             let idx = buf.len() - 1 - (flip % payload.len().min(8));
             buf[idx] ^= 0x10;

@@ -3,8 +3,9 @@
 //! SYN-dog's entire observable is the six TCP flag bits: the outbound
 //! sniffer counts segments with `SYN` set and `ACK` clear, the inbound
 //! sniffer counts segments with both `SYN` and `ACK` set. [`TcpFlags`]
-//! models those bits; [`TcpHeader`] provides complete encode/decode with
-//! options and the IPv4 pseudo-header checksum of RFC 793.
+//! models those bits; [`TcpHeader`] is the decoded header with its
+//! options, and `FixedFields::write` the one header writer, with the IPv4
+//! pseudo-header checksum of RFC 793.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -164,17 +165,6 @@ pub enum TcpOption {
 }
 
 impl TcpOption {
-    fn encoded_len(&self) -> usize {
-        match self {
-            TcpOption::EndOfOptions | TcpOption::Nop => 1,
-            TcpOption::Mss(_) => 4,
-            TcpOption::WindowScale(_) => 3,
-            TcpOption::SackPermitted => 2,
-            TcpOption::Timestamps(..) => 10,
-            TcpOption::Unknown(_, payload) => 2 + payload.len(),
-        }
-    }
-
     fn encode(&self, area: &mut OptionArea) {
         match self {
             TcpOption::EndOfOptions => area.put(&[0]),
@@ -272,8 +262,9 @@ impl<'a> Iterator for OptionWalk<'a> {
 pub(crate) const MAX_OPTIONS_LEN: usize = MAX_HEADER_LEN - MIN_HEADER_LEN;
 
 /// A TCP option area encoded in place, as a header carries it, before
-/// padding: at most 40 bytes, held inline with no allocation. A list too long to fit keeps only its length, for the
-/// encoder to reject.
+/// padding: at most 40 bytes, held inline with no allocation, and zero
+/// past its options. A list too long to fit keeps only its length, for
+/// the encoder to reject.
 ///
 /// ```
 /// use syndog_net::{OptionArea, TcpOption};
@@ -290,6 +281,21 @@ pub struct OptionArea {
 }
 
 impl OptionArea {
+    /// No options.
+    pub(crate) const NONE: OptionArea = OptionArea {
+        bytes: [0; MAX_OPTIONS_LEN],
+        len: 0,
+    };
+
+    /// What a SYN or SYN/ACK built with no options carries:
+    /// `TcpOption::Mss(1460)`, encoded.
+    pub(crate) const DEFAULT_SYN: OptionArea = {
+        let [hi, lo] = 1460u16.to_be_bytes();
+        let mut bytes = [0; MAX_OPTIONS_LEN];
+        (bytes[0], bytes[1], bytes[2], bytes[3]) = (2, 4, hi, lo);
+        OptionArea { bytes, len: 4 }
+    };
+
     /// Appends one option's wire bytes.
     pub fn push(&mut self, option: &TcpOption) {
         option.encode(self);
@@ -300,12 +306,6 @@ impl OptionArea {
     pub fn push_raw(&mut self, kind: u8, payload: &[u8]) {
         self.put(&[kind, (2 + payload.len()) as u8]);
         self.put(payload);
-    }
-
-    /// The encoded options, or `None` for a list longer than a header
-    /// holds.
-    pub(crate) fn bytes(&self) -> Option<&[u8]> {
-        self.bytes.get(..self.len)
     }
 
     /// The encoded length padded to whole 32-bit words.
@@ -324,10 +324,7 @@ impl OptionArea {
 impl Default for OptionArea {
     /// No options.
     fn default() -> Self {
-        OptionArea {
-            bytes: [0; MAX_OPTIONS_LEN],
-            len: 0,
-        }
+        OptionArea::NONE
     }
 }
 
@@ -371,71 +368,8 @@ pub struct TcpHeader {
 }
 
 impl TcpHeader {
-    /// Creates a connection-request (pure SYN) header.
-    pub fn syn(src_port: u16, dst_port: u16, seq: u32) -> Self {
-        TcpHeader {
-            src_port,
-            dst_port,
-            seq,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            window: 65535,
-            checksum: 0,
-            urgent: 0,
-            options: vec![TcpOption::Mss(1460)],
-        }
-    }
-
-    /// Creates a bare ACK segment.
-    pub fn ack(src_port: u16, dst_port: u16, seq: u32, ack: u32) -> Self {
-        TcpHeader {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags: TcpFlags::ACK,
-            window: 65535,
-            checksum: 0,
-            urgent: 0,
-            options: Vec::new(),
-        }
-    }
-
-    /// Creates an RST segment (as sent by a host receiving an unexpected
-    /// SYN/ACK — the reason spoofed sources must be unreachable, §1).
-    pub fn rst(src_port: u16, dst_port: u16, seq: u32) -> Self {
-        TcpHeader {
-            src_port,
-            dst_port,
-            seq,
-            ack: 0,
-            flags: TcpFlags::RST,
-            window: 0,
-            checksum: 0,
-            urgent: 0,
-            options: Vec::new(),
-        }
-    }
-
-    /// Header length in bytes including options, padded to 4-byte words.
-    pub fn header_len(&self) -> usize {
-        let options_len: usize = self.options.iter().map(TcpOption::encoded_len).sum();
-        MIN_HEADER_LEN + options_len.div_ceil(4) * 4
-    }
-
-    /// Appends the wire representation to `buf`, computing the checksum over
-    /// the pseudo-header, this header and `payload`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Oversize`] if the options exceed 40 bytes.
-    pub fn encode(
-        &self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        payload: &[u8],
-        buf: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
+    /// The fields the one segment writer takes besides the options.
+    pub(crate) fn fixed_fields(&self) -> FixedFields {
         FixedFields {
             src_port: self.src_port,
             dst_port: self.dst_port,
@@ -445,13 +379,6 @@ impl TcpHeader {
             window: self.window,
             urgent: self.urgent,
         }
-        .encode(
-            &OptionArea::from(self.options.as_slice()),
-            src,
-            dst,
-            payload,
-            buf,
-        )
     }
 
     /// Decodes a header from the front of `segment`, returning the header
@@ -504,8 +431,8 @@ impl TcpHeader {
 }
 
 /// The fields of a TCP header other than its checksum, offset and options:
-/// what [`TcpHeader::encode`] and the packet builder hand the one segment
-/// encoder.
+/// what [`TcpHeader::fixed_fields`] and the packet builder hand the one
+/// segment header writer.
 pub(crate) struct FixedFields {
     pub(crate) src_port: u16,
     pub(crate) dst_port: u16,
@@ -517,46 +444,53 @@ pub(crate) struct FixedFields {
 }
 
 impl FixedFields {
-    /// The one TCP segment encoder: appends these fields, `options`, zero
-    /// padding to a word boundary and `payload`, then writes the
-    /// pseudo-header checksum in place.
+    /// The one TCP header writer: fills `out` with these fields, `options`
+    /// and zeros, the pseudo-header checksum over that header and the
+    /// `payload` that follows it included, and returns the header length
+    /// (the options padded to whole words).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Oversize`] if the options exceed 40 bytes.
-    pub(crate) fn encode(
+    #[inline]
+    pub(crate) fn write(
         &self,
         options: &OptionArea,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         payload: &[u8],
-        buf: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
+        out: &mut [u8; MAX_HEADER_LEN],
+    ) -> Result<usize, NetError> {
         let header_len = MIN_HEADER_LEN + options.padded_len();
-        let Some(option_bytes) = options.bytes() else {
+        if options.len > MAX_OPTIONS_LEN {
             return Err(NetError::Oversize {
                 layer: "tcp options",
                 limit: MAX_OPTIONS_LEN,
                 requested: header_len - MIN_HEADER_LEN,
             });
-        };
-        let mut header = [0u8; MAX_HEADER_LEN];
-        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        header[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        header[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        header[12] = ((header_len / 4) as u8) << 4;
-        header[13] = self.flags.bits();
-        header[14..16].copy_from_slice(&self.window.to_be_bytes());
-        // Bytes 16..18 hold the checksum, zero until it is computed.
-        header[18..20].copy_from_slice(&self.urgent.to_be_bytes());
-        header[MIN_HEADER_LEN..MIN_HEADER_LEN + option_bytes.len()].copy_from_slice(option_bytes);
-        let start = buf.len();
-        buf.extend_from_slice(&header[..header_len]);
-        buf.extend_from_slice(payload);
-        let checksum = pseudo_header_checksum(src, dst, &buf[start..]);
-        buf[start + 16..start + 18].copy_from_slice(&checksum.to_be_bytes());
-        Ok(())
+        }
+        // RFC 793's five 32-bit rows; the checksum is zero while it is
+        // computed.
+        let rows = [
+            u32::from(self.src_port) << 16 | u32::from(self.dst_port),
+            self.seq,
+            self.ack,
+            (header_len as u32 / 4) << 28
+                | u32::from(self.flags.bits()) << 16
+                | u32::from(self.window),
+            u32::from(self.urgent),
+        ];
+        for (slot, row) in out.chunks_exact_mut(4).zip(rows) {
+            slot.copy_from_slice(&row.to_be_bytes());
+        }
+        // The area is zero past its options, so this pads them too, and
+        // the checksum may run over all 60 bytes.
+        out[MIN_HEADER_LEN..].copy_from_slice(&options.bytes);
+        let pseudo = pseudo_header_sum(src, dst, header_len + payload.len());
+        let header = checksum_accumulate(pseudo, out);
+        let checksum = checksum_finish(checksum_accumulate(header, payload));
+        out[16..18].copy_from_slice(&checksum.to_be_bytes());
+        Ok(header_len)
     }
 }
 
@@ -599,13 +533,19 @@ pub(crate) fn split_header(segment: &[u8]) -> Result<(&[u8], &[u8]), NetError> {
 /// (TCP header + payload). The checksum field inside `segment` must be zero
 /// when computing, or left in place when verifying (result 0 = valid).
 pub fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
-    let mut pseudo = [0u8; 12];
-    pseudo[0..4].copy_from_slice(&src.octets());
-    pseudo[4..8].copy_from_slice(&dst.octets());
-    pseudo[9] = PROTO_TCP;
-    pseudo[10..12].copy_from_slice(&(segment.len() as u16).to_be_bytes());
-    let acc = checksum_accumulate(0, &pseudo);
-    checksum_finish(checksum_accumulate(acc, segment))
+    checksum_finish(checksum_accumulate(
+        pseudo_header_sum(src, dst, segment.len()),
+        segment,
+    ))
+}
+
+/// The ones'-complement accumulator of the IPv4 pseudo-header for a
+/// segment of `segment_len` bytes: the two addresses, then the zero byte
+/// and protocol number with the 16-bit length, as three 32-bit words.
+#[inline]
+fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, segment_len: usize) -> u64 {
+    let proto_len = u32::from(PROTO_TCP) << 16 | u32::from(segment_len as u16);
+    u64::from(src.to_bits()) + u64::from(dst.to_bits()) + u64::from(proto_len)
 }
 
 #[cfg(test)]
@@ -614,6 +554,43 @@ mod tests {
 
     const SRC: Ipv4Addr = Ipv4Addr::new(152, 2, 9, 41);
     const DST: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 80);
+
+    /// A connection-request (pure SYN) header.
+    fn syn(src_port: u16, dst_port: u16, seq: u32) -> TcpHeader {
+        TcpHeader {
+            src_port,
+            dst_port,
+            seq,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            window: 65535,
+            checksum: 0,
+            urgent: 0,
+            options: vec![TcpOption::Mss(1460)],
+        }
+    }
+
+    /// A bare ACK header.
+    fn ack(src_port: u16, dst_port: u16, seq: u32, ack: u32) -> TcpHeader {
+        TcpHeader {
+            ack,
+            flags: TcpFlags::ACK,
+            options: Vec::new(),
+            ..syn(src_port, dst_port, seq)
+        }
+    }
+
+    /// A segment as the one header writer lays it out: header, then
+    /// `payload`.
+    fn segment(hdr: &TcpHeader, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+        let mut header = [0; MAX_HEADER_LEN];
+        let options = OptionArea::from(hdr.options.as_slice());
+        let len = hdr
+            .fixed_fields()
+            .write(&options, src, dst, payload, &mut header)
+            .unwrap();
+        [&header[..len], payload].concat()
+    }
 
     #[test]
     fn flag_combinations() {
@@ -651,20 +628,17 @@ mod tests {
 
     #[test]
     fn syn_constructor_shape() {
-        let syn = TcpHeader::syn(1025, 80, 7);
+        let syn = syn(1025, 80, 7);
         assert!(syn.flags.is_pure_syn());
-        assert_eq!(syn.header_len(), 24); // MSS option padded to 4 bytes
-        let mut buf = Vec::new();
-        syn.encode(SRC, DST, &[], &mut buf).unwrap();
-        assert_eq!(buf.len(), 24);
+        let buf = segment(&syn, SRC, DST, &[]);
+        assert_eq!(buf.len(), 24); // MSS option padded to 4 bytes
         assert_eq!(buf[12] >> 4, 6, "data offset in words");
     }
 
     #[test]
     fn encode_decode_roundtrip_with_payload_and_checksum() {
-        let hdr = TcpHeader::syn(1025, 80, 0xdeadbeef);
-        let mut buf = Vec::new();
-        hdr.encode(SRC, DST, b"hello", &mut buf).unwrap();
+        let hdr = syn(1025, 80, 0xdeadbeef);
+        let buf = segment(&hdr, SRC, DST, b"hello");
         let (decoded, payload) = TcpHeader::decode(&buf, Some((SRC, DST))).unwrap();
         assert_eq!(decoded.src_port, 1025);
         assert_eq!(decoded.dst_port, 80);
@@ -676,9 +650,8 @@ mod tests {
 
     #[test]
     fn checksum_detects_payload_corruption() {
-        let hdr = TcpHeader::ack(1, 2, 3, 4);
-        let mut buf = Vec::new();
-        hdr.encode(SRC, DST, b"data!", &mut buf).unwrap();
+        let hdr = ack(1, 2, 3, 4);
+        let mut buf = segment(&hdr, SRC, DST, b"data!");
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
         let err = TcpHeader::decode(&buf, Some((SRC, DST))).unwrap_err();
@@ -687,9 +660,8 @@ mod tests {
 
     #[test]
     fn checksum_depends_on_pseudo_header_addresses() {
-        let hdr = TcpHeader::ack(1, 2, 3, 4);
-        let mut buf = Vec::new();
-        hdr.encode(SRC, DST, &[], &mut buf).unwrap();
+        let hdr = ack(1, 2, 3, 4);
+        let buf = segment(&hdr, SRC, DST, &[]);
         // Note: swapping src and dst does NOT change the checksum (ones'-
         // complement addition is commutative), but substituting a different
         // address must fail verification.
@@ -701,7 +673,7 @@ mod tests {
 
     #[test]
     fn option_roundtrip_all_kinds() {
-        let mut hdr = TcpHeader::syn(1, 2, 3);
+        let mut hdr = syn(1, 2, 3);
         hdr.options = vec![
             TcpOption::Mss(1400),
             TcpOption::Nop,
@@ -710,8 +682,7 @@ mod tests {
             TcpOption::Timestamps(0x01020304, 0x0a0b0c0d),
             TcpOption::Unknown(253, vec![9, 9]),
         ];
-        let mut buf = Vec::new();
-        hdr.encode(SRC, DST, &[], &mut buf).unwrap();
+        let buf = segment(&hdr, SRC, DST, &[]);
         let (decoded, _) = TcpHeader::decode(&buf, Some((SRC, DST))).unwrap();
         // Trailing EOO/NOP padding may be appended; compare the prefix.
         assert_eq!(&decoded.options[..hdr.options.len()], &hdr.options[..]);
@@ -719,9 +690,8 @@ mod tests {
 
     #[test]
     fn malformed_option_length_rejected() {
-        let hdr = TcpHeader::ack(1, 2, 3, 4);
-        let mut buf = Vec::new();
-        hdr.encode(SRC, DST, &[], &mut buf).unwrap();
+        let hdr = ack(1, 2, 3, 4);
+        let mut buf = segment(&hdr, SRC, DST, &[]);
         // Inflate data offset to 6 words and claim an option with bad length.
         buf[12] = 6 << 4;
         buf.splice(20..20, [2u8, 1, 0, 0]); // MSS with length 1 (< 2)
@@ -743,9 +713,8 @@ mod tests {
 
     #[test]
     fn data_offset_below_minimum_rejected() {
-        let hdr = TcpHeader::ack(1, 2, 3, 4);
-        let mut buf = Vec::new();
-        hdr.encode(SRC, DST, &[], &mut buf).unwrap();
+        let hdr = ack(1, 2, 3, 4);
+        let mut buf = segment(&hdr, SRC, DST, &[]);
         buf[12] = 4 << 4;
         let err = TcpHeader::decode(&buf, None).unwrap_err();
         assert!(matches!(
